@@ -19,7 +19,9 @@ anything else (including both photons in one detector) is inconclusive.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +37,13 @@ DEFAULT_DETECTOR_MAP = ("D1", "D2", "D4", "D3")
 PATTERNS: tuple[tuple[int, int], ...] = tuple(
     (k, l) for k in range(4) for l in range(k, 4)
 )
+
+# row/column indices of PATTERNS into the symmetric 4x4 pattern matrix, and the
+# factor mapping its entries to pattern probabilities (see pattern_probs_batch)
+_PATTERN_ROWS, _PATTERN_COLS = np.array(PATTERNS).T
+_PATTERN_WEIGHTS = np.where(_PATTERN_ROWS == _PATTERN_COLS, 0.5, 1.0)
+
+_NORM_TOL = 1e-9
 
 _PSI_PLUS_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _PSI_MINUS_PAIRS = (frozenset({"D1", "D2"}), frozenset({"D3", "D4"}))
@@ -72,14 +81,22 @@ class AnalyzerConfig:
     detector_map: tuple[str, str, str, str] = DEFAULT_DETECTOR_MAP
 
     def __post_init__(self):
-        for name in ("transmittance_h", "transmittance_v", "mode_overlap"):
+        for name in ("transmittance_h", "transmittance_v"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if sorted(self.detector_map) != sorted(DETECTORS):
+            if not isinstance(value, Real) or not 0.0 < value < 1.0:
+                raise ValueError(f"beamsplitter {name} must lie in (0, 1), got {value!r}")
+        if not isinstance(self.mode_overlap, Real) or not 0.0 <= self.mode_overlap <= 1.0:
+            raise ValueError(f"mode_overlap must lie in [0, 1], got {self.mode_overlap!r}")
+        if not isinstance(self.geometric_phase, bool):
+            raise ValueError(f"geometric_phase must be true or false, got {self.geometric_phase!r}")
+        if not isinstance(self.detector_map, (tuple, list)) or sorted(
+            self.detector_map, key=str
+        ) != sorted(DETECTORS):
             raise ValueError(
-                f"detector_map must be a permutation of {DETECTORS}, got {self.detector_map}"
+                f"detector_map must be a permutation of {DETECTORS}, got {self.detector_map!r}"
             )
+        # a tuple keeps the config hashable; _config_tables caches on it
+        object.__setattr__(self, "detector_map", tuple(self.detector_map))
 
 
 def bs_transform(config: AnalyzerConfig) -> np.ndarray:
@@ -90,9 +107,6 @@ def bs_transform(config: AnalyzerConfig) -> np.ndarray:
     geometric phase enabled the H block of input port 2 picks up a sign flip,
     which is what swaps the bunching roles of Psi+ and Psi-.
     """
-    for t in (config.transmittance_h, config.transmittance_v):
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"beamsplitter transmittance must lie in (0, 1), got {t}")
     t_h, r_h = np.sqrt(config.transmittance_h), np.sqrt(1.0 - config.transmittance_h)
     t_v, r_v = np.sqrt(config.transmittance_v), np.sqrt(1.0 - config.transmittance_v)
     g = -1.0 if config.geometric_phase else 1.0
@@ -104,14 +118,66 @@ def bs_transform(config: AnalyzerConfig) -> np.ndarray:
     return u
 
 
-def _embedded_amplitudes(state: TwoPhotonState) -> np.ndarray:
-    """Joint amplitude matrix over (data mode, program mode)."""
-    psi = np.zeros((4, 4), dtype=complex)
-    amps = state.amplitudes
-    for i in range(2):  # data polarization -> mode i (port 1)
-        for j in range(2):  # program polarization -> mode 2+j (port 2)
-            psi[i, 2 + j] = amps[2 * i + j]
-    return psi
+@functools.lru_cache(maxsize=64)
+def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """bs_transform and the (pattern, class) indicator matrix of a config, built once per config.
+
+    Class columns follow OutcomeProbs: Psi+, Psi-, inconclusive.  The arrays
+    are shared between callers and therefore read-only.
+    """
+    u = bs_transform(config)
+    classes = np.array(
+        [
+            [o == c for c in (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)]
+            for o in pattern_outcomes(config)
+        ],
+        dtype=float,
+    )
+    u.setflags(write=False)
+    classes.setflags(write=False)
+    return u, classes
+
+
+def pattern_probs_batch(
+    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float
+) -> np.ndarray:
+    """Output-pattern probabilities of a batch of two-photon states, shape (n, len(PATTERNS)).
+
+    `amplitudes` holds n normalized states on the (HH, HV, VH, VV) basis, shape
+    (n, 4).  The data photon enters in modes 0/1 and the program photon in
+    modes 2/3, so the joint output amplitude is a = U psi U^T, where psi
+    holds the state's 2x2 amplitude block in rows 0/1 and columns 2/3 and
+    U = bs_transform(config).  Bosonic photons add the amplitudes of the two
+    orderings of an output pair, |a_kl + a_lk|^2; distinguishable photons add
+    their probabilities, |a_kl|^2 + |a_lk|^2; partially distinguishable
+    photons mix the two with weight mode_overlap.  A photon pair in one mode
+    (k = l) counts half of the symmetric sum.
+    """
+    if not 0.0 <= mode_overlap <= 1.0:
+        raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != 4:
+        raise ValueError(f"expected amplitudes of shape (n, 4), got {amps.shape}")
+    norm_sq = np.sum(amps.real**2 + amps.imag**2, axis=1)
+    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
+        raise ValueError(f"two-photon states are not normalized: {norm_sq}")
+    u, _ = _config_tables(config)
+    a = u[:, :2] @ amps.reshape(-1, 2, 2) @ u[:, 2:].T
+    a_swapped = a.swapaxes(1, 2)
+    sym = mode_overlap * np.abs(a + a_swapped) ** 2 + (1.0 - mode_overlap) * (
+        np.abs(a) ** 2 + np.abs(a_swapped) ** 2
+    )
+    return sym[:, _PATTERN_ROWS, _PATTERN_COLS] * _PATTERN_WEIGHTS
+
+
+def outcome_probs_batch(
+    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float
+) -> np.ndarray:
+    """Psi+/Psi-/inconclusive probabilities of a batch of states, shape (n, 3).
+
+    Columns follow OutcomeProbs; see pattern_probs_batch for the arguments.
+    """
+    return pattern_probs_batch(amplitudes, config, mode_overlap) @ _config_tables(config)[1]
 
 
 def quantum_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:
@@ -120,15 +186,7 @@ def quantum_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.n
     Propagates the two-photon amplitude through bs_transform and collects the
     coefficient of each unordered pair of output modes, in PATTERNS order.
     """
-    u = bs_transform(config)
-    a = u @ _embedded_amplitudes(state) @ u.T
-    probs = np.empty(len(PATTERNS))
-    for idx, (k, l) in enumerate(PATTERNS):
-        if k == l:
-            probs[idx] = 2.0 * abs(a[k, k]) ** 2
-        else:
-            probs[idx] = abs(a[k, l] + a[l, k]) ** 2
-    return probs
+    return pattern_probs_batch(state.amplitudes[None], config, 1.0)[0]
 
 
 def distinguishable_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:
@@ -137,15 +195,7 @@ def distinguishable_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig)
     Each photon is routed independently (no two-photon interference); the
     joint amplitudes of the ordered mode pairs are squared individually.
     """
-    u = bs_transform(config)
-    a = u @ _embedded_amplitudes(state) @ u.T
-    probs = np.empty(len(PATTERNS))
-    for idx, (k, l) in enumerate(PATTERNS):
-        if k == l:
-            probs[idx] = abs(a[k, k]) ** 2
-        else:
-            probs[idx] = abs(a[k, l]) ** 2 + abs(a[l, k]) ** 2
-    return probs
+    return pattern_probs_batch(state.amplitudes[None], config, 0.0)[0]
 
 
 def mixed_pattern_probs(
@@ -153,15 +203,7 @@ def mixed_pattern_probs(
 ) -> np.ndarray:
     """Partial-distinguishability mixture M * quantum + (1 - M) * distinguishable."""
     m = config.mode_overlap if mode_overlap is None else mode_overlap
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"mode overlap must lie in [0, 1], got {m}")
-    if m == 1.0:
-        return quantum_pattern_probs(state, config)
-    if m == 0.0:
-        return distinguishable_pattern_probs(state, config)
-    return m * quantum_pattern_probs(state, config) + (1.0 - m) * distinguishable_pattern_probs(
-        state, config
-    )
+    return pattern_probs_batch(state.amplitudes[None], config, m)[0]
 
 
 def classify(pattern: Sequence[str]) -> Outcome:
@@ -193,12 +235,7 @@ def pattern_outcomes(config: AnalyzerConfig) -> tuple[Outcome, ...]:
 
 
 def _aggregate(probs: np.ndarray, config: AnalyzerConfig) -> OutcomeProbs:
-    totals = {Outcome.PSI_PLUS: 0.0, Outcome.PSI_MINUS: 0.0, Outcome.INCONCLUSIVE: 0.0}
-    for p, outcome in zip(probs, pattern_outcomes(config)):
-        totals[outcome] += float(p)
-    return OutcomeProbs(
-        totals[Outcome.PSI_PLUS], totals[Outcome.PSI_MINUS], totals[Outcome.INCONCLUSIVE]
-    )
+    return OutcomeProbs(*(float(p) for p in probs @ _config_tables(config)[1]))
 
 
 def ideal_outcome_probs(state: TwoPhotonState, config: AnalyzerConfig) -> OutcomeProbs:

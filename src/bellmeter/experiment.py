@@ -5,30 +5,30 @@ the partially distinguishable Bell analyzer, detector inefficiency, dark-count
 accidentals, shoulder (normalization) measurements and the mirror scan through
 the Hong-Ou-Mandel dip.
 
-Sampling is exact but vectorized per measurement period: wave plates are set
-once per period, so all pairs within a period share the same outcome
-distribution and can be drawn from one multinomial.
+Sampling uses Poisson thinning and is exact in distribution.  The number of
+pairs in a measurement period is Poisson; wave plates are set once per period,
+so all its pairs share one outcome distribution.  Splitting a Poisson count
+over outcome classes, relabelling a random fraction of one class and keeping
+each coincidence with the detection probability all leave independent Poisson
+counts per class, and sums of independent Poisson counts are Poisson.  The
+recorded Psi+ and Psi- counts of an input setting are therefore two Poisson
+draws whose means add up the class probabilities of all its periods.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import polarization as pol
-from .analyzer import (
-    PATTERNS,
-    AnalyzerConfig,
-    Outcome,
-    classify,
-    mixed_pattern_probs,
-    pattern_outcomes,
-)
-from .twophoton import tensor
+from .analyzer import AnalyzerConfig, outcome_probs_batch
+
+# tolerance on the sum of each period's class probabilities
+_PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,14 @@ class ExperimentConfig:
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and (
+                not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.pair_rate < 0 or self.period <= 0 or self.repetitions < 1:
             raise ValueError("pair_rate must be >= 0, period > 0, repetitions >= 1")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -151,46 +159,6 @@ def mode_overlap_at(position: float, config: ExperimentConfig) -> float:
     return m0 * math.exp(-(position**2) / (2.0 * config.dip_sigma**2))
 
 
-def _prepare_jittered(
-    recipe: pol.PrepRecipe, jitter_deg: float, rng: np.random.Generator
-) -> pol.PolarizationState:
-    """Prepare |H> through a recipe whose plate angles carry uniform setting errors."""
-    if jitter_deg > 0.0:
-        dq, dh = rng.uniform(-jitter_deg, jitter_deg, size=2)
-    else:
-        dq = dh = 0.0
-    state = pol.apply_plate(
-        pol.HORIZONTAL, pol.WavePlate(pol.PlateKind.QUARTER, recipe.qwp_deg + dq)
-    )
-    return pol.apply_plate(state, pol.WavePlate(pol.PlateKind.HALF, recipe.hwp_deg + dh))
-
-
-_DARK_PAIRS = tuple(itertools.combinations(("D1", "D2", "D3", "D4"), 2))
-
-
-def _dark_coincidences(config: ExperimentConfig, rng: np.random.Generator) -> ClassCounts:
-    """Accidental two-detector coincidences from dark counts in one period.
-
-    Each unordered detector pair accumulates accidentals at rate
-    dark_rate^2 * coincidence_window; only the pairs wired to the Psi+/Psi-
-    coincidence logic are recorded.
-    """
-    lam = config.dark_count_rate**2 * config.coincidence_window * config.period
-    if lam == 0.0:
-        return ClassCounts(0, 0)
-    n_plus = n_minus = 0
-    for pair in _DARK_PAIRS:
-        hits = int(rng.poisson(lam))
-        if hits == 0:
-            continue
-        outcome = classify(pair)
-        if outcome == Outcome.PSI_PLUS:
-            n_plus += hits
-        elif outcome == Outcome.PSI_MINUS:
-            n_minus += hits
-    return ClassCounts(n_plus, n_minus)
-
-
 def simulate_counts(
     data_setting: pol.PrepRecipe,
     program_setting: pol.PrepRecipe,
@@ -201,17 +169,28 @@ def simulate_counts(
 ) -> ClassCounts:
     """Simulate the recorded coincidence counts for one input setting.
 
-    Runs config.repetitions measurement periods.  Per period: jitter the four
-    wave-plate angles, prepare the data and program states, form their product
-    state, mix the quantum and distinguishable analyzer branches according to
-    the mode overlap at `position`, and draw a multinomial over the output
-    patterns for a Poisson number of pairs.  Conclusive coincidences survive
-    detection with probability efficiency^2 (both photons must register);
-    dark-count accidentals are added afterwards.
+    Runs config.repetitions measurement periods as one array pass.  The four
+    wave-plate angles of every period get their own uniform jitter; the data
+    and program states of all periods are prepared together, and the analyzer
+    gives each period's Psi+/Psi-/inconclusive probabilities p+, p-, p?,
+    mixing its quantum and distinguishable branches by the mode overlap at
+    `position`.
 
     `eta` < 1 emulates the relaxed measurement that relabels a random fraction
-    (1 - eta) of inconclusive analyzer outcomes as Psi+/Psi- before detection;
-    eta = 1 is the plain unambiguous analyzer.
+    (1 - eta) of inconclusive analyzer outcomes as Psi+/Psi- (half each) before
+    detection; eta = 1 is the plain unambiguous analyzer.  A coincidence is
+    recorded with probability efficiency^2 (both photons must register).  Dark
+    counts add accidentals at rate dark_rate^2 * coincidence_window on each of
+    the six detector pairs, two of which are wired to each conclusive class.
+
+    With mu the mean pair number per period and lambda_dark the accidental
+    mean per detector pair and period, the class counts are independent
+    Poisson draws with means
+
+        lambda+- = efficiency^2 * mu * sum_periods(p+- + (1 - eta)/2 * p?)
+                   + 2 * lambda_dark * repetitions,
+
+    which is exact in distribution (see the module docstring).
 
     Returns:
         ClassCounts with the total recorded Psi+ and Psi- coincidences.
@@ -220,37 +199,33 @@ def simulate_counts(
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    overlap_here = mode_overlap_at(position, config)
-    outcomes = pattern_outcomes(config.analyzer)
-    plus_mask = np.array([o == Outcome.PSI_PLUS for o in outcomes])
-    minus_mask = np.array([o == Outcome.PSI_MINUS for o in outcomes])
-    eff_sq = config.detector_efficiency**2
-    mean_pairs = config.pair_rate * config.period
+    # [period, photon (data, program), plate (QWP, HWP)]
+    angles = np.array(
+        [
+            [data_setting.qwp_deg, data_setting.hwp_deg],
+            [program_setting.qwp_deg, program_setting.hwp_deg],
+        ],
+        dtype=float,
+    )
+    shape = (config.repetitions, 2, 2)
+    if config.angle_jitter > 0.0:
+        angles = angles + rng.uniform(-config.angle_jitter, config.angle_jitter, size=shape)
+    else:
+        angles = np.broadcast_to(angles, shape)
+    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1])
+    product = (jones[:, 0, :, None] * jones[:, 1, None, :]).reshape(-1, 4)
+    probs = outcome_probs_batch(product, config.analyzer, mode_overlap_at(position, config))
+    prob_sums = probs.sum(axis=1)
+    if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
+        raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
 
-    total_plus = total_minus = 0
-    for _ in range(config.repetitions):
-        data = _prepare_jittered(data_setting, config.angle_jitter, rng)
-        program = _prepare_jittered(program_setting, config.angle_jitter, rng)
-        probs = mixed_pattern_probs(tensor(data, program), config.analyzer, overlap_here)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        n_pairs = int(rng.poisson(mean_pairs)) if mean_pairs > 0 else 0
-        pattern_counts = rng.multinomial(n_pairs, probs)
-        n_plus = int(pattern_counts[plus_mask].sum())
-        n_minus = int(pattern_counts[minus_mask].sum())
-        if eta < 1.0:
-            n_inc = n_pairs - n_plus - n_minus
-            relabeled = int(rng.binomial(n_inc, 1.0 - eta))
-            to_plus = int(rng.binomial(relabeled, 0.5))
-            n_plus += to_plus
-            n_minus += relabeled - to_plus
-        if eff_sq < 1.0:
-            n_plus = int(rng.binomial(n_plus, eff_sq))
-            n_minus = int(rng.binomial(n_minus, eff_sq))
-        darks = _dark_coincidences(config, rng)
-        total_plus += n_plus + darks.psi_plus
-        total_minus += n_minus + darks.psi_minus
-    return ClassCounts(total_plus, total_minus)
+    totals = probs.sum(axis=0)
+    detected = config.detector_efficiency**2 * config.pair_rate * config.period
+    dark = config.dark_count_rate**2 * config.coincidence_window * config.period
+    relabeled = (1.0 - eta) / 2.0 * totals[2]
+    means = detected * (totals[:2] + relabeled) + 2.0 * dark * config.repetitions
+    n_plus, n_minus = rng.poisson(means)
+    return ClassCounts(int(n_plus), int(n_minus))
 
 
 def shoulder_counts(
@@ -464,14 +439,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse a config mapping, rejecting unknown keys by name."""
     from .errors import SchemaViolationError
 
+    if not isinstance(data, dict):
+        raise SchemaViolationError(f"a config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
-    analyzer_data = dict(data.pop("analyzer", {}))
+    analyzer_data = data.pop("analyzer", {})
+    if not isinstance(analyzer_data, dict):
+        raise SchemaViolationError(
+            f"the analyzer config must be a JSON object, got {type(analyzer_data).__name__}"
+        )
     analyzer_fields = {"transmittance_h", "transmittance_v", "mode_overlap", "geometric_phase", "detector_map"}
     unknown = set(analyzer_data) - analyzer_fields
     if unknown:
         raise SchemaViolationError(f"unknown analyzer config key {sorted(unknown)[0]!r}")
-    if "detector_map" in analyzer_data:
-        analyzer_data["detector_map"] = tuple(analyzer_data["detector_map"])
     config_fields = {
         "pair_rate", "period", "repetitions", "detector_efficiency", "dark_count_rate",
         "coincidence_window", "dip_sigma", "shoulder_position", "angle_jitter", "seed",

@@ -87,12 +87,24 @@ def waveplate_matrix(plate: WavePlate) -> np.ndarray:
     quarter-wave plate at +45 deg maps |H> to (|H> + i|V>)/sqrt(2), and the
     two-plate recipes below reproduce their analytic targets.
     """
-    th = radians(plate.angle_deg)
-    c, s = cos(th), sin(th)
-    rot = np.array([[c, -s], [s, c]])
-    delta = radians(_RETARDANCE_DEG[plate.kind])
-    retarder = np.array([[1.0, 0.0], [0.0, np.exp(-1j * delta)]])
-    return rot @ retarder @ rot.T
+    return waveplate_matrices(plate.kind, plate.angle_deg)
+
+
+def waveplate_matrices(kind: PlateKind, angle_deg) -> np.ndarray:
+    """Jones matrices, shape angle_deg.shape + (2, 2), of one plate kind at an array of angles.
+
+    Closed form of the waveplate_matrix convention: with c, s the cosine and
+    sine of the fast-axis angle and e = exp(-i delta),
+    [[c^2 + s^2 e, c s (1 - e)], [c s (1 - e), s^2 + c^2 e]].
+    """
+    th = np.radians(np.asarray(angle_deg, dtype=float))
+    c, s = np.cos(th), np.sin(th)
+    e = np.exp(-1j * radians(_RETARDANCE_DEG[kind]))
+    out = np.empty(th.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c * c + s * s * e
+    out[..., 0, 1] = out[..., 1, 0] = c * s * (1.0 - e)
+    out[..., 1, 1] = s * s + c * c * e
+    return out
 
 
 def apply_plate(state: PolarizationState, plate: WavePlate) -> PolarizationState:
@@ -105,6 +117,17 @@ def prepare_from_recipe(recipe: PrepRecipe, state: PolarizationState = HORIZONTA
     """Apply a two-plate recipe (QWP then HWP) to an input state, |H> by default."""
     qwp, hwp = recipe.plates()
     return apply_plate(apply_plate(state, qwp), hwp)
+
+
+def prepare_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
+    """Jones vectors, shape (..., 2), of |H> sent through a QWP then a HWP at broadcast angles.
+
+    The array counterpart of prepare_from_recipe: entry [...] equals, to
+    rounding, prepare_from_recipe(PrepRecipe(qwp_deg[...], hwp_deg[...])).vector.
+    Both plates are unitary, so the vectors are normalized without rescaling.
+    """
+    after_qwp = waveplate_matrices(PlateKind.QUARTER, qwp_deg)[..., :, 0]
+    return np.einsum("...ij,...j->...i", waveplate_matrices(PlateKind.HALF, hwp_deg), after_qwp)
 
 
 def prepare_elliptical(epsilon_deg: float, theta_deg: float, sign: int = +1) -> PolarizationState:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellmeter.analyzer import (
     PATTERNS,
@@ -12,10 +14,18 @@ from bellmeter.analyzer import (
     distinguishable_pattern_probs,
     ideal_outcome_probs,
     mixed_pattern_probs,
+    outcome_probs_batch,
     pattern_outcomes,
+    pattern_probs_batch,
     quantum_pattern_probs,
 )
-from bellmeter.polarization import PolarizationState, prepare_elliptical
+from bellmeter.polarization import (
+    PolarizationState,
+    PrepRecipe,
+    prepare_elliptical,
+    prepare_from_angles,
+    prepare_from_recipe,
+)
 from bellmeter.twophoton import BELL_STATES, TwoPhotonState, tensor
 
 IDEAL = AnalyzerConfig()
@@ -213,3 +223,97 @@ def test_detector_map_override_relabels_patterns():
     p = ideal_outcome_probs(PSI_PLUS, swapped)
     # modes (1H, 2V) now read D4 & D3 -> Psi-, (1V, 2H) read D2 & D1 -> Psi-
     assert abs(p.psi_minus - 1.0) < 1e-12
+
+
+# deterministic examples, so that the suite reruns identically
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+angles = st.floats(-360.0, 360.0)
+transmittances = st.floats(0.01, 0.99)
+overlaps = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def reference_pattern_probs(state, config, mode_overlap):
+    """Per-pattern loop over a = U psi U^T, written out independently of the batched core."""
+    u = bs_transform(config)
+    psi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            psi[i, 2 + j] = state.amplitudes[2 * i + j]
+    a = u @ psi @ u.T
+    probs = []
+    for k, l in PATTERNS:
+        if k == l:
+            quantum, distinguishable = 2.0 * abs(a[k, k]) ** 2, abs(a[k, k]) ** 2
+        else:
+            quantum = abs(a[k, l] + a[l, k]) ** 2
+            distinguishable = abs(a[k, l]) ** 2 + abs(a[l, k]) ** 2
+        probs.append(mode_overlap * quantum + (1.0 - mode_overlap) * distinguishable)
+    return np.array(probs)
+
+
+def aggregate(pattern_probs, config):
+    totals = dict.fromkeys(Outcome, 0.0)
+    for p, outcome in zip(pattern_probs, pattern_outcomes(config)):
+        totals[outcome] += p
+    return [totals[Outcome.PSI_PLUS], totals[Outcome.PSI_MINUS], totals[Outcome.INCONCLUSIVE]]
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t_h=transmittances,
+    t_v=transmittances,
+    geometric_phase=st.booleans(),
+    m=overlaps,
+)
+def test_pattern_probs_match_reference_loop(seed, t_h, t_v, geometric_phase, m):
+    cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v, geometric_phase=geometric_phase)
+    rng = np.random.default_rng(seed)
+    states = [random_state(rng) for _ in range(3)]
+    batch = pattern_probs_batch(np.array([s.amplitudes for s in states]), cfg, m)
+    for state, got in zip(states, batch):
+        want = reference_pattern_probs(state, cfg, m)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(mixed_pattern_probs(state, cfg, m) - want)) < 1e-12
+        if m in (0.0, 1.0):
+            scalar = quantum_pattern_probs if m == 1.0 else distinguishable_pattern_probs
+            assert np.max(np.abs(scalar(state, cfg) - want)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    recipe=st.tuples(angles, angles, angles, angles),
+    jitter=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.floats(-5.0, 5.0), min_size=4 * n, max_size=4 * n)
+    ),
+    t_h=transmittances,
+    t_v=transmittances,
+    m=overlaps,
+)
+def test_batched_outcome_probs_match_scalar_path(recipe, jitter, t_h, t_v, m):
+    cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v)
+    # [period, photon (data, program), plate (QWP, HWP)]
+    settings_deg = np.reshape(recipe, (2, 2)) + np.reshape(jitter, (-1, 2, 2))
+    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    product = np.einsum("ni,nj->nij", jones[:, 0], jones[:, 1]).reshape(-1, 4)
+    got = outcome_probs_batch(product, cfg, m)
+    assert got.shape == (len(settings_deg), 3)
+    for row, (data_deg, program_deg) in zip(got, settings_deg):
+        state = tensor(
+            prepare_from_recipe(PrepRecipe(*data_deg)), prepare_from_recipe(PrepRecipe(*program_deg))
+        )
+        want = aggregate(mixed_pattern_probs(state, cfg, m), cfg)
+        assert np.max(np.abs(row - want)) < 1e-12
+
+
+def test_batch_rejects_unnormalized_states_and_bad_overlap():
+    good = np.array([[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        pattern_probs_batch(np.array([[1.0, 1.0, 0.0, 0.0]]), IDEAL, 1.0)
+    with pytest.raises(ValueError):
+        pattern_probs_batch(np.array([[np.nan, 0.0, 0.0, 0.0]]), IDEAL, 1.0)
+    with pytest.raises(ValueError):
+        pattern_probs_batch(good[0], IDEAL, 1.0)
+    with pytest.raises(ValueError):
+        pattern_probs_batch(good, IDEAL, float("nan"))

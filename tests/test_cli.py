@@ -159,3 +159,30 @@ def test_config_file_flow(tmp_path):
 
     cfg_path.write_text(json.dumps({"not_a_field": 1}))
     assert main(["discriminate", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+def test_nan_pairs_exit_nonzero_without_dataset(tmp_path, capsys):
+    out = tmp_path / "nan.tsv"
+    code = main(["discriminate", "--ideal", "--epsilon", "0", "--theta-range", "45:45:1",
+                 "--pairs", "nan", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_repetitions_in_config_exit_nonzero(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"repetitions": 2.5}))
+    code = main(["discriminate", "--config", str(cfg_path), "--epsilon", "0",
+                 "--theta-range", "45:45:1", "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps([1, 2]))
+    code = main(["discriminate", "--config", str(cfg_path), "--epsilon", "0",
+                 "--theta-range", "45:45:1", "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

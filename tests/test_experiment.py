@@ -3,8 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from bellmeter.analyzer import AnalyzerConfig, distinguishable_outcome_probs
+from bellmeter.analyzer import (
+    AnalyzerConfig,
+    distinguishable_outcome_probs,
+    ideal_outcome_probs,
+    outcome_probs_batch,
+)
 from bellmeter.errors import SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
@@ -19,7 +25,7 @@ from bellmeter.experiment import (
     simulate_counts,
     with_pairs_per_point,
 )
-from bellmeter.polarization import prepare_elliptical, recipe_discriminator
+from bellmeter.polarization import prepare_elliptical, prepare_from_recipe, recipe_discriminator
 from bellmeter.twophoton import tensor
 
 SHOULDER_RESIDUAL_35 = 1.0270256462135618e-4  # exp(-150^2 / (2*35^2))
@@ -251,3 +257,84 @@ def test_config_rejects_bad_values():
         ExperimentConfig(dip_sigma=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+
+
+def test_counts_are_independent_poisson_with_the_analytic_mean():
+    # Poisson thinning: each class count is Poisson with mean
+    # eff^2 * pairs * (p_class + (1 - eta)/2 * p_inconclusive) + 2 dark accidentals per period
+    n_calls, eta = 2000, 0.5
+    cfg = replace(
+        ExperimentConfig.realistic(pair_rate=200.0),
+        angle_jitter=0.0,
+        dark_count_rate=1000.0,
+        coincidence_window=1e-5,
+    )
+    data = recipe_discriminator(24.0, 20.0, +1)
+    program = recipe_discriminator(24.0, 70.0, -1)
+    rng = np.random.default_rng(2024)
+    counts = np.array(
+        [simulate_counts(data, program, 0.0, cfg, rng, eta=eta) for _ in range(n_calls)], dtype=float
+    )
+
+    state = tensor(prepare_from_recipe(data), prepare_from_recipe(program))
+    m = cfg.analyzer.mode_overlap
+    quantum = ideal_outcome_probs(state, cfg.analyzer)
+    classical = distinguishable_outcome_probs(state, cfg.analyzer)
+    probs = [m * q + (1.0 - m) * c for q, c in zip(quantum, classical)]
+    pairs = cfg.pair_rate * cfg.period * cfg.repetitions
+    dark = 2.0 * cfg.dark_count_rate**2 * cfg.coincidence_window * cfg.period * cfg.repetitions
+    relabeled = (1.0 - eta) / 2.0 * probs[2]
+    expected = [cfg.detector_efficiency**2 * pairs * (p + relabeled) + dark for p in probs[:2]]
+
+    low, high = chi2.ppf([0.0005, 0.9995], n_calls - 1)
+    for column, lam in zip(counts.T, expected):
+        assert abs(column.mean() - lam) <= 4.0 * math.sqrt(lam / n_calls)
+        dispersion = (n_calls - 1) * column.var(ddof=1) / column.mean()
+        assert low <= dispersion <= high
+    assert abs(np.corrcoef(counts.T)[0, 1]) <= 4.0 / math.sqrt(n_calls)
+
+
+@pytest.mark.parametrize("broken", [lambda p: p * 1.001, lambda p: np.full_like(p, np.nan)])
+def test_broken_class_probabilities_raise(monkeypatch, broken):
+    monkeypatch.setattr(
+        "bellmeter.experiment.outcome_probs_batch",
+        lambda *args: broken(outcome_probs_batch(*args)),
+    )
+    with pytest.raises(ValueError, match="sum to 1"):
+        simulate_counts(
+            recipe_discriminator(0, 45, 1), recipe_discriminator(0, 45, 1), 0.0, ideal(seed=3)
+        )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"pair_rate": math.nan},
+        {"period": math.inf},
+        {"shoulder_position": math.nan},
+        {"coincidence_window": -math.inf},
+        {"angle_jitter": "1.0"},
+        {"repetitions": 2.5},
+        {"repetitions": True},
+        {"seed": 1.5},
+    ],
+)
+def test_config_rejects_non_finite_and_mistyped_values(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "analyzer",
+    [
+        {"transmittance_h": 0.0},
+        {"transmittance_v": 1.0},
+        {"mode_overlap": math.nan},
+        {"geometric_phase": "false"},
+        {"detector_map": "D1D2D3D4"},
+        [0.5],
+    ],
+)
+def test_config_rejects_bad_analyzer_at_construction(analyzer):
+    with pytest.raises(ValueError):
+        config_from_dict({"analyzer": analyzer})

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellmeter.polarization import (
     HORIZONTAL,
     VERTICAL,
     PlateKind,
     PolarizationState,
+    PrepRecipe,
     WavePlate,
     apply_plate,
     overlap,
     prepare_elliptical,
     prepare_equatorial,
+    prepare_from_angles,
     prepare_from_recipe,
     recipe_discriminator,
     recipe_multimeter,
@@ -176,3 +180,22 @@ def test_overlap_conjugate_linear_in_first_argument():
         s1, s2 = PolarizationState.from_vector(v1), PolarizationState.from_vector(v2)
         assert abs(overlap(s1, s2) - np.conj(overlap(s2, s1))) < 1e-12
         assert abs(overlap(s1, s2)) <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0)), min_size=1, max_size=8)
+)
+def test_prepare_from_angles_matches_recipe_up_to_phase(plate_angles):
+    qwp_deg, hwp_deg = np.array(plate_angles).T
+    vectors = prepare_from_angles(qwp_deg, hwp_deg)
+    assert vectors.shape == (len(plate_angles), 2)
+    for vec, (qwp, hwp) in zip(vectors, plate_angles):
+        want = prepare_from_recipe(PrepRecipe(qwp, hwp))
+        assert states_equal_up_to_phase(PolarizationState(*vec), want, tol=1e-12)
+
+
+def test_prepare_from_angles_broadcasts():
+    vectors = prepare_from_angles(np.zeros((3, 2)), 22.5)
+    assert vectors.shape == (3, 2, 2)
+    assert np.allclose(vectors, 1 / np.sqrt(2), atol=1e-12)
