@@ -22,12 +22,7 @@ from .discriminator import (
     run_discriminator_sweep,
     success_prob_theory,
 )
-from .errors import (
-    InvalidNormalizationError,
-    NoDataError,
-    SchemaViolationError,
-    UnsupportedFeatureError,
-)
+from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from .experiment import (
     ClassCounts,
     CountRecord,

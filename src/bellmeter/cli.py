@@ -11,12 +11,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import discriminator, multimeter
+from . import discriminator
 from .dataset import Dataset
 from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from .experiment import (
+    COUNT_COLUMNS,
+    CountRecord,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -25,7 +28,6 @@ from .experiment import (
     with_pairs_per_point,
 )
 
-_COUNT_COLUMNS = ("c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm")
 _COORD_COLUMNS = ("epsilon", "theta", "phi", "eta", "position")
 
 
@@ -41,14 +43,12 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 9))
-        v += step
-    return values
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return [round(start + i * step, 9) for i in range(count)]
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -60,43 +60,19 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "ideal", False):
         config = config.idealized()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     return config
 
 
-def cmd_discriminate(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """`discriminate` and `multimeter`: run the task's sweep and write its dataset."""
     config = _load_config(args)
-    epsilons = _parse_float_list(args.epsilon)
-    thetas = _parse_range(args.theta_range)
-    dataset = run_full_experiment(
-        "discriminator",
-        config,
-        epsilons=epsilons,
-        thetas=thetas,
-        pairs_per_point=args.pairs,
-        seed=config.seed,
-    )
-    dataset.metadata["command"] = "discriminate"
-    dataset.metadata["argv"] = _recorded_argv(args)
-    dataset.write(args.out)
-    print(f"wrote {len(dataset.rows)} rows to {args.out}")
-    return 0
-
-
-def cmd_multimeter(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    phis = _parse_range(args.phi_range)
-    dataset = run_full_experiment(
-        "multimeter",
-        config,
-        phis=phis,
-        eta=args.eta,
-        pairs_per_point=args.pairs,
-        seed=config.seed,
-    )
-    dataset.metadata["command"] = "multimeter"
+    if args.task == "discriminator":
+        grid = {"epsilons": _parse_float_list(args.epsilon), "thetas": _parse_range(args.theta_range)}
+    else:
+        grid = {"phis": _parse_range(args.phi_range), "eta": args.eta}
+    dataset = run_full_experiment(args.task, config, pairs_per_point=args.pairs, seed=config.seed, **grid)
+    dataset.metadata["command"] = args.command
     dataset.metadata["argv"] = _recorded_argv(args)
     dataset.write(args.out)
     print(f"wrote {len(dataset.rows)} rows to {args.out}")
@@ -136,7 +112,7 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dataset = Dataset.read(args.input)
-    for column in _COUNT_COLUMNS:
+    for column in COUNT_COLUMNS:
         if column not in dataset.columns:
             raise SchemaViolationError(f"input dataset is missing required column {column!r}")
     coord_columns = [c for c in _COORD_COLUMNS if c in dataset.columns]
@@ -145,16 +121,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "error_rate", "error_rate_stderr",
     ]
     out_rows = []
-    from .experiment import CountRecord
-
     for row in dataset.rows:
         values = dict(zip(dataset.columns, row))
-        counts = CountRecord(**{name: int(values[name]) for name in _COUNT_COLUMNS})
+        counts = CountRecord(**{name: values[name] for name in COUNT_COLUMNS})
         try:
-            p_succ = discriminator.estimate_success(counts)
-            p_succ_err = discriminator.success_stderr(counts)
-            p_inc = multimeter.estimate_PI(counts)
-            p_inc_err = multimeter.pi_stderr(counts)
+            p_succ, p_succ_err = counts.normalized_rate(counts.c_pp, counts.c_mm)
+            conclusive, p_inc_err = counts.normalized_rate(
+                counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm
+            )
+            p_inc = 1.0 - conclusive
         except InvalidNormalizationError:
             p_succ = p_succ_err = p_inc = p_inc_err = math.nan
         try:
@@ -204,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--epsilon", default="0,12,24,36", help="comma list of ellipticities (deg)")
     p_disc.add_argument("--theta-range", default="0:90:4", help="axis-angle grid start:stop:step (deg)")
     p_disc.add_argument("--out", default="discriminate.tsv", help="output dataset path")
-    p_disc.set_defaults(func=cmd_discriminate)
+    p_disc.set_defaults(func=cmd_sweep, task="discriminator")
 
     p_multi = sub.add_parser("multimeter", help="inconclusive-rate sweep of the multimeter")
     add_common(p_multi)
     p_multi.add_argument("--phi-range", default="-90:90:8", help="basis-phase grid start:stop:step (deg)")
     p_multi.add_argument("--eta", type=float, default=1.0, help="POVM parameter in [0, 1]")
     p_multi.add_argument("--out", default="multimeter.tsv", help="output dataset path")
-    p_multi.set_defaults(func=cmd_multimeter)
+    p_multi.set_defaults(func=cmd_sweep, task="multimeter")
 
     p_hom = sub.add_parser("hom-scan", help="coincidence rates vs mirror position")
     add_common(p_hom)
@@ -235,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except (ValueError, OSError, NotImplementedError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,6 @@ the sidecar '<file>.meta.json'.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,7 +47,16 @@ class Dataset:
         if not lines:
             raise ValueError(f"{path} is empty")
         columns = lines[0].split("\t")
-        rows = [[_parse_cell(cell) for cell in line.split("\t")] for line in lines[1:] if line]
+        rows = []
+        for number, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(columns):
+                raise ValueError(
+                    f"{path}, line {number}: {len(cells)} cells, but the header has {len(columns)}"
+                )
+            rows.append([_parse_cell(cell) for cell in cells])
         metadata = {}
         sidecar = sidecar_path(path)
         if sidecar.exists():
@@ -64,15 +72,9 @@ def sidecar_path(path: str | Path) -> Path:
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if isinstance(value, int):
         return str(value)
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if value == int(value) and abs(value) < 1e15:
-        # keep exact integers readable ("45.0" not "45.000000000000001")
-        return repr(value)
-    return repr(value)
+    return repr(float(value))
 
 
 def _parse_cell(cell: str):

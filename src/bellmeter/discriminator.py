@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import polarization as pol
 from .errors import InvalidNormalizationError, NoDataError
-from .experiment import CountRecord, ExperimentConfig, shoulder_counts, simulate_counts, with_pairs_per_point
+from .experiment import CountRecord, ExperimentConfig, measure_sweep
 
 
 def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
@@ -43,13 +41,7 @@ def estimate_success(counts: CountRecord) -> float:
     P = 1/2 [ C++ / (2 (C++_sh + C-+_sh)) + C-- / (2 (C--_sh + C+-_sh)) ],
     where the shoulder sums normalize each main rate to the pair rate.
     """
-    s_plus = counts.sh_pp + counts.sh_mp
-    s_minus = counts.sh_mm + counts.sh_pm
-    if s_plus <= 0 or s_minus <= 0:
-        raise InvalidNormalizationError(
-            f"shoulder sums must be positive, got {s_plus} and {s_minus}"
-        )
-    return 0.5 * (counts.c_pp / (2.0 * s_plus) + counts.c_mm / (2.0 * s_minus))
+    return counts.normalized_rate(counts.c_pp, counts.c_mm)[0]
 
 
 def success_stderr(counts: CountRecord) -> float:
@@ -57,15 +49,7 @@ def success_stderr(counts: CountRecord) -> float:
 
     Treats every count sum as Poisson with variance equal to its value.
     """
-    s_plus = counts.sh_pp + counts.sh_mp
-    s_minus = counts.sh_mm + counts.sh_pm
-    if s_plus <= 0 or s_minus <= 0:
-        raise InvalidNormalizationError(
-            f"shoulder sums must be positive, got {s_plus} and {s_minus}"
-        )
-    var_a = counts.c_pp / (4.0 * s_plus**2) + counts.c_pp**2 / (4.0 * s_plus**3)
-    var_b = counts.c_mm / (4.0 * s_minus**2) + counts.c_mm**2 / (4.0 * s_minus**3)
-    return 0.5 * math.sqrt(var_a + var_b)
+    return counts.normalized_rate(counts.c_pp, counts.c_mm)[1]
 
 
 def error_rate(counts: CountRecord) -> float:
@@ -78,11 +62,8 @@ def error_rate(counts: CountRecord) -> float:
 
 def error_rate_stderr(counts: CountRecord) -> float:
     """Binomial standard error of the relative error rate."""
-    total = counts.conclusive_total
-    if total <= 0:
-        raise NoDataError("no conclusive events recorded")
-    r = (counts.c_mp + counts.c_pm) / total
-    return math.sqrt(r * (1.0 - r) / total)
+    r = error_rate(counts)
+    return math.sqrt(r * (1.0 - r) / counts.conclusive_total)
 
 
 @dataclass(frozen=True)
@@ -100,37 +81,6 @@ class DiscriminationPoint:
     counts: CountRecord
 
 
-def measure_point(
-    epsilon_deg: float,
-    theta_deg: float,
-    config: ExperimentConfig,
-    rng: np.random.Generator,
-) -> CountRecord:
-    """Main and shoulder measurements for one (epsilon, theta) setting.
-
-    The data photon is prepared alternately in the plus and minus elliptical
-    state while the program photon always carries the plus state; shoulder
-    runs use the matching 45-degree settings outside the dip.
-    """
-    program = pol.recipe_discriminator(epsilon_deg, theta_deg, +1)
-    data_plus = pol.recipe_discriminator(epsilon_deg, theta_deg, +1)
-    data_minus = pol.recipe_discriminator(epsilon_deg, theta_deg, -1)
-    main_plus = simulate_counts(data_plus, program, 0.0, config, rng)
-    main_minus = simulate_counts(data_minus, program, 0.0, config, rng)
-    sh_plus = shoulder_counts(+1, config, rng)
-    sh_minus = shoulder_counts(-1, config, rng)
-    return CountRecord(
-        c_pp=main_plus.psi_plus,
-        c_mp=main_plus.psi_minus,
-        c_pm=main_minus.psi_plus,
-        c_mm=main_minus.psi_minus,
-        sh_pp=sh_plus.psi_plus,
-        sh_mp=sh_plus.psi_minus,
-        sh_pm=sh_minus.psi_plus,
-        sh_mm=sh_minus.psi_minus,
-    )
-
-
 def run_discriminator_sweep(
     epsilons: Sequence[float],
     thetas: Sequence[float],
@@ -140,44 +90,39 @@ def run_discriminator_sweep(
 ) -> list[DiscriminationPoint]:
     """Simulate the discriminator over a grid of ellipticities and axis angles.
 
-    Each grid point gets an independent random stream derived from the master
-    seed, so points are reproducible individually and the sweep could run
-    concurrently.  Estimator failures (for example no conclusive events at a
-    point) are recorded as NaN instead of aborting the sweep.
+    The data photon is prepared alternately in the plus and minus elliptical
+    state while the program photon always carries the plus state.  Each grid
+    point gets an independent random stream derived from the master seed (see
+    experiment.measure_sweep).  Estimator failures (for example no conclusive
+    events at a point) are recorded as NaN instead of aborting the sweep.
     """
-    if len(epsilons) == 0 or len(thetas) == 0:
-        return []
-    master = config.seed if seed is None else seed
-    point_cfg = with_pairs_per_point(config, pairs_per_point)
-    streams = np.random.SeedSequence(master).spawn(len(epsilons) * len(thetas))
+    grid = [(float(eps), float(theta)) for eps in epsilons for theta in thetas]
+    settings = [
+        tuple(pol.recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
+        for eps, theta in grid
+    ]
     points: list[DiscriminationPoint] = []
-    index = 0
-    for eps in epsilons:
-        for theta in thetas:
-            rng = np.random.default_rng(streams[index])
-            index += 1
-            counts = measure_point(eps, theta, point_cfg, rng)
-            try:
-                p_est = estimate_success(counts)
-                p_err = success_stderr(counts)
-            except InvalidNormalizationError:
-                p_est = p_err = math.nan
-            try:
-                rate = error_rate(counts)
-                rate_err = error_rate_stderr(counts)
-            except NoDataError:
-                rate = rate_err = math.nan
-            points.append(
-                DiscriminationPoint(
-                    epsilon=float(eps),
-                    theta=float(theta),
-                    p_theory=success_prob_theory(eps, theta),
-                    p_optimal=optimal_prob(eps, theta),
-                    p_estimated=p_est,
-                    p_stderr=p_err,
-                    error_rate=rate,
-                    error_rate_stderr=rate_err,
-                    counts=counts,
-                )
+    for (eps, theta), counts in zip(grid, measure_sweep(settings, config, pairs_per_point, seed)):
+        try:
+            p_est, p_err = counts.normalized_rate(counts.c_pp, counts.c_mm)
+        except InvalidNormalizationError:
+            p_est = p_err = math.nan
+        try:
+            rate = error_rate(counts)
+            rate_err = error_rate_stderr(counts)
+        except NoDataError:
+            rate = rate_err = math.nan
+        points.append(
+            DiscriminationPoint(
+                epsilon=eps,
+                theta=theta,
+                p_theory=success_prob_theory(eps, theta),
+                p_optimal=optimal_prob(eps, theta),
+                p_estimated=p_est,
+                p_stderr=p_err,
+                error_rate=rate,
+                error_rate_stderr=rate_err,
+                counts=counts,
             )
+        )
     return points

@@ -11,7 +11,3 @@ class NoDataError(ValueError):
 
 class SchemaViolationError(ValueError):
     """A dataset or config file is missing a required field or carries an unknown one."""
-
-
-class UnsupportedFeatureError(NotImplementedError):
-    """A requested mode of operation is outside the implemented scope."""

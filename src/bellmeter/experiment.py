@@ -18,7 +18,7 @@ draws whose means add up the class probabilities of all its periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import AnalyzerConfig, outcome_probs_batch
+from .errors import InvalidNormalizationError, SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
 _PROB_SUM_TOL = 1e-9
@@ -118,28 +119,52 @@ class CountRecord:
     First index: detected Bell class (p = Psi+, m = Psi-).  Second index:
     input setting (p = plus-type input, m = minus-type input).  The sh_*
     fields are the corresponding shoulder (normalization) counts taken with
-    45-degree linear inputs outside the dip.
+    45-degree linear inputs outside the dip.  The fields run input by input
+    (main plus, main minus, shoulder plus, shoulder minus), Psi+ before Psi-;
+    this is also the column order of the datasets (COUNT_COLUMNS).
     """
 
     c_pp: int
-    c_pm: int
     c_mp: int
+    c_pm: int
     c_mm: int
     sh_pp: int
-    sh_pm: int
     sh_mp: int
+    sh_pm: int
     sh_mm: int
 
     def __post_init__(self):
-        for name in ("c_pp", "c_pm", "c_mp", "c_mm", "sh_pp", "sh_pm", "sh_mp", "sh_mm"):
+        for name in COUNT_COLUMNS:
             value = getattr(self, name)
-            if value < 0 or int(value) != value:
+            if not 0 <= value < math.inf or int(value) != value:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value}")
             object.__setattr__(self, name, int(value))
 
     @property
     def conclusive_total(self) -> int:
         return self.c_pp + self.c_pm + self.c_mp + self.c_mm
+
+    def normalized_rate(self, c_plus: int, c_minus: int) -> tuple[float, float]:
+        """Shoulder-normalized mean rate and its first-order propagated error.
+
+        Returns 1/2 [c_plus / (2 S+) + c_minus / (2 S-)] with the shoulder sums
+        S+ = sh_pp + sh_mp and S- = sh_mm + sh_pm, and its standard error
+        treating every count sum as Poisson with variance equal to its value.
+        Raises InvalidNormalizationError unless both shoulder sums are positive.
+        """
+        s_plus = self.sh_pp + self.sh_mp
+        s_minus = self.sh_mm + self.sh_pm
+        if s_plus <= 0 or s_minus <= 0:
+            raise InvalidNormalizationError(
+                f"shoulder sums must be positive, got {s_plus} and {s_minus}"
+            )
+        value = 0.5 * (c_plus / (2.0 * s_plus) + c_minus / (2.0 * s_minus))
+        var_a = c_plus / (4.0 * s_plus**2) + c_plus**2 / (4.0 * s_plus**3)
+        var_b = c_minus / (4.0 * s_minus**2) + c_minus**2 / (4.0 * s_minus**3)
+        return value, 0.5 * math.sqrt(var_a + var_b)
+
+
+COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
 
 
 class ClassCounts(NamedTuple):
@@ -240,6 +265,51 @@ def shoulder_counts(
     data = pol.recipe_discriminator(0.0, 45.0, sign)
     program = pol.recipe_discriminator(0.0, 45.0, +1)
     return simulate_counts(data, program, config.shoulder_position, config, rng)
+
+
+def measure_point(
+    data_plus: pol.PrepRecipe,
+    data_minus: pol.PrepRecipe,
+    program: pol.PrepRecipe,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    eta: float = 1.0,
+) -> CountRecord:
+    """Main and shoulder measurements of one sweep point.
+
+    The data photon is prepared alternately in its plus and minus state while
+    the program photon keeps its setting; the two shoulder runs follow with
+    the 45-degree inputs outside the dip.  `eta` relaxes the main runs only,
+    so the shoulder normalization stays that of the raw measurement.
+    """
+    main_plus = simulate_counts(data_plus, program, 0.0, config, rng, eta=eta)
+    main_minus = simulate_counts(data_minus, program, 0.0, config, rng, eta=eta)
+    sh_plus = shoulder_counts(+1, config, rng)
+    sh_minus = shoulder_counts(-1, config, rng)
+    return CountRecord(*main_plus, *main_minus, *sh_plus, *sh_minus)
+
+
+def measure_sweep(
+    settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
+    config: ExperimentConfig,
+    pairs_per_point: float,
+    seed: int | None,
+    eta: float = 1.0,
+) -> list[CountRecord]:
+    """measure_point for every (data_plus, data_minus, program) setting of a sweep.
+
+    Point i draws from its own stream SeedSequence(seed).spawn(n)[i], with
+    seed defaulting to config.seed, so points are reproducible individually
+    and the sweep could run concurrently.
+    """
+    if len(settings) == 0:
+        return []
+    point_cfg = with_pairs_per_point(config, pairs_per_point)
+    streams = np.random.SeedSequence(config.seed if seed is None else seed).spawn(len(settings))
+    return [
+        measure_point(*setting, point_cfg, np.random.default_rng(stream), eta=eta)
+        for setting, stream in zip(settings, streams)
+    ]
 
 
 @dataclass
@@ -363,29 +433,16 @@ def run_full_experiment(
         points = discriminator.run_discriminator_sweep(
             epsilons, thetas, config, pairs_per_point=pairs_per_point, seed=seed
         )
-        columns = [
-            "epsilon", "theta", "p_theory", "p_optimal", "p_estimated", "p_stderr",
-            "error_rate", "error_rate_stderr",
-            "c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm",
-        ]
-        rows = [
-            [
-                pt.epsilon, pt.theta, pt.p_theory, pt.p_optimal, pt.p_estimated, pt.p_stderr,
-                pt.error_rate, pt.error_rate_stderr,
-                pt.counts.c_pp, pt.counts.c_mp, pt.counts.c_pm, pt.counts.c_mm,
-                pt.counts.sh_pp, pt.counts.sh_mp, pt.counts.sh_pm, pt.counts.sh_mm,
-            ]
-            for pt in points
-        ]
+        leading = [f.name for f in fields(discriminator.DiscriminationPoint) if f.name != "counts"]
+        rows = [[getattr(pt, name) for name in leading] + list(astuple(pt.counts)) for pt in points]
     elif task == "multimeter":
         phis = list(phis if phis is not None else np.arange(-90.0, 91.0, 8.0))
         points = multimeter.run_multimeter_sweep(
             phis, eta, config, pairs_per_point=pairs_per_point, seed=seed
         )
-        columns = [
+        leading = [
             "phi", "eta", "pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr",
             "fidelity_estimated", "error_rate", "error_rate_stderr",
-            "c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm",
         ]
         pi_theory = multimeter.theory_PI(eta)
         f_theory = multimeter.fidelity_from_PI(pi_theory)
@@ -393,9 +450,8 @@ def run_full_experiment(
             [
                 pt.phi, pt.eta, pi_theory, f_theory, pt.p_inconclusive, pt.pi_stderr,
                 pt.fidelity, pt.error_rate, pt.error_rate_stderr,
-                pt.counts.c_pp, pt.counts.c_mp, pt.counts.c_pm, pt.counts.c_mm,
-                pt.counts.sh_pp, pt.counts.sh_mp, pt.counts.sh_pm, pt.counts.sh_mm,
             ]
+            + list(astuple(pt.counts))
             for pt in points
         ]
     else:
@@ -409,36 +465,16 @@ def run_full_experiment(
     }
     if task == "multimeter":
         metadata["eta"] = eta
-    return Dataset(columns=columns, rows=rows, metadata=metadata)
+    return Dataset(columns=leading + list(COUNT_COLUMNS), rows=rows, metadata=metadata)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready snapshot of an ExperimentConfig."""
-    return {
-        "pair_rate": config.pair_rate,
-        "period": config.period,
-        "repetitions": config.repetitions,
-        "detector_efficiency": config.detector_efficiency,
-        "dark_count_rate": config.dark_count_rate,
-        "coincidence_window": config.coincidence_window,
-        "dip_sigma": config.dip_sigma,
-        "shoulder_position": config.shoulder_position,
-        "angle_jitter": config.angle_jitter,
-        "seed": config.seed,
-        "analyzer": {
-            "transmittance_h": config.analyzer.transmittance_h,
-            "transmittance_v": config.analyzer.transmittance_v,
-            "mode_overlap": config.analyzer.mode_overlap,
-            "geometric_phase": config.analyzer.geometric_phase,
-            "detector_map": list(config.analyzer.detector_map),
-        },
-    }
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse a config mapping, rejecting unknown keys by name."""
-    from .errors import SchemaViolationError
-
     if not isinstance(data, dict):
         raise SchemaViolationError(f"a config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
@@ -447,15 +483,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise SchemaViolationError(
             f"the analyzer config must be a JSON object, got {type(analyzer_data).__name__}"
         )
-    analyzer_fields = {"transmittance_h", "transmittance_v", "mode_overlap", "geometric_phase", "detector_map"}
-    unknown = set(analyzer_data) - analyzer_fields
-    if unknown:
-        raise SchemaViolationError(f"unknown analyzer config key {sorted(unknown)[0]!r}")
-    config_fields = {
-        "pair_rate", "period", "repetitions", "detector_efficiency", "dark_count_rate",
-        "coincidence_window", "dip_sigma", "shoulder_position", "angle_jitter", "seed",
-    }
-    unknown = set(data) - config_fields
-    if unknown:
-        raise SchemaViolationError(f"unknown config key {sorted(unknown)[0]!r}")
+    for label, cls, given in (
+        ("analyzer config", AnalyzerConfig, analyzer_data),
+        ("config", ExperimentConfig, data),
+    ):
+        unknown = set(given) - {f.name for f in fields(cls)}
+        if unknown:
+            raise SchemaViolationError(f"unknown {label} key {sorted(unknown)[0]!r}")
     return ExperimentConfig(analyzer=AnalyzerConfig(**analyzer_data), **data)

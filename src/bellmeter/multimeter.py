@@ -17,8 +17,9 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .errors import InvalidNormalizationError, NoDataError, UnsupportedFeatureError
-from .experiment import CountRecord, ExperimentConfig, shoulder_counts, simulate_counts, with_pairs_per_point
+from .discriminator import error_rate, error_rate_stderr
+from .errors import InvalidNormalizationError, NoDataError
+from .experiment import CountRecord, ExperimentConfig, measure_sweep
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -119,31 +120,12 @@ def estimate_PI(counts: CountRecord) -> float:
     P_I = 1 - 1/2 [ (C++ + C-+) / (2 (C++_sh + C-+_sh))
                   + (C-- + C+-) / (2 (C--_sh + C+-_sh)) ].
     """
-    s_plus = counts.sh_pp + counts.sh_mp
-    s_minus = counts.sh_mm + counts.sh_pm
-    if s_plus <= 0 or s_minus <= 0:
-        raise InvalidNormalizationError(
-            f"shoulder sums must be positive, got {s_plus} and {s_minus}"
-        )
-    return 1.0 - 0.5 * (
-        (counts.c_pp + counts.c_mp) / (2.0 * s_plus)
-        + (counts.c_mm + counts.c_pm) / (2.0 * s_minus)
-    )
+    return 1.0 - counts.normalized_rate(counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm)[0]
 
 
 def pi_stderr(counts: CountRecord) -> float:
     """First-order propagated statistical error of estimate_PI."""
-    s_plus = counts.sh_pp + counts.sh_mp
-    s_minus = counts.sh_mm + counts.sh_pm
-    if s_plus <= 0 or s_minus <= 0:
-        raise InvalidNormalizationError(
-            f"shoulder sums must be positive, got {s_plus} and {s_minus}"
-        )
-    c_plus = counts.c_pp + counts.c_mp
-    c_minus = counts.c_mm + counts.c_pm
-    var_a = c_plus / (4.0 * s_plus**2) + c_plus**2 / (4.0 * s_plus**3)
-    var_b = c_minus / (4.0 * s_minus**2) + c_minus**2 / (4.0 * s_minus**3)
-    return 0.5 * math.sqrt(var_a + var_b)
+    return counts.normalized_rate(counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm)[1]
 
 
 def conclusive_fidelity(counts: CountRecord) -> float:
@@ -174,7 +156,6 @@ def run_multimeter_sweep(
     config: ExperimentConfig,
     pairs_per_point: float = 100_000.0,
     seed: int | None = None,
-    program_copies: int = 1,
 ) -> list[MultimeterPoint]:
     """Simulate the multimeter over a grid of basis phases.
 
@@ -184,46 +165,24 @@ def run_multimeter_sweep(
     relabeling inconclusive outcomes, so the shoulder normalization stays that
     of the raw measurement.
     """
-    if program_copies != 1:
-        raise UnsupportedFeatureError(
-            f"only single-copy (N=1) program registers are implemented, got N={program_copies}"
-        )
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if len(phis) == 0:
-        return []
-    master = config.seed if seed is None else seed
-    point_cfg = with_pairs_per_point(config, pairs_per_point)
-    streams = np.random.SeedSequence(master).spawn(len(phis))
+    settings = [
+        tuple(pol.recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis
+    ]
     points: list[MultimeterPoint] = []
-    for stream, phi in zip(streams, phis):
-        rng = np.random.default_rng(stream)
-        program = pol.recipe_multimeter(phi, +1)
-        data_plus = pol.recipe_multimeter(phi, +1)
-        data_minus = pol.recipe_multimeter(phi, -1)
-        main_plus = simulate_counts(data_plus, program, 0.0, point_cfg, rng, eta=eta)
-        main_minus = simulate_counts(data_minus, program, 0.0, point_cfg, rng, eta=eta)
-        sh_plus = shoulder_counts(+1, point_cfg, rng)
-        sh_minus = shoulder_counts(-1, point_cfg, rng)
-        counts = CountRecord(
-            c_pp=main_plus.psi_plus,
-            c_mp=main_plus.psi_minus,
-            c_pm=main_minus.psi_plus,
-            c_mm=main_minus.psi_minus,
-            sh_pp=sh_plus.psi_plus,
-            sh_mp=sh_plus.psi_minus,
-            sh_pm=sh_minus.psi_plus,
-            sh_mm=sh_minus.psi_minus,
-        )
+    for phi, counts in zip(phis, measure_sweep(settings, config, pairs_per_point, seed, eta=eta)):
         try:
-            p_inc = estimate_PI(counts)
-            p_inc_err = pi_stderr(counts)
+            conclusive, p_inc_err = counts.normalized_rate(
+                counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm
+            )
+            p_inc = 1.0 - conclusive
         except InvalidNormalizationError:
             p_inc = p_inc_err = math.nan
         try:
             fid = conclusive_fidelity(counts)
-            err = (counts.c_mp + counts.c_pm) / counts.conclusive_total
-            err_std = math.sqrt(max(err * (1.0 - err), 0.0) / counts.conclusive_total)
+            err = error_rate(counts)
+            err_std = error_rate_stderr(counts)
         except NoDataError:
             fid = err = err_std = math.nan
         points.append(

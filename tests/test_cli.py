@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bellmeter.cli import main
+from bellmeter.cli import _parse_range, main
 from bellmeter.dataset import Dataset, sidecar_path
 
 
@@ -121,6 +121,39 @@ def test_analyze_missing_column_is_schema_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "c_pm" in err
+
+
+def test_analyze_short_row_exit_nonzero(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    main(["discriminate", "--ideal", "--epsilon", "0", "--theta-range", "10:30:10",
+          "--pairs", "1000", "--seed", "2", "--out", str(raw)])
+    lines = raw.read_text().splitlines()
+    lines[-1] = "\t".join(lines[-1].split("\t")[:-3])
+    raw.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(raw)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell, code", [("13.7", 1), ("inf", 1), ("13.0", 0)])
+def test_analyze_rejects_fractional_counts(tmp_path, capsys, cell, code):
+    path = tmp_path / "counts.tsv"
+    header = "c_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n"
+    path.write_text(header + f"{cell}\t0\t0\t380\t300\t200\t150\t350\n")
+    assert main(["analyze", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error:") and "c_pp" in captured.err
+    else:
+        assert captured.out.splitlines()[1].split("\t")[0] == repr(0.5 * (13 / 1000 + 380 / 1000))
+
+
+def test_parse_range_builds_values_from_an_index():
+    values = _parse_range("0:10000:0.1")
+    assert len(values) == 100_001
+    assert values[-1] == 10000.0
+    assert _parse_range("0:1000:0.01")[70926] == 709.26
+    assert _parse_range("-90:90:8") == [float(v) for v in range(-90, 91, 8)]
 
 
 def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):

@@ -19,13 +19,21 @@ from bellmeter.experiment import (
     config_from_dict,
     config_to_dict,
     hom_scan,
+    measure_point,
     mode_overlap_at,
     run_full_experiment,
     shoulder_counts,
     simulate_counts,
     with_pairs_per_point,
 )
-from bellmeter.polarization import prepare_elliptical, prepare_from_recipe, recipe_discriminator
+from bellmeter.discriminator import run_discriminator_sweep
+from bellmeter.multimeter import run_multimeter_sweep
+from bellmeter.polarization import (
+    prepare_elliptical,
+    prepare_from_recipe,
+    recipe_discriminator,
+    recipe_multimeter,
+)
 from bellmeter.twophoton import tensor
 
 SHOULDER_RESIDUAL_35 = 1.0270256462135618e-4  # exp(-150^2 / (2*35^2))
@@ -338,3 +346,24 @@ def test_config_rejects_non_finite_and_mistyped_values(bad):
 def test_config_rejects_bad_analyzer_at_construction(analyzer):
     with pytest.raises(ValueError):
         config_from_dict({"analyzer": analyzer})
+
+
+def test_sweep_points_follow_their_spawned_streams():
+    # point i of a sweep is measure_point on the i-th spawned stream of the seed,
+    # whatever the other points of the sweep are
+    cfg = ExperimentConfig.realistic(seed=3)
+    point_cfg = with_pairs_per_point(cfg, 5_000)
+    grid = [(eps, theta) for eps in (0.0, 24.0) for theta in (10.0, 50.0)]
+    disc = run_discriminator_sweep([0.0, 24.0], [10.0, 50.0], cfg, pairs_per_point=5_000, seed=21)
+    streams = np.random.SeedSequence(21).spawn(len(grid))
+    for i in reversed(range(len(grid))):
+        recipes = [recipe_discriminator(*grid[i], sign) for sign in (+1, -1, +1)]
+        assert disc[i].counts == measure_point(*recipes, point_cfg, np.random.default_rng(streams[i]))
+
+    phis = [-40.0, 0.0, 30.0]
+    multi = run_multimeter_sweep(phis, 0.4, cfg, pairs_per_point=5_000, seed=8)
+    streams = np.random.SeedSequence(8).spawn(len(phis))
+    for i in reversed(range(len(phis))):
+        recipes = [recipe_multimeter(phis[i], sign) for sign in (+1, -1, +1)]
+        expected = measure_point(*recipes, point_cfg, np.random.default_rng(streams[i]), eta=0.4)
+        assert multi[i].counts == expected

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellmeter.analyzer import AnalyzerConfig, Outcome
-from bellmeter.errors import InvalidNormalizationError, UnsupportedFeatureError
+from bellmeter.errors import InvalidNormalizationError
 from bellmeter.experiment import CountRecord, ExperimentConfig
 from bellmeter.multimeter import (
     conclusive_fidelity,
@@ -216,12 +216,6 @@ def test_sweep_degraded_config_has_small_positive_error():
     pts = run_multimeter_sweep([24.0], 1.0, cfg, pairs_per_point=300_000, seed=555)
     pt = pts[0]
     assert 0.0 < pt.error_rate < 0.15
-
-
-def test_sweep_rejects_multi_copy_programs():
-    cfg = ExperimentConfig.ideal()
-    with pytest.raises(UnsupportedFeatureError):
-        run_multimeter_sweep([0.0], 1.0, cfg, program_copies=2)
 
 
 def test_conclusive_fidelity_counts():
