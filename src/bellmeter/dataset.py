@@ -24,20 +24,29 @@ class Dataset:
         return [row[idx] for row in self.rows]
 
     def write(self, path: str | Path) -> Path:
-        """Write the table to `path` and the metadata sidecar next to it."""
+        """Write the table to `path` and the metadata sidecar next to it.
+
+        Both files are serialized before either is written, so metadata that
+        is not strict JSON (NaN or an infinity) or a row of the wrong width
+        raises ValueError and leaves nothing on disk.
+        """
         path = Path(path)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
+        meta = dict(self.metadata)
+        meta["columns"] = list(self.columns)
+        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        try:
+            sidecar = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
         lines = ["\t".join(self.columns)]
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(f"row width {len(row)} does not match {len(self.columns)} columns")
             lines.append("\t".join(_format_cell(v) for v in row))
+        if path.parent and not path.parent.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
-        meta = dict(self.metadata)
-        meta["columns"] = list(self.columns)
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-        sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        sidecar_path(path).write_text(sidecar)
         return path
 
     @staticmethod
@@ -56,7 +65,15 @@ class Dataset:
                 raise ValueError(
                     f"{path}, line {number}: {len(cells)} cells, but the header has {len(columns)}"
                 )
-            rows.append([_parse_cell(cell) for cell in cells])
+            try:
+                rows.append([_parse_cell(cell) for cell in cells])
+            except ValueError:
+                column, cell = next(
+                    (column, cell) for column, cell in zip(columns, cells) if not _is_number(cell)
+                )
+                raise ValueError(
+                    f"{path}, line {number}, column {column!r}: {cell!r} is not a number"
+                ) from None
         metadata = {}
         sidecar = sidecar_path(path)
         if sidecar.exists():
@@ -82,3 +99,11 @@ def _parse_cell(cell: str):
         return int(cell)
     except ValueError:
         return float(cell)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        _parse_cell(cell)
+    except ValueError:
+        return False
+    return True

@@ -13,12 +13,23 @@ each coincidence with the detection probability all leave independent Poisson
 counts per class, and sums of independent Poisson counts are Poisson.  The
 recorded Psi+ and Psi- counts of an input setting are therefore two Poisson
 draws whose means add up the class probabilities of all its periods.
+
+A sweep runs as four stages, one per input setting (main plus, main minus,
+shoulder plus, shoulder minus).  In a stage every point first draws its
+plate jitter, R x 2 x 2 uniforms (only when angle_jitter > 0), from its own
+random stream; the periods of all points are then prepared and analyzed in
+one array pass; last, every point makes its one Poisson draw of the
+(Psi+, Psi-) pair from its stream.  Each point's stream thus sees, stage
+after stage, jitter uniforms then one Poisson pair: the same draws, in the
+same order, as four simulate_counts calls on that stream.  A sweep with
+more than 4096 periods per input setting runs the four stages block by
+block of points, which leaves every stream's draws unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
@@ -30,6 +41,15 @@ from .errors import InvalidNormalizationError, SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
 _PROB_SUM_TOL = 1e-9
+
+# bound on the worst-case Poisson mean of an input setting; numpy's
+# Generator.poisson rejects means above about 9.2e18
+_MAX_POISSON_MEAN = 1e18
+
+# a sweep is measured in blocks of points with at most this many periods per
+# input setting, so the working arrays of a stage (about 0.8 kB per period)
+# stay a few MB however many points or repetitions the sweep has
+_MAX_STAGE_PERIODS = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,18 @@ class ExperimentConfig:
             raise ValueError(f"dip_sigma must be > 0, got {self.dip_sigma}")
         if self.angle_jitter < 0:
             raise ValueError(f"angle_jitter must be >= 0, got {self.angle_jitter}")
+        try:
+            worst_mean = self.pair_rate * self.period * self.repetitions + (
+                2.0 * self.dark_count_rate * self.dark_count_rate * self.coincidence_window
+                * self.period * self.repetitions
+            )
+        except OverflowError:  # a repetitions integer beyond the float range
+            worst_mean = math.inf
+        if not worst_mean < _MAX_POISSON_MEAN:
+            raise ValueError(
+                "pair_rate * period * repetitions + 2 * dark_count_rate^2 * coincidence_window"
+                f" * period * repetitions must stay below {_MAX_POISSON_MEAN:g}, got {worst_mean:g}"
+            )
 
     @staticmethod
     def ideal(pair_rate: float = 100_000.0, seed: int = 12345) -> "ExperimentConfig":
@@ -184,6 +216,67 @@ def mode_overlap_at(position: float, config: ExperimentConfig) -> float:
     return m0 * math.exp(-(position**2) / (2.0 * config.dip_sigma**2))
 
 
+def _poisson_means(
+    angles: np.ndarray, mode_overlap: float, config: ExperimentConfig, eta: float = 1.0
+) -> np.ndarray:
+    """Means of the (Psi+, Psi-) Poisson counts of n input settings, shape (n, 2).
+
+    `angles` holds the plate angles of every period, shape (n, R, 2, 2):
+    [setting, period, photon (data, program), plate (QWP, HWP)].  All n * R
+    periods are prepared and analyzed in one pass at the given mode overlap;
+    see simulate_counts for the means.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    n, repetitions = angles.shape[:2]
+    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1])
+    product = (jones[..., 0, :, None] * jones[..., 1, None, :]).reshape(-1, 4)
+    probs = outcome_probs_batch(product, config.analyzer, mode_overlap)
+    prob_sums = probs.sum(axis=1)
+    if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
+        raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
+
+    totals = probs.reshape(n, repetitions, 3).sum(axis=1)
+    detected = config.detector_efficiency**2 * config.pair_rate * config.period
+    dark = config.dark_count_rate**2 * config.coincidence_window * config.period
+    relabeled = (1.0 - eta) / 2.0 * totals[:, 2:]
+    return detected * (totals[:, :2] + relabeled) + 2.0 * dark * config.repetitions
+
+
+def _setting_angles(data: pol.PrepRecipe, program: pol.PrepRecipe) -> list[list[float]]:
+    """Nominal plate angles of an input setting: [photon (data, program)][plate (QWP, HWP)]."""
+    return [[data.qwp_deg, data.hwp_deg], [program.qwp_deg, program.hwp_deg]]
+
+
+def _stage_counts(
+    angles: Sequence[list[list[float]]],
+    position: float,
+    config: ExperimentConfig,
+    rngs: Sequence[np.random.Generator],
+    eta: float = 1.0,
+) -> list[ClassCounts]:
+    """Recorded counts of one input setting at n sweep points, point i drawing from rngs[i].
+
+    `angles` holds the nominal plate angles of the points, shape (n, 2, 2).
+    Each point draws the jitter of its periods, then all points are prepared
+    and analyzed together, then each point makes its Poisson draw.
+    """
+    shape = (len(rngs), config.repetitions, 2, 2)
+    angles = np.asarray(angles, dtype=float)[:, None]
+    if config.angle_jitter > 0.0:
+        jitter = config.angle_jitter
+        angles = angles + np.stack([rng.uniform(-jitter, jitter, size=shape[1:]) for rng in rngs])
+    else:
+        angles = np.broadcast_to(angles, shape)
+    means = _poisson_means(angles, mode_overlap_at(position, config), config, eta)
+    # two scalar draws take the same numbers from a stream as one draw of the
+    # pair, without the per-call checks numpy runs on array arguments
+    return [
+        ClassCounts(int(rng.poisson(plus)), int(rng.poisson(minus)))
+        for rng, (plus, minus) in zip(rngs, means)
+    ]
+
+
 def simulate_counts(
     data_setting: pol.PrepRecipe,
     program_setting: pol.PrepRecipe,
@@ -220,37 +313,15 @@ def simulate_counts(
     Returns:
         ClassCounts with the total recorded Psi+ and Psi- coincidences.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    # [period, photon (data, program), plate (QWP, HWP)]
-    angles = np.array(
-        [
-            [data_setting.qwp_deg, data_setting.hwp_deg],
-            [program_setting.qwp_deg, program_setting.hwp_deg],
-        ],
-        dtype=float,
-    )
-    shape = (config.repetitions, 2, 2)
-    if config.angle_jitter > 0.0:
-        angles = angles + rng.uniform(-config.angle_jitter, config.angle_jitter, size=shape)
-    else:
-        angles = np.broadcast_to(angles, shape)
-    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1])
-    product = (jones[:, 0, :, None] * jones[:, 1, None, :]).reshape(-1, 4)
-    probs = outcome_probs_batch(product, config.analyzer, mode_overlap_at(position, config))
-    prob_sums = probs.sum(axis=1)
-    if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
-        raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
+    angles = [_setting_angles(data_setting, program_setting)]
+    return _stage_counts(angles, position, config, [rng], eta)[0]
 
-    totals = probs.sum(axis=0)
-    detected = config.detector_efficiency**2 * config.pair_rate * config.period
-    dark = config.dark_count_rate**2 * config.coincidence_window * config.period
-    relabeled = (1.0 - eta) / 2.0 * totals[2]
-    means = detected * (totals[:2] + relabeled) + 2.0 * dark * config.repetitions
-    n_plus, n_minus = rng.poisson(means)
-    return ClassCounts(int(n_plus), int(n_minus))
+
+def _shoulder_setting(sign: int) -> tuple[pol.PrepRecipe, pol.PrepRecipe]:
+    """Data and program recipes of the shoulder run of the given sign."""
+    return pol.recipe_discriminator(0.0, 45.0, sign), pol.recipe_discriminator(0.0, 45.0, +1)
 
 
 def shoulder_counts(
@@ -262,9 +333,32 @@ def shoulder_counts(
     the two recorded classes approaches half the detected pair rate
     independently of the beamsplitter imbalance.
     """
-    data = pol.recipe_discriminator(0.0, 45.0, sign)
-    program = pol.recipe_discriminator(0.0, 45.0, +1)
-    return simulate_counts(data, program, config.shoulder_position, config, rng)
+    return simulate_counts(*_shoulder_setting(sign), config.shoulder_position, config, rng)
+
+
+def _measure_stages(
+    settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
+    config: ExperimentConfig,
+    rngs: Sequence[np.random.Generator],
+    eta: float = 1.0,
+) -> list[CountRecord]:
+    """Count records of n sweep points, point i drawing from rngs[i].
+
+    Runs the four stages main plus, main minus, shoulder plus and shoulder
+    minus in turn, each over all points (see the module docstring).
+    """
+    shoulder = config.shoulder_position
+    stages = (
+        ([_setting_angles(plus, program) for plus, _, program in settings], 0.0, eta),
+        ([_setting_angles(minus, program) for _, minus, program in settings], 0.0, eta),
+        ([_setting_angles(*_shoulder_setting(+1))] * len(settings), shoulder, 1.0),
+        ([_setting_angles(*_shoulder_setting(-1))] * len(settings), shoulder, 1.0),
+    )
+    runs = [
+        _stage_counts(angles, position, config, rngs, stage_eta)
+        for angles, position, stage_eta in stages
+    ]
+    return [CountRecord(*mp, *mm, *sp, *sm) for mp, mm, sp, sm in zip(*runs)]
 
 
 def measure_point(
@@ -282,11 +376,7 @@ def measure_point(
     the 45-degree inputs outside the dip.  `eta` relaxes the main runs only,
     so the shoulder normalization stays that of the raw measurement.
     """
-    main_plus = simulate_counts(data_plus, program, 0.0, config, rng, eta=eta)
-    main_minus = simulate_counts(data_minus, program, 0.0, config, rng, eta=eta)
-    sh_plus = shoulder_counts(+1, config, rng)
-    sh_minus = shoulder_counts(-1, config, rng)
-    return CountRecord(*main_plus, *main_minus, *sh_plus, *sh_minus)
+    return _measure_stages([(data_plus, data_minus, program)], config, [rng], eta)[0]
 
 
 def measure_sweep(
@@ -299,17 +389,19 @@ def measure_sweep(
     """measure_point for every (data_plus, data_minus, program) setting of a sweep.
 
     Point i draws from its own stream SeedSequence(seed).spawn(n)[i], with
-    seed defaulting to config.seed, so points are reproducible individually
-    and the sweep could run concurrently.
+    seed defaulting to config.seed, so points are reproducible individually.
+    The points are measured stage by stage, each stage in one array pass per
+    block of at most _MAX_STAGE_PERIODS periods (one block for every sweep
+    of up to 4096 / repetitions points).
     """
-    if len(settings) == 0:
-        return []
     point_cfg = with_pairs_per_point(config, pairs_per_point)
     streams = np.random.SeedSequence(config.seed if seed is None else seed).spawn(len(settings))
-    return [
-        measure_point(*setting, point_cfg, np.random.default_rng(stream), eta=eta)
-        for setting, stream in zip(settings, streams)
-    ]
+    block = max(1, _MAX_STAGE_PERIODS // point_cfg.repetitions)
+    records: list[CountRecord] = []
+    for start in range(0, len(settings), block):
+        rngs = [np.random.default_rng(s) for s in streams[start : start + block]]
+        records += _measure_stages(settings[start : start + block], point_cfg, rngs, eta)
+    return records
 
 
 @dataclass
@@ -402,6 +494,8 @@ def hom_scan(
 
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:
     """Config whose expected pair count per input setting equals pairs_per_point."""
+    if not 0.0 < pairs_per_point < math.inf:
+        raise ValueError(f"pairs per point must be a finite number > 0, got {pairs_per_point!r}")
     rate = pairs_per_point / (config.period * config.repetitions)
     return replace(config, pair_rate=rate)
 
@@ -434,7 +528,11 @@ def run_full_experiment(
             epsilons, thetas, config, pairs_per_point=pairs_per_point, seed=seed
         )
         leading = [f.name for f in fields(discriminator.DiscriminationPoint) if f.name != "counts"]
-        rows = [[getattr(pt, name) for name in leading] + list(astuple(pt.counts)) for pt in points]
+        rows = [
+            [getattr(pt, name) for name in leading]
+            + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
+            for pt in points
+        ]
     elif task == "multimeter":
         phis = list(phis if phis is not None else np.arange(-90.0, 91.0, 8.0))
         points = multimeter.run_multimeter_sweep(
@@ -451,7 +549,7 @@ def run_full_experiment(
                 pt.phi, pt.eta, pi_theory, f_theory, pt.p_inconclusive, pt.pi_stderr,
                 pt.fidelity, pt.error_rate, pt.error_rate_stderr,
             ]
-            + list(astuple(pt.counts))
+            + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
             for pt in points
         ]
     else:

@@ -219,3 +219,48 @@ def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):
                  "--theta-range", "45:45:1", "--out", str(tmp_path / "x.tsv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multimeter", "--phi-range=0:0:1", "--pairs", "0"],
+        ["discriminate", "--epsilon", "0", "--theta-range", "0:0:1", "--pairs", "-100"],
+        ["hom-scan", "--pairs", "0"],
+    ],
+)
+def test_non_positive_pairs_exit_nonzero_without_dataset(tmp_path, capsys, argv):
+    out = tmp_path / "zero.tsv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pairs per point" in err
+    assert not out.exists()
+
+
+def test_huge_pairs_fail_before_sampling(tmp_path, capsys):
+    out = tmp_path / "huge.tsv"
+    code = main(["discriminate", "--epsilon", "0", "--theta-range", "0:0:1",
+                 "--pairs", "1e300", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pair_rate" in err and "lam" not in err
+    assert not out.exists()
+
+
+def test_analyze_names_a_non_numeric_cell(tmp_path, capsys):
+    path = tmp_path / "counts.tsv"
+    header = "c_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n"
+    path.write_text(header + "400\t0\t0\t380\t300\t200\t150\t350\n" + "1\t2\tabc\t4\t5\t6\t7\t8\n")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err and "line 3" in err and "'c_pm'" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, -math.inf]])
+def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
+    path = tmp_path / "sub" / "bad.tsv"
+    dataset = Dataset(columns=["x"], rows=[[1.0]], metadata={"visibility": bad})
+    with pytest.raises(ValueError, match="strict JSON"):
+        dataset.write(path)
+    assert not path.parent.exists()

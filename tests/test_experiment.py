@@ -1,8 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bellmeter.analyzer import (
@@ -20,6 +24,7 @@ from bellmeter.experiment import (
     config_to_dict,
     hom_scan,
     measure_point,
+    measure_sweep,
     mode_overlap_at,
     run_full_experiment,
     shoulder_counts,
@@ -30,6 +35,7 @@ from bellmeter.discriminator import run_discriminator_sweep
 from bellmeter.multimeter import run_multimeter_sweep
 from bellmeter.polarization import (
     prepare_elliptical,
+    prepare_from_angles,
     prepare_from_recipe,
     recipe_discriminator,
     recipe_multimeter,
@@ -367,3 +373,121 @@ def test_sweep_points_follow_their_spawned_streams():
         recipes = [recipe_multimeter(phis[i], sign) for sign in (+1, -1, +1)]
         expected = measure_point(*recipes, point_cfg, np.random.default_rng(streams[i]), eta=0.4)
         assert multi[i].counts == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    device=st.sampled_from(["discriminator", "multimeter"]),
+    angles=st.lists(st.tuples(st.floats(0.0, 45.0), st.floats(-90.0, 90.0)), min_size=1, max_size=5),
+    jitter=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    repetitions=st.integers(1, 4),
+    eta=st.floats(0.0, 1.0),
+    pairs=st.sampled_from([20.0, 5_000.0]),
+    seed=st.integers(0, 2**32 - 1),
+    block_periods=st.sampled_from([1, 6, 4096]),
+)
+def test_sweep_point_draws_like_four_sequential_simulate_counts(
+    device, angles, jitter, repetitions, eta, pairs, seed, block_periods
+):
+    # the staged sweep takes from point i's stream exactly the draws of main +,
+    # main -, shoulder +, shoulder - made one simulate_counts call at a time,
+    # also when the sweep is split into blocks of points
+    if device == "discriminator":
+        settings_ = [
+            tuple(recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
+            for eps, theta in angles
+        ]
+    else:
+        settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for _, phi in angles]
+    cfg = replace(ExperimentConfig.realistic(), angle_jitter=jitter, repetitions=repetitions)
+    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
+        records = measure_sweep(settings_, cfg, pairs, seed, eta=eta)
+
+    point_cfg = with_pairs_per_point(cfg, pairs)
+    streams = np.random.SeedSequence(seed).spawn(len(settings_))
+    for record, (plus, minus, program), stream in zip(records, settings_, streams):
+        rng = np.random.default_rng(stream)
+        expected = CountRecord(
+            *simulate_counts(plus, program, 0.0, point_cfg, rng, eta=eta),
+            *simulate_counts(minus, program, 0.0, point_cfg, rng, eta=eta),
+            *shoulder_counts(+1, point_cfg, rng),
+            *shoulder_counts(-1, point_cfg, rng),
+        )
+        assert record == expected
+
+
+def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        "bellmeter.experiment.outcome_probs_batch", counting("analyze", outcome_probs_batch)
+    )
+    monkeypatch.setattr(
+        "bellmeter.polarization.prepare_from_angles", counting("prepare", prepare_from_angles)
+    )
+    cfg = ExperimentConfig.realistic(seed=4)
+    for thetas in ([10.0], np.arange(0.0, 91.0, 4.0)):
+        calls.clear()
+        run_discriminator_sweep([0.0, 24.0], thetas, cfg, pairs_per_point=1_000)
+        assert calls == {"analyze": 4, "prepare": 4}
+    # one block holds up to 4096 periods per input setting: 409 points of 10 periods
+    for n_points, n_blocks in ((181, 1), (409, 1), (410, 2)):
+        calls.clear()
+        phis = np.linspace(-90.0, 90.0, n_points)
+        run_multimeter_sweep(phis, 0.5, cfg.idealized(), pairs_per_point=1_000)
+        assert calls == {"analyze": 4 * n_blocks, "prepare": 4 * n_blocks}
+
+
+@pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])
+def test_with_pairs_per_point_rejects_non_positive_and_non_finite_counts(pairs):
+    with pytest.raises(ValueError, match="pairs per point"):
+        with_pairs_per_point(ExperimentConfig(), pairs)
+
+
+@pytest.mark.parametrize(
+    "fields_",
+    [
+        {"pair_rate": 1e300},
+        {"pair_rate": 1e17, "repetitions": 10},
+        {"dark_count_rate": 1e200},
+        {"dark_count_rate": 1e12, "coincidence_window": 1.0},
+        {"repetitions": 10**400},
+    ],
+)
+def test_config_bounds_the_worst_case_poisson_mean(fields_):
+    with pytest.raises(ValueError, match="pair_rate .* dark_count_rate.* coincidence_window"):
+        ExperimentConfig(**fields_)
+
+
+def test_config_accepts_large_finite_poisson_means():
+    cfg = ExperimentConfig(pair_rate=1e16, repetitions=10, angle_jitter=0.0)
+    counts = simulate_counts(
+        recipe_discriminator(0, 45, 1), recipe_discriminator(0, 45, 1), 0.0, cfg,
+        np.random.default_rng(1),
+    )
+    assert counts.psi_plus > 0
+    with pytest.raises(ValueError, match="pair_rate"):
+        with_pairs_per_point(cfg, 1e300)
+
+
+def test_sweep_working_memory_is_bounded_by_blocks():
+    # 40 points x 1000 periods per input setting in one pass would hold ~30 MB
+    # of stage arrays; blocks of at most 4096 periods keep it to a few MB
+    import tracemalloc
+
+    cfg = replace(ExperimentConfig.ideal(), repetitions=1000)
+    settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
+    tracemalloc.start()
+    try:
+        measure_sweep(settings_, cfg, 1_000.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
