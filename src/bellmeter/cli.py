@@ -14,12 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import discriminator
 from .dataset import Dataset
-from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
+from .errors import SchemaViolationError
 from .experiment import (
     COUNT_COLUMNS,
     CountRecord,
+    Estimates,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -32,19 +32,23 @@ _COORD_COLUMNS = ("epsilon", "theta", "phi", "eta", "position")
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    values = [float(part) for part in text.split(",") if part.strip() != ""]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"list values must be finite, got {text!r}")
+    return values
 
 
 def _parse_range(text: str) -> list[float]:
     """Parse 'start:stop:step' with an inclusive stop; a bare number is a single point."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (start, stop, step))):
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"range bounds and step must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
     count = math.floor((stop - start) / step + 1e-9) + 1
@@ -71,7 +75,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = {"epsilons": _parse_float_list(args.epsilon), "thetas": _parse_range(args.theta_range)}
     else:
         grid = {"phis": _parse_range(args.phi_range), "eta": args.eta}
-    dataset = run_full_experiment(args.task, config, pairs_per_point=args.pairs, seed=config.seed, **grid)
+    dataset = run_full_experiment(args.task, config, pairs_per_point=args.pairs, **grid)
     dataset.metadata["command"] = args.command
     dataset.metadata["argv"] = _recorded_argv(args)
     dataset.write(args.out)
@@ -116,31 +120,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if column not in dataset.columns:
             raise SchemaViolationError(f"input dataset is missing required column {column!r}")
     coord_columns = [c for c in _COORD_COLUMNS if c in dataset.columns]
-    out_columns = coord_columns + [
-        "p_succ", "p_succ_stderr", "p_inconclusive", "pi_stderr",
-        "error_rate", "error_rate_stderr",
-    ]
+    out_columns = coord_columns + list(Estimates._fields)
     out_rows = []
     for row in dataset.rows:
         values = dict(zip(dataset.columns, row))
         counts = CountRecord(**{name: values[name] for name in COUNT_COLUMNS})
-        try:
-            p_succ, p_succ_err = counts.normalized_rate(counts.c_pp, counts.c_mm)
-            conclusive, p_inc_err = counts.normalized_rate(
-                counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm
-            )
-            p_inc = 1.0 - conclusive
-        except InvalidNormalizationError:
-            p_succ = p_succ_err = p_inc = p_inc_err = math.nan
-        try:
-            rate = discriminator.error_rate(counts)
-            rate_err = discriminator.error_rate_stderr(counts)
-        except NoDataError:
-            rate = rate_err = math.nan
-        out_rows.append(
-            [values[c] for c in coord_columns]
-            + [p_succ, p_succ_err, p_inc, p_inc_err, rate, rate_err]
-        )
+        out_rows.append([values[c] for c in coord_columns] + list(counts.estimates()))
     out = Dataset(
         columns=out_columns,
         rows=out_rows,

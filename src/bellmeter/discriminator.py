@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import polarization as pol
-from .errors import InvalidNormalizationError, NoDataError
 from .experiment import CountRecord, ExperimentConfig, measure_sweep
 
 
@@ -54,16 +53,12 @@ def success_stderr(counts: CountRecord) -> float:
 
 def error_rate(counts: CountRecord) -> float:
     """Fraction of conclusive events with the wrong Bell class."""
-    total = counts.conclusive_total
-    if total <= 0:
-        raise NoDataError("no conclusive events recorded")
-    return (counts.c_mp + counts.c_pm) / total
+    return counts.wrong_class_rate()[0]
 
 
 def error_rate_stderr(counts: CountRecord) -> float:
     """Binomial standard error of the relative error rate."""
-    r = error_rate(counts)
-    return math.sqrt(r * (1.0 - r) / counts.conclusive_total)
+    return counts.wrong_class_rate()[1]
 
 
 @dataclass(frozen=True)
@@ -103,25 +98,17 @@ def run_discriminator_sweep(
     ]
     points: list[DiscriminationPoint] = []
     for (eps, theta), counts in zip(grid, measure_sweep(settings, config, pairs_per_point, seed)):
-        try:
-            p_est, p_err = counts.normalized_rate(counts.c_pp, counts.c_mm)
-        except InvalidNormalizationError:
-            p_est = p_err = math.nan
-        try:
-            rate = error_rate(counts)
-            rate_err = error_rate_stderr(counts)
-        except NoDataError:
-            rate = rate_err = math.nan
+        est = counts.estimates()
         points.append(
             DiscriminationPoint(
                 epsilon=eps,
                 theta=theta,
                 p_theory=success_prob_theory(eps, theta),
                 p_optimal=optimal_prob(eps, theta),
-                p_estimated=p_est,
-                p_stderr=p_err,
-                error_rate=rate,
-                error_rate_stderr=rate_err,
+                p_estimated=est.p_succ,
+                p_stderr=est.p_succ_stderr,
+                error_rate=est.error_rate,
+                error_rate_stderr=est.error_rate_stderr,
                 counts=counts,
             )
         )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import AnalyzerConfig, outcome_probs_batch
-from .errors import InvalidNormalizationError, SchemaViolationError
+from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
 _PROB_SUM_TOL = 1e-9
@@ -83,6 +83,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.pair_rate < 0 or self.period <= 0 or self.repetitions < 1:
             raise ValueError("pair_rate must be >= 0, period > 0, repetitions >= 1")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -195,8 +197,49 @@ class CountRecord:
         var_b = c_minus / (4.0 * s_minus**2) + c_minus**2 / (4.0 * s_minus**3)
         return value, 0.5 * math.sqrt(var_a + var_b)
 
+    def wrong_class_rate(self) -> tuple[float, float]:
+        """Fraction of conclusive events with the wrong Bell class, and its binomial error.
+
+        Raises NoDataError when no conclusive event was recorded.
+        """
+        total = self.conclusive_total
+        if total <= 0:
+            raise NoDataError("no conclusive events recorded")
+        rate = (self.c_mp + self.c_pm) / total
+        return rate, math.sqrt(rate * (1.0 - rate) / total)
+
+    def estimates(self) -> Estimates:
+        """Every estimate of the record, NaN where the counts leave it undefined.
+
+        P_succ = normalized_rate(C++, C--), P_I = 1 - normalized_rate(C++ + C-+,
+        C-- + C+-) (both NaN unless both shoulder sums are positive) and the
+        wrong-class rate (NaN without conclusive events).
+        """
+        try:
+            p_succ, p_succ_err = self.normalized_rate(self.c_pp, self.c_mm)
+            conclusive, pi_err = self.normalized_rate(self.c_pp + self.c_mp, self.c_mm + self.c_pm)
+            p_inc = 1.0 - conclusive
+        except InvalidNormalizationError:
+            p_succ = p_succ_err = p_inc = pi_err = math.nan
+        try:
+            rate, rate_err = self.wrong_class_rate()
+        except NoDataError:
+            rate = rate_err = math.nan
+        return Estimates(p_succ, p_succ_err, p_inc, pi_err, rate, rate_err)
+
 
 COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
+
+
+class Estimates(NamedTuple):
+    """The estimates of one CountRecord; the fields are the estimate columns of `analyze`."""
+
+    p_succ: float
+    p_succ_stderr: float
+    p_inconclusive: float
+    pi_stderr: float
+    error_rate: float
+    error_rate_stderr: float
 
 
 class ClassCounts(NamedTuple):
@@ -345,7 +388,11 @@ def _measure_stages(
     """Count records of n sweep points, point i drawing from rngs[i].
 
     Runs the four stages main plus, main minus, shoulder plus and shoulder
-    minus in turn, each over all points (see the module docstring).
+    minus in turn, each over all points (see the module docstring).  In the
+    main runs the data photon is prepared in its plus, then its minus state
+    while the program photon keeps its setting; the shoulder runs use the
+    45-degree inputs outside the dip.  `eta` relaxes the main runs only, so
+    the shoulder normalization stays that of the raw measurement.
     """
     shoulder = config.shoulder_position
     stages = (
@@ -361,24 +408,6 @@ def _measure_stages(
     return [CountRecord(*mp, *mm, *sp, *sm) for mp, mm, sp, sm in zip(*runs)]
 
 
-def measure_point(
-    data_plus: pol.PrepRecipe,
-    data_minus: pol.PrepRecipe,
-    program: pol.PrepRecipe,
-    config: ExperimentConfig,
-    rng: np.random.Generator,
-    eta: float = 1.0,
-) -> CountRecord:
-    """Main and shoulder measurements of one sweep point.
-
-    The data photon is prepared alternately in its plus and minus state while
-    the program photon keeps its setting; the two shoulder runs follow with
-    the 45-degree inputs outside the dip.  `eta` relaxes the main runs only,
-    so the shoulder normalization stays that of the raw measurement.
-    """
-    return _measure_stages([(data_plus, data_minus, program)], config, [rng], eta)[0]
-
-
 def measure_sweep(
     settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
     config: ExperimentConfig,
@@ -386,7 +415,7 @@ def measure_sweep(
     seed: int | None,
     eta: float = 1.0,
 ) -> list[CountRecord]:
-    """measure_point for every (data_plus, data_minus, program) setting of a sweep.
+    """Count records of every (data_plus, data_minus, program) setting of a sweep.
 
     Point i draws from its own stream SeedSequence(seed).spawn(n)[i], with
     seed defaulting to config.seed, so points are reproducible individually.
@@ -504,66 +533,49 @@ def run_full_experiment(
     task: str,
     config: ExperimentConfig,
     *,
-    epsilons: Sequence[float] | None = None,
-    thetas: Sequence[float] | None = None,
-    phis: Sequence[float] | None = None,
+    epsilons: Sequence[float] = (),
+    thetas: Sequence[float] = (),
+    phis: Sequence[float] = (),
     eta: float = 1.0,
     pairs_per_point: float = 100_000.0,
-    seed: int | None = None,
 ):
     """Run a full sweep and package it as a Dataset.
 
     task is "discriminator" (grid epsilons x thetas) or "multimeter" (grid
-    phis at a fixed eta).  Shoulder and main measurements are interleaved per
-    sweep point; estimator failures on individual points are recorded as NaN
-    without aborting.  Empty grids produce an empty dataset.
+    phis at a fixed eta), seeded by config.seed.  The columns are the fields
+    of the task's point dataclass, each named by its "column" metadata where
+    it has one, followed by COUNT_COLUMNS.  Estimates the counts of a point
+    leave undefined are NaN.  Empty grids produce an empty dataset.
     """
     from . import discriminator, multimeter
     from .dataset import Dataset
 
-    if task == "discriminator":
-        epsilons = list(epsilons if epsilons is not None else (0.0, 12.0, 24.0, 36.0))
-        thetas = list(thetas if thetas is not None else np.arange(0.0, 91.0, 4.0))
-        points = discriminator.run_discriminator_sweep(
-            epsilons, thetas, config, pairs_per_point=pairs_per_point, seed=seed
-        )
-        leading = [f.name for f in fields(discriminator.DiscriminationPoint) if f.name != "counts"]
-        rows = [
-            [getattr(pt, name) for name in leading]
-            + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
-            for pt in points
-        ]
-    elif task == "multimeter":
-        phis = list(phis if phis is not None else np.arange(-90.0, 91.0, 8.0))
-        points = multimeter.run_multimeter_sweep(
-            phis, eta, config, pairs_per_point=pairs_per_point, seed=seed
-        )
-        leading = [
-            "phi", "eta", "pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr",
-            "fidelity_estimated", "error_rate", "error_rate_stderr",
-        ]
-        pi_theory = multimeter.theory_PI(eta)
-        f_theory = multimeter.fidelity_from_PI(pi_theory)
-        rows = [
-            [
-                pt.phi, pt.eta, pi_theory, f_theory, pt.p_inconclusive, pt.pi_stderr,
-                pt.fidelity, pt.error_rate, pt.error_rate_stderr,
-            ]
-            + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
-            for pt in points
-        ]
-    else:
-        raise ValueError(f"unknown task {task!r}; expected 'discriminator' or 'multimeter'")
-
     metadata = {
         "task": task,
-        "seed": config.seed if seed is None else seed,
+        "seed": config.seed,
         "pairs_per_point": pairs_per_point,
         "config": config_to_dict(config),
     }
-    if task == "multimeter":
+    if task == "discriminator":
+        point_type = discriminator.DiscriminationPoint
+        points = discriminator.run_discriminator_sweep(
+            epsilons, thetas, config, pairs_per_point=pairs_per_point
+        )
+    elif task == "multimeter":
+        point_type = multimeter.MultimeterPoint
+        points = multimeter.run_multimeter_sweep(phis, eta, config, pairs_per_point=pairs_per_point)
         metadata["eta"] = eta
-    return Dataset(columns=leading + list(COUNT_COLUMNS), rows=rows, metadata=metadata)
+    else:
+        raise ValueError(f"unknown task {task!r}; expected 'discriminator' or 'multimeter'")
+
+    leading = [f for f in fields(point_type) if f.name != "counts"]
+    rows = [
+        [getattr(pt, f.name) for f in leading]
+        + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
+        for pt in points
+    ]
+    columns = [f.metadata.get("column", f.name) for f in leading] + list(COUNT_COLUMNS)
+    return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

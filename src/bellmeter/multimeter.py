@@ -10,15 +10,14 @@ no inconclusive results, fidelity 3/4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .discriminator import error_rate, error_rate_stderr
-from .errors import InvalidNormalizationError, NoDataError
+from .errors import NoDataError
 from .experiment import CountRecord, ExperimentConfig, measure_sweep
 from .twophoton import BELL_STATES
 
@@ -138,13 +137,18 @@ def conclusive_fidelity(counts: CountRecord) -> float:
 
 @dataclass(frozen=True)
 class MultimeterPoint:
-    """One sweep point of the multimeter run."""
+    """One sweep point of the multimeter run: theory and simulated estimates.
+
+    A field whose dataset column has another name carries it as "column" metadata.
+    """
 
     phi: float
     eta: float
-    p_inconclusive: float
+    pi_theory: float
+    fidelity_theory: float
+    p_inconclusive: float = field(metadata={"column": "pi_estimated"})
     pi_stderr: float
-    fidelity: float
+    fidelity: float = field(metadata={"column": "fidelity_estimated"})
     error_rate: float
     error_rate_stderr: float
     counts: CountRecord
@@ -163,37 +167,29 @@ def run_multimeter_sweep(
     psi+(phi) and psi-(phi) while the program photon carries psi+(phi).  Only
     the unambiguous analyzer is physically simulated; eta < 1 is produced by
     relabeling inconclusive outcomes, so the shoulder normalization stays that
-    of the raw measurement.
+    of the raw measurement.  Estimates the counts leave undefined are NaN.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     settings = [
         tuple(pol.recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis
     ]
+    pi_theory = theory_PI(eta)
+    fidelity_theory = fidelity_from_PI(pi_theory)
     points: list[MultimeterPoint] = []
     for phi, counts in zip(phis, measure_sweep(settings, config, pairs_per_point, seed, eta=eta)):
-        try:
-            conclusive, p_inc_err = counts.normalized_rate(
-                counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm
-            )
-            p_inc = 1.0 - conclusive
-        except InvalidNormalizationError:
-            p_inc = p_inc_err = math.nan
-        try:
-            fid = conclusive_fidelity(counts)
-            err = error_rate(counts)
-            err_std = error_rate_stderr(counts)
-        except NoDataError:
-            fid = err = err_std = math.nan
+        est = counts.estimates()
         points.append(
             MultimeterPoint(
                 phi=float(phi),
                 eta=float(eta),
-                p_inconclusive=p_inc,
-                pi_stderr=p_inc_err,
-                fidelity=fid,
-                error_rate=err,
-                error_rate_stderr=err_std,
+                pi_theory=pi_theory,
+                fidelity_theory=fidelity_theory,
+                p_inconclusive=est.p_inconclusive,
+                pi_stderr=est.pi_stderr,
+                fidelity=conclusive_fidelity(counts) if counts.conclusive_total else math.nan,
+                error_rate=est.error_rate,
+                error_rate_stderr=est.error_rate_stderr,
                 counts=counts,
             )
         )

@@ -7,6 +7,12 @@ from bellmeter.cli import _parse_range, main
 from bellmeter.dataset import Dataset, sidecar_path
 
 
+COUNT_HEADER = ["c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm"]
+ESTIMATE_HEADER = [
+    "p_succ", "p_succ_stderr", "p_inconclusive", "pi_stderr", "error_rate", "error_rate_stderr",
+]
+
+
 def read_sidecar(path):
     return json.loads(sidecar_path(path).read_text())
 
@@ -19,6 +25,10 @@ def test_discriminate_single_point(tmp_path, capsys):
     ])
     assert code == 0
     ds = Dataset.read(out)
+    assert ds.columns == [
+        "epsilon", "theta", "p_theory", "p_optimal", "p_estimated", "p_stderr",
+        "error_rate", "error_rate_stderr", *COUNT_HEADER,
+    ]
     assert len(ds.rows) == 1
     row = dict(zip(ds.columns, ds.rows[0]))
     assert row["p_theory"] == 0.5
@@ -48,6 +58,10 @@ def test_multimeter_command(tmp_path):
     ])
     assert code == 0
     ds = Dataset.read(out)
+    assert ds.columns == [
+        "phi", "eta", "pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr",
+        "fidelity_estimated", "error_rate", "error_rate_stderr", *COUNT_HEADER,
+    ]
     assert len(ds.rows) == 3
     row = dict(zip(ds.columns, ds.rows[0]))
     assert row["pi_theory"] == 0.25
@@ -84,17 +98,36 @@ def test_dataset_reproducible_byte_for_byte(tmp_path):
     assert first_meta == second_meta
 
 
-def test_analyze_roundtrip_identity(tmp_path):
+@pytest.mark.parametrize(
+    "argv, coords, same",
+    [
+        (
+            ["discriminate", "--ideal", "--pairs", "5", "--seed", "4"],
+            ["epsilon", "theta"],
+            {"p_succ": "p_estimated", "p_succ_stderr": "p_stderr"},
+        ),
+        (
+            ["multimeter", "--ideal", "--eta", "0.5", "--pairs", "2", "--seed", "1"],
+            ["phi", "eta"],
+            {"p_inconclusive": "pi_estimated", "pi_stderr": "pi_stderr"},
+        ),
+    ],
+    ids=["discriminate", "multimeter"],
+)
+def test_analyze_roundtrip_identity(tmp_path, argv, coords, same):
+    # so few pairs leave some shoulder sums or conclusive counts at zero: NaN rows
     raw = tmp_path / "raw.tsv"
-    main(["discriminate", "--ideal", "--epsilon", "0,24", "--theta-range", "12:36:12",
-          "--pairs", "20000", "--seed", "17", "--out", str(raw)])
+    assert main(argv + ["--out", str(raw)]) == 0
     out = tmp_path / "analyzed.tsv"
     assert main(["analyze", str(raw), "--out", str(out)]) == 0
     raw_ds = Dataset.read(raw)
     out_ds = Dataset.read(out)
-    assert out_ds.column("p_succ") == raw_ds.column("p_estimated")
-    assert out_ds.column("p_succ_stderr") == raw_ds.column("p_stderr")
-    assert out_ds.column("error_rate") == raw_ds.column("error_rate")
+    assert out_ds.columns == coords + ESTIMATE_HEADER
+    same = {**same, "error_rate": "error_rate", "error_rate_stderr": "error_rate_stderr"}
+    for analyzed, swept in same.items():
+        assert any(map(math.isnan, raw_ds.column(swept)))
+        # bit for bit, NaN matching NaN
+        assert [v.hex() for v in out_ds.column(analyzed)] == [v.hex() for v in raw_ds.column(swept)]
 
 
 def test_analyze_handcrafted_counts(tmp_path):
@@ -244,6 +277,40 @@ def test_huge_pairs_fail_before_sampling(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pair_rate" in err and "lam" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--epsilon", "nan"],
+        ["hom-scan", "--positions", "inf"],
+        ["hom-scan", "--positions", "nan,0"],
+        ["multimeter", "--phi-range", "nan"],
+        ["hom-scan", "--range", "inf"],
+    ],
+)
+def test_non_finite_grid_values_exit_nonzero_without_dataset(tmp_path, capsys, argv):
+    out = tmp_path / "bad.tsv"
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{argv[-1]!r}" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_named(tmp_path, capsys, where):
+    out = tmp_path / "seed.tsv"
+    argv = ["multimeter", "--phi-range=0:0:1", "--pairs", "100", "--out", str(out)]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
     assert not out.exists()
 
 

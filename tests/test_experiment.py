@@ -15,7 +15,7 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     outcome_probs_batch,
 )
-from bellmeter.errors import SchemaViolationError
+from bellmeter.errors import NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
     CountRecord,
@@ -23,7 +23,6 @@ from bellmeter.experiment import (
     config_from_dict,
     config_to_dict,
     hom_scan,
-    measure_point,
     measure_sweep,
     mode_overlap_at,
     run_full_experiment,
@@ -246,6 +245,21 @@ def test_count_record_validation():
     assert rec.conclusive_total == 10
 
 
+def test_count_record_estimates_are_nan_where_undefined():
+    rec = CountRecord(c_pp=1, c_pm=2, c_mp=3, c_mm=4, sh_pp=5, sh_pm=6, sh_mp=7, sh_mm=8)
+    conclusive, pi_err = rec.normalized_rate(1 + 3, 4 + 2)
+    expected = (*rec.normalized_rate(1, 4), 1.0 - conclusive, pi_err, 0.5, math.sqrt(0.25 / 10))
+    assert rec.estimates() == expected
+    # a zero shoulder sum leaves P_succ and P_I undefined; no conclusive event, the error rate
+    no_shoulder = replace(rec, sh_pp=0, sh_mp=0).estimates()
+    assert all(map(math.isnan, no_shoulder[:4])) and no_shoulder[4:] == expected[4:]
+    no_conclusive = replace(rec, c_pp=0, c_pm=0, c_mp=0, c_mm=0)
+    assert no_conclusive.estimates().p_inconclusive == 1.0
+    assert all(map(math.isnan, no_conclusive.estimates()[4:]))
+    with pytest.raises(NoDataError):
+        no_conclusive.wrong_class_rate()
+
+
 def test_config_roundtrip_and_schema_errors():
     cfg = ExperimentConfig.realistic(seed=7)
     data = config_to_dict(cfg)
@@ -331,6 +345,7 @@ def test_broken_class_probabilities_raise(monkeypatch, broken):
         {"repetitions": 2.5},
         {"repetitions": True},
         {"seed": 1.5},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_non_finite_and_mistyped_values(bad):
@@ -354,8 +369,20 @@ def test_config_rejects_bad_analyzer_at_construction(analyzer):
         config_from_dict({"analyzer": analyzer})
 
 
+def sequential_record(setting, point_cfg, stream, eta=1.0):
+    """Main +, main -, shoulder + and shoulder - of a sweep point, one call at a time on `stream`."""
+    plus, minus, program = setting
+    rng = np.random.default_rng(stream)
+    return CountRecord(
+        *simulate_counts(plus, program, 0.0, point_cfg, rng, eta=eta),
+        *simulate_counts(minus, program, 0.0, point_cfg, rng, eta=eta),
+        *shoulder_counts(+1, point_cfg, rng),
+        *shoulder_counts(-1, point_cfg, rng),
+    )
+
+
 def test_sweep_points_follow_their_spawned_streams():
-    # point i of a sweep is measure_point on the i-th spawned stream of the seed,
+    # point i of a sweep is measured on the i-th spawned stream of the seed,
     # whatever the other points of the sweep are
     cfg = ExperimentConfig.realistic(seed=3)
     point_cfg = with_pairs_per_point(cfg, 5_000)
@@ -364,15 +391,15 @@ def test_sweep_points_follow_their_spawned_streams():
     streams = np.random.SeedSequence(21).spawn(len(grid))
     for i in reversed(range(len(grid))):
         recipes = [recipe_discriminator(*grid[i], sign) for sign in (+1, -1, +1)]
-        assert disc[i].counts == measure_point(*recipes, point_cfg, np.random.default_rng(streams[i]))
+        assert (disc[i].epsilon, disc[i].theta) == grid[i]
+        assert disc[i].counts == sequential_record(recipes, point_cfg, streams[i])
 
     phis = [-40.0, 0.0, 30.0]
     multi = run_multimeter_sweep(phis, 0.4, cfg, pairs_per_point=5_000, seed=8)
     streams = np.random.SeedSequence(8).spawn(len(phis))
     for i in reversed(range(len(phis))):
         recipes = [recipe_multimeter(phis[i], sign) for sign in (+1, -1, +1)]
-        expected = measure_point(*recipes, point_cfg, np.random.default_rng(streams[i]), eta=0.4)
-        assert multi[i].counts == expected
+        assert multi[i].counts == sequential_record(recipes, point_cfg, streams[i], eta=0.4)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -405,15 +432,8 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
 
     point_cfg = with_pairs_per_point(cfg, pairs)
     streams = np.random.SeedSequence(seed).spawn(len(settings_))
-    for record, (plus, minus, program), stream in zip(records, settings_, streams):
-        rng = np.random.default_rng(stream)
-        expected = CountRecord(
-            *simulate_counts(plus, program, 0.0, point_cfg, rng, eta=eta),
-            *simulate_counts(minus, program, 0.0, point_cfg, rng, eta=eta),
-            *shoulder_counts(+1, point_cfg, rng),
-            *shoulder_counts(-1, point_cfg, rng),
-        )
-        assert record == expected
+    for record, setting, stream in zip(records, settings_, streams):
+        assert record == sequential_record(setting, point_cfg, stream, eta=eta)
 
 
 def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
