@@ -16,8 +16,6 @@ from .analyzer import (
 )
 from .discriminator import (
     DiscriminationPoint,
-    error_rate,
-    estimate_success,
     optimal_prob,
     run_discriminator_sweep,
     success_prob_theory,
@@ -37,7 +35,6 @@ from .multimeter import (
     MultimeterPoint,
     PovmElement,
     effective_povm,
-    estimate_PI,
     fidelity_from_PI,
     povm_elements,
     reinterpret,

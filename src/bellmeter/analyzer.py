@@ -139,7 +139,7 @@ def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pattern_probs_batch(
-    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float
+    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
 ) -> np.ndarray:
     """Output-pattern probabilities of a batch of two-photon states, shape (n, len(PATTERNS)).
 
@@ -150,10 +150,12 @@ def pattern_probs_batch(
     U = bs_transform(config).  Bosonic photons add the amplitudes of the two
     orderings of an output pair, |a_kl + a_lk|^2; distinguishable photons add
     their probabilities, |a_kl|^2 + |a_lk|^2; partially distinguishable
-    photons mix the two with weight mode_overlap.  A photon pair in one mode
-    (k = l) counts half of the symmetric sum.
+    photons mix the two with weight mode_overlap, one value for the batch or
+    one per state, shape (n,).  A photon pair in one mode (k = l) counts half
+    of the symmetric sum.
     """
-    if not 0.0 <= mode_overlap <= 1.0:
+    overlap = np.asarray(mode_overlap, dtype=float).reshape(-1, 1, 1)
+    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
         raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != 4:
@@ -164,14 +166,14 @@ def pattern_probs_batch(
     u, _ = _config_tables(config)
     a = u[:, :2] @ amps.reshape(-1, 2, 2) @ u[:, 2:].T
     a_swapped = a.swapaxes(1, 2)
-    sym = mode_overlap * np.abs(a + a_swapped) ** 2 + (1.0 - mode_overlap) * (
+    sym = overlap * np.abs(a + a_swapped) ** 2 + (1.0 - overlap) * (
         np.abs(a) ** 2 + np.abs(a_swapped) ** 2
     )
     return sym[:, _PATTERN_ROWS, _PATTERN_COLS] * _PATTERN_WEIGHTS
 
 
 def outcome_probs_batch(
-    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float
+    amplitudes: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
 ) -> np.ndarray:
     """Psi+/Psi-/inconclusive probabilities of a batch of states, shape (n, 3).
 

@@ -11,10 +11,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .dataset import Dataset
+from .discriminator import DiscriminationPoint
 from .errors import SchemaViolationError
 from .experiment import (
     COUNT_COLUMNS,
@@ -27,8 +28,11 @@ from .experiment import (
     run_full_experiment,
     with_pairs_per_point,
 )
+from .multimeter import MultimeterPoint
 
-_COORD_COLUMNS = ("epsilon", "theta", "phi", "eta", "position")
+_COORD_COLUMNS = [
+    f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
+]
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -90,12 +94,8 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
     else:
         positions = _parse_range(args.range)
     result = hom_scan(positions, config)
-    rows = [
-        [x, pp, mp, pm, mm]
-        for x, pp, mp, pm, mm in zip(
-            result.positions, result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm
-        )
-    ]
+    rates = (result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm)
+    rows = [list(row) for row in zip(result.positions, *rates)]
     dataset = Dataset(
         columns=["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"],
         rows=rows,

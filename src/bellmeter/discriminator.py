@@ -1,4 +1,4 @@
-"""Programmable unambiguous state discrimination: theory curves and estimators.
+"""Programmable unambiguous state discrimination: theory curves and the sweep.
 
 The device discriminates the two elliptical states selected by the program
 qubit.  Success probability of the Bell-analysis strategy is
@@ -9,7 +9,7 @@ optimal unambiguous strategy reaches 1 - |<phi+|phi->|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import polarization as pol
@@ -34,39 +34,15 @@ def optimal_prob(epsilon_deg: float, theta_deg: float) -> float:
     return 1.0 - abs(pol.overlap(plus, minus))
 
 
-def estimate_success(counts: CountRecord) -> float:
-    """Success probability from recorded counts.
-
-    P = 1/2 [ C++ / (2 (C++_sh + C-+_sh)) + C-- / (2 (C--_sh + C+-_sh)) ],
-    where the shoulder sums normalize each main rate to the pair rate.
-    """
-    return counts.normalized_rate(counts.c_pp, counts.c_mm)[0]
-
-
-def success_stderr(counts: CountRecord) -> float:
-    """First-order propagated statistical error of estimate_success.
-
-    Treats every count sum as Poisson with variance equal to its value.
-    """
-    return counts.normalized_rate(counts.c_pp, counts.c_mm)[1]
-
-
-def error_rate(counts: CountRecord) -> float:
-    """Fraction of conclusive events with the wrong Bell class."""
-    return counts.wrong_class_rate()[0]
-
-
-def error_rate_stderr(counts: CountRecord) -> float:
-    """Binomial standard error of the relative error rate."""
-    return counts.wrong_class_rate()[1]
-
-
 @dataclass(frozen=True)
 class DiscriminationPoint:
-    """One sweep point: theory, optimal benchmark and simulated estimates."""
+    """One sweep point: theory, optimal benchmark and simulated estimates.
 
-    epsilon: float
-    theta: float
+    The sweep-grid coordinates, which `analyze` carries over, carry "grid" metadata.
+    """
+
+    epsilon: float = field(metadata={"grid": True})
+    theta: float = field(metadata={"grid": True})
     p_theory: float
     p_optimal: float
     p_estimated: float

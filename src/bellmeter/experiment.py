@@ -23,7 +23,9 @@ one array pass; last, every point makes its one Poisson draw of the
 after stage, jitter uniforms then one Poisson pair: the same draws, in the
 same order, as four simulate_counts calls on that stream.  A sweep with
 more than 4096 periods per input setting runs the four stages block by
-block of points, which leaves every stream's draws unchanged.
+block of points, which leaves every stream's draws unchanged.  The mirror
+scan through the dip runs the same way, as two stages (the +45 and -45
+degree data inputs) over its positions, one random stream per position.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _MAX_POISSON_MEAN = 1e18
 # input setting, so the working arrays of a stage (about 0.8 kB per period)
 # stay a few MB however many points or repetitions the sweep has
 _MAX_STAGE_PERIODS = 4096
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -260,21 +264,22 @@ def mode_overlap_at(position: float, config: ExperimentConfig) -> float:
 
 
 def _poisson_means(
-    angles: np.ndarray, mode_overlap: float, config: ExperimentConfig, eta: float = 1.0
+    angles: np.ndarray, mode_overlaps: np.ndarray, config: ExperimentConfig, eta: float = 1.0
 ) -> np.ndarray:
     """Means of the (Psi+, Psi-) Poisson counts of n input settings, shape (n, 2).
 
     `angles` holds the plate angles of every period, shape (n, R, 2, 2):
-    [setting, period, photon (data, program), plate (QWP, HWP)].  All n * R
-    periods are prepared and analyzed in one pass at the given mode overlap;
-    see simulate_counts for the means.
+    [setting, period, photon (data, program), plate (QWP, HWP)], and
+    `mode_overlaps` the mode overlap of each setting, shape (n,).  All n * R
+    periods are prepared and analyzed in one pass; see simulate_counts for
+    the means.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     n, repetitions = angles.shape[:2]
     jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1])
     product = (jones[..., 0, :, None] * jones[..., 1, None, :]).reshape(-1, 4)
-    probs = outcome_probs_batch(product, config.analyzer, mode_overlap)
+    probs = outcome_probs_batch(product, config.analyzer, np.repeat(mode_overlaps, repetitions))
     prob_sums = probs.sum(axis=1)
     if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
         raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
@@ -293,16 +298,17 @@ def _setting_angles(data: pol.PrepRecipe, program: pol.PrepRecipe) -> list[list[
 
 def _stage_counts(
     angles: Sequence[list[list[float]]],
-    position: float,
+    positions: Sequence[float],
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
     eta: float = 1.0,
 ) -> list[ClassCounts]:
-    """Recorded counts of one input setting at n sweep points, point i drawing from rngs[i].
+    """Recorded counts of one input setting at n points, point i drawing from rngs[i].
 
-    `angles` holds the nominal plate angles of the points, shape (n, 2, 2).
-    Each point draws the jitter of its periods, then all points are prepared
-    and analyzed together, then each point makes its Poisson draw.
+    `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
+    and `positions` their mirror positions.  Each point draws the jitter of
+    its periods, all points are prepared and analyzed together, then each
+    point makes its Poisson draw.
     """
     shape = (len(rngs), config.repetitions, 2, 2)
     angles = np.asarray(angles, dtype=float)[:, None]
@@ -311,7 +317,8 @@ def _stage_counts(
         angles = angles + np.stack([rng.uniform(-jitter, jitter, size=shape[1:]) for rng in rngs])
     else:
         angles = np.broadcast_to(angles, shape)
-    means = _poisson_means(angles, mode_overlap_at(position, config), config, eta)
+    overlaps = np.array([mode_overlap_at(x, config) for x in positions])
+    means = _poisson_means(angles, overlaps, config, eta)
     # two scalar draws take the same numbers from a stream as one draw of the
     # pair, without the per-call checks numpy runs on array arguments
     return [
@@ -359,11 +366,11 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = [_setting_angles(data_setting, program_setting)]
-    return _stage_counts(angles, position, config, [rng], eta)[0]
+    return _stage_counts(angles, [position], config, [rng], eta)[0]
 
 
-def _shoulder_setting(sign: int) -> tuple[pol.PrepRecipe, pol.PrepRecipe]:
-    """Data and program recipes of the shoulder run of the given sign."""
+def _diagonal_setting(sign: int) -> tuple[pol.PrepRecipe, pol.PrepRecipe]:
+    """Data and program recipes of the (sign * 45, 45) inputs of the shoulder runs and HOM scan."""
     return pol.recipe_discriminator(0.0, 45.0, sign), pol.recipe_discriminator(0.0, 45.0, +1)
 
 
@@ -376,36 +383,32 @@ def shoulder_counts(
     the two recorded classes approaches half the detected pair rate
     independently of the beamsplitter imbalance.
     """
-    return simulate_counts(*_shoulder_setting(sign), config.shoulder_position, config, rng)
+    return simulate_counts(*_diagonal_setting(sign), config.shoulder_position, config, rng)
 
 
-def _measure_stages(
-    settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
+def _run_stages(
+    stages: Sequence[tuple[Sequence[list[list[float]]], Sequence[float], float]],
     config: ExperimentConfig,
-    rngs: Sequence[np.random.Generator],
-    eta: float = 1.0,
-) -> list[CountRecord]:
-    """Count records of n sweep points, point i drawing from rngs[i].
+    seed: int,
+) -> list[list[ClassCounts]]:
+    """Counts of every stage at n points, point i drawing from SeedSequence(seed).spawn(n)[i].
 
-    Runs the four stages main plus, main minus, shoulder plus and shoulder
-    minus in turn, each over all points (see the module docstring).  In the
-    main runs the data photon is prepared in its plus, then its minus state
-    while the program photon keeps its setting; the shoulder runs use the
-    45-degree inputs outside the dip.  `eta` relaxes the main runs only, so
-    the shoulder normalization stays that of the raw measurement.
+    A stage is (nominal plate angles per point, mirror position per point,
+    eta).  The stages run in turn over all points (see the module
+    docstring), in blocks of at most _MAX_STAGE_PERIODS periods per stage
+    (one block for up to 4096 / repetitions points).  Returns the counts of
+    stage s at point i as result[s][i].
     """
-    shoulder = config.shoulder_position
-    stages = (
-        ([_setting_angles(plus, program) for plus, _, program in settings], 0.0, eta),
-        ([_setting_angles(minus, program) for _, minus, program in settings], 0.0, eta),
-        ([_setting_angles(*_shoulder_setting(+1))] * len(settings), shoulder, 1.0),
-        ([_setting_angles(*_shoulder_setting(-1))] * len(settings), shoulder, 1.0),
-    )
-    runs = [
-        _stage_counts(angles, position, config, rngs, stage_eta)
-        for angles, position, stage_eta in stages
-    ]
-    return [CountRecord(*mp, *mm, *sp, *sm) for mp, mm, sp, sm in zip(*runs)]
+    n = len(stages[0][0])
+    streams = np.random.SeedSequence(seed).spawn(n)
+    block = max(1, _MAX_STAGE_PERIODS // config.repetitions)
+    counts: list[list[ClassCounts]] = [[] for _ in stages]
+    for start in range(0, n, block):
+        points = slice(start, start + block)
+        rngs = [np.random.default_rng(s) for s in streams[points]]
+        for stage_counts, (angles, positions, eta) in zip(counts, stages):
+            stage_counts += _stage_counts(angles[points], positions[points], config, rngs, eta)
+    return counts
 
 
 def measure_sweep(
@@ -419,18 +422,24 @@ def measure_sweep(
 
     Point i draws from its own stream SeedSequence(seed).spawn(n)[i], with
     seed defaulting to config.seed, so points are reproducible individually.
-    The points are measured stage by stage, each stage in one array pass per
-    block of at most _MAX_STAGE_PERIODS periods (one block for every sweep
-    of up to 4096 / repetitions points).
+    The four stages are main plus, main minus, shoulder plus and shoulder
+    minus.  In the main runs the data photon is prepared in its plus, then
+    its minus state while the program photon keeps its setting; the shoulder
+    runs use the 45-degree inputs outside the dip.  `eta` relaxes the main
+    runs only, so the shoulder normalization stays that of the raw
+    measurement.
     """
+    n = len(settings)
+    center, shoulder = [0.0] * n, [config.shoulder_position] * n
+    stages = [
+        ([_setting_angles(plus, program) for plus, _, program in settings], center, eta),
+        ([_setting_angles(minus, program) for _, minus, program in settings], center, eta),
+        ([_setting_angles(*_diagonal_setting(+1))] * n, shoulder, 1.0),
+        ([_setting_angles(*_diagonal_setting(-1))] * n, shoulder, 1.0),
+    ]
     point_cfg = with_pairs_per_point(config, pairs_per_point)
-    streams = np.random.SeedSequence(config.seed if seed is None else seed).spawn(len(settings))
-    block = max(1, _MAX_STAGE_PERIODS // point_cfg.repetitions)
-    records: list[CountRecord] = []
-    for start in range(0, len(settings), block):
-        rngs = [np.random.default_rng(s) for s in streams[start : start + block]]
-        records += _measure_stages(settings[start : start + block], point_cfg, rngs, eta)
-    return records
+    runs = _run_stages(stages, point_cfg, config.seed if seed is None else seed)
+    return [CountRecord(*mp, *mm, *sp, *sm) for mp, mm, sp, sm in zip(*runs)]
 
 
 @dataclass
@@ -447,78 +456,61 @@ class HomScanResult:
 
 
 def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float) -> float | None:
-    """Least-squares fit of rate(x) = A (1 - V exp(-x^2/(2 s^2))); returns V."""
-    from scipy.optimize import curve_fit
+    """Least-squares fit of rate(x) = A (1 - V exp(-x^2/(2 s^2))); returns V.
 
+    The model is linear in (A, A V) at a fixed s, so a golden-section search
+    over log s in [sigma_guess / 10, 10 sigma_guess] minimizes the residual
+    of that linear least-squares solve.  None with fewer than 4 positions,
+    no positive rate, or positions that leave A and V undetermined.
+    """
     if len(positions) < 4 or rates.max() <= 0:
         return None
 
-    def model(x, amp, vis, sig):
-        return amp * (1.0 - vis * np.exp(-(x**2) / (2.0 * sig**2)))
+    def solve(log_width: float) -> tuple[float, np.ndarray, int]:
+        dip = np.exp(-(positions**2) / (2.0 * math.exp(2.0 * log_width)))
+        design = np.column_stack([np.ones_like(dip), -dip])
+        coef, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
+        return float(np.sum((design @ coef - rates) ** 2)), coef, rank
 
-    try:
-        popt, _ = curve_fit(
-            model,
-            positions,
-            rates,
-            p0=(float(rates.max()), 0.9, sigma_guess),
-            maxfev=20_000,
-        )
-    except RuntimeError:
+    lo, hi = math.log(sigma_guess / 10.0), math.log(10.0 * sigma_guess)
+    left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f_left, f_right = solve(left)[0], solve(right)[0]
+    while hi - lo > 1e-9:
+        if f_left <= f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - _GOLDEN * (hi - lo)
+            f_left = solve(left)[0]
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + _GOLDEN * (hi - lo)
+            f_right = solve(right)[0]
+    _, (amp, amp_vis), rank = solve(0.5 * (lo + hi))
+    if rank < 2 or amp == 0.0:
         return None
-    return float(popt[1])
+    return float(amp_vis / amp)
 
 
-def hom_scan(
-    positions: Sequence[float],
-    config: ExperimentConfig,
-    rng: np.random.Generator | None = None,
-) -> HomScanResult:
+def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanResult:
     """Scan the mirror through the dip with 45-degree-type inputs.
 
     Per position, records the Psi+/Psi- class rates for the (45, 45) input
     (rate_pp rises toward the dip center, rate_mp dips) and for the (-45, 45)
-    input (rate_pm dips, rate_mm rises).  The two dipping curves are fitted
-    with a Gaussian dip; their mean fitted visibility estimates the mode
-    overlap at zero displacement.
+    input (rate_pm dips, rate_mm rises).  The scan runs as two stages over
+    all positions, position i drawing from SeedSequence(config.seed).spawn(n)[i]
+    (see the module docstring).  The two dipping curves are fitted with a
+    Gaussian dip; their mean fitted visibility estimates the mode overlap at
+    zero displacement.
     """
     if len(positions) == 0:
         raise ValueError("positions must be nonempty")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    data_plus = pol.recipe_discriminator(0.0, 45.0, +1)
-    data_minus = pol.recipe_discriminator(0.0, 45.0, -1)
-    program = pol.recipe_discriminator(0.0, 45.0, +1)
-    duration = config.repetitions * config.period
-
     pos = np.asarray(positions, dtype=float)
-    rates = {key: np.zeros(len(pos)) for key in ("pp", "mp", "pm", "mm")}
-    for i, x in enumerate(pos):
-        plus_in = simulate_counts(data_plus, program, x, config, rng)
-        minus_in = simulate_counts(data_minus, program, x, config, rng)
-        rates["pp"][i] = plus_in.psi_plus / duration
-        rates["mp"][i] = plus_in.psi_minus / duration
-        rates["pm"][i] = minus_in.psi_plus / duration
-        rates["mm"][i] = minus_in.psi_minus / duration
-
-    fits = [
-        v
-        for v in (
-            _fit_visibility(pos, rates["mp"], config.dip_sigma),
-            _fit_visibility(pos, rates["pm"], config.dip_sigma),
-        )
-        if v is not None
-    ]
+    stages = [([_setting_angles(*_diagonal_setting(s))] * len(pos), pos, 1.0) for s in (+1, -1)]
+    counts = np.array(_run_stages(stages, config, config.seed), dtype=float)
+    plus_in, minus_in = counts / (config.repetitions * config.period)
+    dips = (plus_in[:, 1], minus_in[:, 0])
+    fits = [v for v in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if v is not None]
     visibility = float(np.mean(fits)) if fits else None
-    return HomScanResult(
-        positions=pos,
-        rate_pp=rates["pp"],
-        rate_mp=rates["mp"],
-        rate_pm=rates["pm"],
-        rate_mm=rates["mm"],
-        visibility=visibility,
-        curve_visibilities=tuple(fits),
-    )
+    return HomScanResult(pos, *plus_in.T, *minus_in.T, visibility, tuple(fits))
 
 
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:

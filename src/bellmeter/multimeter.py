@@ -1,4 +1,4 @@
-"""Phase-covariant quantum multimeter: POVM family, trade-off and estimators.
+"""Phase-covariant quantum multimeter: POVM family, trade-off, reinterpretation, sweep.
 
 The program qubit selects an equatorial measurement basis
 (|H> +/- e^{i phi}|V>)/sqrt(2).  The one-parameter POVM family interpolates
@@ -113,20 +113,6 @@ def reinterpret(
     return out
 
 
-def estimate_PI(counts: CountRecord) -> float:
-    """Inconclusive rate as the complement of the normalized conclusive rates.
-
-    P_I = 1 - 1/2 [ (C++ + C-+) / (2 (C++_sh + C-+_sh))
-                  + (C-- + C+-) / (2 (C--_sh + C+-_sh)) ].
-    """
-    return 1.0 - counts.normalized_rate(counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm)[0]
-
-
-def pi_stderr(counts: CountRecord) -> float:
-    """First-order propagated statistical error of estimate_PI."""
-    return counts.normalized_rate(counts.c_pp + counts.c_mp, counts.c_mm + counts.c_pm)[1]
-
-
 def conclusive_fidelity(counts: CountRecord) -> float:
     """Fraction of conclusive events with the correct Bell class."""
     total = counts.conclusive_total
@@ -139,11 +125,13 @@ def conclusive_fidelity(counts: CountRecord) -> float:
 class MultimeterPoint:
     """One sweep point of the multimeter run: theory and simulated estimates.
 
-    A field whose dataset column has another name carries it as "column" metadata.
+    A field whose dataset column has another name carries it as "column"
+    metadata; the sweep-grid coordinates, which `analyze` carries over, carry
+    "grid" metadata.
     """
 
-    phi: float
-    eta: float
+    phi: float = field(metadata={"grid": True})
+    eta: float = field(metadata={"grid": True})
     pi_theory: float
     fidelity_theory: float
     p_inconclusive: float = field(metadata={"column": "pi_estimated"})

@@ -49,18 +49,6 @@ def random_product_state(rng):
     )
 
 
-def test_bs_transform_unitary():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        cfg = AnalyzerConfig(
-            transmittance_h=rng.uniform(0.05, 0.95),
-            transmittance_v=rng.uniform(0.05, 0.95),
-            geometric_phase=bool(rng.integers(2)),
-        )
-        u = bs_transform(cfg)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
-
-
 def test_bs_transform_rejects_degenerate_transmittance():
     with pytest.raises(ValueError):
         bs_transform(AnalyzerConfig(transmittance_h=0.0))
@@ -233,6 +221,23 @@ transmittances = st.floats(0.01, 0.99)
 overlaps = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+@PROPERTY_SETTINGS
+@given(t_h=transmittances, t_v=transmittances, geometric_phase=st.booleans())
+def test_bs_transform_unitary(t_h, t_v, geometric_phase):
+    cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v, geometric_phase=geometric_phase)
+    u = bs_transform(cfg)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ideal_outcome_probs_match_bell_projection_on_product_states(seed):
+    state = random_product_state(np.random.default_rng(seed))
+    got = ideal_outcome_probs(state, IDEAL)
+    want = bell_projection_probs(state)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
 def reference_pattern_probs(state, config, mode_overlap):
     """Per-pattern loop over a = U psi U^T, written out independently of the batched core."""
     u = bs_transform(config)
@@ -271,7 +276,13 @@ def test_pattern_probs_match_reference_loop(seed, t_h, t_v, geometric_phase, m):
     cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v, geometric_phase=geometric_phase)
     rng = np.random.default_rng(seed)
     states = [random_state(rng) for _ in range(3)]
-    batch = pattern_probs_batch(np.array([s.amplitudes for s in states]), cfg, m)
+    amps = np.array([s.amplitudes for s in states])
+    batch = pattern_probs_batch(amps, cfg, m)
+    # one overlap per state gives each row exactly what a batch-wide overlap gives
+    per_row = [m, 0.3, 1.0 - m]
+    rows = pattern_probs_batch(amps, cfg, np.array(per_row))
+    for i, m_i in enumerate(per_row):
+        assert np.array_equal(rows[i], pattern_probs_batch(amps, cfg, m_i)[i])
     for state, got in zip(states, batch):
         want = reference_pattern_probs(state, cfg, m)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -317,3 +328,7 @@ def test_batch_rejects_unnormalized_states_and_bad_overlap():
         pattern_probs_batch(good[0], IDEAL, 1.0)
     with pytest.raises(ValueError):
         pattern_probs_batch(good, IDEAL, float("nan"))
+    with pytest.raises(ValueError):
+        pattern_probs_batch(np.vstack([good, good]), IDEAL, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        pattern_probs_batch(np.vstack([good, good]), IDEAL, np.full(3, 0.5))

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellmeter
 from bellmeter.cli import _parse_range, main
 from bellmeter.dataset import Dataset, sidecar_path
 
@@ -82,6 +87,20 @@ def test_hom_scan_command(tmp_path):
     positions = ds.column("position")
     dip_idx = positions.index(0.0)
     assert ds.column("rate_mp")[dip_idx] < 0.02 * max(ds.column("rate_mp"))
+
+
+def test_hom_scan_runs_without_scipy(tmp_path):
+    out = tmp_path / "hom.tsv"
+    script = (
+        "import sys; from bellmeter.cli import main; "
+        f"code = main(['hom-scan', '--seed', '1', '--out', {str(out)!r}]); "
+        "sys.exit(3 if 'scipy' in sys.modules else code)"
+    )
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert out.is_file()
 
 
 def test_dataset_reproducible_byte_for_byte(tmp_path):

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellmeter.discriminator import (
-    error_rate,
-    error_rate_stderr,
-    estimate_success,
-    optimal_prob,
-    run_discriminator_sweep,
-    success_prob_theory,
-    success_stderr,
-)
+from bellmeter.discriminator import optimal_prob, run_discriminator_sweep, success_prob_theory
 from bellmeter.errors import InvalidNormalizationError, NoDataError
 from bellmeter.experiment import CountRecord, ExperimentConfig
 
@@ -72,37 +64,33 @@ def test_bell_analysis_never_beats_optimal():
 
 def test_estimate_success_arithmetic():
     counts = make_counts(c_pp=500, c_mm=500, sh=250)
-    assert estimate_success(counts) == pytest.approx(0.5, abs=1e-15)
+    assert counts.estimates().p_succ == pytest.approx(0.5, abs=1e-15)
 
     counts = CountRecord(
         c_pp=400, c_pm=0, c_mp=0, c_mm=380,
         sh_pp=300, sh_mp=200, sh_mm=350, sh_pm=150,
     )
-    assert estimate_success(counts) == pytest.approx(0.39, abs=1e-15)
+    assert counts.estimates().p_succ == pytest.approx(0.39, abs=1e-15)
 
 
 def test_estimate_success_rejects_zero_shoulders():
     counts = CountRecord(c_pp=10, c_pm=0, c_mp=0, c_mm=10, sh_pp=0, sh_pm=0, sh_mp=0, sh_mm=0)
     with pytest.raises(InvalidNormalizationError):
-        estimate_success(counts)
-    with pytest.raises(InvalidNormalizationError):
-        success_stderr(counts)
+        counts.normalized_rate(counts.c_pp, counts.c_mm)
 
 
 def test_error_rate_arithmetic():
-    assert error_rate(make_counts(c_pp=100, c_mm=120)) == 0.0
+    assert make_counts(c_pp=100, c_mm=120).estimates().error_rate == 0.0
     counts = make_counts(c_pp=475, c_mm=475, c_mp=25, c_pm=25)
-    assert error_rate(counts) == pytest.approx(0.05, abs=1e-15)
-    assert error_rate_stderr(counts) == pytest.approx(
+    assert counts.estimates().error_rate == pytest.approx(0.05, abs=1e-15)
+    assert counts.estimates().error_rate_stderr == pytest.approx(
         math.sqrt(0.05 * 0.95 / 1000), abs=1e-15
     )
 
 
 def test_error_rate_rejects_empty_counts():
     with pytest.raises(NoDataError):
-        error_rate(make_counts())
-    with pytest.raises(NoDataError):
-        error_rate_stderr(make_counts())
+        make_counts().wrong_class_rate()
 
 
 def test_estimator_exact_on_infinite_statistics_counts():
@@ -123,7 +111,7 @@ def test_estimator_exact_on_infinite_statistics_counts():
             c_pm=round(p_minus.psi_plus * n), c_mm=round(p_minus.psi_minus * n),
             sh_pp=n // 4, sh_mp=n // 4, sh_pm=n // 4, sh_mm=n // 4,
         )
-        assert estimate_success(counts) == pytest.approx(
+        assert counts.estimates().p_succ == pytest.approx(
             success_prob_theory(eps, theta), abs=1e-9
         )
 

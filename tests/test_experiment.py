@@ -202,6 +202,58 @@ def test_hom_scan_fitted_visibility_tracks_mode_overlap():
     assert abs(result.visibility - 0.92) <= 0.02
 
 
+def test_hom_scan_positions_follow_their_spawned_streams():
+    # position i takes from the i-th spawned stream the draws of a (45, 45)
+    # then a (-45, 45) simulate_counts call at that position, also in blocks
+    cfg = replace(with_pairs_per_point(ExperimentConfig.realistic(seed=6), 20_000), repetitions=3)
+    positions = [-90.0, -40.0, -5.0, 0.0, 20.0, 60.0, 150.0]
+    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", 6):
+        result = hom_scan(positions, cfg)
+    program = recipe_discriminator(0.0, 45.0, +1)
+    duration = cfg.repetitions * cfg.period
+    streams = np.random.SeedSequence(6).spawn(len(positions))
+    for i, x in enumerate(positions):
+        rng = np.random.default_rng(streams[i])
+        plus_in, minus_in = (
+            simulate_counts(recipe_discriminator(0.0, 45.0, sign), program, x, cfg, rng)
+            for sign in (+1, -1)
+        )
+        assert result.positions[i] == x
+        assert (result.rate_pp[i], result.rate_mp[i]) == tuple(c / duration for c in plus_in)
+        assert (result.rate_pm[i], result.rate_mm[i]) == tuple(c / duration for c in minus_in)
+
+
+def test_hom_scan_analyzes_once_per_input(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return outcome_probs_batch(*args)
+
+    monkeypatch.setattr("bellmeter.experiment.outcome_probs_batch", counting)
+    hom_scan(np.arange(-200.0, 201.0, 10.0), ExperimentConfig(seed=1))
+    assert calls == [41 * 10, 41 * 10]
+
+
+@pytest.mark.parametrize("mode_overlap", [1.0, 0.92, 0.5, 0.1])
+def test_hom_scan_fit_matches_curve_fit(mode_overlap):
+    from scipy.optimize import curve_fit
+
+    def model(x, amp, vis, sig):
+        return amp * (1.0 - vis * np.exp(-(x**2) / (2.0 * sig**2)))
+
+    for seed in range(3):
+        cfg = replace(
+            with_pairs_per_point(ExperimentConfig(seed=seed), 100_000),
+            analyzer=AnalyzerConfig(mode_overlap=mode_overlap),
+        )
+        result = hom_scan(np.arange(-200.0, 201.0, 10.0), cfg)
+        for rates, got in zip((result.rate_mp, result.rate_pm), result.curve_visibilities):
+            p0 = (rates.max(), 0.9, cfg.dip_sigma)
+            want = curve_fit(model, result.positions, rates, p0=p0, maxfev=20_000)[0][1]
+            assert abs(got - want) <= 1e-6
+
+
 def test_hom_scan_shoulder_only_positions():
     cfg = ideal(seed=43, pairs=400_000)
     result = hom_scan([150.0], cfg)

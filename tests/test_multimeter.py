@@ -10,9 +10,7 @@ from bellmeter.experiment import CountRecord, ExperimentConfig
 from bellmeter.multimeter import (
     conclusive_fidelity,
     effective_povm,
-    estimate_PI,
     fidelity_from_PI,
-    pi_stderr,
     povm_elements,
     reinterpret,
     run_multimeter_sweep,
@@ -171,14 +169,12 @@ def test_reinterpret_keeps_half_at_eta_half():
 
 def test_estimate_pi_arithmetic():
     counts = CountRecord(c_pp=150, c_pm=40, c_mp=100, c_mm=210, sh_pp=125, sh_mp=125, sh_pm=125, sh_mm=125)
-    assert estimate_PI(counts) == pytest.approx(0.5, abs=1e-15)
+    assert counts.estimates().p_inconclusive == pytest.approx(0.5, abs=1e-15)
     zero = CountRecord(c_pp=0, c_pm=0, c_mp=0, c_mm=0, sh_pp=125, sh_mp=125, sh_pm=125, sh_mm=125)
-    assert estimate_PI(zero) == pytest.approx(1.0, abs=1e-15)
+    assert zero.estimates().p_inconclusive == pytest.approx(1.0, abs=1e-15)
     bad = CountRecord(c_pp=1, c_pm=0, c_mp=0, c_mm=0, sh_pp=0, sh_pm=0, sh_mp=0, sh_mm=0)
     with pytest.raises(InvalidNormalizationError):
-        estimate_PI(bad)
-    with pytest.raises(InvalidNormalizationError):
-        pi_stderr(bad)
+        bad.normalized_rate(bad.c_pp + bad.c_mp, bad.c_mm + bad.c_pm)
 
 
 def test_estimate_pi_on_monte_carlo_ideal_point():
