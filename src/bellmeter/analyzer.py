@@ -14,6 +14,11 @@ and keep that meaning at the output.  The default detector wiring is
 D1=(1,H), D2=(1,V), D4=(2,H), D3=(2,V), which reproduces the coincidence
 table: D1&D3 or D2&D4 fire together for Psi+, D1&D2 or D3&D4 for Psi-,
 anything else (including both photons in one detector) is inconclusive.
+
+A batch of states reaches its output amplitudes as U psi U^T for any
+two-photon state (pattern_probs_batch), or in rank-1 product form for two
+separately prepared photons (product_outcome_probs); one core then mixes the
+pattern probabilities by the mode overlap and sums them per outcome class.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ PATTERNS: tuple[tuple[int, int], ...] = tuple(
 )
 
 # row/column indices of PATTERNS into the symmetric 4x4 pattern matrix, and the
-# factor mapping its entries to pattern probabilities (see pattern_probs_batch)
+# factor mapping its entries to pattern probabilities (see _mixed_patterns)
 _PATTERN_ROWS, _PATTERN_COLS = np.array(PATTERNS).T
 _PATTERN_WEIGHTS = np.where(_PATTERN_ROWS == _PATTERN_COLS, 0.5, 1.0)
 
@@ -119,23 +124,54 @@ def bs_transform(config: AnalyzerConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """bs_transform and the (pattern, class) indicator matrix of a config, built once per config.
+def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """bs_transform and the PATTERNS indices of each OutcomeProbs class, built once per config.
 
-    Class columns follow OutcomeProbs: Psi+, Psi-, inconclusive.  The arrays
-    are shared between callers and therefore read-only.
+    The arrays are shared between callers and therefore read-only.
     """
     u = bs_transform(config)
-    classes = np.array(
-        [
-            [o == c for c in (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)]
-            for o in pattern_outcomes(config)
-        ],
-        dtype=float,
-    )
-    u.setflags(write=False)
-    classes.setflags(write=False)
-    return u, classes
+    outcomes = np.array(pattern_outcomes(config))
+    classes = (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)
+    groups = tuple(np.flatnonzero(outcomes == c) for c in classes)
+    for array in (u, *groups):
+        array.setflags(write=False)
+    return u, groups
+
+
+def _normalized(vectors: np.ndarray, width: int, what: str) -> np.ndarray:
+    """`vectors` as a complex (n, width) array of unit rows; ValueError otherwise."""
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != width:
+        raise ValueError(f"expected {what} of shape (n, {width}), got {v.shape}")
+    norm_sq = np.sum(v.real**2 + v.imag**2, axis=1)
+    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
+        raise ValueError(f"{what} are not normalized: {norm_sq}")
+    return v
+
+
+def _mixed_patterns(a_kl: np.ndarray, a_lk: np.ndarray, mode_overlap) -> np.ndarray:
+    """Pattern probabilities from the amplitudes a_kl, a_lk of each PATTERNS entry (k, l).
+
+    The core of both batch paths (see pattern_probs_batch), elementwise per row.
+    """
+    overlap = np.asarray(mode_overlap, dtype=float).reshape(-1, 1)
+    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
+        raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
+    if len(overlap) not in (1, len(a_kl)):
+        raise ValueError(f"expected 1 or {len(a_kl)} mode overlaps, got {len(overlap)}")
+    bosonic = np.abs(a_kl + a_lk) ** 2
+    distinguishable = np.abs(a_kl) ** 2 + np.abs(a_lk) ** 2
+    return (overlap * bosonic + (1.0 - overlap) * distinguishable) * _PATTERN_WEIGHTS
+
+
+def _class_sums(pattern_probs: np.ndarray, config: AnalyzerConfig) -> np.ndarray:
+    """Psi+/Psi-/inconclusive sums of pattern probabilities, shape (n, 3), column by column.
+
+    Unlike a matrix product (BLAS gemv for one row, gemm for more), this gives
+    a row the same sums in a batch of any size.
+    """
+    groups = _config_tables(config)[1]
+    return np.stack([functools.reduce(np.add, (pattern_probs[:, i] for i in g)) for g in groups], 1)
 
 
 def pattern_probs_batch(
@@ -144,32 +180,21 @@ def pattern_probs_batch(
     """Output-pattern probabilities of a batch of two-photon states, shape (n, len(PATTERNS)).
 
     `amplitudes` holds n normalized states on the (HH, HV, VH, VV) basis, shape
-    (n, 4).  The data photon enters in modes 0/1 and the program photon in
-    modes 2/3, so the joint output amplitude is a = U psi U^T, where psi
-    holds the state's 2x2 amplitude block in rows 0/1 and columns 2/3 and
-    U = bs_transform(config).  Bosonic photons add the amplitudes of the two
-    orderings of an output pair, |a_kl + a_lk|^2; distinguishable photons add
-    their probabilities, |a_kl|^2 + |a_lk|^2; partially distinguishable
+    (n, 4), entangled or not.  The data photon enters in modes 0/1 and the
+    program photon in modes 2/3, so the joint output amplitude is a = U psi U^T,
+    where psi holds the state's 2x2 amplitude block in rows 0/1 and columns 2/3
+    and U = bs_transform(config).  Bosonic photons add the amplitudes of the
+    two orderings of an output pair, |a_kl + a_lk|^2; distinguishable photons
+    add their probabilities, |a_kl|^2 + |a_lk|^2; partially distinguishable
     photons mix the two with weight mode_overlap, one value for the batch or
     one per state, shape (n,).  A photon pair in one mode (k = l) counts half
-    of the symmetric sum.
+    of the symmetric sum.  product_outcome_probs shares this mixing core.
     """
-    overlap = np.asarray(mode_overlap, dtype=float).reshape(-1, 1, 1)
-    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
-        raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != 4:
-        raise ValueError(f"expected amplitudes of shape (n, 4), got {amps.shape}")
-    norm_sq = np.sum(amps.real**2 + amps.imag**2, axis=1)
-    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
-        raise ValueError(f"two-photon states are not normalized: {norm_sq}")
+    amps = _normalized(amplitudes, 4, "two-photon states")
     u, _ = _config_tables(config)
     a = u[:, :2] @ amps.reshape(-1, 2, 2) @ u[:, 2:].T
-    a_swapped = a.swapaxes(1, 2)
-    sym = overlap * np.abs(a + a_swapped) ** 2 + (1.0 - overlap) * (
-        np.abs(a) ** 2 + np.abs(a_swapped) ** 2
-    )
-    return sym[:, _PATTERN_ROWS, _PATTERN_COLS] * _PATTERN_WEIGHTS
+    a_kl, a_lk = a[:, _PATTERN_ROWS, _PATTERN_COLS], a[:, _PATTERN_COLS, _PATTERN_ROWS]
+    return _mixed_patterns(a_kl, a_lk, mode_overlap)
 
 
 def outcome_probs_batch(
@@ -179,7 +204,30 @@ def outcome_probs_batch(
 
     Columns follow OutcomeProbs; see pattern_probs_batch for the arguments.
     """
-    return pattern_probs_batch(amplitudes, config, mode_overlap) @ _config_tables(config)[1]
+    return _class_sums(pattern_probs_batch(amplitudes, config, mode_overlap), config)
+
+
+def product_outcome_probs(
+    data: np.ndarray, program: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
+) -> np.ndarray:
+    """Psi+/Psi-/inconclusive probabilities of n product states, shape (n, 3).
+
+    `data` and `program` hold the photons' Jones vectors d and p, shape (n, 2)
+    each.  The output amplitude U psi U^T of d p^T is the rank-1 x y^T, with
+    x = U[:, :2] d and y = U[:, 2:] p written as elementwise sums, so a row
+    does not depend on the batch size.  Equals outcome_probs_batch on the
+    product amplitudes to rounding.
+    """
+    d = _normalized(data, 2, "data Jones vectors")
+    p = _normalized(program, 2, "program Jones vectors")
+    if len(d) != len(p):
+        raise ValueError(f"got {len(d)} data and {len(p)} program Jones vectors")
+    u, _ = _config_tables(config)
+    x = d[:, :1] * u[:, 0] + d[:, 1:] * u[:, 1]
+    y = p[:, :1] * u[:, 2] + p[:, 1:] * u[:, 3]
+    a_kl = x[:, _PATTERN_ROWS] * y[:, _PATTERN_COLS]
+    a_lk = x[:, _PATTERN_COLS] * y[:, _PATTERN_ROWS]
+    return _class_sums(_mixed_patterns(a_kl, a_lk, mode_overlap), config)
 
 
 def quantum_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:
@@ -237,7 +285,7 @@ def pattern_outcomes(config: AnalyzerConfig) -> tuple[Outcome, ...]:
 
 
 def _aggregate(probs: np.ndarray, config: AnalyzerConfig) -> OutcomeProbs:
-    return OutcomeProbs(*(float(p) for p in probs @ _config_tables(config)[1]))
+    return OutcomeProbs(*(float(p) for p in _class_sums(probs[None], config)[0]))
 
 
 def ideal_outcome_probs(state: TwoPhotonState, config: AnalyzerConfig) -> OutcomeProbs:

@@ -18,14 +18,16 @@ A sweep runs as four stages, one per input setting (main plus, main minus,
 shoulder plus, shoulder minus).  In a stage every point first draws its
 plate jitter, R x 2 x 2 uniforms (only when angle_jitter > 0), from its own
 random stream; the periods of all points are then prepared and analyzed in
-one array pass; last, every point makes its one Poisson draw of the
-(Psi+, Psi-) pair from its stream.  Each point's stream thus sees, stage
-after stage, jitter uniforms then one Poisson pair: the same draws, in the
-same order, as four simulate_counts calls on that stream.  A sweep with
-more than 4096 periods per input setting runs the four stages block by
-block of points, which leaves every stream's draws unchanged.  The mirror
-scan through the dip runs the same way, as two stages (the +45 and -45
-degree data inputs) over its positions, one random stream per position.
+one array pass (without jitter all periods of a setting carry one state, so
+each distinct state of the stage is analyzed once and counts R times); last,
+every point makes its one Poisson draw of the (Psi+, Psi-) pair from its
+stream.  Each point's stream thus sees, stage after stage, jitter uniforms
+then one Poisson pair: the same draws, in the same order, as four
+simulate_counts calls on that stream.  A sweep with more than 4096 periods
+per input setting runs the four stages block by block of points, which
+leaves every stream's draws unchanged.  The mirror scan through the dip runs
+the same way, as two stages (the +45 and -45 degree data inputs) over its
+positions, one random stream per position.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import polarization as pol
-from .analyzer import AnalyzerConfig, outcome_probs_batch
+from .analyzer import AnalyzerConfig, product_outcome_probs
 from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
@@ -54,6 +56,7 @@ _MAX_POISSON_MEAN = 1e18
 _MAX_STAGE_PERIODS = 4096
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_FIT_GRID = 64  # log-spaced dip widths the visibility fit tries before its golden-section search
 
 
 @dataclass(frozen=True)
@@ -268,23 +271,24 @@ def _poisson_means(
 ) -> np.ndarray:
     """Means of the (Psi+, Psi-) Poisson counts of n input settings, shape (n, 2).
 
-    `angles` holds the plate angles of every period, shape (n, R, 2, 2):
+    `angles` holds the plate angles of P periods per setting, shape (n, P, 2, 2):
     [setting, period, photon (data, program), plate (QWP, HWP)], and
-    `mode_overlaps` the mode overlap of each setting, shape (n,).  All n * R
-    periods are prepared and analyzed in one pass; see simulate_counts for
-    the means.
+    `mode_overlaps` the mode overlap of each setting, shape (n,).  P is
+    config.repetitions, or 1 when all periods of a setting carry one state.
+    All n * P periods are prepared and analyzed in one pass; see
+    simulate_counts for the means.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    n, repetitions = angles.shape[:2]
-    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1])
-    product = (jones[..., 0, :, None] * jones[..., 1, None, :]).reshape(-1, 4)
-    probs = outcome_probs_batch(product, config.analyzer, np.repeat(mode_overlaps, repetitions))
+    n, periods = angles.shape[:2]
+    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1]).reshape(-1, 2, 2)
+    overlaps = np.repeat(mode_overlaps, periods)
+    probs = product_outcome_probs(jones[:, 0], jones[:, 1], config.analyzer, overlaps)
     prob_sums = probs.sum(axis=1)
     if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
         raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
 
-    totals = probs.reshape(n, repetitions, 3).sum(axis=1)
+    totals = probs.reshape(n, periods, 3).sum(axis=1) * (config.repetitions / periods)
     detected = config.detector_efficiency**2 * config.pair_rate * config.period
     dark = config.dark_count_rate**2 * config.coincidence_window * config.period
     relabeled = (1.0 - eta) / 2.0 * totals[:, 2:]
@@ -308,17 +312,21 @@ def _stage_counts(
     `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
     and `positions` their mirror positions.  Each point draws the jitter of
     its periods, all points are prepared and analyzed together, then each
-    point makes its Poisson draw.
+    point makes its Poisson draw.  Without jitter, each distinct (plate
+    angles, mode overlap) of the stage is analyzed once, as one period.
     """
-    shape = (len(rngs), config.repetitions, 2, 2)
-    angles = np.asarray(angles, dtype=float)[:, None]
+    n = len(rngs)
+    xs, x_of_point = np.unique(np.asarray(positions, dtype=float), return_inverse=True)
+    overlaps = np.array([mode_overlap_at(x, config) for x in xs])[x_of_point]
+    angles = np.asarray(angles, dtype=float).reshape(n, 1, 2, 2)
     if config.angle_jitter > 0.0:
-        jitter = config.angle_jitter
-        angles = angles + np.stack([rng.uniform(-jitter, jitter, size=shape[1:]) for rng in rngs])
+        jitter, shape = config.angle_jitter, (config.repetitions, 2, 2)
+        angles = angles + np.stack([rng.uniform(-jitter, jitter, size=shape) for rng in rngs])
+        means = _poisson_means(angles, overlaps, config, eta)
     else:
-        angles = np.broadcast_to(angles, shape)
-    overlaps = np.array([mode_overlap_at(x, config) for x in positions])
-    means = _poisson_means(angles, overlaps, config, eta)
+        settings = np.column_stack([angles.reshape(n, 4), overlaps])
+        keys, inverse = np.unique(settings, axis=0, return_inverse=True)
+        means = _poisson_means(keys[:, :4].reshape(-1, 1, 2, 2), keys[:, 4], config, eta)[inverse]
     # two scalar draws take the same numbers from a stream as one draw of the
     # pair, without the per-call checks numpy runs on array arguments
     return [
@@ -337,12 +345,10 @@ def simulate_counts(
 ) -> ClassCounts:
     """Simulate the recorded coincidence counts for one input setting.
 
-    Runs config.repetitions measurement periods as one array pass.  The four
-    wave-plate angles of every period get their own uniform jitter; the data
-    and program states of all periods are prepared together, and the analyzer
-    gives each period's Psi+/Psi-/inconclusive probabilities p+, p-, p?,
-    mixing its quantum and distinguishable branches by the mode overlap at
-    `position`.
+    The four wave-plate angles of each of the config.repetitions periods get
+    their own uniform jitter (without jitter one period stands for all), and
+    the analyzer gives each period's Psi+/Psi-/inconclusive probabilities
+    p+, p-, p? at the mode overlap of `position`.
 
     `eta` < 1 emulates the relaxed measurement that relabels a random fraction
     (1 - eta) of inconclusive analyzer outcomes as Psi+/Psi- (half each) before
@@ -455,13 +461,17 @@ class HomScanResult:
     curve_visibilities: tuple[float, ...] = ()
 
 
-def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float) -> float | None:
-    """Least-squares fit of rate(x) = A (1 - V exp(-x^2/(2 s^2))); returns V.
+def _fit_visibility(
+    positions: np.ndarray, rates: np.ndarray, sigma_guess: float
+) -> tuple[float, float] | None:
+    """Least-squares fit of rate(x) = A (1 - V exp(-x^2/(2 s^2))); returns V and the residual.
 
-    The model is linear in (A, A V) at a fixed s, so a golden-section search
-    over log s in [sigma_guess / 10, 10 sigma_guess] minimizes the residual
-    of that linear least-squares solve.  None with fewer than 4 positions,
-    no positive rate, or positions that leave A and V undetermined.
+    The model is linear in (A, A V) at a fixed s, so the fit minimizes the
+    residual of that linear solve over log s in [sigma_guess / 10, 10
+    sigma_guess]: on _FIT_GRID widths, then by golden-section search around
+    the best of them (the residual can have several minima).  None with fewer
+    than 4 positions, no positive rate, or positions that leave A and V
+    undetermined.
     """
     if len(positions) < 4 or rates.max() <= 0:
         return None
@@ -472,7 +482,9 @@ def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float
         coef, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
         return float(np.sum((design @ coef - rates) ** 2)), coef, rank
 
-    lo, hi = math.log(sigma_guess / 10.0), math.log(10.0 * sigma_guess)
+    grid = np.linspace(math.log(sigma_guess / 10.0), math.log(10.0 * sigma_guess), _FIT_GRID)
+    best = int(np.argmin([solve(w)[0] for w in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _FIT_GRID - 1)]
     left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f_left, f_right = solve(left)[0], solve(right)[0]
     while hi - lo > 1e-9:
@@ -484,10 +496,10 @@ def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float
             lo, left, f_left = left, right, f_right
             right = lo + _GOLDEN * (hi - lo)
             f_right = solve(right)[0]
-    _, (amp, amp_vis), rank = solve(0.5 * (lo + hi))
+    residual, (amp, amp_vis), rank = solve(0.5 * (lo + hi))
     if rank < 2 or amp == 0.0:
         return None
-    return float(amp_vis / amp)
+    return float(amp_vis / amp), residual
 
 
 def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanResult:
@@ -508,7 +520,7 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     counts = np.array(_run_stages(stages, config, config.seed), dtype=float)
     plus_in, minus_in = counts / (config.repetitions * config.period)
     dips = (plus_in[:, 1], minus_in[:, 0])
-    fits = [v for v in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if v is not None]
+    fits = [f[0] for f in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if f is not None]
     visibility = float(np.mean(fits)) if fits else None
     return HomScanResult(pos, *plus_in.T, *minus_in.T, visibility, tuple(fits))
 

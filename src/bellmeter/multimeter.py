@@ -9,7 +9,6 @@ no inconclusive results, fidelity 3/4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .errors import NoDataError
 from .experiment import CountRecord, ExperimentConfig, measure_sweep
 from .twophoton import BELL_STATES
 
@@ -113,14 +111,6 @@ def reinterpret(
     return out
 
 
-def conclusive_fidelity(counts: CountRecord) -> float:
-    """Fraction of conclusive events with the correct Bell class."""
-    total = counts.conclusive_total
-    if total <= 0:
-        raise NoDataError("no conclusive events recorded")
-    return (counts.c_pp + counts.c_mm) / total
-
-
 @dataclass(frozen=True)
 class MultimeterPoint:
     """One sweep point of the multimeter run: theory and simulated estimates.
@@ -155,7 +145,8 @@ def run_multimeter_sweep(
     psi+(phi) and psi-(phi) while the program photon carries psi+(phi).  Only
     the unambiguous analyzer is physically simulated; eta < 1 is produced by
     relabeling inconclusive outcomes, so the shoulder normalization stays that
-    of the raw measurement.  Estimates the counts leave undefined are NaN.
+    of the raw measurement.  The fidelity estimate is 1 - the wrong-class
+    rate of the conclusive events.  Estimates the counts leave undefined are NaN.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
@@ -175,7 +166,7 @@ def run_multimeter_sweep(
                 fidelity_theory=fidelity_theory,
                 p_inconclusive=est.p_inconclusive,
                 pi_stderr=est.pi_stderr,
-                fidelity=conclusive_fidelity(counts) if counts.conclusive_total else math.nan,
+                fidelity=1.0 - est.error_rate,
                 error_rate=est.error_rate,
                 error_rate_stderr=est.error_rate_stderr,
                 counts=counts,

@@ -17,6 +17,7 @@ from bellmeter.analyzer import (
     outcome_probs_batch,
     pattern_outcomes,
     pattern_probs_batch,
+    product_outcome_probs,
     quantum_pattern_probs,
 )
 from bellmeter.polarization import (
@@ -332,3 +333,43 @@ def test_batch_rejects_unnormalized_states_and_bad_overlap():
         pattern_probs_batch(np.vstack([good, good]), IDEAL, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         pattern_probs_batch(np.vstack([good, good]), IDEAL, np.full(3, 0.5))
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 50),
+    t_h=transmittances,
+    t_v=transmittances,
+    geometric_phase=st.booleans(),
+)
+def test_product_form_rows_do_not_depend_on_the_batch(seed, n, t_h, t_v, geometric_phase):
+    cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v, geometric_phase=geometric_phase)
+    rng = np.random.default_rng(seed)
+    # [state, photon (data, program), plate (QWP, HWP)]
+    settings_deg = rng.uniform(-360.0, 360.0, size=(n, 2, 2))
+    row_overlaps = rng.uniform(size=n)
+    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    batch = product_outcome_probs(jones[:, 0], jones[:, 1], cfg, row_overlaps)
+    for i in range(n):
+        alone = product_outcome_probs(jones[i : i + 1, 0], jones[i : i + 1, 1], cfg, row_overlaps[i])
+        assert np.array_equal(batch[i], alone[0])
+    # and the product form is the general path's U psi U^T on the product amplitudes
+    product = np.einsum("ni,nj->nij", jones[:, 0], jones[:, 1]).reshape(-1, 4)
+    assert np.max(np.abs(batch - outcome_probs_batch(product, cfg, row_overlaps))) < 1e-12
+
+
+def test_product_form_rejects_bad_input():
+    h, v = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    assert product_outcome_probs(h, v, IDEAL, 1.0).shape == (1, 3)
+    for data, program, overlap in (
+        (np.array([[1.0, 1.0]]), v, 1.0),
+        (np.array([[np.nan, 0.0]]), v, 1.0),
+        (h[0], v[0], 1.0),
+        (np.array([[1.0, 0.0, 0.0, 0.0]]), v, 1.0),
+        (np.vstack([h, h]), v, 1.0),
+        (h, v, 1.5),
+        (h, v, np.full(2, 0.5)),
+    ):
+        with pytest.raises(ValueError):
+            product_outcome_probs(data, program, IDEAL, overlap)

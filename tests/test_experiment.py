@@ -13,13 +13,15 @@ from bellmeter.analyzer import (
     AnalyzerConfig,
     distinguishable_outcome_probs,
     ideal_outcome_probs,
-    outcome_probs_batch,
+    product_outcome_probs,
 )
 from bellmeter.errors import NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
     CountRecord,
     ExperimentConfig,
+    _fit_visibility,
+    _poisson_means,
     config_from_dict,
     config_to_dict,
     hom_scan,
@@ -228,9 +230,9 @@ def test_hom_scan_analyzes_once_per_input(monkeypatch):
 
     def counting(*args):
         calls.append(len(args[0]))
-        return outcome_probs_batch(*args)
+        return product_outcome_probs(*args)
 
-    monkeypatch.setattr("bellmeter.experiment.outcome_probs_batch", counting)
+    monkeypatch.setattr("bellmeter.experiment.product_outcome_probs", counting)
     hom_scan(np.arange(-200.0, 201.0, 10.0), ExperimentConfig(seed=1))
     assert calls == [41 * 10, 41 * 10]
 
@@ -252,6 +254,29 @@ def test_hom_scan_fit_matches_curve_fit(mode_overlap):
             p0 = (rates.max(), 0.9, cfg.dip_sigma)
             want = curve_fit(model, result.positions, rates, p0=p0, maxfev=20_000)[0][1]
             assert abs(got - want) <= 1e-6
+
+
+def test_hom_scan_fit_finds_the_lowest_of_several_minima():
+    # at 1e3 pairs and a 0.1 overlap the rate_mp residual over the dip width has
+    # several minima; a search from the middle of the interval stopped at its
+    # upper end (V = 0.127, residual 15.78 against 15.46 at s = 3.5)
+    cfg = replace(
+        with_pairs_per_point(ExperimentConfig(seed=16), 1e3), analyzer=AnalyzerConfig(mode_overlap=0.1)
+    )
+    result = hom_scan(np.arange(-200.0, 201.0, 10.0), cfg)
+    positions, rates = result.positions, result.rate_mp
+
+    def residual(width):
+        dip = np.exp(-(positions**2) / (2.0 * width**2))
+        design = np.column_stack([np.ones_like(dip), -dip])
+        coef = np.linalg.lstsq(design, rates, rcond=None)[0]
+        return np.sum((design @ coef - rates) ** 2)
+
+    widths = np.geomspace(cfg.dip_sigma / 10.0, 10.0 * cfg.dip_sigma, 4000)
+    best = min(residual(w) for w in widths)
+    visibility, fit_residual = _fit_visibility(positions, rates, cfg.dip_sigma)
+    assert fit_residual <= best * (1.0 + 1e-9)
+    assert result.curve_visibilities[0] == visibility
 
 
 def test_hom_scan_shoulder_only_positions():
@@ -377,8 +402,8 @@ def test_counts_are_independent_poisson_with_the_analytic_mean():
 @pytest.mark.parametrize("broken", [lambda p: p * 1.001, lambda p: np.full_like(p, np.nan)])
 def test_broken_class_probabilities_raise(monkeypatch, broken):
     monkeypatch.setattr(
-        "bellmeter.experiment.outcome_probs_batch",
-        lambda *args: broken(outcome_probs_batch(*args)),
+        "bellmeter.experiment.product_outcome_probs",
+        lambda *args: broken(product_outcome_probs(*args)),
     )
     with pytest.raises(ValueError, match="sum to 1"):
         simulate_counts(
@@ -488,8 +513,35 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
         assert record == sequential_record(setting, point_cfg, stream, eta=eta)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(0.0, 1.0),
+    mode_overlap=st.floats(0.0, 1.0),
+    positions=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=5),
+    repetitions=st.sampled_from([1, 3, 10]),
+)
+def test_jitter_free_means_weight_one_period_by_the_repetitions(
+    seed, eta, mode_overlap, positions, repetitions
+):
+    # without jitter a setting is analyzed as one period weighted by R; its
+    # means equal the sum over all R periods up to the rounding of R p vs p + ... + p
+    cfg = replace(
+        ExperimentConfig.realistic(),
+        angle_jitter=0.0,
+        repetitions=repetitions,
+        analyzer=AnalyzerConfig(transmittance_h=0.53, transmittance_v=0.48, mode_overlap=mode_overlap),
+    )
+    n = len(positions)
+    angles = np.random.default_rng(seed).uniform(-90.0, 90.0, size=(n, 1, 2, 2))
+    overlaps = np.array([mode_overlap_at(x, cfg) for x in positions])
+    one_period = _poisson_means(angles, overlaps, cfg, eta)
+    every_period = _poisson_means(np.broadcast_to(angles, (n, repetitions, 2, 2)), overlaps, cfg, eta)
+    assert np.all(np.abs(one_period - every_period) <= 1e-15 * every_period)
+
+
 def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
-    calls = Counter()
+    calls, rows = Counter(), []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -498,23 +550,32 @@ def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        "bellmeter.experiment.outcome_probs_batch", counting("analyze", outcome_probs_batch)
-    )
+    def analyze(data, *args):
+        rows.append(len(data))
+        return product_outcome_probs(data, *args)
+
+    monkeypatch.setattr("bellmeter.experiment.product_outcome_probs", counting("analyze", analyze))
     monkeypatch.setattr(
         "bellmeter.polarization.prepare_from_angles", counting("prepare", prepare_from_angles)
     )
+    # with jitter every period is a state of its own: n points x 10 periods per stage
     cfg = ExperimentConfig.realistic(seed=4)
     for thetas in ([10.0], np.arange(0.0, 91.0, 4.0)):
         calls.clear()
+        rows.clear()
         run_discriminator_sweep([0.0, 24.0], thetas, cfg, pairs_per_point=1_000)
         assert calls == {"analyze": 4, "prepare": 4}
-    # one block holds up to 4096 periods per input setting: 409 points of 10 periods
-    for n_points, n_blocks in ((181, 1), (409, 1), (410, 2)):
+        assert rows == [2 * len(thetas) * 10] * 4
+    # without jitter each distinct state of a stage is analyzed once: one per phase
+    # in the main stages, one for all points in a shoulder stage.  One block holds
+    # up to 4096 periods per input setting: 409 points of 10 periods
+    for n_points, block_rows in ((181, [181]), (409, [409]), (410, [409, 1])):
         calls.clear()
+        rows.clear()
         phis = np.linspace(-90.0, 90.0, n_points)
         run_multimeter_sweep(phis, 0.5, cfg.idealized(), pairs_per_point=1_000)
-        assert calls == {"analyze": 4 * n_blocks, "prepare": 4 * n_blocks}
+        assert calls == {"analyze": 4 * len(block_rows), "prepare": 4 * len(block_rows)}
+        assert rows == [r for n in block_rows for r in (n, n, 1, 1)]
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])

@@ -8,7 +8,6 @@ from bellmeter.analyzer import AnalyzerConfig, Outcome
 from bellmeter.errors import InvalidNormalizationError
 from bellmeter.experiment import CountRecord, ExperimentConfig
 from bellmeter.multimeter import (
-    conclusive_fidelity,
     effective_povm,
     fidelity_from_PI,
     povm_elements,
@@ -214,6 +213,11 @@ def test_sweep_degraded_config_has_small_positive_error():
     assert 0.0 < pt.error_rate < 0.15
 
 
-def test_conclusive_fidelity_counts():
-    counts = CountRecord(c_pp=90, c_pm=5, c_mp=5, c_mm=100, sh_pp=1, sh_mp=1, sh_pm=1, sh_mm=1)
-    assert conclusive_fidelity(counts) == pytest.approx(190 / 200, abs=1e-15)
+def test_sweep_fidelity_is_one_minus_error_rate():
+    # at 2 pairs per point some points record no conclusive event: both are NaN there
+    pts = run_multimeter_sweep(
+        np.arange(-90.0, 91.0, 5.0), 0.5, ExperimentConfig.ideal(seed=3), pairs_per_point=2
+    )
+    fidelity = np.array([pt.fidelity for pt in pts])
+    np.testing.assert_array_equal(fidelity, [1.0 - pt.error_rate for pt in pts])
+    assert np.isnan(fidelity).any() and ((0.0 < fidelity) & (fidelity < 1.0)).any()
