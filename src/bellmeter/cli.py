@@ -14,16 +14,19 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import Dataset
 from .discriminator import DiscriminationPoint
 from .errors import SchemaViolationError
 from .experiment import (
     COUNT_COLUMNS,
-    CountRecord,
     Estimates,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    count_table,
+    estimate_table,
     hom_scan,
     run_full_experiment,
     with_pairs_per_point,
@@ -83,7 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dataset.metadata["command"] = args.command
     dataset.metadata["argv"] = _recorded_argv(args)
     dataset.write(args.out)
-    print(f"wrote {len(dataset.rows)} rows to {args.out}")
+    print(f"wrote {len(dataset)} rows to {args.out}")
     return 0
 
 
@@ -94,11 +97,10 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
     else:
         positions = _parse_range(args.range)
     result = hom_scan(positions, config)
-    rates = (result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm)
-    rows = [list(row) for row in zip(result.positions, *rates)]
-    dataset = Dataset(
-        columns=["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"],
-        rows=rows,
+    rates = [result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm]
+    dataset = Dataset.from_columns(
+        ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"],
+        [result.positions, *rates],
         metadata={
             "command": "hom-scan",
             "argv": _recorded_argv(args),
@@ -110,7 +112,7 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
     )
     dataset.write(args.out)
     vis = "n/a" if result.visibility is None else f"{result.visibility:.4f}"
-    print(f"wrote {len(rows)} rows to {args.out} (fitted visibility {vis})")
+    print(f"wrote {len(dataset)} rows to {args.out} (fitted visibility {vis})")
     return 0
 
 
@@ -119,25 +121,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for column in COUNT_COLUMNS:
         if column not in dataset.columns:
             raise SchemaViolationError(f"input dataset is missing required column {column!r}")
+    estimates = estimate_table(count_table({name: dataset.column(name) for name in COUNT_COLUMNS}))
     coord_columns = [c for c in _COORD_COLUMNS if c in dataset.columns]
-    out_columns = coord_columns + list(Estimates._fields)
-    out_rows = []
-    for row in dataset.rows:
-        values = dict(zip(dataset.columns, row))
-        counts = CountRecord(**{name: values[name] for name in COUNT_COLUMNS})
-        out_rows.append([values[c] for c in coord_columns] + list(counts.estimates()))
-    out = Dataset(
-        columns=out_columns,
-        rows=out_rows,
+    out = Dataset.from_columns(
+        coord_columns + list(Estimates._fields),
+        [dataset.column(c) for c in coord_columns] + list(estimates.T),
         metadata={"command": "analyze", "argv": _recorded_argv(args), "input": str(args.input)},
     )
     if args.out:
         out.write(args.out)
-        print(f"wrote {len(out_rows)} rows to {args.out}")
+        nan_rows = ", ".join(
+            f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0))
+        )
+        print(f"wrote {len(out)} rows to {args.out} (NaN rows: {nan_rows})")
     else:
-        print("\t".join(out_columns))
-        for row in out_rows:
-            print("\t".join(f"{v}" for v in row))
+        sys.stdout.writelines(out.tsv())
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import polarization as pol
-from .experiment import CountRecord, ExperimentConfig, measure_sweep
+from .experiment import CountRecord, ExperimentConfig, estimate_records, measure_sweep
 
 
 def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
@@ -72,20 +72,18 @@ def run_discriminator_sweep(
         tuple(pol.recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
         for eps, theta in grid
     ]
-    points: list[DiscriminationPoint] = []
-    for (eps, theta), counts in zip(grid, measure_sweep(settings, config, pairs_per_point, seed)):
-        est = counts.estimates()
-        points.append(
-            DiscriminationPoint(
-                epsilon=eps,
-                theta=theta,
-                p_theory=success_prob_theory(eps, theta),
-                p_optimal=optimal_prob(eps, theta),
-                p_estimated=est.p_succ,
-                p_stderr=est.p_succ_stderr,
-                error_rate=est.error_rate,
-                error_rate_stderr=est.error_rate_stderr,
-                counts=counts,
-            )
+    records = measure_sweep(settings, config, pairs_per_point, seed)
+    return [
+        DiscriminationPoint(
+            epsilon=eps,
+            theta=theta,
+            p_theory=success_prob_theory(eps, theta),
+            p_optimal=optimal_prob(eps, theta),
+            p_estimated=est.p_succ,
+            p_stderr=est.p_succ_stderr,
+            error_rate=est.error_rate,
+            error_rate_stderr=est.error_rate_stderr,
+            counts=counts,
         )
-    return points
+        for (eps, theta), counts, est in zip(grid, records, estimate_records(records))
+    ]

@@ -33,9 +33,10 @@ positions, one random stream per position.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,10 +177,7 @@ class CountRecord:
 
     def __post_init__(self):
         for name in COUNT_COLUMNS:
-            value = getattr(self, name)
-            if not 0 <= value < math.inf or int(value) != value:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _checked_count(name, getattr(self, name)))
 
     @property
     def conclusive_total(self) -> int:
@@ -220,19 +218,10 @@ class CountRecord:
 
         P_succ = normalized_rate(C++, C--), P_I = 1 - normalized_rate(C++ + C-+,
         C-- + C+-) (both NaN unless both shoulder sums are positive) and the
-        wrong-class rate (NaN without conclusive events).
+        wrong-class rate (NaN without conclusive events); a one-row
+        estimate_table.
         """
-        try:
-            p_succ, p_succ_err = self.normalized_rate(self.c_pp, self.c_mm)
-            conclusive, pi_err = self.normalized_rate(self.c_pp + self.c_mp, self.c_mm + self.c_pm)
-            p_inc = 1.0 - conclusive
-        except InvalidNormalizationError:
-            p_succ = p_succ_err = p_inc = pi_err = math.nan
-        try:
-            rate, rate_err = self.wrong_class_rate()
-        except NoDataError:
-            rate = rate_err = math.nan
-        return Estimates(p_succ, p_succ_err, p_inc, pi_err, rate, rate_err)
+        return estimate_records([self])[0]
 
 
 COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
@@ -247,6 +236,98 @@ class Estimates(NamedTuple):
     pi_stderr: float
     error_rate: float
     error_rate_stderr: float
+
+
+# counts are held in int64 tables
+_COUNT_LIMIT = 2**63
+
+# the counts of a CountRecord as a tuple, in COUNT_COLUMNS order
+_record_counts = operator.attrgetter(*COUNT_COLUMNS)
+
+
+def _checked_count(name: str, value) -> int:
+    """`value` as an int, or ValueError naming `name` unless it is an integer in [0, 2**63)."""
+    if not 0 <= value < _COUNT_LIMIT or int(value) != value:
+        raise ValueError(f"{name} must be a nonnegative integer below 2**63, got {value}")
+    return int(value)
+
+
+def _count_column(name: str, values: Sequence) -> np.ndarray:
+    """One count column as int64, checked like a CountRecord field."""
+    if set(map(type, values)) <= {int}:
+        try:
+            column = np.array(values, dtype=np.int64)
+        except OverflowError:  # a count of 2**63 or more: named below
+            pass
+        else:
+            if not len(column) or column.min() >= 0:
+                return column
+    return np.array([_checked_count(name, value) for value in values], dtype=np.int64)
+
+
+def count_table(columns: Mapping[str, Sequence]) -> np.ndarray:
+    """The (n, 8) int64 table of the COUNT_COLUMNS entries of `columns`.
+
+    A value that is not an integer in [0, 2**63) raises ValueError naming
+    its column, as a CountRecord field would; an integral float such as
+    13.0 is taken as its integer.
+    """
+    table = np.empty((len(columns[COUNT_COLUMNS[0]]), len(COUNT_COLUMNS)), dtype=np.int64)
+    for j, name in enumerate(COUNT_COLUMNS):
+        table[:, j] = _count_column(name, columns[name])
+    return table
+
+
+def _normalized_rates(c_plus, c_minus, s_plus, s_minus):
+    """CountRecord.normalized_rate over arrays, grouped as it is: (s * s) * s, var_a + var_b."""
+    value = 0.5 * (c_plus / (2.0 * s_plus) + c_minus / (2.0 * s_minus))
+    var_a = c_plus / (4.0 * (s_plus * s_plus)) + (c_plus * c_plus) / (4.0 * (s_plus * s_plus * s_plus))
+    var_b = c_minus / (4.0 * (s_minus * s_minus)) + (c_minus * c_minus) / (
+        4.0 * (s_minus * s_minus * s_minus)
+    )
+    return value, 0.5 * np.sqrt(var_a + var_b)
+
+
+def estimate_table(counts) -> np.ndarray:
+    """Every estimate of n count rows: an (n, 6) float64 array, columns Estimates._fields.
+
+    `counts` is (n, 8), columns in COUNT_COLUMNS order.  Row i holds what
+    CountRecord.normalized_rate and wrong_class_rate give for row i (see
+    CountRecord.estimates), NaN where a shoulder sum is not positive (first
+    four) or there is no conclusive count (last two).  The arithmetic is
+    float64 from the start and keeps the scalar grouping, and IEEE + - * /
+    and sqrt round correctly, so the result equals the scalar one bit for
+    bit while the conclusive total is below 2**53 and both shoulder sums are
+    below 2**26.5 (about 9.49e7: then s * s is exact and (s * s) * s is one
+    rounding of s**3, as in the scalar code).  Beyond those bounds a value
+    can differ from the scalar one in its last bits.  Every row is computed
+    on its own: it does not depend on the other rows of the table.
+    """
+    table = np.asarray(counts, dtype=np.float64)
+    if table.size == 0:
+        table = table.reshape(0, len(COUNT_COLUMNS))
+    if table.ndim != 2 or table.shape[1] != len(COUNT_COLUMNS):
+        raise ValueError(f"a count table has shape (n, {len(COUNT_COLUMNS)}), got {table.shape}")
+    c_pp, c_mp, c_pm, c_mm, sh_pp, sh_mp, sh_pm, sh_mm = table.T
+    s_plus, s_minus = sh_pp + sh_mp, sh_mm + sh_pm
+    total = c_pp + c_pm + c_mp + c_mm
+    out = np.empty((len(table), len(Estimates._fields)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[:, 0], out[:, 1] = _normalized_rates(c_pp, c_mm, s_plus, s_minus)
+        conclusive, out[:, 3] = _normalized_rates(c_pp + c_mp, c_mm + c_pm, s_plus, s_minus)
+        out[:, 2] = 1.0 - conclusive
+        rate = (c_mp + c_pm) / total
+        out[:, 4] = rate
+        out[:, 5] = np.sqrt(rate * (1.0 - rate) / total)
+    out[~((s_plus > 0) & (s_minus > 0)), :4] = np.nan
+    out[~(total > 0), 4:] = np.nan
+    return out
+
+
+def estimate_records(records: Sequence[CountRecord]) -> list[Estimates]:
+    """The Estimates of every record, from one estimate_table call."""
+    rows = estimate_table(list(map(_record_counts, records))).tolist()
+    return [Estimates(*row) for row in rows]
 
 
 class ClassCounts(NamedTuple):
@@ -573,13 +654,10 @@ def run_full_experiment(
         raise ValueError(f"unknown task {task!r}; expected 'discriminator' or 'multimeter'")
 
     leading = [f for f in fields(point_type) if f.name != "counts"]
-    rows = [
-        [getattr(pt, f.name) for f in leading]
-        + [getattr(pt.counts, name) for name in COUNT_COLUMNS]
-        for pt in points
-    ]
     columns = [f.metadata.get("column", f.name) for f in leading] + list(COUNT_COLUMNS)
-    return Dataset(columns=columns, rows=rows, metadata=metadata)
+    data = [[getattr(pt, f.name) for pt in points] for f in leading]
+    data += [[getattr(pt.counts, name) for pt in points] for name in COUNT_COLUMNS]
+    return Dataset.from_columns(columns, data, metadata)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .experiment import CountRecord, ExperimentConfig, measure_sweep
+from .experiment import CountRecord, ExperimentConfig, estimate_records, measure_sweep
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -155,21 +155,19 @@ def run_multimeter_sweep(
     ]
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)
-    points: list[MultimeterPoint] = []
-    for phi, counts in zip(phis, measure_sweep(settings, config, pairs_per_point, seed, eta=eta)):
-        est = counts.estimates()
-        points.append(
-            MultimeterPoint(
-                phi=float(phi),
-                eta=float(eta),
-                pi_theory=pi_theory,
-                fidelity_theory=fidelity_theory,
-                p_inconclusive=est.p_inconclusive,
-                pi_stderr=est.pi_stderr,
-                fidelity=1.0 - est.error_rate,
-                error_rate=est.error_rate,
-                error_rate_stderr=est.error_rate_stderr,
-                counts=counts,
-            )
+    records = measure_sweep(settings, config, pairs_per_point, seed, eta=eta)
+    return [
+        MultimeterPoint(
+            phi=float(phi),
+            eta=float(eta),
+            pi_theory=pi_theory,
+            fidelity_theory=fidelity_theory,
+            p_inconclusive=est.p_inconclusive,
+            pi_stderr=est.pi_stderr,
+            fidelity=1.0 - est.error_rate,
+            error_rate=est.error_rate,
+            error_rate_stderr=est.error_rate_stderr,
+            counts=counts,
         )
-    return points
+        for phi, counts, est in zip(phis, records, estimate_records(records))
+    ]

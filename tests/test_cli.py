@@ -350,3 +350,93 @@ def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
     with pytest.raises(ValueError, match="strict JSON"):
         dataset.write(path)
     assert not path.parent.exists()
+
+
+ANALYZE_HEADER = "theta\t" + "\t".join(COUNT_HEADER)
+ANALYZE_ROW = ["12.5", "13", "0", "0", "380", "300", "200", "150", "350"]
+
+
+@pytest.mark.parametrize(
+    "column, cell, error",
+    [
+        ("c_pm", "abc", "line 5000, column 'c_pm': 'abc' is not a number"),
+        ("sh_mm", None, "line 5000: 8 cells, but the header has 9"),
+        ("c_pp", "13.7", "c_pp must be a nonnegative integer"),
+        ("c_pp", "-1", "c_pp must be a nonnegative integer"),
+        ("c_pp", "nan", "c_pp must be a nonnegative integer"),
+        ("c_pp", "inf", "c_pp must be a nonnegative integer"),
+        ("c_pp", str(2**63), "c_pp must be a nonnegative integer below 2**63"),
+        ("c_pp", "13.0", None),
+        ("theta", "12", None),
+    ],
+)
+def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, cell, error):
+    # line 5000 lies in the second block of 4096 rows that are parsed together
+    rows = [list(ANALYZE_ROW) for _ in range(4999)]
+    index = ["theta", *COUNT_HEADER].index(column)
+    if cell is None:
+        del rows[-1][index:]
+    else:
+        rows[-1][index] = cell
+    path = tmp_path / "counts.tsv"
+    path.write_text("\n".join([ANALYZE_HEADER] + ["\t".join(row) for row in rows]) + "\n")
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    if error:
+        assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and error in captured.err
+        if "line" in error:
+            assert captured.err == f"error: {path}, {error}\n"
+        return
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert lines[0] == "theta\t" + "\t".join(ESTIMATE_HEADER) and len(lines) == 5000
+    # 13.0 counts as 13; a coordinate cell keeps its kind, so 12 stays 12 beside 12.5
+    first, last = lines[1].split("\t"), lines[-1].split("\t")
+    assert first[0] == "12.5" and last[0] == ("12" if column == "theta" else "12.5")
+    assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
+
+
+def test_analyze_prints_what_it_writes(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    assert main(["multimeter", "--ideal", "--eta", "0.5", "--pairs", "2", "--seed", "1",
+                 "--out", str(raw)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(raw)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "analyzed.tsv"
+    assert main(["analyze", str(raw), "--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert "nan" in printed
+
+
+def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
+    path = tmp_path / "counts.tsv"
+    rows = [
+        [400, 0, 0, 380, 300, 200, 150, 350],
+        [1, 2, 3, 4, 0, 0, 5, 6],  # no plus shoulder: P_succ and P_I undefined
+        [0, 0, 0, 0, 1, 1, 1, 1],  # no conclusive count: the error rate undefined
+        [0, 0, 0, 0, 1, 1, 1, 1],
+    ]
+    Dataset(columns=COUNT_HEADER, rows=rows).write(path)
+    out = tmp_path / "est.tsv"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 4 rows to {out} (NaN rows: p_succ 1, p_succ_stderr 1, p_inconclusive 1,"
+        " pi_stderr 1, error_rate 2, error_rate_stderr 2)\n"
+    )
+
+
+def test_dataset_keeps_the_kind_of_each_cell(tmp_path):
+    path = tmp_path / "mixed.tsv"
+    data = Dataset(columns=["x", "n"], rows=[[12, 1], [12.5, 2], [True, 3]], metadata={"k": 1})
+    assert data.rows == [[12, 1], [12.5, 2], [True, 3]] and data.column("x") == [12, 12.5, True]
+    data.write(path)
+    assert path.read_text() == "x\tn\n12\t1\n12.5\t2\n1\t3\n"
+    back = Dataset.read(path)
+    assert back.rows == [[12, 1], [12.5, 2], [1, 3]] and back.metadata["k"] == 1
+    with pytest.raises(ValueError, match="row width 1 does not match 2 columns"):
+        Dataset(columns=["x", "n"], rows=[[1, 2], [3]])
+    with pytest.raises(ValueError, match="could not convert"):
+        Dataset(columns=["x"], rows=[["abc"]]).write(tmp_path / "sub" / "bad.tsv")
+    assert not (tmp_path / "sub").exists()

@@ -15,7 +15,7 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     product_outcome_probs,
 )
-from bellmeter.errors import NoDataError, SchemaViolationError
+from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
     CountRecord,
@@ -24,6 +24,8 @@ from bellmeter.experiment import (
     _poisson_means,
     config_from_dict,
     config_to_dict,
+    count_table,
+    estimate_table,
     hom_scan,
     measure_sweep,
     mode_overlap_at,
@@ -335,6 +337,83 @@ def test_count_record_estimates_are_nan_where_undefined():
     assert all(map(math.isnan, no_conclusive.estimates()[4:]))
     with pytest.raises(NoDataError):
         no_conclusive.wrong_class_rate()
+
+
+def scalar_estimates(counts):
+    """The estimates of one count row from the scalar estimators, NaN where they raise."""
+    rec = CountRecord(*counts)
+    try:
+        p_succ = rec.normalized_rate(rec.c_pp, rec.c_mm)
+        conclusive, pi_err = rec.normalized_rate(rec.c_pp + rec.c_mp, rec.c_mm + rec.c_pm)
+        values = [*p_succ, 1.0 - conclusive, pi_err]
+    except InvalidNormalizationError:
+        values = [math.nan] * 4
+    try:
+        return values + list(rec.wrong_class_rate())
+    except NoDataError:
+        return values + [math.nan] * 2
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# a count row inside the exactness bounds of estimate_table: conclusive total
+# below 2**53, both shoulder sums below 2**26.5; small and zero counts reach the NaN masks
+_exact_count = st.one_of(st.integers(0, 3), st.integers(0, 10**4), st.integers(0, 2**51 - 1))
+_exact_shoulder = st.one_of(st.integers(0, 3), st.integers(0, 10**4), st.integers(0, 2**25))
+_exact_row = st.tuples(*[_exact_count] * 4, *[_exact_shoulder] * 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_exact_row, min_size=1, max_size=8), cut=st.integers(0, 8))
+def test_estimate_table_equals_the_scalar_estimators_bit_for_bit(rows, cut):
+    table = estimate_table(rows)
+    for row, got in zip(rows, table):
+        assert hexes(got) == hexes(scalar_estimates(row))
+    # a row does not depend on the table size or on where a block boundary falls
+    one_by_one = np.concatenate([estimate_table([row]) for row in rows])
+    in_two_blocks = np.concatenate([estimate_table(rows[:cut]), estimate_table(rows[cut:])])
+    assert hexes(one_by_one.ravel()) == hexes(table.ravel()) == hexes(in_two_blocks.ravel())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))] * 8))
+def test_estimate_table_beyond_the_exactness_bounds_differs_in_the_last_bits(row):
+    # with a conclusive total of 2**53 or more or a shoulder sum of 2**26.5 or
+    # more, roundings the scalar code does not make (of a count, of a sum, of
+    # s * s) may change the last bits: at most 8 units of 2**-52 relative to
+    # P_succ and the standard errors, to 1 + |P_I| for P_I (1 - conclusive)
+    # and, for the wrong-class standard error, to rate / total for its square
+    got, want = estimate_table([row])[0], scalar_estimates(row)
+    assert hexes(np.isnan(got)) == hexes(np.isnan(want))
+    tol = 8 * 2.0**-52
+    if not math.isnan(want[0]):
+        for j in (0, 1, 3):
+            assert abs(got[j] - want[j]) <= tol * want[j]
+        assert abs(got[2] - want[2]) <= tol * (1.0 + abs(want[2]))
+    if not math.isnan(want[4]):
+        assert abs(got[4] - want[4]) <= tol * want[4]
+        assert abs(got[5] ** 2 - want[5] ** 2) <= tol * want[4] / sum(row[:4])
+
+
+def test_estimate_table_shapes():
+    assert estimate_table([]).shape == (0, 6)
+    assert estimate_table(np.zeros((3, 8), dtype=np.int64)).shape == (3, 6)
+    with pytest.raises(ValueError, match=r"shape \(n, 8\)"):
+        estimate_table(np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("bad", [-1, 13.7, math.nan, math.inf, 2**63, 1e300])
+def test_count_table_names_a_bad_count_like_a_count_record(bad):
+    columns = {name: [1, 2] for name in ("c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm")}
+    with pytest.raises(ValueError, match="sh_mm must be a nonnegative integer below 2\\*\\*63") as table:
+        count_table({**columns, "sh_mm": [3, bad]})
+    with pytest.raises(ValueError) as record:
+        CountRecord(1, 1, 1, 1, 1, 1, 1, bad)
+    assert str(record.value) == str(table.value)
+    table = count_table({**columns, "sh_mm": [13.0, 2**63 - 1]})
+    assert table.dtype == np.int64 and table[:, 7].tolist() == [13, 2**63 - 1]
 
 
 def test_config_roundtrip_and_schema_errors():
