@@ -27,7 +27,6 @@ from .experiment import (
     ExperimentConfig,
     hom_scan,
     mode_overlap_at,
-    run_full_experiment,
     shoulder_counts,
     simulate_counts,
 )

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from numbers import Real
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +53,19 @@ _NORM_TOL = 1e-9
 
 _PSI_PLUS_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _PSI_MINUS_PAIRS = (frozenset({"D1", "D2"}), frozenset({"D3", "D4"}))
+
+
+def check_field_types(instance) -> None:
+    """ValueError unless each "float" field of a dataclass is a finite number and each "int"
+    field an integer; a bool is neither (the types are the strings of postponed annotations)."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type == "float" and (
+            not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value)
+        ):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 class Outcome(enum.IntEnum):
@@ -86,11 +100,12 @@ class AnalyzerConfig:
     detector_map: tuple[str, str, str, str] = DEFAULT_DETECTOR_MAP
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("transmittance_h", "transmittance_v"):
             value = getattr(self, name)
-            if not isinstance(value, Real) or not 0.0 < value < 1.0:
+            if not 0.0 < value < 1.0:
                 raise ValueError(f"beamsplitter {name} must lie in (0, 1), got {value!r}")
-        if not isinstance(self.mode_overlap, Real) or not 0.0 <= self.mode_overlap <= 1.0:
+        if not 0.0 <= self.mode_overlap <= 1.0:
             raise ValueError(f"mode_overlap must lie in [0, 1], got {self.mode_overlap!r}")
         if not isinstance(self.geometric_phase, bool):
             raise ValueError(f"geometric_phase must be true or false, got {self.geometric_phase!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
-from .discriminator import DiscriminationPoint
+from .discriminator import DiscriminationPoint, run_discriminator_sweep
 from .errors import SchemaViolationError
 from .experiment import (
     COUNT_COLUMNS,
@@ -28,10 +28,9 @@ from .experiment import (
     count_table,
     estimate_table,
     hom_scan,
-    run_full_experiment,
     with_pairs_per_point,
 )
-from .multimeter import MultimeterPoint
+from .multimeter import MultimeterPoint, run_multimeter_sweep
 
 _COORD_COLUMNS = [
     f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
@@ -76,15 +75,36 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """`discriminate` and `multimeter`: run the task's sweep and write its dataset."""
+    """`discriminate` and `multimeter`: run the task's sweep and write its dataset.
+
+    The columns are the fields of the task's point dataclass, each named by
+    its "column" metadata where it has one, followed by COUNT_COLUMNS.
+    Estimates the counts of a point leave undefined are NaN; an empty grid
+    gives an empty dataset.
+    """
     config = _load_config(args)
+    metadata = {
+        "command": args.command,
+        "argv": _recorded_argv(args),
+        "task": args.task,
+        "seed": config.seed,
+        "pairs_per_point": args.pairs,
+        "config": config_to_dict(config),
+    }
     if args.task == "discriminator":
-        grid = {"epsilons": _parse_float_list(args.epsilon), "thetas": _parse_range(args.theta_range)}
+        point_type = DiscriminationPoint
+        epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
+        points = run_discriminator_sweep(epsilons, thetas, config, pairs_per_point=args.pairs)
     else:
-        grid = {"phis": _parse_range(args.phi_range), "eta": args.eta}
-    dataset = run_full_experiment(args.task, config, pairs_per_point=args.pairs, **grid)
-    dataset.metadata["command"] = args.command
-    dataset.metadata["argv"] = _recorded_argv(args)
+        point_type = MultimeterPoint
+        phis = _parse_range(args.phi_range)
+        points = run_multimeter_sweep(phis, args.eta, config, pairs_per_point=args.pairs)
+        metadata["eta"] = args.eta
+    leading = [f for f in fields(point_type) if f.name != "counts"]
+    columns = [f.metadata.get("column", f.name) for f in leading] + list(COUNT_COLUMNS)
+    data = [[getattr(pt, f.name) for pt in points] for f in leading]
+    data += [[getattr(pt.counts, name) for pt in points] for name in COUNT_COLUMNS]
+    dataset = Dataset(columns, data, metadata)
     dataset.write(args.out)
     print(f"wrote {len(dataset)} rows to {args.out}")
     return 0
@@ -98,7 +118,7 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
         positions = _parse_range(args.range)
     result = hom_scan(positions, config)
     rates = [result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm]
-    dataset = Dataset.from_columns(
+    dataset = Dataset(
         ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"],
         [result.positions, *rates],
         metadata={
@@ -123,7 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise SchemaViolationError(f"input dataset is missing required column {column!r}")
     estimates = estimate_table(count_table({name: dataset.column(name) for name in COUNT_COLUMNS}))
     coord_columns = [c for c in _COORD_COLUMNS if c in dataset.columns]
-    out = Dataset.from_columns(
+    out = Dataset(
         coord_columns + list(Estimates._fields),
         [dataset.column(c) for c in coord_columns] + list(estimates.T),
         metadata={"command": "analyze", "argv": _recorded_argv(args), "input": str(args.input)},

@@ -29,44 +29,25 @@ _BLOCK_ROWS = 4096
 class Dataset:
     """Named numeric columns and a metadata mapping.
 
-    `Dataset(columns, rows)` builds one from rows; `Dataset.from_columns`
-    takes the columns themselves, each a list of numbers or a 1-D numpy
-    array.
+    Column columns[j] holds data[j], a list of numbers or a 1-D numpy array;
+    all columns have one length.
     """
 
-    def __init__(self, columns: list[str], rows: Iterable[Sequence] = (), metadata: dict | None = None):
-        self.columns = list(columns)
-        self.metadata = {} if metadata is None else metadata
-        rows = list(rows)
-        for row in rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row width {len(row)} does not match {len(self.columns)} columns")
-        self._data: list[Sequence] = [list(values) for values in zip(*rows)] if rows else [
-            [] for _ in self.columns
-        ]
-
-    @classmethod
-    def from_columns(
-        cls, columns: list[str], data: list[Sequence], metadata: dict | None = None
-    ) -> "Dataset":
-        """Dataset whose column columns[j] holds data[j]; all columns have one length."""
+    def __init__(self, columns: list[str], data: list[Sequence], metadata: dict | None = None):
         if len(data) != len(columns):
             raise ValueError(f"{len(data)} columns of data for {len(columns)} column names")
         if len(set(map(len, data))) > 1:
             raise ValueError(f"columns of unequal lengths {sorted(set(map(len, data)))}")
-        dataset = cls(columns, metadata=metadata)
-        dataset._data = list(data)
-        return dataset
+        self.columns = list(columns)
+        self._data = list(data)
+        self.metadata = {} if metadata is None else metadata
 
     def __len__(self) -> int:
         return len(self._data[0]) if self._data else 0
 
-    @property
-    def rows(self) -> list[list]:
-        return [list(row) for row in zip(*map(_as_list, self._data))]
-
     def column(self, name: str) -> list:
-        return _as_list(self._data[self.columns.index(name)])
+        values = self._data[self.columns.index(name)]
+        return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
     def tsv(self) -> Iterator[str]:
         """The TSV text: the header line, then the rows in blocks of at most _BLOCK_ROWS lines.
@@ -140,16 +121,12 @@ class Dataset:
         sidecar = sidecar_path(path)
         if sidecar.exists():
             metadata = json.loads(sidecar.read_text())
-        return Dataset.from_columns(columns, data, metadata)
+        return Dataset(columns, data, metadata)
 
 
 def sidecar_path(path: str | Path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
-
-
-def _as_list(values: Sequence) -> list:
-    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 def _cell_formatter(values: Sequence) -> Callable[[slice], Iterable[str]]:

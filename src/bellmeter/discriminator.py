@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import polarization as pol
-from .experiment import CountRecord, ExperimentConfig, estimate_records, measure_sweep
+from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
 
 
 def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
@@ -72,7 +72,8 @@ def run_discriminator_sweep(
         tuple(pol.recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
         for eps, theta in grid
     ]
-    records = measure_sweep(settings, config, pairs_per_point, seed)
+    counts = measure_sweep(settings, config, pairs_per_point, seed)
+    estimates = map(Estimates._make, estimate_table(counts).tolist())
     return [
         DiscriminationPoint(
             epsilon=eps,
@@ -83,7 +84,7 @@ def run_discriminator_sweep(
             p_stderr=est.p_succ_stderr,
             error_rate=est.error_rate,
             error_rate_stderr=est.error_rate_stderr,
-            counts=counts,
+            counts=CountRecord(*row),
         )
-        for (eps, theta), counts, est in zip(grid, records, estimate_records(records))
+        for (eps, theta), row, est in zip(grid, counts.tolist(), estimates)
     ]

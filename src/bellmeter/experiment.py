@@ -28,24 +28,29 @@ per input setting runs the four stages block by block of points, which
 leaves every stream's draws unchanged.  The mirror scan through the dip runs
 the same way, as two stages (the +45 and -45 degree data inputs) over its
 positions, one random stream per position.
+
+The counts of a sweep leave the draw as one (n, 8) int64 table, columns
+COUNT_COLUMNS, which estimate_table turns into the estimates of every point;
+the command line builds the datasets.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import polarization as pol
-from .analyzer import AnalyzerConfig, product_outcome_probs
+from .analyzer import AnalyzerConfig, check_field_types, product_outcome_probs
 from .errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
 _PROB_SUM_TOL = 1e-9
+
+# class probabilities below a few ulps of 1 are rounding residue and count as 0
+_PROB_FLOOR = 4 * np.finfo(float).eps
 
 # bound on the worst-case Poisson mean of an input setting; numpy's
 # Generator.poisson rejects means above about 9.2e18
@@ -83,14 +88,7 @@ class ExperimentConfig:
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and (
-                not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value)
-            ):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.pair_rate < 0 or self.period <= 0 or self.repetitions < 1:
@@ -119,14 +117,7 @@ class ExperimentConfig:
     @staticmethod
     def ideal(pair_rate: float = 100_000.0, seed: int = 12345) -> "ExperimentConfig":
         """Lossless, noiseless, perfectly aligned reference configuration."""
-        return ExperimentConfig(
-            pair_rate=pair_rate,
-            detector_efficiency=1.0,
-            dark_count_rate=0.0,
-            angle_jitter=0.0,
-            seed=seed,
-            analyzer=AnalyzerConfig(),
-        )
+        return ExperimentConfig(pair_rate=pair_rate, seed=seed).idealized()
 
     @staticmethod
     def realistic(pair_rate: float = 100_000.0, seed: int = 12345) -> "ExperimentConfig":
@@ -221,7 +212,7 @@ class CountRecord:
         wrong-class rate (NaN without conclusive events); a one-row
         estimate_table.
         """
-        return estimate_records([self])[0]
+        return Estimates(*estimate_table([astuple(self)])[0].tolist())
 
 
 COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
@@ -240,9 +231,6 @@ class Estimates(NamedTuple):
 
 # counts are held in int64 tables
 _COUNT_LIMIT = 2**63
-
-# the counts of a CountRecord as a tuple, in COUNT_COLUMNS order
-_record_counts = operator.attrgetter(*COUNT_COLUMNS)
 
 
 def _checked_count(name: str, value) -> int:
@@ -324,12 +312,6 @@ def estimate_table(counts) -> np.ndarray:
     return out
 
 
-def estimate_records(records: Sequence[CountRecord]) -> list[Estimates]:
-    """The Estimates of every record, from one estimate_table call."""
-    rows = estimate_table(list(map(_record_counts, records))).tolist()
-    return [Estimates(*row) for row in rows]
-
-
 class ClassCounts(NamedTuple):
     """Coincidence counts of the two conclusive classes for one input setting."""
 
@@ -357,7 +339,8 @@ def _poisson_means(
     `mode_overlaps` the mode overlap of each setting, shape (n,).  P is
     config.repetitions, or 1 when all periods of a setting carry one state.
     All n * P periods are prepared and analyzed in one pass; see
-    simulate_counts for the means.
+    simulate_counts for the means.  A class probability below _PROB_FLOOR
+    counts as 0.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
@@ -368,6 +351,10 @@ def _poisson_means(
     prob_sums = probs.sum(axis=1)
     if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
         raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
+    # an ideally empty class comes out as 0 or as a residue, by the order of the
+    # analyzer's arithmetic; Generator.poisson takes a number from the stream for
+    # a residue mean but none for a zero one, so every residue is made exactly 0
+    probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
 
     totals = probs.reshape(n, periods, 3).sum(axis=1) * (config.repetitions / periods)
     detected = config.detector_efficiency**2 * config.pair_rate * config.period
@@ -387,8 +374,10 @@ def _stage_counts(
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
     eta: float = 1.0,
-) -> list[ClassCounts]:
-    """Recorded counts of one input setting at n points, point i drawing from rngs[i].
+) -> np.ndarray:
+    """Recorded (Psi+, Psi-) counts of one input setting at n points, shape (n, 2) int64.
+
+    Point i draws from rngs[i].
 
     `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
     and `positions` their mirror positions.  Each point draws the jitter of
@@ -410,10 +399,8 @@ def _stage_counts(
         means = _poisson_means(keys[:, :4].reshape(-1, 1, 2, 2), keys[:, 4], config, eta)[inverse]
     # two scalar draws take the same numbers from a stream as one draw of the
     # pair, without the per-call checks numpy runs on array arguments
-    return [
-        ClassCounts(int(rng.poisson(plus)), int(rng.poisson(minus)))
-        for rng, (plus, minus) in zip(rngs, means)
-    ]
+    draws = [(rng.poisson(plus), rng.poisson(minus)) for rng, (plus, minus) in zip(rngs, means)]
+    return np.array(draws, dtype=np.int64).reshape(n, 2)
 
 
 def simulate_counts(
@@ -453,7 +440,7 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = [_setting_angles(data_setting, program_setting)]
-    return _stage_counts(angles, [position], config, [rng], eta)[0]
+    return ClassCounts(*_stage_counts(angles, [position], config, [rng], eta)[0].tolist())
 
 
 def _diagonal_setting(sign: int) -> tuple[pol.PrepRecipe, pol.PrepRecipe]:
@@ -477,24 +464,27 @@ def _run_stages(
     stages: Sequence[tuple[Sequence[list[list[float]]], Sequence[float], float]],
     config: ExperimentConfig,
     seed: int,
-) -> list[list[ClassCounts]]:
+) -> np.ndarray:
     """Counts of every stage at n points, point i drawing from SeedSequence(seed).spawn(n)[i].
 
     A stage is (nominal plate angles per point, mirror position per point,
     eta).  The stages run in turn over all points (see the module
     docstring), in blocks of at most _MAX_STAGE_PERIODS periods per stage
-    (one block for up to 4096 / repetitions points).  Returns the counts of
-    stage s at point i as result[s][i].
+    (one block for up to 4096 / repetitions points), each block filling its
+    rows of one table.  Returns that (n, 2 * stages) int64 table: row i holds
+    the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at point i.
     """
     n = len(stages[0][0])
     streams = np.random.SeedSequence(seed).spawn(n)
     block = max(1, _MAX_STAGE_PERIODS // config.repetitions)
-    counts: list[list[ClassCounts]] = [[] for _ in stages]
+    counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
     for start in range(0, n, block):
         points = slice(start, start + block)
         rngs = [np.random.default_rng(s) for s in streams[points]]
-        for stage_counts, (angles, positions, eta) in zip(counts, stages):
-            stage_counts += _stage_counts(angles[points], positions[points], config, rngs, eta)
+        for s, (angles, positions, eta) in enumerate(stages):
+            counts[points, 2 * s : 2 * s + 2] = _stage_counts(
+                angles[points], positions[points], config, rngs, eta
+            )
     return counts
 
 
@@ -504,17 +494,18 @@ def measure_sweep(
     pairs_per_point: float,
     seed: int | None,
     eta: float = 1.0,
-) -> list[CountRecord]:
-    """Count records of every (data_plus, data_minus, program) setting of a sweep.
+) -> np.ndarray:
+    """The (n, 8) int64 count table of the n (data_plus, data_minus, program) settings of a sweep.
 
-    Point i draws from its own stream SeedSequence(seed).spawn(n)[i], with
-    seed defaulting to config.seed, so points are reproducible individually.
-    The four stages are main plus, main minus, shoulder plus and shoulder
-    minus.  In the main runs the data photon is prepared in its plus, then
-    its minus state while the program photon keeps its setting; the shoulder
-    runs use the 45-degree inputs outside the dip.  `eta` relaxes the main
-    runs only, so the shoulder normalization stays that of the raw
-    measurement.
+    Row i holds the counts of setting i, columns COUNT_COLUMNS.  Point i
+    draws from its own stream SeedSequence(seed).spawn(n)[i], with seed
+    defaulting to config.seed, so points are reproducible individually.  The
+    four stages are main plus, main minus, shoulder plus and shoulder minus,
+    which is the COUNT_COLUMNS order.  In the main runs the data photon is
+    prepared in its plus, then its minus state while the program photon
+    keeps its setting; the shoulder runs use the 45-degree inputs outside
+    the dip.  `eta` relaxes the main runs only, so the shoulder
+    normalization stays that of the raw measurement.
     """
     n = len(settings)
     center, shoulder = [0.0] * n, [config.shoulder_position] * n
@@ -525,8 +516,7 @@ def measure_sweep(
         ([_setting_angles(*_diagonal_setting(-1))] * n, shoulder, 1.0),
     ]
     point_cfg = with_pairs_per_point(config, pairs_per_point)
-    runs = _run_stages(stages, point_cfg, config.seed if seed is None else seed)
-    return [CountRecord(*mp, *mm, *sp, *sm) for mp, mm, sp, sm in zip(*runs)]
+    return _run_stages(stages, point_cfg, config.seed if seed is None else seed)
 
 
 @dataclass
@@ -598,12 +588,12 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
         raise ValueError("positions must be nonempty")
     pos = np.asarray(positions, dtype=float)
     stages = [([_setting_angles(*_diagonal_setting(s))] * len(pos), pos, 1.0) for s in (+1, -1)]
-    counts = np.array(_run_stages(stages, config, config.seed), dtype=float)
-    plus_in, minus_in = counts / (config.repetitions * config.period)
-    dips = (plus_in[:, 1], minus_in[:, 0])
+    # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
+    rates = _run_stages(stages, config, config.seed) / (config.repetitions * config.period)
+    dips = (rates[:, 1], rates[:, 2])
     fits = [f[0] for f in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if f is not None]
     visibility = float(np.mean(fits)) if fits else None
-    return HomScanResult(pos, *plus_in.T, *minus_in.T, visibility, tuple(fits))
+    return HomScanResult(pos, *rates.T, visibility, tuple(fits))
 
 
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:
@@ -612,52 +602,6 @@ def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> Ex
         raise ValueError(f"pairs per point must be a finite number > 0, got {pairs_per_point!r}")
     rate = pairs_per_point / (config.period * config.repetitions)
     return replace(config, pair_rate=rate)
-
-
-def run_full_experiment(
-    task: str,
-    config: ExperimentConfig,
-    *,
-    epsilons: Sequence[float] = (),
-    thetas: Sequence[float] = (),
-    phis: Sequence[float] = (),
-    eta: float = 1.0,
-    pairs_per_point: float = 100_000.0,
-):
-    """Run a full sweep and package it as a Dataset.
-
-    task is "discriminator" (grid epsilons x thetas) or "multimeter" (grid
-    phis at a fixed eta), seeded by config.seed.  The columns are the fields
-    of the task's point dataclass, each named by its "column" metadata where
-    it has one, followed by COUNT_COLUMNS.  Estimates the counts of a point
-    leave undefined are NaN.  Empty grids produce an empty dataset.
-    """
-    from . import discriminator, multimeter
-    from .dataset import Dataset
-
-    metadata = {
-        "task": task,
-        "seed": config.seed,
-        "pairs_per_point": pairs_per_point,
-        "config": config_to_dict(config),
-    }
-    if task == "discriminator":
-        point_type = discriminator.DiscriminationPoint
-        points = discriminator.run_discriminator_sweep(
-            epsilons, thetas, config, pairs_per_point=pairs_per_point
-        )
-    elif task == "multimeter":
-        point_type = multimeter.MultimeterPoint
-        points = multimeter.run_multimeter_sweep(phis, eta, config, pairs_per_point=pairs_per_point)
-        metadata["eta"] = eta
-    else:
-        raise ValueError(f"unknown task {task!r}; expected 'discriminator' or 'multimeter'")
-
-    leading = [f for f in fields(point_type) if f.name != "counts"]
-    columns = [f.metadata.get("column", f.name) for f in leading] + list(COUNT_COLUMNS)
-    data = [[getattr(pt, f.name) for pt in points] for f in leading]
-    data += [[getattr(pt.counts, name) for pt in points] for name in COUNT_COLUMNS]
-    return Dataset.from_columns(columns, data, metadata)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

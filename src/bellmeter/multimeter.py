@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .experiment import CountRecord, ExperimentConfig, estimate_records, measure_sweep
+from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -155,7 +155,8 @@ def run_multimeter_sweep(
     ]
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)
-    records = measure_sweep(settings, config, pairs_per_point, seed, eta=eta)
+    counts = measure_sweep(settings, config, pairs_per_point, seed, eta=eta)
+    estimates = map(Estimates._make, estimate_table(counts).tolist())
     return [
         MultimeterPoint(
             phi=float(phi),
@@ -167,7 +168,7 @@ def run_multimeter_sweep(
             fidelity=1.0 - est.error_rate,
             error_rate=est.error_rate,
             error_rate_stderr=est.error_rate_stderr,
-            counts=counts,
+            counts=CountRecord(*row),
         )
-        for phi, counts, est in zip(phis, records, estimate_records(records))
+        for phi, row, est in zip(phis, counts.tolist(), estimates)
     ]

@@ -34,8 +34,8 @@ def test_discriminate_single_point(tmp_path, capsys):
         "epsilon", "theta", "p_theory", "p_optimal", "p_estimated", "p_stderr",
         "error_rate", "error_rate_stderr", *COUNT_HEADER,
     ]
-    assert len(ds.rows) == 1
-    row = dict(zip(ds.columns, ds.rows[0]))
+    assert len(ds) == 1
+    row = {name: ds.column(name)[0] for name in ds.columns}
     assert row["p_theory"] == 0.5
     assert abs(row["p_estimated"] - 0.5) <= 4 * row["p_stderr"]
 
@@ -48,12 +48,33 @@ def test_discriminate_default_grid_shape(tmp_path):
     assert code == 0
     ds = Dataset.read(out)
     # 4 ellipticity curves, 23 theta points each
-    assert len(ds.rows) == 4 * 23
+    assert len(ds) == 4 * 23
     eps_values = sorted(set(ds.column("epsilon")))
     assert eps_values == [0.0, 12.0, 24.0, 36.0]
     thetas = [r for r, e in zip(ds.column("theta"), ds.column("epsilon")) if e == 0.0]
     assert thetas == [float(t) for t in range(0, 91, 4)]
 
+
+
+def test_discriminate_matches_theory(tmp_path):
+    out = tmp_path / "theory.tsv"
+    assert main(["discriminate", "--ideal", "--seed", "50", "--epsilon", "24",
+                 "--theta-range", "20:60:40", "--pairs", "200000", "--out", str(out)]) == 0
+    ds = Dataset.read(out)
+    assert ds.column("theta") == [20.0, 60.0]
+    for p_est, p_theory, p_stderr in zip(
+        ds.column("p_estimated"), ds.column("p_theory"), ds.column("p_stderr")
+    ):
+        assert abs(p_est - p_theory) <= 3 * p_stderr
+    assert ds.column("error_rate") == [0.0, 0.0]
+
+
+def test_empty_grid_writes_an_empty_dataset(tmp_path, capsys):
+    out = tmp_path / "empty.tsv"
+    assert main(["discriminate", "--ideal", "--epsilon=", "--pairs", "100", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 0 rows to {out}\n"
+    ds = Dataset.read(out)
+    assert len(ds) == 0 and ds.columns[-8:] == COUNT_HEADER
 
 def test_multimeter_command(tmp_path):
     out = tmp_path / "multi.tsv"
@@ -67,8 +88,8 @@ def test_multimeter_command(tmp_path):
         "phi", "eta", "pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr",
         "fidelity_estimated", "error_rate", "error_rate_stderr", *COUNT_HEADER,
     ]
-    assert len(ds.rows) == 3
-    row = dict(zip(ds.columns, ds.rows[0]))
+    assert len(ds) == 3
+    row = {name: ds.column(name)[0] for name in ds.columns}
     assert row["pi_theory"] == 0.25
     assert abs(row["fidelity_theory"] - 5.0 / 6.0) < 1e-12
     assert abs(row["fidelity_estimated"] - 5.0 / 6.0) < 0.02
@@ -152,23 +173,23 @@ def test_analyze_roundtrip_identity(tmp_path, argv, coords, same):
 def test_analyze_handcrafted_counts(tmp_path):
     path = tmp_path / "counts.tsv"
     columns = ["c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm"]
-    Dataset(columns=columns, rows=[[400, 0, 0, 380, 300, 200, 150, 350]]).write(path)
+    Dataset(columns, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(path)
     out = tmp_path / "est.tsv"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
-    row = dict(zip(*(lambda d: (d.columns, d.rows[0]))(Dataset.read(out))))
+    row = {name: Dataset.read(out).column(name)[0] for name in ESTIMATE_HEADER}
     assert row["p_succ"] == pytest.approx(0.39, abs=1e-15)
 
     # all-zero conclusive counts: P_I = 1, error rate undefined
-    Dataset(columns=columns, rows=[[0, 0, 0, 0, 300, 200, 150, 350]]).write(path)
+    Dataset(columns, [[c] for c in [0, 0, 0, 0, 300, 200, 150, 350]]).write(path)
     assert main(["analyze", str(path), "--out", str(out)]) == 0
-    row = dict(zip(*(lambda d: (d.columns, d.rows[0]))(Dataset.read(out))))
+    row = {name: Dataset.read(out).column(name)[0] for name in ESTIMATE_HEADER}
     assert row["p_inconclusive"] == 1.0
     assert math.isnan(row["error_rate"])
 
 
 def test_analyze_missing_column_is_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.tsv"
-    Dataset(columns=["c_pp", "c_mp"], rows=[[1, 2]]).write(path)
+    Dataset(["c_pp", "c_mp"], [[1], [2]]).write(path)
     code = main(["analyze", str(path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -245,6 +266,19 @@ def test_config_file_flow(tmp_path):
     cfg_path.write_text(json.dumps({"not_a_field": 1}))
     assert main(["discriminate", "--config", str(cfg_path), "--out", str(out)]) == 1
 
+
+
+@pytest.mark.parametrize(
+    "config", [{"analyzer": {"mode_overlap": True}}, {"analyzer": {"mode_overlap": False}}]
+)
+def test_boolean_analyzer_number_exits_nonzero_without_dataset(tmp_path, capsys, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "multi.tsv"
+    assert main(["multimeter", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a finite number" in err
+    assert not out.exists()
 
 def test_nan_pairs_exit_nonzero_without_dataset(tmp_path, capsys):
     out = tmp_path / "nan.tsv"
@@ -346,7 +380,7 @@ def test_analyze_names_a_non_numeric_cell(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, -math.inf]])
 def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
     path = tmp_path / "sub" / "bad.tsv"
-    dataset = Dataset(columns=["x"], rows=[[1.0]], metadata={"visibility": bad})
+    dataset = Dataset(["x"], [[1.0]], metadata={"visibility": bad})
     with pytest.raises(ValueError, match="strict JSON"):
         dataset.write(path)
     assert not path.parent.exists()
@@ -418,7 +452,7 @@ def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
         [0, 0, 0, 0, 1, 1, 1, 1],  # no conclusive count: the error rate undefined
         [0, 0, 0, 0, 1, 1, 1, 1],
     ]
-    Dataset(columns=COUNT_HEADER, rows=rows).write(path)
+    Dataset(COUNT_HEADER, [list(column) for column in zip(*rows)]).write(path)
     out = tmp_path / "est.tsv"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
@@ -429,14 +463,17 @@ def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
 
 def test_dataset_keeps_the_kind_of_each_cell(tmp_path):
     path = tmp_path / "mixed.tsv"
-    data = Dataset(columns=["x", "n"], rows=[[12, 1], [12.5, 2], [True, 3]], metadata={"k": 1})
-    assert data.rows == [[12, 1], [12.5, 2], [True, 3]] and data.column("x") == [12, 12.5, True]
+    data = Dataset(["x", "n"], [[12, 12.5, True], [1, 2, 3]], metadata={"k": 1})
+    assert len(data) == 3 and data.column("x") == [12, 12.5, True]
     data.write(path)
     assert path.read_text() == "x\tn\n12\t1\n12.5\t2\n1\t3\n"
     back = Dataset.read(path)
-    assert back.rows == [[12, 1], [12.5, 2], [1, 3]] and back.metadata["k"] == 1
-    with pytest.raises(ValueError, match="row width 1 does not match 2 columns"):
-        Dataset(columns=["x", "n"], rows=[[1, 2], [3]])
+    assert back.column("x") == [12, 12.5, 1] and back.column("n") == [1, 2, 3]
+    assert back.metadata["k"] == 1
+    with pytest.raises(ValueError, match=r"columns of unequal lengths \[1, 2\]"):
+        Dataset(["x", "n"], [[1, 3], [2]])
+    with pytest.raises(ValueError, match="1 columns of data for 2 column names"):
+        Dataset(["x", "n"], [[1, 3]])
     with pytest.raises(ValueError, match="could not convert"):
-        Dataset(columns=["x"], rows=[["abc"]]).write(tmp_path / "sub" / "bad.tsv")
+        Dataset(["x"], [["abc"]]).write(tmp_path / "sub" / "bad.tsv")
     assert not (tmp_path / "sub").exists()

@@ -20,8 +20,10 @@ from bellmeter.experiment import (
     ClassCounts,
     CountRecord,
     ExperimentConfig,
+    _PROB_FLOOR,
     _fit_visibility,
     _poisson_means,
+    _setting_angles,
     config_from_dict,
     config_to_dict,
     count_table,
@@ -29,7 +31,6 @@ from bellmeter.experiment import (
     hom_scan,
     measure_sweep,
     mode_overlap_at,
-    run_full_experiment,
     shoulder_counts,
     simulate_counts,
     with_pairs_per_point,
@@ -291,26 +292,6 @@ def test_hom_scan_shoulder_only_positions():
         assert abs(rate / total_rate - 0.25) < 4 * math.sqrt(0.25 / (total_rate * duration))
 
 
-def test_run_full_experiment_discriminator_matches_theory():
-    cfg = ExperimentConfig.ideal(seed=50)
-    ds = run_full_experiment(
-        "discriminator", cfg, epsilons=[24.0], thetas=[20.0, 60.0], pairs_per_point=200_000
-    )
-    assert len(ds.rows) == 2
-    cols = {name: idx for idx, name in enumerate(ds.columns)}
-    for row in ds.rows:
-        assert abs(row[cols["p_estimated"]] - row[cols["p_theory"]]) <= 3 * row[cols["p_stderr"]]
-        assert row[cols["error_rate"]] == 0.0
-
-
-def test_run_full_experiment_empty_grid():
-    cfg = ExperimentConfig.ideal()
-    ds = run_full_experiment("discriminator", cfg, epsilons=[], thetas=[], pairs_per_point=100)
-    assert ds.rows == []
-    with pytest.raises(ValueError):
-        run_full_experiment("bogus", cfg)
-
-
 def test_with_pairs_per_point():
     cfg = ExperimentConfig.ideal()
     adjusted = with_pairs_per_point(cfg, 123_456.0)
@@ -425,6 +406,10 @@ def test_config_roundtrip_and_schema_errors():
         config_from_dict({"pair_rate": 1.0, "bogus_knob": 3})
     with pytest.raises(SchemaViolationError):
         config_from_dict({"analyzer": {"transmittance_x": 0.5}})
+    # the ideal reference configuration is the idealized default one
+    for pair_rate, seed in ((100_000.0, 12345), (40_000.0, 77), (1.5, 0)):
+        ideal_cfg = ExperimentConfig.ideal(pair_rate, seed)
+        assert ideal_cfg == ExperimentConfig(pair_rate=pair_rate, seed=seed).idealized()
 
 
 def test_config_accepts_detector_map_override():
@@ -515,6 +500,8 @@ def test_config_rejects_non_finite_and_mistyped_values(bad):
         {"transmittance_h": 0.0},
         {"transmittance_v": 1.0},
         {"mode_overlap": math.nan},
+        {"mode_overlap": True},
+        {"transmittance_v": False},
         {"geometric_phase": "false"},
         {"detector_map": "D1D2D3D4"},
         [0.5],
@@ -584,12 +571,13 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
         settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for _, phi in angles]
     cfg = replace(ExperimentConfig.realistic(), angle_jitter=jitter, repetitions=repetitions)
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-        records = measure_sweep(settings_, cfg, pairs, seed, eta=eta)
+        counts = measure_sweep(settings_, cfg, pairs, seed, eta=eta)
 
+    assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
     point_cfg = with_pairs_per_point(cfg, pairs)
     streams = np.random.SeedSequence(seed).spawn(len(settings_))
-    for record, setting, stream in zip(records, settings_, streams):
-        assert record == sequential_record(setting, point_cfg, stream, eta=eta)
+    for row, setting, stream in zip(counts.tolist(), settings_, streams):
+        assert CountRecord(*row) == sequential_record(setting, point_cfg, stream, eta=eta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -617,6 +605,55 @@ def test_jitter_free_means_weight_one_period_by_the_repetitions(
     one_period = _poisson_means(angles, overlaps, cfg, eta)
     every_period = _poisson_means(np.broadcast_to(angles, (n, repetitions, 2, 2)), overlaps, cfg, eta)
     assert np.all(np.abs(one_period - every_period) <= 1e-15 * every_period)
+
+
+def main_stage_means(settings_, cfg, eta=1.0):
+    """Poisson means of the main plus and main minus stages of a sweep, jitter drawn from one stream."""
+    rng = np.random.default_rng(cfg.seed)
+    periods = cfg.repetitions if cfg.angle_jitter > 0 else 1
+    means = []
+    for data in (0, 1):
+        angles = np.array([_setting_angles(s[data], s[2]) for s in settings_], dtype=float)
+        jitter = rng.uniform(-cfg.angle_jitter, cfg.angle_jitter, size=(len(settings_), periods, 2, 2))
+        overlaps = np.full(len(settings_), mode_overlap_at(0.0, cfg))
+        means.append(_poisson_means(angles[:, None] + jitter, overlaps, cfg, eta))
+    return means
+
+
+DEFAULT_DISCRIMINATOR_SETTINGS = [
+    tuple(recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
+    for eps in (0.0, 12.0, 24.0, 36.0)
+    for theta in range(0, 91, 4)
+]
+
+
+def test_ideal_wrong_class_means_are_exactly_zero():
+    # error-free analysis of the default grid: a wrong-class mean is exactly 0,
+    # not a rounding residue that would take a number from the point's stream
+    cfg = with_pairs_per_point(ExperimentConfig().idealized(), 5)
+    plus_in, minus_in = main_stage_means(DEFAULT_DISCRIMINATOR_SETTINGS, cfg)
+    assert np.all(plus_in[:, 1] == 0.0) and np.all(minus_in[:, 0] == 0.0)
+    assert plus_in[:, 0].max() > 0.0 and minus_in[:, 1].max() > 0.0
+
+
+@pytest.mark.parametrize("pairs", [5.0, 1e6])
+@pytest.mark.parametrize("make_config", [ExperimentConfig.ideal, ExperimentConfig.realistic])
+def test_the_flush_moves_only_means_below_floor_times_pairs(make_config, pairs):
+    # Poisson(m) and Poisson(0) differ in total variation by 1 - exp(-m) <= m,
+    # so the flush changes a count distribution by at most floor * pairs
+    cfg = with_pairs_per_point(make_config(), pairs)
+    multimeter = [
+        tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(-90, 91, 8)
+    ]
+    for settings_, eta in ((DEFAULT_DISCRIMINATOR_SETTINGS, 1.0), (multimeter, 0.5)):
+        flushed = main_stage_means(settings_, cfg, eta)
+        with patch("bellmeter.experiment._PROB_FLOOR", -np.inf):
+            raw = main_stage_means(settings_, cfg, eta)
+        for before, after in zip(raw, flushed):
+            moved = before != after
+            assert np.all(np.abs(before - after)[moved] <= _PROB_FLOOR * pairs)
+            if cfg.dark_count_rate == 0.0:
+                assert np.all(before[moved] <= _PROB_FLOOR * pairs) and np.all(after[moved] == 0.0)
 
 
 def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
@@ -690,11 +727,13 @@ def test_config_accepts_large_finite_poisson_means():
 
 
 def test_sweep_working_memory_is_bounded_by_blocks():
-    # 40 points x 1000 periods per input setting in one pass would hold ~30 MB
-    # of stage arrays; blocks of at most 4096 periods keep it to a few MB
+    # 40 points x 1000 periods per input setting in one pass would hold ~35 MB
+    # of stage arrays; blocks of at most 4096 periods keep it to a few MB.  The
+    # jitter makes every period a state of its own: without it a stage analyzes
+    # one period per distinct state, and the test would pass without blocks
     import tracemalloc
 
-    cfg = replace(ExperimentConfig.ideal(), repetitions=1000)
+    cfg = replace(ExperimentConfig.ideal(), repetitions=1000, angle_jitter=1.0)
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
     tracemalloc.start()
     try:
