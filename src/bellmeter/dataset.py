@@ -4,11 +4,14 @@ The data file holds a header row and numeric rows only, so a rerun with the
 same seed reproduces it byte for byte; volatile fields (the timestamp) live in
 the sidecar '<file>.meta.json'.
 
-A dataset is held column by column, and read and written that way, in blocks
-of at most _BLOCK_ROWS rows: a column of ints is formatted with `str`, one of
-floats with `repr`, and a block of cells is parsed by one int() or float()
-pass per column.  A cell is an int where int() accepts it and a float
-otherwise, also in a column that mixes both.
+A dataset holds one 1-D numpy array per column, int64 or float64, and is read
+and written column by column in blocks of at most _BLOCK_ROWS rows: an int
+column is formatted with `str`, a float column with `repr`.  A block of a
+column is parsed as int64 when int() accepts every cell and fits it in int64,
+and as float64 otherwise; the blocks are joined, so a column is float64 as
+soon as one of its cells is not integer text (`12` beside `12.5` reads as
+12.0).  A written column reads back with its dtype and bits; one without
+rows reads back as float64.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,37 +32,44 @@ _BLOCK_ROWS = 4096
 class Dataset:
     """Named numeric columns and a metadata mapping.
 
-    Column columns[j] holds data[j], a list of numbers or a 1-D numpy array;
-    all columns have one length.
+    Column columns[j] holds data[j] as a 1-D int64 or float64 numpy array;
+    the names are distinct and all columns have one length.
     """
 
-    def __init__(self, columns: list[str], data: list[Sequence], metadata: dict | None = None):
+    def __init__(self, columns: list[str], data: Sequence, metadata: dict | None = None):
         if len(data) != len(columns):
             raise ValueError(f"{len(data)} columns of data for {len(columns)} column names")
-        if len(set(map(len, data))) > 1:
-            raise ValueError(f"columns of unequal lengths {sorted(set(map(len, data)))}")
         self.columns = list(columns)
-        self._data = list(data)
+        self._data = []
+        for j, (name, values) in enumerate(zip(self.columns, data)):
+            if name in self.columns[:j]:
+                raise ValueError(f"column {name!r} appears twice")
+            values = np.asarray(values)
+            if values.ndim != 1 or values.dtype.kind not in "if":
+                raise ValueError(
+                    f"column {name!r} must be a 1-D array of signed ints or floats,"
+                    f" got {values.ndim}-D {values.dtype}"
+                )
+            dtype = np.int64 if values.dtype.kind == "i" else np.float64
+            self._data.append(values.astype(dtype, copy=False))
+        if len(set(map(len, self._data))) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(set(map(len, self._data)))}")
         self.metadata = {} if metadata is None else metadata
 
     def __len__(self) -> int:
         return len(self._data[0]) if self._data else 0
 
-    def column(self, name: str) -> list:
-        values = self._data[self.columns.index(name)]
-        return values.tolist() if isinstance(values, np.ndarray) else list(values)
+    def column(self, name: str) -> np.ndarray:
+        return self._data[self.columns.index(name)]
 
     def tsv(self) -> Iterator[str]:
-        """The TSV text: the header line, then the rows in blocks of at most _BLOCK_ROWS lines.
-
-        Every column is checked before this returns, so a value that is no
-        number raises ValueError here and not halfway through the text.
-        """
-        formatters = [_cell_formatter(values) for values in self._data]
+        """The TSV text: the header line, then the rows in blocks of at most _BLOCK_ROWS lines."""
+        formats = [repr if values.dtype.kind == "f" else str for values in self._data]
 
         def block(start: int) -> str:
             rows = slice(start, start + _BLOCK_ROWS)
-            return "\n".join(map("\t".join, zip(*(cells(rows) for cells in formatters)))) + "\n"
+            cells = (map(fmt, values[rows].tolist()) for fmt, values in zip(formats, self._data))
+            return "\n".join(map("\t".join, zip(*cells))) + "\n"
 
         header = "\t".join(self.columns) + "\n"
         return itertools.chain([header], map(block, range(0, len(self), _BLOCK_ROWS)))
@@ -67,10 +77,9 @@ class Dataset:
     def write(self, path: str | Path) -> Path:
         """Write the table to `path` and the metadata sidecar next to it.
 
-        The sidecar is serialized and every column checked before either file
-        is written, so metadata that is not strict JSON (NaN or an infinity)
-        or a cell that is no number raises ValueError and leaves nothing on
-        disk.
+        The sidecar is serialized before either file is written, so metadata
+        that is not strict JSON (NaN or an infinity) raises ValueError and
+        leaves nothing on disk.
         """
         path = Path(path)
         meta = dict(self.metadata)
@@ -80,11 +89,10 @@ class Dataset:
             sidecar = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
             raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
-        text = self.tsv()
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as out:
-            out.writelines(text)
+            out.writelines(self.tsv())
         sidecar_path(path).write_text(sidecar)
         return path
 
@@ -101,7 +109,7 @@ class Dataset:
         if not lines:
             raise ValueError(f"{path} is empty")
         columns = lines[0].split("\t")
-        blocks: list[list[list]] = [[] for _ in columns]
+        blocks: list[list[np.ndarray]] = [[] for _ in columns]
         for start in range(1, len(lines), _BLOCK_ROWS):
             block = lines[start : start + _BLOCK_ROWS]
             rows = [line for line in block if line]
@@ -114,9 +122,7 @@ class Dataset:
             except ValueError:
                 _raise_first_bad_row(path, columns, block, start + 1)
                 raise
-        # each column is allocated once at its full length: growing ten lists
-        # in turn, block by block, leaves the heap fragmented after the call
-        data = [list(itertools.chain.from_iterable(column_blocks)) for column_blocks in blocks]
+        data = [np.concatenate(parts) if parts else np.empty(0) for parts in blocks]
         metadata = {}
         sidecar = sidecar_path(path)
         if sidecar.exists():
@@ -129,45 +135,15 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _cell_formatter(values: Sequence) -> Callable[[slice], Iterable[str]]:
-    """The cells of a slice of rows of one column: `str` for ints, `repr` for floats.
+def _parse_column(cells: Sequence[str]) -> np.ndarray:
+    """One column's cells as int64 if int() accepts and int64 holds each, else as float64.
 
-    A column of any other or of mixed kinds is formatted cell by cell, all
-    at once, so that a value that is no number raises here.
+    ValueError if a cell is no number.
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        fmt = repr if values.dtype.kind == "f" else str
-        return lambda rows: map(fmt, values[rows].tolist())
-    kinds = set(map(type, values))
-    if kinds <= {int} or kinds <= {float}:
-        fmt = str if kinds <= {int} else repr
-        return lambda rows: map(fmt, values[rows])
-    return [_format_cell(value) for value in values].__getitem__
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def _parse_column(cells: Sequence[str]) -> list:
-    """The values of one column's cells; ValueError if a cell is no number."""
     try:
-        return list(map(int, cells))
-    except ValueError:
-        floats = list(map(float, cells))
-    # a cell int() accepts has no '.' and an integral value; it stays an int
-    return [v if "." in c or not v.is_integer() else _parse_cell(c) for c, v in zip(cells, floats)]
-
-
-def _parse_cell(cell: str):
-    try:
-        return int(cell)
-    except ValueError:
-        return float(cell)
+        return np.array(list(map(int, cells)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return np.array(list(map(float, cells)))
 
 
 def _raise_first_bad_row(path: Path, columns: list[str], block: list[str], first_line: int) -> None:
@@ -182,7 +158,7 @@ def _raise_first_bad_row(path: Path, columns: list[str], block: list[str], first
             )
         for column, cell in zip(columns, cells):
             try:
-                _parse_cell(cell)
+                float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}, line {number}, column {column!r}: {cell!r} is not a number"

@@ -57,7 +57,6 @@ def run_discriminator_sweep(
     thetas: Sequence[float],
     config: ExperimentConfig,
     pairs_per_point: float = 100_000.0,
-    seed: int | None = None,
 ) -> list[DiscriminationPoint]:
     """Simulate the discriminator over a grid of ellipticities and axis angles.
 
@@ -72,7 +71,7 @@ def run_discriminator_sweep(
         tuple(pol.recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
         for eps, theta in grid
     ]
-    counts = measure_sweep(settings, config, pairs_per_point, seed)
+    counts = measure_sweep(settings, config, pairs_per_point)
     estimates = map(Estimates._make, estimate_table(counts).tolist())
     return [
         DiscriminationPoint(

@@ -58,8 +58,13 @@ _MAX_POISSON_MEAN = 1e18
 
 # a sweep is measured in blocks of points with at most this many periods per
 # input setting, so the working arrays of a stage (about 0.8 kB per period)
-# stay a few MB however many points or repetitions the sweep has
+# stay a few MB however many points the sweep has
 _MAX_STAGE_PERIODS = 4096
+
+# a block holds at least one point, and each of its R periods is analyzed on
+# its own when angle_jitter > 0, so a jittered config may have no more
+# repetitions than fit a block; without jitter a point is one analyzed period
+_MAX_JITTERED_REPETITIONS = _MAX_STAGE_PERIODS
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FIT_GRID = 64  # log-spaced dip widths the visibility fit tries before its golden-section search
@@ -112,6 +117,11 @@ class ExperimentConfig:
             raise ValueError(
                 "pair_rate * period * repetitions + 2 * dark_count_rate^2 * coincidence_window"
                 f" * period * repetitions must stay below {_MAX_POISSON_MEAN:g}, got {worst_mean:g}"
+            )
+        if self.angle_jitter > 0 and self.repetitions > _MAX_JITTERED_REPETITIONS:
+            raise ValueError(
+                f"repetitions must be at most {_MAX_JITTERED_REPETITIONS} when angle_jitter > 0,"
+                f" got {self.repetitions}"
             )
 
     @staticmethod
@@ -240,29 +250,21 @@ def _checked_count(name: str, value) -> int:
     return int(value)
 
 
-def _count_column(name: str, values: Sequence) -> np.ndarray:
-    """One count column as int64, checked like a CountRecord field."""
-    if set(map(type, values)) <= {int}:
-        try:
-            column = np.array(values, dtype=np.int64)
-        except OverflowError:  # a count of 2**63 or more: named below
-            pass
-        else:
-            if not len(column) or column.min() >= 0:
-                return column
-    return np.array([_checked_count(name, value) for value in values], dtype=np.int64)
+def count_table(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The (n, 8) int64 table of the COUNT_COLUMNS entries of `columns`, int or float arrays.
 
-
-def count_table(columns: Mapping[str, Sequence]) -> np.ndarray:
-    """The (n, 8) int64 table of the COUNT_COLUMNS entries of `columns`.
-
-    A value that is not an integer in [0, 2**63) raises ValueError naming
-    its column, as a CountRecord field would; an integral float such as
-    13.0 is taken as its integer.
+    Each column is checked in one pass: the first value that is not an
+    integer in [0, 2**63) (NaN and infinities included) raises ValueError
+    naming its column, as a CountRecord field would; an integral float such
+    as 13.0 is taken as its integer.
     """
     table = np.empty((len(columns[COUNT_COLUMNS[0]]), len(COUNT_COLUMNS)), dtype=np.int64)
     for j, name in enumerate(COUNT_COLUMNS):
-        table[:, j] = _count_column(name, columns[name])
+        values = np.asarray(columns[name])
+        ok = (values >= 0) & (values < _COUNT_LIMIT) & (np.trunc(values) == values)
+        if not ok.all():
+            _checked_count(name, values[~ok][0].item())
+        table[:, j] = values
     return table
 
 
@@ -463,9 +465,8 @@ def shoulder_counts(
 def _run_stages(
     stages: Sequence[tuple[Sequence[list[list[float]]], Sequence[float], float]],
     config: ExperimentConfig,
-    seed: int,
 ) -> np.ndarray:
-    """Counts of every stage at n points, point i drawing from SeedSequence(seed).spawn(n)[i].
+    """Counts of every stage at n points; point i draws from SeedSequence(config.seed).spawn(n)[i].
 
     A stage is (nominal plate angles per point, mirror position per point,
     eta).  The stages run in turn over all points (see the module
@@ -475,7 +476,7 @@ def _run_stages(
     the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at point i.
     """
     n = len(stages[0][0])
-    streams = np.random.SeedSequence(seed).spawn(n)
+    streams = np.random.SeedSequence(config.seed).spawn(n)
     block = max(1, _MAX_STAGE_PERIODS // config.repetitions)
     counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
     for start in range(0, n, block):
@@ -492,19 +493,17 @@ def measure_sweep(
     settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
     config: ExperimentConfig,
     pairs_per_point: float,
-    seed: int | None,
     eta: float = 1.0,
 ) -> np.ndarray:
     """The (n, 8) int64 count table of the n (data_plus, data_minus, program) settings of a sweep.
 
     Row i holds the counts of setting i, columns COUNT_COLUMNS.  Point i
-    draws from its own stream SeedSequence(seed).spawn(n)[i], with seed
-    defaulting to config.seed, so points are reproducible individually.  The
-    four stages are main plus, main minus, shoulder plus and shoulder minus,
-    which is the COUNT_COLUMNS order.  In the main runs the data photon is
-    prepared in its plus, then its minus state while the program photon
-    keeps its setting; the shoulder runs use the 45-degree inputs outside
-    the dip.  `eta` relaxes the main runs only, so the shoulder
+    draws from its own stream SeedSequence(config.seed).spawn(n)[i], so
+    points are reproducible individually.  The four stages are main plus,
+    main minus, shoulder plus and shoulder minus, which is the COUNT_COLUMNS
+    order.  In the main runs the data photon is prepared in its plus, then
+    its minus state while the program photon keeps its setting; the shoulder
+    runs use the 45-degree inputs outside the dip.  `eta` relaxes the main runs only, so the shoulder
     normalization stays that of the raw measurement.
     """
     n = len(settings)
@@ -516,7 +515,7 @@ def measure_sweep(
         ([_setting_angles(*_diagonal_setting(-1))] * n, shoulder, 1.0),
     ]
     point_cfg = with_pairs_per_point(config, pairs_per_point)
-    return _run_stages(stages, point_cfg, config.seed if seed is None else seed)
+    return _run_stages(stages, point_cfg)
 
 
 @dataclass
@@ -589,7 +588,7 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     pos = np.asarray(positions, dtype=float)
     stages = [([_setting_angles(*_diagonal_setting(s))] * len(pos), pos, 1.0) for s in (+1, -1)]
     # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
-    rates = _run_stages(stages, config, config.seed) / (config.repetitions * config.period)
+    rates = _run_stages(stages, config) / (config.repetitions * config.period)
     dips = (rates[:, 1], rates[:, 2])
     fits = [f[0] for f in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if f is not None]
     visibility = float(np.mean(fits)) if fits else None

@@ -137,7 +137,6 @@ def run_multimeter_sweep(
     eta: float,
     config: ExperimentConfig,
     pairs_per_point: float = 100_000.0,
-    seed: int | None = None,
 ) -> list[MultimeterPoint]:
     """Simulate the multimeter over a grid of basis phases.
 
@@ -155,7 +154,7 @@ def run_multimeter_sweep(
     ]
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)
-    counts = measure_sweep(settings, config, pairs_per_point, seed, eta=eta)
+    counts = measure_sweep(settings, config, pairs_per_point, eta=eta)
     estimates = map(Estimates._make, estimate_table(counts).tolist())
     return [
         MultimeterPoint(

@@ -61,12 +61,12 @@ def test_discriminate_matches_theory(tmp_path):
     assert main(["discriminate", "--ideal", "--seed", "50", "--epsilon", "24",
                  "--theta-range", "20:60:40", "--pairs", "200000", "--out", str(out)]) == 0
     ds = Dataset.read(out)
-    assert ds.column("theta") == [20.0, 60.0]
+    assert ds.column("theta").tolist() == [20.0, 60.0]
     for p_est, p_theory, p_stderr in zip(
         ds.column("p_estimated"), ds.column("p_theory"), ds.column("p_stderr")
     ):
         assert abs(p_est - p_theory) <= 3 * p_stderr
-    assert ds.column("error_rate") == [0.0, 0.0]
+    assert ds.column("error_rate").tolist() == [0.0, 0.0]
 
 
 def test_empty_grid_writes_an_empty_dataset(tmp_path, capsys):
@@ -105,7 +105,7 @@ def test_hom_scan_command(tmp_path):
     ds = Dataset.read(out)
     meta = read_sidecar(out)
     assert meta["fitted_visibility"] == pytest.approx(1.0, abs=0.02)
-    positions = ds.column("position")
+    positions = ds.column("position").tolist()
     dip_idx = positions.index(0.0)
     assert ds.column("rate_mp")[dip_idx] < 0.02 * max(ds.column("rate_mp"))
 
@@ -425,9 +425,9 @@ def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, 
     assert code == 0
     lines = captured.out.splitlines()
     assert lines[0] == "theta\t" + "\t".join(ESTIMATE_HEADER) and len(lines) == 5000
-    # 13.0 counts as 13; a coordinate cell keeps its kind, so 12 stays 12 beside 12.5
+    # 13.0 counts as 13; a column with 12 beside 12.5 is a float column, so 12 reads as 12.0
     first, last = lines[1].split("\t"), lines[-1].split("\t")
-    assert first[0] == "12.5" and last[0] == ("12" if column == "theta" else "12.5")
+    assert first[0] == "12.5" and last[0] == ("12.0" if column == "theta" else "12.5")
     assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
 
 
@@ -461,19 +461,23 @@ def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
     )
 
 
-def test_dataset_keeps_the_kind_of_each_cell(tmp_path):
-    path = tmp_path / "mixed.tsv"
-    data = Dataset(["x", "n"], [[12, 12.5, True], [1, 2, 3]], metadata={"k": 1})
-    assert len(data) == 3 and data.column("x") == [12, 12.5, True]
-    data.write(path)
-    assert path.read_text() == "x\tn\n12\t1\n12.5\t2\n1\t3\n"
-    back = Dataset.read(path)
-    assert back.column("x") == [12, 12.5, 1] and back.column("n") == [1, 2, 3]
-    assert back.metadata["k"] == 1
-    with pytest.raises(ValueError, match=r"columns of unequal lengths \[1, 2\]"):
-        Dataset(["x", "n"], [[1, 3], [2]])
-    with pytest.raises(ValueError, match="1 columns of data for 2 column names"):
-        Dataset(["x", "n"], [[1, 3]])
-    with pytest.raises(ValueError, match="could not convert"):
-        Dataset(["x"], [["abc"]]).write(tmp_path / "sub" / "bad.tsv")
-    assert not (tmp_path / "sub").exists()
+def test_analyze_rejects_a_duplicate_column_name(tmp_path, capsys):
+    path = tmp_path / "counts.tsv"
+    path.write_text(ANALYZE_HEADER + "\tc_pp\n" + "\t".join(ANALYZE_ROW) + "\t7\n")
+    out = tmp_path / "est.tsv"
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: column 'c_pp' appears twice\n"
+    assert not out.exists()
+
+
+def test_jittered_repetitions_beyond_a_block_exit_nonzero_without_dataset(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"repetitions": 4097, "angle_jitter": 1.0}))
+    out = tmp_path / "x.tsv"
+    code = main(["discriminate", "--config", str(cfg_path), "--epsilon", "0",
+                 "--theta-range", "45:45:1", "--pairs", "100", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: repetitions must be at most 4096 when angle_jitter > 0, got 4097\n"
+    )

@@ -1,0 +1,90 @@
+import math
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellmeter.dataset import Dataset
+
+INT64 = st.one_of(st.sampled_from([0, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
+# NaN only as the one NaN that repr() and float() give back: the TSV text has no NaN payload or sign
+FLOAT64 = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
+    st.floats(allow_nan=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    kinds=st.lists(st.sampled_from(["i", "f"]), min_size=1, max_size=4),
+    n_rows=st.integers(1, 9),
+    block_rows=st.sampled_from([2, 4096]),
+)
+def test_dataset_roundtrip_keeps_dtype_and_bits(tmp_path_factory, data, kinds, n_rows, block_rows):
+    columns = [f"{kind}{j}" for j, kind in enumerate(kinds)]
+    arrays = [
+        np.array(
+            data.draw(st.lists(INT64 if kind == "i" else FLOAT64, min_size=n_rows, max_size=n_rows)),
+            dtype=np.int64 if kind == "i" else np.float64,
+        )
+        for kind in kinds
+    ]
+    path = tmp_path_factory.mktemp("roundtrip") / "data.tsv"
+    with patch("bellmeter.dataset._BLOCK_ROWS", block_rows):
+        Dataset(columns, arrays, {"k": 1}).write(path)
+        back = Dataset.read(path)
+        text = "".join(back.tsv())
+    assert back.columns == columns and back.metadata["k"] == 1
+    for name, written in zip(columns, arrays):
+        read = back.column(name)
+        assert read.dtype == written.dtype
+        assert read.view(np.int64).tolist() == written.view(np.int64).tolist()
+    assert text == path.read_text()
+
+
+def test_dataset_column_is_float_when_one_cell_is_not_integer_text(tmp_path):
+    # blocks of 2 rows: the first block of x parses as int64, the second as float64
+    path = tmp_path / "mixed.tsv"
+    path.write_text("x\tn\n12\t1\n13\t2\n12.5\t3\n")
+    with patch("bellmeter.dataset._BLOCK_ROWS", 2):
+        back = Dataset.read(path)
+    assert back.column("x").dtype == np.float64
+    assert back.column("x").tolist() == [12.0, 13.0, 12.5]
+    assert back.column("n").dtype == np.int64 and back.column("n").tolist() == [1, 2, 3]
+    assert "".join(back.tsv()) == "x\tn\n12.0\t1\n13.0\t2\n12.5\t3\n"
+
+
+def test_dataset_column_is_the_stored_array():
+    data = Dataset(["x", "n"], [[0.5, 1.5], np.array([1, 2], dtype=np.int32)])
+    assert data.column("x").dtype == np.float64 and data.column("n").dtype == np.int64
+    assert data.column("x") is data.column("x") and len(data) == 2
+
+
+@pytest.mark.parametrize(
+    "values, got",
+    [
+        ([True, False], "1-D bool"),
+        (["abc"], "1-D <U3"),
+        ([2**64, 1], "1-D object"),
+        (np.array([1, 2], dtype=np.uint64), "1-D uint64"),
+        ([[1.0], [2.0]], "2-D float64"),
+        (1.0, "0-D float64"),
+    ],
+    ids=["bool", "str", "object", "uint64", "2-D", "0-D"],
+)
+def test_dataset_rejects_a_column_that_is_no_numeric_vector(values, got):
+    with pytest.raises(ValueError) as exc:
+        Dataset(["n", "x"], [[1, 2], values])
+    assert str(exc.value) == f"column 'x' must be a 1-D array of signed ints or floats, got {got}"
+
+
+def test_dataset_rejects_mismatched_shapes_and_duplicate_names():
+    with pytest.raises(ValueError, match=r"columns of unequal lengths \[1, 2\]"):
+        Dataset(["x", "n"], [[1, 3], [2]])
+    with pytest.raises(ValueError, match="1 columns of data for 2 column names"):
+        Dataset(["x", "n"], [[1, 3]])
+    with pytest.raises(ValueError, match="column 'x' appears twice"):
+        Dataset(["x", "n", "x"], [[1], [2], [3]])

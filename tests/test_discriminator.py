@@ -134,7 +134,7 @@ def test_error_rate_positive_and_decreasing_in_mode_overlap():
         cfg = replace(
             ExperimentConfig.ideal(seed=314), analyzer=AnalyzerConfig(mode_overlap=m)
         )
-        pts = run_discriminator_sweep([0.0], [30.0], cfg, pairs_per_point=200_000, seed=314)
+        pts = run_discriminator_sweep([0.0], [30.0], cfg, pairs_per_point=200_000)
         rates.append(pts[0].error_rate)
     assert rates[0] > 0 and rates[1] > 0 and rates[2] > 0
     assert rates[3] == 0.0

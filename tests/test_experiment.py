@@ -387,14 +387,31 @@ def test_estimate_table_shapes():
 
 @pytest.mark.parametrize("bad", [-1, 13.7, math.nan, math.inf, 2**63, 1e300])
 def test_count_table_names_a_bad_count_like_a_count_record(bad):
+    # a column is an int64 or float64 array, as a Dataset holds it: [3, 2**63] is float64
     columns = {name: [1, 2] for name in ("c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm")}
+    column = np.asarray([3, bad])
     with pytest.raises(ValueError, match="sh_mm must be a nonnegative integer below 2\\*\\*63") as table:
-        count_table({**columns, "sh_mm": [3, bad]})
+        count_table({**columns, "sh_mm": column})
     with pytest.raises(ValueError) as record:
-        CountRecord(1, 1, 1, 1, 1, 1, 1, bad)
+        CountRecord(1, 1, 1, 1, 1, 1, 1, column[1].item())
     assert str(record.value) == str(table.value)
-    table = count_table({**columns, "sh_mm": [13.0, 2**63 - 1]})
-    assert table.dtype == np.int64 and table[:, 7].tolist() == [13, 2**63 - 1]
+    table = count_table({**columns, "sh_mm": np.array([13.0, 0.0])})
+    assert table.dtype == np.int64 and table[:, 7].tolist() == [13, 0]
+    table = count_table({**columns, "sh_mm": np.array([0, 2**63 - 1])})
+    assert table.dtype == np.int64 and table[:, 7].tolist() == [0, 2**63 - 1]
+
+
+def test_jittered_repetitions_are_bounded_by_the_stage_block():
+    # a block of a stage holds at least one point, whose jittered periods are
+    # analyzed one by one; the configs are only built here, never sampled
+    message = "repetitions must be at most 4096 when angle_jitter > 0, got 100000000"
+    jitter_free = ExperimentConfig(repetitions=10**8, pair_rate=1.0, angle_jitter=0.0)
+    assert jitter_free.repetitions == 10**8
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(repetitions=10**8, pair_rate=1.0)
+    with pytest.raises(ValueError, match=message):
+        replace(jitter_free, angle_jitter=0.5)
+    assert ExperimentConfig(repetitions=4096).repetitions == 4096
 
 
 def test_config_roundtrip_and_schema_errors():
@@ -530,7 +547,9 @@ def test_sweep_points_follow_their_spawned_streams():
     cfg = ExperimentConfig.realistic(seed=3)
     point_cfg = with_pairs_per_point(cfg, 5_000)
     grid = [(eps, theta) for eps in (0.0, 24.0) for theta in (10.0, 50.0)]
-    disc = run_discriminator_sweep([0.0, 24.0], [10.0, 50.0], cfg, pairs_per_point=5_000, seed=21)
+    disc = run_discriminator_sweep(
+        [0.0, 24.0], [10.0, 50.0], replace(cfg, seed=21), pairs_per_point=5_000
+    )
     streams = np.random.SeedSequence(21).spawn(len(grid))
     for i in reversed(range(len(grid))):
         recipes = [recipe_discriminator(*grid[i], sign) for sign in (+1, -1, +1)]
@@ -538,7 +557,7 @@ def test_sweep_points_follow_their_spawned_streams():
         assert disc[i].counts == sequential_record(recipes, point_cfg, streams[i])
 
     phis = [-40.0, 0.0, 30.0]
-    multi = run_multimeter_sweep(phis, 0.4, cfg, pairs_per_point=5_000, seed=8)
+    multi = run_multimeter_sweep(phis, 0.4, replace(cfg, seed=8), pairs_per_point=5_000)
     streams = np.random.SeedSequence(8).spawn(len(phis))
     for i in reversed(range(len(phis))):
         recipes = [recipe_multimeter(phis[i], sign) for sign in (+1, -1, +1)]
@@ -571,7 +590,7 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
         settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for _, phi in angles]
     cfg = replace(ExperimentConfig.realistic(), angle_jitter=jitter, repetitions=repetitions)
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-        counts = measure_sweep(settings_, cfg, pairs, seed, eta=eta)
+        counts = measure_sweep(settings_, replace(cfg, seed=seed), pairs, eta=eta)
 
     assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
     point_cfg = with_pairs_per_point(cfg, pairs)
@@ -737,7 +756,7 @@ def test_sweep_working_memory_is_bounded_by_blocks():
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
     tracemalloc.start()
     try:
-        measure_sweep(settings_, cfg, 1_000.0, 5)
+        measure_sweep(settings_, replace(cfg, seed=5), 1_000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -208,7 +208,7 @@ def test_sweep_degraded_config_has_small_positive_error():
         ExperimentConfig.ideal(seed=555),
         analyzer=AnalyzerConfig(mode_overlap=0.92),
     )
-    pts = run_multimeter_sweep([24.0], 1.0, cfg, pairs_per_point=300_000, seed=555)
+    pts = run_multimeter_sweep([24.0], 1.0, cfg, pairs_per_point=300_000)
     pt = pts[0]
     assert 0.0 < pt.error_rate < 0.15
 
