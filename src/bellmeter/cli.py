@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
-from .discriminator import DiscriminationPoint, run_discriminator_sweep
+from .discriminator import DiscriminationPoint, discriminator_columns
 from .errors import SchemaViolationError
 from .experiment import (
     COUNT_COLUMNS,
@@ -30,7 +30,10 @@ from .experiment import (
     hom_scan,
     with_pairs_per_point,
 )
-from .multimeter import MultimeterPoint, run_multimeter_sweep
+from .multimeter import MultimeterPoint, multimeter_columns
+
+# most points a sweep grid may have, checked before the grid is built
+_MAX_GRID_POINTS = 10**6
 
 _COORD_COLUMNS = [
     f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
@@ -57,7 +60,10 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9  # in float, so a huge span is inf, not an error
+    if not span < _MAX_GRID_POINTS:
+        raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
+    count = math.floor(span) + 1
     return [round(start + i * step, 9) for i in range(count)]
 
 
@@ -77,8 +83,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """`discriminate` and `multimeter`: run the task's sweep and write its dataset.
 
-    The columns are the fields of the task's point dataclass, each named by
-    its "column" metadata where it has one, followed by COUNT_COLUMNS.
+    The columns are those of the task's sweep (experiment.sweep_columns).
     Estimates the counts of a point leave undefined are NaN; an empty grid
     gives an empty dataset.
     """
@@ -92,19 +97,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "config": config_to_dict(config),
     }
     if args.task == "discriminator":
-        point_type = DiscriminationPoint
         epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
-        points = run_discriminator_sweep(epsilons, thetas, config, pairs_per_point=args.pairs)
+        if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
+            raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
+        columns = discriminator_columns(epsilons, thetas, config, pairs_per_point=args.pairs)
     else:
-        point_type = MultimeterPoint
-        phis = _parse_range(args.phi_range)
-        points = run_multimeter_sweep(phis, args.eta, config, pairs_per_point=args.pairs)
+        columns = multimeter_columns(_parse_range(args.phi_range), args.eta, config, args.pairs)
         metadata["eta"] = args.eta
-    leading = [f for f in fields(point_type) if f.name != "counts"]
-    columns = [f.metadata.get("column", f.name) for f in leading] + list(COUNT_COLUMNS)
-    data = [[getattr(pt, f.name) for pt in points] for f in leading]
-    data += [[getattr(pt.counts, name) for pt in points] for name in COUNT_COLUMNS]
-    dataset = Dataset(columns, data, metadata)
+    dataset = Dataset(list(columns), list(columns.values()), metadata)
     dataset.write(args.out)
     print(f"wrote {len(dataset)} rows to {args.out}")
     return 0

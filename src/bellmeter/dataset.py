@@ -113,6 +113,8 @@ class Dataset:
         for start in range(1, len(lines), _BLOCK_ROWS):
             block = lines[start : start + _BLOCK_ROWS]
             rows = [line for line in block if line]
+            if not rows:
+                continue
             try:
                 if set(map(str.count, rows, itertools.repeat("\t"))) - {len(columns) - 1}:
                     raise ValueError("a row of the wrong width")

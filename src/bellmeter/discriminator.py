@@ -4,6 +4,9 @@ The device discriminates the two elliptical states selected by the program
 qubit.  Success probability of the Bell-analysis strategy is
 p = 2(|a|^2 - |a|^4) with |a|^2 = x^2 cos^2(theta) + y^2 sin^2(theta); the
 optimal unambiguous strategy reaches 1 - |<phi+|phi->|.
+
+The sweep is columnar (discriminator_columns); only its two theory columns
+are evaluated point by point, by the scalar functions, so they stay bit-exact.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import polarization as pol
 from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
+from .experiment import sweep_columns, sweep_points
 
 
 def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
@@ -26,19 +32,24 @@ def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
 def optimal_prob(epsilon_deg: float, theta_deg: float) -> float:
     """Optimal unambiguous discrimination probability 1 - |<phi+|phi->|.
 
-    Uses the general complex overlap, so elliptical states are handled
-    uniformly; for real amplitudes this reduces to 1 - |2|a|^2 - 1|.
+    With a + ib and c + id the H and V amplitudes of pol.prepare_elliptical,
+    the overlap is (a^2 + b^2) - (c^2 + d^2), computed term by term as the
+    complex product computes it, so this equals 1 - |pol.overlap(plus, minus)|
+    bit for bit.  For real amplitudes it reduces to 1 - |2|a|^2 - 1|.
     """
-    plus = pol.prepare_elliptical(epsilon_deg, theta_deg, +1)
-    minus = pol.prepare_elliptical(epsilon_deg, theta_deg, -1)
-    return 1.0 - abs(pol.overlap(plus, minus))
+    x, y = math.cos(math.radians(epsilon_deg)), math.sin(math.radians(epsilon_deg))
+    th = math.radians(theta_deg)
+    a, b, c, d = x * math.cos(th), y * math.sin(th), x * math.sin(th), y * math.cos(th)
+    return 1.0 - abs((a * a + b * b) - (c * c + d * d))
 
 
 @dataclass(frozen=True)
 class DiscriminationPoint:
     """One sweep point: theory, optimal benchmark and simulated estimates.
 
-    The sweep-grid coordinates, which `analyze` carries over, carry "grid" metadata.
+    The fields before `counts` name the sweep's leading dataset columns
+    (experiment.sweep_columns); the grid coordinates, which `analyze` carries
+    over, carry "grid" metadata.
     """
 
     epsilon: float = field(metadata={"grid": True})
@@ -52,13 +63,10 @@ class DiscriminationPoint:
     counts: CountRecord
 
 
-def run_discriminator_sweep(
-    epsilons: Sequence[float],
-    thetas: Sequence[float],
-    config: ExperimentConfig,
-    pairs_per_point: float = 100_000.0,
-) -> list[DiscriminationPoint]:
-    """Simulate the discriminator over a grid of ellipticities and axis angles.
+def discriminator_columns(
+    epsilons: Sequence[float], thetas: Sequence[float], config: ExperimentConfig, pairs_per_point: float
+) -> dict[str, np.ndarray]:
+    """Dataset columns of the discriminator over a grid of ellipticities and axis angles, theta fastest.
 
     The data photon is prepared alternately in the plus and minus elliptical
     state while the program photon always carries the plus state.  Each grid
@@ -66,24 +74,23 @@ def run_discriminator_sweep(
     experiment.measure_sweep).  Estimator failures (for example no conclusive
     events at a point) are recorded as NaN instead of aborting the sweep.
     """
-    grid = [(float(eps), float(theta)) for eps in epsilons for theta in thetas]
-    settings = [
-        tuple(pol.recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
-        for eps, theta in grid
-    ]
-    counts = measure_sweep(settings, config, pairs_per_point)
-    estimates = map(Estimates._make, estimate_table(counts).tolist())
-    return [
-        DiscriminationPoint(
-            epsilon=eps,
-            theta=theta,
-            p_theory=success_prob_theory(eps, theta),
-            p_optimal=optimal_prob(eps, theta),
-            p_estimated=est.p_succ,
-            p_stderr=est.p_succ_stderr,
-            error_rate=est.error_rate,
-            error_rate_stderr=est.error_rate_stderr,
-            counts=CountRecord(*row),
-        )
-        for (eps, theta), row, est in zip(grid, counts.tolist(), estimates)
-    ]
+    eps = np.repeat(np.asarray(epsilons, dtype=float), len(thetas))
+    theta = np.tile(np.asarray(thetas, dtype=float), len(epsilons))
+    counts = measure_sweep(pol.discriminator_angles(eps, theta), config, pairs_per_point)
+    est = dict(zip(Estimates._fields, estimate_table(counts).T))
+    grid = list(zip(eps.tolist(), theta.tolist()))
+    return sweep_columns(
+        DiscriminationPoint, counts, epsilon=eps, theta=theta,
+        p_theory=np.array([success_prob_theory(*point) for point in grid]),
+        p_optimal=np.array([optimal_prob(*point) for point in grid]),
+        p_estimated=est["p_succ"], p_stderr=est["p_succ_stderr"],
+        error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
+    )
+
+
+def run_discriminator_sweep(
+    epsilons: Sequence[float], thetas: Sequence[float], config: ExperimentConfig,
+    pairs_per_point: float = 100_000.0,
+) -> list[DiscriminationPoint]:
+    """The discriminator_columns sweep as one point per grid point."""
+    return sweep_points(DiscriminationPoint, discriminator_columns(epsilons, thetas, config, pairs_per_point))

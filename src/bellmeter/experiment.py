@@ -29,9 +29,10 @@ leaves every stream's draws unchanged.  The mirror scan through the dip runs
 the same way, as two stages (the +45 and -45 degree data inputs) over its
 positions, one random stream per position.
 
-The counts of a sweep leave the draw as one (n, 8) int64 table, columns
-COUNT_COLUMNS, which estimate_table turns into the estimates of every point;
-the command line builds the datasets.
+A sweep is columnar: its settings arrive as one (n, 3, 2) plate-angle array,
+its counts leave the draw as one (n, 8) int64 table, columns COUNT_COLUMNS,
+and sweep_columns names them and the other arrays of the sweep as dataset
+columns; sweep_points builds point dataclasses from those columns.
 """
 
 from __future__ import annotations
@@ -314,6 +315,24 @@ def estimate_table(counts) -> np.ndarray:
     return out
 
 
+def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> dict[str, np.ndarray]:
+    """The dataset columns of a sweep in order: the fields of `point_type` before its last, `counts`.
+
+    Each such field is given in `values` and named by its "column" metadata
+    where it has one; the COUNT_COLUMNS of the (n, 8) `counts` follow.
+    """
+    leading = fields(point_type)[:-1]
+    columns = {f.metadata.get("column", f.name): values[f.name] for f in leading}
+    return columns | dict(zip(COUNT_COLUMNS, counts.T))
+
+
+def sweep_points(point_type: type, columns: Mapping[str, np.ndarray]) -> list:
+    """One `point_type` per row of the sweep_columns `columns`, its counts a CountRecord."""
+    leading = [columns[name].tolist() for name in list(columns)[: -len(COUNT_COLUMNS)]]
+    counts = np.column_stack([columns[name] for name in COUNT_COLUMNS]).tolist()
+    return [point_type(*row, CountRecord(*c)) for *row, c in zip(*leading, counts)]
+
+
 class ClassCounts(NamedTuple):
     """Coincidence counts of the two conclusive classes for one input setting."""
 
@@ -365,14 +384,9 @@ def _poisson_means(
     return detected * (totals[:, :2] + relabeled) + 2.0 * dark * config.repetitions
 
 
-def _setting_angles(data: pol.PrepRecipe, program: pol.PrepRecipe) -> list[list[float]]:
-    """Nominal plate angles of an input setting: [photon (data, program)][plate (QWP, HWP)]."""
-    return [[data.qwp_deg, data.hwp_deg], [program.qwp_deg, program.hwp_deg]]
-
-
 def _stage_counts(
-    angles: Sequence[list[list[float]]],
-    positions: Sequence[float],
+    angles: np.ndarray,
+    positions: np.ndarray,
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
     eta: float = 1.0,
@@ -441,13 +455,8 @@ def simulate_counts(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    angles = [_setting_angles(data_setting, program_setting)]
+    angles = np.array([[astuple(data_setting), astuple(program_setting)]])
     return ClassCounts(*_stage_counts(angles, [position], config, [rng], eta)[0].tolist())
-
-
-def _diagonal_setting(sign: int) -> tuple[pol.PrepRecipe, pol.PrepRecipe]:
-    """Data and program recipes of the (sign * 45, 45) inputs of the shoulder runs and HOM scan."""
-    return pol.recipe_discriminator(0.0, 45.0, sign), pol.recipe_discriminator(0.0, 45.0, +1)
 
 
 def shoulder_counts(
@@ -459,17 +468,18 @@ def shoulder_counts(
     the two recorded classes approaches half the detected pair rate
     independently of the beamsplitter imbalance.
     """
-    return simulate_counts(*_diagonal_setting(sign), config.shoulder_position, config, rng)
+    data, program = pol.recipe_discriminator(0.0, 45.0, sign), pol.recipe_discriminator(0.0, 45.0, +1)
+    return simulate_counts(data, program, config.shoulder_position, config, rng)
 
 
 def _run_stages(
-    stages: Sequence[tuple[Sequence[list[list[float]]], Sequence[float], float]],
+    stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
     config: ExperimentConfig,
 ) -> np.ndarray:
     """Counts of every stage at n points; point i draws from SeedSequence(config.seed).spawn(n)[i].
 
-    A stage is (nominal plate angles per point, mirror position per point,
-    eta).  The stages run in turn over all points (see the module
+    A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
+    The stages run in turn over all points (see the module
     docstring), in blocks of at most _MAX_STAGE_PERIODS periods per stage
     (one block for up to 4096 / repetitions points), each block filling its
     rows of one table.  Returns that (n, 2 * stages) int64 table: row i holds
@@ -490,29 +500,32 @@ def _run_stages(
 
 
 def measure_sweep(
-    settings: Sequence[tuple[pol.PrepRecipe, pol.PrepRecipe, pol.PrepRecipe]],
-    config: ExperimentConfig,
-    pairs_per_point: float,
-    eta: float = 1.0,
+    angles: np.ndarray, config: ExperimentConfig, pairs_per_point: float, eta: float = 1.0
 ) -> np.ndarray:
-    """The (n, 8) int64 count table of the n (data_plus, data_minus, program) settings of a sweep.
+    """The (n, 8) int64 count table of the n settings of a sweep.
 
-    Row i holds the counts of setting i, columns COUNT_COLUMNS.  Point i
-    draws from its own stream SeedSequence(config.seed).spawn(n)[i], so
-    points are reproducible individually.  The four stages are main plus,
-    main minus, shoulder plus and shoulder minus, which is the COUNT_COLUMNS
-    order.  In the main runs the data photon is prepared in its plus, then
-    its minus state while the program photon keeps its setting; the shoulder
-    runs use the 45-degree inputs outside the dip.  `eta` relaxes the main runs only, so the shoulder
-    normalization stays that of the raw measurement.
+    `angles` holds their nominal plate angles, shape (n, 3, 2): [point, input
+    (data plus, data minus, program), plate (QWP, HWP)], as
+    pol.discriminator_angles gives them.  Row i holds the counts of setting
+    i, columns COUNT_COLUMNS.  Point i draws from its own stream
+    SeedSequence(config.seed).spawn(n)[i], so points are reproducible
+    individually.  The four stages are main plus, main minus, shoulder plus
+    and shoulder minus, which is the COUNT_COLUMNS order.  In the main runs
+    the data photon is prepared in its plus, then its minus state while the
+    program photon keeps its setting; the shoulder runs use the 45-degree
+    inputs outside the dip.  `eta` relaxes the main runs only, so the
+    shoulder normalization stays that of the raw measurement.
     """
-    n = len(settings)
-    center, shoulder = [0.0] * n, [config.shoulder_position] * n
+    angles = np.asarray(angles, dtype=float)
+    n = len(angles)
+    center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
+    # the plus and minus inputs of epsilon 0, theta 45 are the (45, 45) and (-45, 45) ones
+    diagonal = np.broadcast_to(pol.discriminator_angles(0.0, 45.0), angles.shape)
     stages = [
-        ([_setting_angles(plus, program) for plus, _, program in settings], center, eta),
-        ([_setting_angles(minus, program) for _, minus, program in settings], center, eta),
-        ([_setting_angles(*_diagonal_setting(+1))] * n, shoulder, 1.0),
-        ([_setting_angles(*_diagonal_setting(-1))] * n, shoulder, 1.0),
+        (angles[:, [0, 2]], center, eta),
+        (angles[:, [1, 2]], center, eta),
+        (diagonal[:, [0, 2]], shoulder, 1.0),
+        (diagonal[:, [1, 2]], shoulder, 1.0),
     ]
     point_cfg = with_pairs_per_point(config, pairs_per_point)
     return _run_stages(stages, point_cfg)
@@ -586,7 +599,8 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     if len(positions) == 0:
         raise ValueError("positions must be nonempty")
     pos = np.asarray(positions, dtype=float)
-    stages = [([_setting_angles(*_diagonal_setting(s))] * len(pos), pos, 1.0) for s in (+1, -1)]
+    diagonal = np.broadcast_to(pol.discriminator_angles(0.0, 45.0), (len(pos), 3, 2))  # see measure_sweep
+    stages = [(diagonal[:, [k, 2]], pos, 1.0) for k in (0, 1)]
     # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
     rates = _run_stages(stages, config) / (config.repetitions * config.period)
     dips = (rates[:, 1], rates[:, 2])

@@ -5,6 +5,8 @@ The program qubit selects an equatorial measurement basis
 between the unambiguous partial Bell measurement (eta = 1, inconclusive rate
 1/2, fidelity 1) and an error-prone von Neumann-like measurement (eta = 0,
 no inconclusive results, fidelity 3/4).
+
+The sweep is columnar (multimeter_columns); its theory columns are constants.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from . import polarization as pol
 from .analyzer import Outcome
 from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
+from .experiment import sweep_columns, sweep_points
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -115,9 +118,9 @@ def reinterpret(
 class MultimeterPoint:
     """One sweep point of the multimeter run: theory and simulated estimates.
 
-    A field whose dataset column has another name carries it as "column"
-    metadata; the sweep-grid coordinates, which `analyze` carries over, carry
-    "grid" metadata.
+    The fields before `counts` name the sweep's leading dataset columns
+    (experiment.sweep_columns), by "column" metadata where they have it; the
+    grid coordinates, which `analyze` carries over, carry "grid" metadata.
     """
 
     phi: float = field(metadata={"grid": True})
@@ -132,13 +135,10 @@ class MultimeterPoint:
     counts: CountRecord
 
 
-def run_multimeter_sweep(
-    phis: Sequence[float],
-    eta: float,
-    config: ExperimentConfig,
-    pairs_per_point: float = 100_000.0,
-) -> list[MultimeterPoint]:
-    """Simulate the multimeter over a grid of basis phases.
+def multimeter_columns(
+    phis: Sequence[float], eta: float, config: ExperimentConfig, pairs_per_point: float
+) -> dict[str, np.ndarray]:
+    """Dataset columns of the multimeter over a grid of basis phases.
 
     Per phi the data photon is prepared alternately in the two basis states
     psi+(phi) and psi-(phi) while the program photon carries psi+(phi).  Only
@@ -149,25 +149,22 @@ def run_multimeter_sweep(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    settings = [
-        tuple(pol.recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis
-    ]
+    phi = np.asarray(phis, dtype=float)
+    counts = measure_sweep(pol.multimeter_angles(phi), config, pairs_per_point, eta=eta)
+    est = dict(zip(Estimates._fields, estimate_table(counts).T))
     pi_theory = theory_PI(eta)
-    fidelity_theory = fidelity_from_PI(pi_theory)
-    counts = measure_sweep(settings, config, pairs_per_point, eta=eta)
-    estimates = map(Estimates._make, estimate_table(counts).tolist())
-    return [
-        MultimeterPoint(
-            phi=float(phi),
-            eta=float(eta),
-            pi_theory=pi_theory,
-            fidelity_theory=fidelity_theory,
-            p_inconclusive=est.p_inconclusive,
-            pi_stderr=est.pi_stderr,
-            fidelity=1.0 - est.error_rate,
-            error_rate=est.error_rate,
-            error_rate_stderr=est.error_rate_stderr,
-            counts=CountRecord(*row),
-        )
-        for phi, row, est in zip(phis, counts.tolist(), estimates)
-    ]
+    return sweep_columns(
+        MultimeterPoint, counts, phi=phi, eta=np.full(len(phi), float(eta)),
+        pi_theory=np.full(len(phi), pi_theory),
+        fidelity_theory=np.full(len(phi), fidelity_from_PI(pi_theory)),
+        p_inconclusive=est["p_inconclusive"], pi_stderr=est["pi_stderr"],
+        fidelity=1.0 - est["error_rate"],
+        error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
+    )
+
+
+def run_multimeter_sweep(
+    phis: Sequence[float], eta: float, config: ExperimentConfig, pairs_per_point: float = 100_000.0
+) -> list[MultimeterPoint]:
+    """The multimeter_columns sweep as one point per phi."""
+    return sweep_points(MultimeterPoint, multimeter_columns(phis, eta, config, pairs_per_point))

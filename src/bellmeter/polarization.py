@@ -171,6 +171,20 @@ def recipe_multimeter(phi_deg: float, sign: int = +1) -> PrepRecipe:
     return PrepRecipe(qwp_deg=s * (-phi_deg / 2.0), hwp_deg=s * (90.0 - phi_deg) / 4.0)
 
 
+def discriminator_angles(epsilon_deg, theta_deg) -> np.ndarray:
+    """recipe_discriminator at signs +1, -1, +1 over arrays, bit for bit: shape (..., 3, 2)."""
+    eps = np.asarray(epsilon_deg, dtype=float)
+    plus = np.stack([eps, (eps + np.asarray(theta_deg, dtype=float)) / 2.0], axis=-1)
+    return np.stack([plus, -plus, plus], axis=-2)  # sign -1 negates both angles, exactly
+
+
+def multimeter_angles(phi_deg) -> np.ndarray:
+    """recipe_multimeter at signs +1, -1, +1 over arrays, bit for bit: shape (..., 3, 2)."""
+    phi = np.asarray(phi_deg, dtype=float)
+    plus = np.stack([-phi / 2.0, (90.0 - phi) / 4.0], axis=-1)
+    return np.stack([plus, -plus, plus], axis=-2)
+
+
 def overlap(s1: PolarizationState, s2: PolarizationState) -> complex:
     """Inner product <s1|s2>, conjugate-linear in the first argument."""
     return complex(np.conj(s1.h) * s2.h + np.conj(s1.v) * s2.v)

@@ -481,3 +481,86 @@ def test_jittered_repetitions_beyond_a_block_exit_nonzero_without_dataset(tmp_pa
     assert capsys.readouterr().err == (
         "error: repetitions must be at most 4096 when angle_jitter > 0, got 4097\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # the point count overflows a float; as an int it would need a list of 1e324 points
+        (["multimeter", "--phi-range=-1e308:1e308:1e-308"], None),
+        (["multimeter", "--phi-range=0:10:1"], 10),
+        (["hom-scan", "--range=0:10:1"], 10),
+        # each range is within the limit, the epsilon x theta product is not
+        (["discriminate", "--epsilon", "0,12,24", "--theta-range", "0:8:2"], 10),
+    ],
+)
+def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch, argv, limit):
+    if limit is not None:
+        monkeypatch.setattr("bellmeter.cli._MAX_GRID_POINTS", limit)
+    out = tmp_path / "grid.tsv"
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "_MAX_GRID_POINTS" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_sweep_grid_at_the_limit_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr("bellmeter.cli._MAX_GRID_POINTS", 10)
+    assert _parse_range("0:9:1") == [float(v) for v in range(10)]
+    out = tmp_path / "grid.tsv"
+    argv = ["discriminate", "--ideal", "--epsilon", "0,12", "--theta-range", "0:8:2"]
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 0
+    assert len(Dataset.read(out)) == 10
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_analyze_skips_a_block_of_blank_lines(tmp_path, capsys, monkeypatch, rows):
+    # with 3 rows per block, the blank lines after 3 rows make a block of their own
+    monkeypatch.setattr("bellmeter.dataset._BLOCK_ROWS", 3)
+    path = tmp_path / "counts.tsv"
+    path.write_text("\n".join([ANALYZE_HEADER] + ["\t".join(ANALYZE_ROW)] * rows) + "\n\n\n")
+    assert main(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "theta\t" + "\t".join(ESTIMATE_HEADER) and len(lines) == 1 + rows
+
+
+def test_cli_sweeps_build_no_per_point_objects(tmp_path, monkeypatch):
+    # a CLI sweep goes from the grid to the TSV in columns; run_*_sweep builds
+    # its points from the same columns, so they equal the dataset's rows
+    from dataclasses import astuple, fields
+
+    from bellmeter.discriminator import DiscriminationPoint, run_discriminator_sweep
+    from bellmeter.experiment import CountRecord, ExperimentConfig
+    from bellmeter.multimeter import MultimeterPoint, run_multimeter_sweep
+
+    built = dict.fromkeys([CountRecord, DiscriminationPoint, MultimeterPoint], 0)
+    for cls in built:
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    disc, multi = tmp_path / "disc.tsv", tmp_path / "multi.tsv"
+    common = ["--pairs", "50", "--seed", "5", "--config"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"repetitions": 3}))
+    assert main(["discriminate", "--theta-range", "0:90:30", *common, str(cfg_path),
+                 "--out", str(disc)]) == 0
+    assert main(["multimeter", "--eta", "0.4", "--phi-range=-90:90:45", *common, str(cfg_path),
+                 "--out", str(multi)]) == 0
+    assert set(built.values()) == {0}
+
+    cfg = ExperimentConfig(repetitions=3, seed=5)
+    sweeps = [
+        (disc, run_discriminator_sweep([0.0, 12.0, 24.0, 36.0], [0.0, 30.0, 60.0, 90.0], cfg, 50.0)),
+        (multi, run_multimeter_sweep([-90.0, -45.0, 0.0, 45.0, 90.0], 0.4, cfg, 50.0)),
+    ]
+    for path, points in sweeps:
+        ds = Dataset.read(path)
+        assert len(points) == len(ds) and built[type(points[0])] == len(ds)
+        leading = [f.name for f in fields(points[0])][:-1]
+        rows = [[getattr(pt, name) for name in leading] + list(astuple(pt.counts)) for pt in points]
+        assert [repr(list(row)) for row in zip(*(ds.column(c).tolist() for c in ds.columns))] == [
+            repr(row) for row in rows
+        ]
+    assert built[CountRecord] == 16 + 5

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellmeter.discriminator import optimal_prob, run_discriminator_sweep, success_prob_theory
 from bellmeter.errors import InvalidNormalizationError, NoDataError
 from bellmeter.experiment import CountRecord, ExperimentConfig
+from bellmeter.polarization import overlap, prepare_elliptical
 
 # frozen with mpmath at 40 digits
 P_THEORY_24_20 = 0.3686289328451845
@@ -39,6 +42,20 @@ def test_optimal_prob_examples():
     assert optimal_prob(0.0, 45.0) == pytest.approx(1.0, abs=1e-12)
     assert optimal_prob(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert abs(optimal_prob(0.0, 20.0) - P_OPT_0_20) < 1e-12
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+def test_optimal_prob_equals_the_complex_overlap_bit_for_bit(eps, theta):
+    plus, minus = prepare_elliptical(eps, theta, +1), prepare_elliptical(eps, theta, -1)
+    assert optimal_prob(eps, theta) == 1.0 - abs(overlap(plus, minus))
+
+
+def test_optimal_prob_equals_the_complex_overlap_on_the_default_grid():
+    for eps in (0.0, 12.0, 24.0, 36.0):
+        for theta in range(0, 91, 4):
+            plus, minus = prepare_elliptical(eps, theta, +1), prepare_elliptical(eps, theta, -1)
+            assert optimal_prob(eps, theta) == 1.0 - abs(overlap(plus, minus))
 
 
 def test_optimal_prob_matches_real_parametrization_shortcut():

@@ -23,7 +23,6 @@ from bellmeter.experiment import (
     _PROB_FLOOR,
     _fit_visibility,
     _poisson_means,
-    _setting_angles,
     config_from_dict,
     config_to_dict,
     count_table,
@@ -529,6 +528,11 @@ def test_config_rejects_bad_analyzer_at_construction(analyzer):
         config_from_dict({"analyzer": analyzer})
 
 
+def sweep_angles(settings_):
+    """The (n, 3, 2) plate angles that measure_sweep takes for (plus, minus, program) recipes."""
+    return np.array([[(r.qwp_deg, r.hwp_deg) for r in setting] for setting in settings_], dtype=float)
+
+
 def sequential_record(setting, point_cfg, stream, eta=1.0):
     """Main +, main -, shoulder + and shoulder - of a sweep point, one call at a time on `stream`."""
     plus, minus, program = setting
@@ -590,7 +594,7 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
         settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for _, phi in angles]
     cfg = replace(ExperimentConfig.realistic(), angle_jitter=jitter, repetitions=repetitions)
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-        counts = measure_sweep(settings_, replace(cfg, seed=seed), pairs, eta=eta)
+        counts = measure_sweep(sweep_angles(settings_), replace(cfg, seed=seed), pairs, eta=eta)
 
     assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
     point_cfg = with_pairs_per_point(cfg, pairs)
@@ -632,7 +636,7 @@ def main_stage_means(settings_, cfg, eta=1.0):
     periods = cfg.repetitions if cfg.angle_jitter > 0 else 1
     means = []
     for data in (0, 1):
-        angles = np.array([_setting_angles(s[data], s[2]) for s in settings_], dtype=float)
+        angles = sweep_angles(settings_)[:, [data, 2]]
         jitter = rng.uniform(-cfg.angle_jitter, cfg.angle_jitter, size=(len(settings_), periods, 2, 2))
         overlaps = np.full(len(settings_), mode_overlap_at(0.0, cfg))
         means.append(_poisson_means(angles[:, None] + jitter, overlaps, cfg, eta))
@@ -756,7 +760,7 @@ def test_sweep_working_memory_is_bounded_by_blocks():
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
     tracemalloc.start()
     try:
-        measure_sweep(settings_, replace(cfg, seed=5), 1_000.0)
+        measure_sweep(sweep_angles(settings_), replace(cfg, seed=5), 1_000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

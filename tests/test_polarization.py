@@ -11,6 +11,8 @@ from bellmeter.polarization import (
     PrepRecipe,
     WavePlate,
     apply_plate,
+    discriminator_angles,
+    multimeter_angles,
     overlap,
     prepare_elliptical,
     prepare_equatorial,
@@ -199,3 +201,25 @@ def test_prepare_from_angles_broadcasts():
     vectors = prepare_from_angles(np.zeros((3, 2)), 22.5)
     assert vectors.shape == (3, 2, 2)
     assert np.allclose(vectors, 1 / np.sqrt(2), atol=1e-12)
+
+
+ANGLES = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(ANGLES, ANGLES), max_size=6),
+    st.sampled_from([0.0, -0.0, 45.0, -90.0, 5e-324]),
+)
+def test_sweep_angle_arrays_equal_the_recipes_bit_for_bit(grid, special):
+    # rows data plus, data minus, program; signed zeros and a subnormal, where a
+    # reordered closed form such as eps / 2 + theta / 2 would round differently
+    grid = grid + [(special, special), (special, 0.0), (-0.0, special)]
+    eps, theta = np.array(grid).T
+    want = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_discriminator(e, t, s) for s in (1, -1, 1))]
+            for e, t in grid]
+    assert discriminator_angles(eps, theta).tobytes() == np.array(want).tobytes()
+    want = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_multimeter(phi, s) for s in (1, -1, 1))]
+            for phi in eps]
+    assert multimeter_angles(eps).tobytes() == np.array(want).tobytes()
+    assert discriminator_angles(grid[0][0], grid[0][1]).shape == multimeter_angles(eps[0]).shape == (3, 2)
