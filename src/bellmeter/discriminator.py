@@ -69,10 +69,11 @@ def discriminator_columns(
     """Dataset columns of the discriminator over a grid of ellipticities and axis angles, theta fastest.
 
     The data photon is prepared alternately in the plus and minus elliptical
-    state while the program photon always carries the plus state.  Each grid
-    point gets an independent random stream derived from the master seed (see
-    experiment.measure_sweep).  Estimator failures (for example no conclusive
-    events at a point) are recorded as NaN instead of aborting the sweep.
+    state while the program photon always carries the plus state.  The
+    counts are drawn stage by stage from streams of the master seed, in grid
+    order (see experiment.measure_sweep).  Estimator failures (for example no
+    conclusive events at a point) are recorded as NaN instead of aborting the
+    sweep.
     """
     eps = np.repeat(np.asarray(epsilons, dtype=float), len(thetas))
     theta = np.tile(np.asarray(thetas, dtype=float), len(epsilons))

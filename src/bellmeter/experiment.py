@@ -15,19 +15,20 @@ recorded Psi+ and Psi- counts of an input setting are therefore two Poisson
 draws whose means add up the class probabilities of all its periods.
 
 A sweep runs as four stages, one per input setting (main plus, main minus,
-shoulder plus, shoulder minus).  In a stage every point first draws its
-plate jitter, R x 2 x 2 uniforms (only when angle_jitter > 0), from its own
-random stream; the periods of all points are then prepared and analyzed in
-one array pass (without jitter all periods of a setting carry one state, so
-each distinct state of the stage is analyzed once and counts R times); last,
-every point makes its one Poisson draw of the (Psi+, Psi-) pair from its
-stream.  Each point's stream thus sees, stage after stage, jitter uniforms
-then one Poisson pair: the same draws, in the same order, as four
-simulate_counts calls on that stream.  A sweep with more than 4096 periods
-per input setting runs the four stages block by block of points, which
-leaves every stream's draws unchanged.  The mirror scan through the dip runs
+shoulder plus, shoulder minus), and each stage has two random streams of its
+own, spawned from config.seed: stage s takes its plate jitter from stream 2s
+and its counts from stream 2s + 1.  In a stage the points first draw the
+jitter of their periods, R x 2 x 2 uniforms per point in one array draw (only
+when angle_jitter > 0); the periods of all points are then prepared and
+analyzed in one array pass (without jitter all periods of a setting carry one
+state, so each distinct state of the stage is analyzed once and counts R
+times); last, one Poisson draw gives every point its (Psi+, Psi-) pair.  A
+sweep with more than 4096 periods per input setting runs the four stages
+block by block of points.  Both streams of a stage are consumed in point
+order, so the block size changes no draw, and the first k rows of a sweep
+equal the sweep of its first k points.  The mirror scan through the dip runs
 the same way, as two stages (the +45 and -45 degree data inputs) over its
-positions, one random stream per position.
+positions.
 
 A sweep is columnar: its settings arrive as one (n, 3, 2) plate-angle array,
 its counts leave the draw as one (n, 8) int64 table, columns COUNT_COLUMNS,
@@ -388,35 +389,33 @@ def _stage_counts(
     angles: np.ndarray,
     positions: np.ndarray,
     config: ExperimentConfig,
-    rngs: Sequence[np.random.Generator],
+    rngs: tuple[np.random.Generator, np.random.Generator],
     eta: float = 1.0,
 ) -> np.ndarray:
     """Recorded (Psi+, Psi-) counts of one input setting at n points, shape (n, 2) int64.
 
-    Point i draws from rngs[i].
-
     `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
-    and `positions` their mirror positions.  Each point draws the jitter of
-    its periods, all points are prepared and analyzed together, then each
-    point makes its Poisson draw.  Without jitter, each distinct (plate
-    angles, mode overlap) of the stage is analyzed once, as one period.
+    and `positions` their mirror positions; `rngs` is the (jitter, count)
+    pair of generators.  The jitter of all periods is one uniform draw of
+    shape (n, R, 2, 2), all points are prepared and analyzed together, then
+    one Poisson draw of the (n, 2) means gives the counts.  Without jitter,
+    each distinct (plate angles, mode overlap) of the stage is analyzed
+    once, as one period.
     """
-    n = len(rngs)
+    jitter_rng, count_rng = rngs
+    n = len(angles)
     xs, x_of_point = np.unique(np.asarray(positions, dtype=float), return_inverse=True)
     overlaps = np.array([mode_overlap_at(x, config) for x in xs])[x_of_point]
     angles = np.asarray(angles, dtype=float).reshape(n, 1, 2, 2)
     if config.angle_jitter > 0.0:
-        jitter, shape = config.angle_jitter, (config.repetitions, 2, 2)
-        angles = angles + np.stack([rng.uniform(-jitter, jitter, size=shape) for rng in rngs])
+        jitter, shape = config.angle_jitter, (n, config.repetitions, 2, 2)
+        angles = angles + jitter_rng.uniform(-jitter, jitter, size=shape)
         means = _poisson_means(angles, overlaps, config, eta)
     else:
         settings = np.column_stack([angles.reshape(n, 4), overlaps])
         keys, inverse = np.unique(settings, axis=0, return_inverse=True)
         means = _poisson_means(keys[:, :4].reshape(-1, 1, 2, 2), keys[:, 4], config, eta)[inverse]
-    # two scalar draws take the same numbers from a stream as one draw of the
-    # pair, without the per-call checks numpy runs on array arguments
-    draws = [(rng.poisson(plus), rng.poisson(minus)) for rng, (plus, minus) in zip(rngs, means)]
-    return np.array(draws, dtype=np.int64).reshape(n, 2)
+    return count_rng.poisson(means)
 
 
 def simulate_counts(
@@ -456,7 +455,7 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = np.array([[astuple(data_setting), astuple(program_setting)]])
-    return ClassCounts(*_stage_counts(angles, [position], config, [rng], eta)[0].tolist())
+    return ClassCounts(*_stage_counts(angles, [position], config, (rng, rng), eta)[0].tolist())
 
 
 def shoulder_counts(
@@ -476,25 +475,25 @@ def _run_stages(
     stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
     config: ExperimentConfig,
 ) -> np.ndarray:
-    """Counts of every stage at n points; point i draws from SeedSequence(config.seed).spawn(n)[i].
+    """Counts of every stage at n points, each stage drawing from two streams of config.seed.
 
     A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
-    The stages run in turn over all points (see the module
-    docstring), in blocks of at most _MAX_STAGE_PERIODS periods per stage
+    Stage s takes its jitter from SeedSequence(config.seed).spawn(2 * stages)[2s]
+    and its counts from stream 2s + 1 (see the module docstring).  The stages
+    run in turn over blocks of at most _MAX_STAGE_PERIODS periods per stage
     (one block for up to 4096 / repetitions points), each block filling its
     rows of one table.  Returns that (n, 2 * stages) int64 table: row i holds
     the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at point i.
     """
     n = len(stages[0][0])
-    streams = np.random.SeedSequence(config.seed).spawn(n)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * len(stages))]
     block = max(1, _MAX_STAGE_PERIODS // config.repetitions)
     counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
     for start in range(0, n, block):
         points = slice(start, start + block)
-        rngs = [np.random.default_rng(s) for s in streams[points]]
         for s, (angles, positions, eta) in enumerate(stages):
             counts[points, 2 * s : 2 * s + 2] = _stage_counts(
-                angles[points], positions[points], config, rngs, eta
+                angles[points], positions[points], config, (rngs[2 * s], rngs[2 * s + 1]), eta
             )
     return counts
 
@@ -507,10 +506,10 @@ def measure_sweep(
     `angles` holds their nominal plate angles, shape (n, 3, 2): [point, input
     (data plus, data minus, program), plate (QWP, HWP)], as
     pol.discriminator_angles gives them.  Row i holds the counts of setting
-    i, columns COUNT_COLUMNS.  Point i draws from its own stream
-    SeedSequence(config.seed).spawn(n)[i], so points are reproducible
-    individually.  The four stages are main plus, main minus, shoulder plus
-    and shoulder minus, which is the COUNT_COLUMNS order.  In the main runs
+    i, columns COUNT_COLUMNS.  Each stage draws from its own two streams in
+    point order (see _run_stages), so row i does not depend on the points
+    after it.  The four stages are main plus, main minus, shoulder plus and
+    shoulder minus, which is the COUNT_COLUMNS order.  In the main runs
     the data photon is prepared in its plus, then its minus state while the
     program photon keeps its setting; the shoulder runs use the 45-degree
     inputs outside the dip.  `eta` relaxes the main runs only, so the
@@ -591,10 +590,10 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     Per position, records the Psi+/Psi- class rates for the (45, 45) input
     (rate_pp rises toward the dip center, rate_mp dips) and for the (-45, 45)
     input (rate_pm dips, rate_mm rises).  The scan runs as two stages over
-    all positions, position i drawing from SeedSequence(config.seed).spawn(n)[i]
-    (see the module docstring).  The two dipping curves are fitted with a
-    Gaussian dip; their mean fitted visibility estimates the mode overlap at
-    zero displacement.
+    all positions, each with its own jitter and count streams (see
+    _run_stages).  The two dipping curves are fitted with a Gaussian dip;
+    their mean fitted visibility estimates the mode overlap at zero
+    displacement.
     """
     if len(positions) == 0:
         raise ValueError("positions must be nonempty")

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -206,25 +206,37 @@ def test_hom_scan_fitted_visibility_tracks_mode_overlap():
     assert abs(result.visibility - 0.92) <= 0.02
 
 
-def test_hom_scan_positions_follow_their_spawned_streams():
-    # position i takes from the i-th spawned stream the draws of a (45, 45)
-    # then a (-45, 45) simulate_counts call at that position, also in blocks
-    cfg = replace(with_pairs_per_point(ExperimentConfig.realistic(seed=6), 20_000), repetitions=3)
-    positions = [-90.0, -40.0, -5.0, 0.0, 20.0, 60.0, 150.0]
-    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", 6):
-        result = hom_scan(positions, cfg)
-    program = recipe_discriminator(0.0, 45.0, +1)
-    duration = cfg.repetitions * cfg.period
-    streams = np.random.SeedSequence(6).spawn(len(positions))
-    for i, x in enumerate(positions):
-        rng = np.random.default_rng(streams[i])
-        plus_in, minus_in = (
-            simulate_counts(recipe_discriminator(0.0, 45.0, sign), program, x, cfg, rng)
-            for sign in (+1, -1)
-        )
-        assert result.positions[i] == x
-        assert (result.rate_pp[i], result.rate_mp[i]) == tuple(c / duration for c in plus_in)
-        assert (result.rate_pm[i], result.rate_mm[i]) == tuple(c / duration for c in minus_in)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    positions=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6),
+    jitter=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    repetitions=st.integers(1, 4),
+    pairs=st.sampled_from([20.0, 20_000.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hom_scan_stages_draw_from_their_spawned_streams(positions, jitter, repetitions, pairs, seed):
+    # the (45, 45) and (-45, 45) stages jitter from spawned streams 0 and 2 and
+    # count from streams 1 and 3, in position order: blocks change no draw, and
+    # the first k positions of a scan are the scan of those k positions
+    cfg = replace(
+        with_pairs_per_point(ExperimentConfig.realistic(seed=seed), pairs),
+        repetitions=repetitions, angle_jitter=jitter,
+    )
+    inputs = sweep_angles([tuple(recipe_discriminator(0.0, 45.0, sign) for sign in (+1, -1, +1))])
+    inputs = np.repeat(inputs, len(positions), axis=0)
+    stages = [(inputs[:, [k, 2]], positions, 1.0) for k in (0, 1)]
+    expected = staged_reference(stages, cfg) / (cfg.repetitions * cfg.period)
+
+    def rates(result):
+        return np.column_stack([result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm])
+
+    for block_periods in (1, 6, 4096):
+        with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
+            result = hom_scan(positions, cfg)
+        assert result.positions.tolist() == positions
+        assert np.array_equal(rates(result), expected)
+    for k in range(1, len(positions)):
+        assert np.array_equal(rates(hom_scan(positions[:k], cfg)), expected[:k])
 
 
 def test_hom_scan_analyzes_once_per_input(monkeypatch):
@@ -545,27 +557,64 @@ def sequential_record(setting, point_cfg, stream, eta=1.0):
     )
 
 
-def test_sweep_points_follow_their_spawned_streams():
-    # point i of a sweep is measured on the i-th spawned stream of the seed,
-    # whatever the other points of the sweep are
-    cfg = ExperimentConfig.realistic(seed=3)
+def sweep_stages(settings_, cfg, eta=1.0):
+    """The four (angles, positions, eta) stages of a sweep of (plus, minus, program) recipe triples."""
+    angles = sweep_angles(settings_)
+    shoulder = sweep_angles([tuple(recipe_discriminator(0.0, 45.0, sign) for sign in (+1, -1, +1))])
+    shoulder = np.repeat(shoulder, len(angles), axis=0)
+    center, outside = np.zeros(len(angles)), np.full(len(angles), cfg.shoulder_position)
+    return [
+        (angles[:, [0, 2]], center, eta),
+        (angles[:, [1, 2]], center, eta),
+        (shoulder[:, [0, 2]], outside, 1.0),
+        (shoulder[:, [1, 2]], outside, 1.0),
+    ]
+
+
+def stage_means(stages, cfg, jitter_streams=None):
+    """The (n, 2 * stages) Poisson means of `stages`; stage s jitters from jitter_streams[s] if given."""
+    columns = []
+    for s, (nominal, positions, eta) in enumerate(stages):
+        angles = np.asarray(nominal, dtype=float)[:, None]
+        if jitter_streams is not None and cfg.angle_jitter > 0.0:
+            shape = (len(angles), cfg.repetitions, 2, 2)
+            rng = np.random.default_rng(jitter_streams[s])
+            angles = angles + rng.uniform(-cfg.angle_jitter, cfg.angle_jitter, size=shape)
+        overlaps = np.array([mode_overlap_at(x, cfg) for x in positions])
+        columns.append(_poisson_means(angles, overlaps, cfg, eta))
+    return np.hstack(columns)
+
+
+def staged_reference(stages, cfg):
+    """Counts of `stages` with stage s jittered from spawned stream 2s and counted from stream 2s + 1."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(2 * len(stages))
+    means = stage_means(stages, cfg, jitter_streams=streams[0::2])
+    count_rngs = [np.random.default_rng(stream) for stream in streams[1::2]]
+    return np.hstack([rng.poisson(means[:, 2 * s : 2 * s + 2]) for s, rng in enumerate(count_rngs)])
+
+
+def test_sweep_rows_are_the_stage_draws_and_reproduce_by_prefix():
+    # a device sweep's counts are its four stages drawn from their spawned
+    # streams, and the first k rows of a grid are the grid of its first k points
+    cfg = ExperimentConfig.realistic(seed=21)
     point_cfg = with_pairs_per_point(cfg, 5_000)
     grid = [(eps, theta) for eps in (0.0, 24.0) for theta in (10.0, 50.0)]
-    disc = run_discriminator_sweep(
-        [0.0, 24.0], [10.0, 50.0], replace(cfg, seed=21), pairs_per_point=5_000
-    )
-    streams = np.random.SeedSequence(21).spawn(len(grid))
-    for i in reversed(range(len(grid))):
-        recipes = [recipe_discriminator(*grid[i], sign) for sign in (+1, -1, +1)]
-        assert (disc[i].epsilon, disc[i].theta) == grid[i]
-        assert disc[i].counts == sequential_record(recipes, point_cfg, streams[i])
+    disc = run_discriminator_sweep([0.0, 24.0], [10.0, 50.0], cfg, pairs_per_point=5_000)
+    settings_ = [tuple(recipe_discriminator(*point, sign) for sign in (+1, -1, +1)) for point in grid]
+    expected = staged_reference(sweep_stages(settings_, point_cfg), point_cfg)
+    assert [(pt.epsilon, pt.theta) for pt in disc] == grid
+    assert [pt.counts for pt in disc] == [CountRecord(*row) for row in expected.tolist()]
+    first_eps = run_discriminator_sweep([0.0], [10.0, 50.0], cfg, pairs_per_point=5_000)
+    assert [pt.counts for pt in first_eps] == [pt.counts for pt in disc[:2]]
 
     phis = [-40.0, 0.0, 30.0]
-    multi = run_multimeter_sweep(phis, 0.4, replace(cfg, seed=8), pairs_per_point=5_000)
-    streams = np.random.SeedSequence(8).spawn(len(phis))
-    for i in reversed(range(len(phis))):
-        recipes = [recipe_multimeter(phis[i], sign) for sign in (+1, -1, +1)]
-        assert multi[i].counts == sequential_record(recipes, point_cfg, streams[i], eta=0.4)
+    multi = run_multimeter_sweep(phis, 0.4, cfg, pairs_per_point=5_000)
+    settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis]
+    expected = staged_reference(sweep_stages(settings_, point_cfg, eta=0.4), point_cfg)
+    assert [pt.counts for pt in multi] == [CountRecord(*row) for row in expected.tolist()]
+    for k in range(1, len(phis)):
+        prefix = run_multimeter_sweep(phis[:k], 0.4, cfg, pairs_per_point=5_000)
+        assert [pt.counts for pt in prefix] == [pt.counts for pt in multi[:k]]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -577,14 +626,14 @@ def test_sweep_points_follow_their_spawned_streams():
     eta=st.floats(0.0, 1.0),
     pairs=st.sampled_from([20.0, 5_000.0]),
     seed=st.integers(0, 2**32 - 1),
-    block_periods=st.sampled_from([1, 6, 4096]),
 )
-def test_sweep_point_draws_like_four_sequential_simulate_counts(
-    device, angles, jitter, repetitions, eta, pairs, seed, block_periods
+def test_sweep_stage_draws_from_its_two_spawned_streams(
+    device, angles, jitter, repetitions, eta, pairs, seed
 ):
-    # the staged sweep takes from point i's stream exactly the draws of main +,
-    # main -, shoulder +, shoulder - made one simulate_counts call at a time,
-    # also when the sweep is split into blocks of points
+    # stage s of a sweep takes the jitter of all its periods from spawned
+    # stream 2s and its counts, one Poisson draw of the (n, 2) means, from
+    # stream 2s + 1; both are consumed in point order, so blocks of points
+    # change no draw and the first k points alone give the first k rows
     if device == "discriminator":
         settings_ = [
             tuple(recipe_discriminator(eps, theta, sign) for sign in (+1, -1, +1))
@@ -592,15 +641,90 @@ def test_sweep_point_draws_like_four_sequential_simulate_counts(
         ]
     else:
         settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for _, phi in angles]
-    cfg = replace(ExperimentConfig.realistic(), angle_jitter=jitter, repetitions=repetitions)
-    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-        counts = measure_sweep(sweep_angles(settings_), replace(cfg, seed=seed), pairs, eta=eta)
-
-    assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
+    cfg = replace(ExperimentConfig.realistic(seed=seed), angle_jitter=jitter, repetitions=repetitions)
     point_cfg = with_pairs_per_point(cfg, pairs)
-    streams = np.random.SeedSequence(seed).spawn(len(settings_))
-    for row, setting, stream in zip(counts.tolist(), settings_, streams):
-        assert CountRecord(*row) == sequential_record(setting, point_cfg, stream, eta=eta)
+    expected = staged_reference(sweep_stages(settings_, point_cfg, eta), point_cfg)
+    for block_periods in (1, 6, 4096):
+        with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
+            counts = measure_sweep(sweep_angles(settings_), cfg, pairs, eta=eta)
+        assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
+        assert np.array_equal(counts, expected)
+    for k in range(1, len(settings_)):
+        prefix = measure_sweep(sweep_angles(settings_[:k]), cfg, pairs, eta=eta)
+        assert np.array_equal(prefix, expected[:k])
+
+
+def per_point_sampler(settings_, cfg, pairs, eta):
+    """The count table of the per-point sampler sweeps used before the stage streams.
+
+    Point i measured main +, main -, shoulder + and shoulder - one
+    simulate_counts call at a time on SeedSequence(cfg.seed).spawn(n)[i].
+    """
+    point_cfg = with_pairs_per_point(cfg, pairs)
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(settings_))
+    records = [sequential_record(setting, point_cfg, stream, eta) for setting, stream in zip(settings_, streams)]
+    return np.array([astuple(record) for record in records])
+
+
+@pytest.mark.parametrize(
+    "device, pairs, jitter, eta",
+    [
+        ("discriminator", 20.0, 0.0, 1.0),
+        ("discriminator", 5_000.0, 1.0, 1.0),
+        ("multimeter", 20.0, 1.0, 0.5),
+        ("multimeter", 5_000.0, 0.0, 0.5),
+    ],
+)
+def test_stage_sampler_draws_the_distribution_of_the_per_point_sampler(device, pairs, jitter, eta):
+    # the stage streams change which numbers a sweep draws, not their
+    # distribution.  Counts standardized by their nominal Poisson mean,
+    # z = (c - lam) / sqrt(lam), have the same mean and sd under both
+    # samplers; with 20 pairs the means lie below 10, where numpy's Poisson
+    # sampler takes its other algorithm.  Accidentals of 0.5 per class keep
+    # every mean away from 0, so the fourth moment of z (3 + 1 / lam without
+    # jitter) stays small and the normal bounds below hold at N ~ 10^4
+    cfg = replace(
+        ExperimentConfig.realistic(seed=2024), angle_jitter=jitter,
+        dark_count_rate=500.0, coincidence_window=1e-7,
+    )
+    if device == "discriminator":
+        grid = [(eps, theta) for eps in range(0, 37, 4) for theta in range(0, 91, 3)] * 4
+        settings_ = [tuple(recipe_discriminator(*point, sign) for sign in (+1, -1, +1)) for point in grid]
+    else:
+        phis = list(range(-90, 91)) * 7
+        settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis]
+    point_cfg = with_pairs_per_point(cfg, pairs)
+    lam = stage_means(sweep_stages(settings_, point_cfg, eta), point_cfg)
+    assert lam.min() > 0.49 and (pairs > 100 or lam.max() < 10.0)
+    tables = measure_sweep(sweep_angles(settings_), cfg, pairs, eta), per_point_sampler(settings_, cfg, pairs, eta)
+    z = [((table - lam) / np.sqrt(lam)).ravel() for table in tables]
+    n = z[0].size
+    # standard errors of the sample mean and sd (delta method on the variance)
+    mean_se = [np.sqrt(v.var() / n) for v in z]
+    sd_se = [np.sqrt((np.mean((v - v.mean()) ** 4) - v.var() ** 2) / n) / (2.0 * v.std()) for v in z]
+    assert abs(z[0].mean() - z[1].mean()) <= 5.0 * math.hypot(*mean_se)
+    assert abs(z[0].std() - z[1].std()) <= 5.0 * math.hypot(*sd_se)
+
+
+@pytest.mark.parametrize("n", [3, 5_000])
+def test_a_sweep_builds_two_generators_per_stage(monkeypatch, n):
+    # the streams are per stage, so their number and memory do not grow with the grid
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(default_rng(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    cfg = ExperimentConfig.realistic(seed=2)
+    settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in (-30.0, 45.0)]
+    angles = sweep_angles(settings_)
+    measure_sweep(np.resize(angles, (n, 3, 2)), cfg, 1_000.0, eta=0.5)
+    assert len(built) == 2 * 4
+    built.clear()
+    hom_scan(np.linspace(-200.0, 200.0, n), cfg)
+    assert len(built) == 2 * 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
