@@ -2,35 +2,29 @@
 
 Subcommands: `discriminate` (success-probability sweep), `multimeter`
 (inconclusive-rate sweep), `hom-scan` (mirror scan through the dip) and
-`analyze` (offline re-estimation from raw count columns).
+`analyze` (offline re-estimation from raw count columns).  Each handler
+imports the modules it runs, so `analyze` loads no optics.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .counts import COUNT_COLUMNS, DiscriminationPoint, Estimates, MultimeterPoint, count_table, estimate_table
 from .dataset import Dataset
-from .discriminator import DiscriminationPoint, discriminator_columns
 from .errors import SchemaViolationError
-from .experiment import (
-    COUNT_COLUMNS,
-    Estimates,
-    ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
-    count_table,
-    estimate_table,
-    hom_scan,
-    with_pairs_per_point,
-)
-from .multimeter import MultimeterPoint, multimeter_columns
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 # most points a sweep grid may have, checked before the grid is built
 _MAX_GRID_POINTS = 10**6
@@ -68,6 +62,8 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    from .experiment import ExperimentConfig, config_from_dict
+
     if args.config:
         data = json.loads(Path(args.config).read_text())
         config = config_from_dict(data)
@@ -83,10 +79,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """`discriminate` and `multimeter`: run the task's sweep and write its dataset.
 
-    The columns are those of the task's sweep (experiment.sweep_columns).
+    The columns are those of the task's sweep (counts.sweep_columns).
     Estimates the counts of a point leave undefined are NaN; an empty grid
     gives an empty dataset.
     """
+    from .experiment import config_to_dict
+
     config = _load_config(args)
     metadata = {
         "command": args.command,
@@ -97,11 +95,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "config": config_to_dict(config),
     }
     if args.task == "discriminator":
+        from .discriminator import discriminator_columns
+
         epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
         if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
             raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
         columns = discriminator_columns(epsilons, thetas, config, pairs_per_point=args.pairs)
     else:
+        from .multimeter import multimeter_columns
+
         columns = multimeter_columns(_parse_range(args.phi_range), args.eta, config, args.pairs)
         metadata["eta"] = args.eta
     dataset = Dataset(list(columns), list(columns.values()), metadata)
@@ -111,6 +113,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hom_scan(args: argparse.Namespace) -> int:
+    from .experiment import config_to_dict, hom_scan, with_pairs_per_point
+
     config = with_pairs_per_point(_load_config(args), args.pairs)
     if args.positions:
         positions = _parse_float_list(args.positions)
@@ -163,6 +167,7 @@ def _recorded_argv(args: argparse.Namespace) -> list[str]:
     return list(getattr(args, "_argv", []))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellmeter",

@@ -12,14 +12,13 @@ are evaluated point by point, by the scalar functions, so they stay bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import polarization as pol
-from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
-from .experiment import sweep_columns, sweep_points
+from .counts import DiscriminationPoint, Estimates, estimate_table, sweep_columns, sweep_points
+from .experiment import ExperimentConfig, measure_sweep
 
 
 def success_prob_theory(epsilon_deg: float, theta_deg: float) -> float:
@@ -41,26 +40,6 @@ def optimal_prob(epsilon_deg: float, theta_deg: float) -> float:
     th = math.radians(theta_deg)
     a, b, c, d = x * math.cos(th), y * math.sin(th), x * math.sin(th), y * math.cos(th)
     return 1.0 - abs((a * a + b * b) - (c * c + d * d))
-
-
-@dataclass(frozen=True)
-class DiscriminationPoint:
-    """One sweep point: theory, optimal benchmark and simulated estimates.
-
-    The fields before `counts` name the sweep's leading dataset columns
-    (experiment.sweep_columns); the grid coordinates, which `analyze` carries
-    over, carry "grid" metadata.
-    """
-
-    epsilon: float = field(metadata={"grid": True})
-    theta: float = field(metadata={"grid": True})
-    p_theory: float
-    p_optimal: float
-    p_estimated: float
-    p_stderr: float
-    error_rate: float
-    error_rate_stderr: float
-    counts: CountRecord
 
 
 def discriminator_columns(

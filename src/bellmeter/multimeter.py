@@ -11,15 +11,15 @@ The sweep is columnar (multimeter_columns); its theory columns are constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
-from .experiment import CountRecord, Estimates, ExperimentConfig, estimate_table, measure_sweep
-from .experiment import sweep_columns, sweep_points
+from .counts import Estimates, MultimeterPoint, estimate_table, sweep_columns, sweep_points
+from .experiment import ExperimentConfig, measure_sweep
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -112,27 +112,6 @@ def reinterpret(
     out[relabel & coin] = int(Outcome.PSI_PLUS)
     out[relabel & ~coin] = int(Outcome.PSI_MINUS)
     return out
-
-
-@dataclass(frozen=True)
-class MultimeterPoint:
-    """One sweep point of the multimeter run: theory and simulated estimates.
-
-    The fields before `counts` name the sweep's leading dataset columns
-    (experiment.sweep_columns), by "column" metadata where they have it; the
-    grid coordinates, which `analyze` carries over, carry "grid" metadata.
-    """
-
-    phi: float = field(metadata={"grid": True})
-    eta: float = field(metadata={"grid": True})
-    pi_theory: float
-    fidelity_theory: float
-    p_inconclusive: float = field(metadata={"column": "pi_estimated"})
-    pi_stderr: float
-    fidelity: float = field(metadata={"column": "fidelity_estimated"})
-    error_rate: float
-    error_rate_stderr: float
-    counts: CountRecord
 
 
 def multimeter_columns(

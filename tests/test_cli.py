@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bellmeter
-from bellmeter.cli import _parse_range, main
+from bellmeter.cli import _parse_range, build_parser, main
 from bellmeter.dataset import Dataset, sidecar_path
 
 
@@ -122,6 +122,45 @@ def test_hom_scan_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert out.is_file()
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import bellmeter", {"bellmeter"}),
+        (
+            "from bellmeter.cli import main; "
+            "assert main(['analyze', sys.argv[1], '--out', sys.argv[2]]) == 0",
+            {"bellmeter", "bellmeter.cli", "bellmeter.counts", "bellmeter.dataset", "bellmeter.errors"},
+        ),
+    ],
+    ids=["package", "analyze"],
+)
+def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, loaded):
+    # the package root imports no module, and `analyze` needs only the count core
+    counts, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
+    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    script = f"import sys; {code}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellmeter'))"
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(counts), str(out)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(sorted(loaded))
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    argv = ["multimeter", "--ideal", "--phi-range=0:8:8", "--pairs", "100", "--seed", "1"]
+    assert main(argv + ["--eta", "0.5", "--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
+    assert Dataset.read(first).column("eta").tolist() == [0.5, 0.5]
+    assert Dataset.read(second).column("eta").tolist() == [1.0, 1.0]
+    meta = read_sidecar(second)
+    assert meta["eta"] == 1.0
+    assert meta["argv"] == argv + ["--out", str(second)]
 
 
 def test_dataset_reproducible_byte_for_byte(tmp_path):
@@ -529,8 +568,9 @@ def test_cli_sweeps_build_no_per_point_objects(tmp_path, monkeypatch):
     # its points from the same columns, so they equal the dataset's rows
     from dataclasses import astuple, fields
 
+    from bellmeter.counts import CountRecord
     from bellmeter.discriminator import DiscriminationPoint, run_discriminator_sweep
-    from bellmeter.experiment import CountRecord, ExperimentConfig
+    from bellmeter.experiment import ExperimentConfig
     from bellmeter.multimeter import MultimeterPoint, run_multimeter_sweep
 
     built = dict.fromkeys([CountRecord, DiscriminationPoint, MultimeterPoint], 0)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellmeter.counts import CountRecord
 from bellmeter.discriminator import optimal_prob, run_discriminator_sweep, success_prob_theory
 from bellmeter.errors import InvalidNormalizationError, NoDataError
-from bellmeter.experiment import CountRecord, ExperimentConfig
+from bellmeter.experiment import ExperimentConfig
 from bellmeter.polarization import overlap, prepare_elliptical
 
 # frozen with mpmath at 40 digits

@@ -15,18 +15,16 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     product_outcome_probs,
 )
+from bellmeter.counts import CountRecord, count_table, estimate_table
 from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
-    CountRecord,
     ExperimentConfig,
     _PROB_FLOOR,
     _fit_visibility,
     _poisson_means,
     config_from_dict,
     config_to_dict,
-    count_table,
-    estimate_table,
     hom_scan,
     measure_sweep,
     mode_overlap_at,
@@ -829,16 +827,16 @@ def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
         run_discriminator_sweep([0.0, 24.0], thetas, cfg, pairs_per_point=1_000)
         assert calls == {"analyze": 4, "prepare": 4}
         assert rows == [2 * len(thetas) * 10] * 4
-    # without jitter each distinct state of a stage is analyzed once: one per phase
-    # in the main stages, one for all points in a shoulder stage.  One block holds
-    # up to 4096 periods per input setting: 409 points of 10 periods
+    # without jitter each point of a stage is analyzed as one period, the shoulder
+    # stages' points too.  One block holds up to 4096 periods per input setting:
+    # 409 points of 10 periods
     for n_points, block_rows in ((181, [181]), (409, [409]), (410, [409, 1])):
         calls.clear()
         rows.clear()
         phis = np.linspace(-90.0, 90.0, n_points)
         run_multimeter_sweep(phis, 0.5, cfg.idealized(), pairs_per_point=1_000)
         assert calls == {"analyze": 4 * len(block_rows), "prepare": 4 * len(block_rows)}
-        assert rows == [r for n in block_rows for r in (n, n, 1, 1)]
+        assert rows == [r for n in block_rows for r in (n, n, n, n)]
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])

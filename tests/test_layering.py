@@ -7,7 +7,8 @@ import bellmeter
 
 # lowest layer first; a module may import modules of lower layers only
 LAYERS = (
-    {"errors", "polarization"},
+    {"errors"},
+    {"polarization", "counts"},
     {"twophoton"},
     {"analyzer"},
     {"experiment"},

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bellmeter.analyzer import AnalyzerConfig, Outcome
+from bellmeter.counts import CountRecord
 from bellmeter.errors import InvalidNormalizationError
-from bellmeter.experiment import CountRecord, ExperimentConfig
+from bellmeter.experiment import ExperimentConfig
 from bellmeter.multimeter import (
     effective_povm,
     fidelity_from_PI,
