@@ -62,7 +62,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    from .experiment import ExperimentConfig, config_from_dict
+    from .experiment import ExperimentConfig, config_from_dict, with_pairs_per_point
 
     if args.config:
         data = json.loads(Path(args.config).read_text())
@@ -73,7 +73,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = config.idealized()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config
+    return with_pairs_per_point(config, args.pairs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -100,11 +100,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
         if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
             raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
-        columns = discriminator_columns(epsilons, thetas, config, pairs_per_point=args.pairs)
+        columns = discriminator_columns(epsilons, thetas, config)
     else:
         from .multimeter import multimeter_columns
 
-        columns = multimeter_columns(_parse_range(args.phi_range), args.eta, config, args.pairs)
+        columns = multimeter_columns(_parse_range(args.phi_range), args.eta, config)
         metadata["eta"] = args.eta
     dataset = Dataset(list(columns), list(columns.values()), metadata)
     dataset.write(args.out)
@@ -113,9 +113,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hom_scan(args: argparse.Namespace) -> int:
-    from .experiment import config_to_dict, hom_scan, with_pairs_per_point
+    from .experiment import config_to_dict, hom_scan
 
-    config = with_pairs_per_point(_load_config(args), args.pairs)
+    config = _load_config(args)
     if args.positions:
         positions = _parse_float_list(args.positions)
     else:

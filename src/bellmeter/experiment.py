@@ -62,6 +62,10 @@ _MAX_STAGE_PERIODS = 4096
 # repetitions than fit a block; without jitter a point is one analyzed period
 _MAX_JITTERED_REPETITIONS = _MAX_STAGE_PERIODS
 
+# plate angles (input, photon, plate) of the shoulder and mirror-scan inputs: the
+# plus and minus inputs of epsilon 0, theta 45 are the (45, 45) and (-45, 45) ones
+_DIAGONAL = pol.discriminator_angles(0.0, 45.0)[[[0, 2], [1, 2]]]
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FIT_GRID = 64  # log-spaced dip widths the visibility fit tries before its golden-section search
 
@@ -158,14 +162,15 @@ class ClassCounts(NamedTuple):
     psi_minus: int
 
 
-def mode_overlap_at(position: float, config: ExperimentConfig) -> float:
+def mode_overlap_at(position, config: ExperimentConfig) -> float | np.ndarray:
     """Photon indistinguishability as a function of mirror displacement.
 
     Gaussian dip profile M(x) = M0 * exp(-x^2 / (2 sigma^2)); at the default
-    sigma the 150 um shoulder retains ~1e-4 of the central overlap.
+    sigma the 150 um shoulder retains ~1e-4 of the central overlap.  Takes a
+    position or an array; each element gets the bits of a call on it alone.
     """
     m0 = config.analyzer.mode_overlap
-    return m0 * math.exp(-(position**2) / (2.0 * config.dip_sigma**2))
+    return m0 * np.exp(-(np.asarray(position, dtype=float) ** 2) / (2.0 * config.dip_sigma**2))
 
 
 def _poisson_means(
@@ -212,16 +217,16 @@ def _stage_counts(
     """Recorded (Psi+, Psi-) counts of one input setting at n points, shape (n, 2) int64.
 
     `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
-    and `positions` their mirror positions; `rngs` is the (jitter, count)
-    pair of generators.  The jitter of all periods is one uniform draw of
-    shape (n, R, 2, 2), all points are prepared and analyzed together, then
-    one Poisson draw of the (n, 2) means gives the counts.  Without jitter,
-    each point is analyzed as one period that counts R times.
+    and `positions` their mirror positions, shape (n,), whose mode overlaps
+    are one mode_overlap_at call; `rngs` is the (jitter, count) pair of
+    generators.  The jitter of all periods is one uniform draw of shape
+    (n, R, 2, 2), all points are prepared and analyzed together, then one
+    Poisson draw of the (n, 2) means gives the counts.  Without jitter, each
+    point is analyzed as one period that counts R times.
     """
     jitter_rng, count_rng = rngs
     n = len(angles)
-    xs, x_of_point = np.unique(np.asarray(positions, dtype=float), return_inverse=True)
-    overlaps = np.array([mode_overlap_at(x, config) for x in xs])[x_of_point]
+    overlaps = mode_overlap_at(positions, config)
     angles = np.asarray(angles, dtype=float).reshape(n, 1, 2, 2)
     if config.angle_jitter > 0.0:
         jitter, shape = config.angle_jitter, (n, config.repetitions, 2, 2)
@@ -309,10 +314,8 @@ def _run_stages(
     return counts
 
 
-def measure_sweep(
-    angles: np.ndarray, config: ExperimentConfig, pairs_per_point: float, eta: float = 1.0
-) -> np.ndarray:
-    """The (n, 8) int64 count table of the n settings of a sweep.
+def measure_sweep(angles: np.ndarray, config: ExperimentConfig, eta: float = 1.0) -> np.ndarray:
+    """The (n, 8) int64 count table of the n settings of a sweep, drawn at config.pair_rate as given.
 
     `angles` holds their nominal plate angles, shape (n, 3, 2): [point, input
     (data plus, data minus, program), plate (QWP, HWP)], as
@@ -329,16 +332,12 @@ def measure_sweep(
     angles = np.asarray(angles, dtype=float)
     n = len(angles)
     center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
-    # the plus and minus inputs of epsilon 0, theta 45 are the (45, 45) and (-45, 45) ones
-    diagonal = np.broadcast_to(pol.discriminator_angles(0.0, 45.0), angles.shape)
     stages = [
         (angles[:, [0, 2]], center, eta),
         (angles[:, [1, 2]], center, eta),
-        (diagonal[:, [0, 2]], shoulder, 1.0),
-        (diagonal[:, [1, 2]], shoulder, 1.0),
+        *((np.broadcast_to(diagonal, (n, 2, 2)), shoulder, 1.0) for diagonal in _DIAGONAL),
     ]
-    point_cfg = with_pairs_per_point(config, pairs_per_point)
-    return _run_stages(stages, point_cfg)
+    return _run_stages(stages, config)
 
 
 @dataclass
@@ -409,8 +408,7 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     if len(positions) == 0:
         raise ValueError("positions must be nonempty")
     pos = np.asarray(positions, dtype=float)
-    diagonal = np.broadcast_to(pol.discriminator_angles(0.0, 45.0), (len(pos), 3, 2))  # see measure_sweep
-    stages = [(diagonal[:, [k, 2]], pos, 1.0) for k in (0, 1)]
+    stages = [(np.broadcast_to(diagonal, (len(pos), 2, 2)), pos, 1.0) for diagonal in _DIAGONAL]
     # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
     rates = _run_stages(stages, config) / (config.repetitions * config.period)
     dips = (rates[:, 1], rates[:, 2])

@@ -19,7 +19,7 @@ import numpy as np
 from . import polarization as pol
 from .analyzer import Outcome
 from .counts import Estimates, MultimeterPoint, estimate_table, sweep_columns, sweep_points
-from .experiment import ExperimentConfig, measure_sweep
+from .experiment import ExperimentConfig, measure_sweep, with_pairs_per_point
 from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
@@ -115,7 +115,7 @@ def reinterpret(
 
 
 def multimeter_columns(
-    phis: Sequence[float], eta: float, config: ExperimentConfig, pairs_per_point: float
+    phis: Sequence[float], eta: float, config: ExperimentConfig
 ) -> dict[str, np.ndarray]:
     """Dataset columns of the multimeter over a grid of basis phases.
 
@@ -124,12 +124,13 @@ def multimeter_columns(
     the unambiguous analyzer is physically simulated; eta < 1 is produced by
     relabeling inconclusive outcomes, so the shoulder normalization stays that
     of the raw measurement.  The fidelity estimate is 1 - the wrong-class
-    rate of the conclusive events.  Estimates the counts leave undefined are NaN.
+    rate of the conclusive events, and the counts are drawn at config.pair_rate.
+    Estimates the counts leave undefined are NaN.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     phi = np.asarray(phis, dtype=float)
-    counts = measure_sweep(pol.multimeter_angles(phi), config, pairs_per_point, eta=eta)
+    counts = measure_sweep(pol.multimeter_angles(phi), config, eta=eta)
     est = dict(zip(Estimates._fields, estimate_table(counts).T))
     pi_theory = theory_PI(eta)
     return sweep_columns(
@@ -145,5 +146,6 @@ def multimeter_columns(
 def run_multimeter_sweep(
     phis: Sequence[float], eta: float, config: ExperimentConfig, pairs_per_point: float = 100_000.0
 ) -> list[MultimeterPoint]:
-    """The multimeter_columns sweep as one point per phi."""
-    return sweep_points(MultimeterPoint, multimeter_columns(phis, eta, config, pairs_per_point))
+    """The multimeter_columns sweep at pairs_per_point pairs per input setting, as points."""
+    point_cfg = with_pairs_per_point(config, pairs_per_point)
+    return sweep_points(MultimeterPoint, multimeter_columns(phis, eta, point_cfg))

@@ -15,8 +15,6 @@ from .polarization import PolarizationState
 
 _NORM_TOL = 1e-9
 
-PRODUCT_BASIS = ("HH", "HV", "VH", "VV")
-
 _SQ2 = np.sqrt(2.0)
 
 # rows: Phi+, Phi-, Psi+, Psi- on the (HH, HV, VH, VV) basis

@@ -319,6 +319,30 @@ def test_boolean_analyzer_number_exits_nonzero_without_dataset(tmp_path, capsys,
     assert err.startswith("error:") and "must be a finite number" in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--epsilon", "12", "--theta-range", "0:90:45"],
+        ["multimeter", "--phi-range=-90:90:45", "--eta", "0.5"],
+        ["hom-scan", "--range=-100:100:50"],
+    ],
+)
+def test_sidecar_config_is_the_config_the_counts_were_drawn_at(tmp_path, argv):
+    # --pairs replaces a config file's pair_rate for every command, so the
+    # sidecar records the rate the counts were drawn at and reruns the command
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"pair_rate": 1234.0, "period": 0.5, "repetitions": 4}))
+    flags = argv + ["--pairs", "200", "--seed", "5", "--config", str(cfg_path)]
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    assert main(flags + ["--out", str(first)]) == 0
+    config = read_sidecar(first)["config"]
+    assert config["pair_rate"] * config["period"] * config["repetitions"] == pytest.approx(200.0, rel=1e-12)
+    cfg_path.write_text(json.dumps(config))
+    assert main(flags + ["--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_nan_pairs_exit_nonzero_without_dataset(tmp_path, capsys):
     out = tmp_path / "nan.tsv"
     code = main(["discriminate", "--ideal", "--epsilon", "0", "--theta-range", "45:45:1",

@@ -57,6 +57,10 @@ def test_optimal_prob_equals_the_complex_overlap_on_the_default_grid():
         for theta in range(0, 91, 4):
             plus, minus = prepare_elliptical(eps, theta, +1), prepare_elliptical(eps, theta, -1)
             assert optimal_prob(eps, theta) == 1.0 - abs(overlap(plus, minus))
+    # over the grid's arrays both theory curves give each point the bits of its own call
+    eps, theta = np.repeat([0.0, 12.0, 24.0, 36.0], 23), np.tile(np.arange(0.0, 91.0, 4.0), 4)
+    for curve in (success_prob_theory, optimal_prob):
+        assert np.array_equal(curve(eps, theta), [curve(*point) for point in zip(eps.tolist(), theta.tolist())])
 
 
 def test_optimal_prob_matches_real_parametrization_shortcut():

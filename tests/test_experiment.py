@@ -58,6 +58,9 @@ def test_mode_overlap_profile():
     assert mode_overlap_at(150.0, cfg92) == pytest.approx(0.92 * SHOULDER_RESIDUAL_35, rel=1e-12)
     # effectively distinguishable once sigma <= shoulder/3
     assert mode_overlap_at(150.0, cfg92) <= 0.01 * 0.92
+    # an array of positions gives each position the bits of its own call
+    positions = np.array([0.0, cfg92.shoulder_position, -cfg92.shoulder_position, 1e6])
+    assert np.array_equal(mode_overlap_at(positions, cfg92), [mode_overlap_at(x, cfg92) for x in positions.tolist()])
 
 
 def test_simulate_counts_ideal_convergence():
@@ -644,11 +647,11 @@ def test_sweep_stage_draws_from_its_two_spawned_streams(
     expected = staged_reference(sweep_stages(settings_, point_cfg, eta), point_cfg)
     for block_periods in (1, 6, 4096):
         with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-            counts = measure_sweep(sweep_angles(settings_), cfg, pairs, eta=eta)
+            counts = measure_sweep(sweep_angles(settings_), point_cfg, eta=eta)
         assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
         assert np.array_equal(counts, expected)
     for k in range(1, len(settings_)):
-        prefix = measure_sweep(sweep_angles(settings_[:k]), cfg, pairs, eta=eta)
+        prefix = measure_sweep(sweep_angles(settings_[:k]), point_cfg, eta=eta)
         assert np.array_equal(prefix, expected[:k])
 
 
@@ -694,7 +697,7 @@ def test_stage_sampler_draws_the_distribution_of_the_per_point_sampler(device, p
     point_cfg = with_pairs_per_point(cfg, pairs)
     lam = stage_means(sweep_stages(settings_, point_cfg, eta), point_cfg)
     assert lam.min() > 0.49 and (pairs > 100 or lam.max() < 10.0)
-    tables = measure_sweep(sweep_angles(settings_), cfg, pairs, eta), per_point_sampler(settings_, cfg, pairs, eta)
+    tables = measure_sweep(sweep_angles(settings_), point_cfg, eta), per_point_sampler(settings_, cfg, pairs, eta)
     z = [((table - lam) / np.sqrt(lam)).ravel() for table in tables]
     n = z[0].size
     # standard errors of the sample mean and sd (delta method on the variance)
@@ -718,7 +721,7 @@ def test_a_sweep_builds_two_generators_per_stage(monkeypatch, n):
     cfg = ExperimentConfig.realistic(seed=2)
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in (-30.0, 45.0)]
     angles = sweep_angles(settings_)
-    measure_sweep(np.resize(angles, (n, 3, 2)), cfg, 1_000.0, eta=0.5)
+    measure_sweep(np.resize(angles, (n, 3, 2)), with_pairs_per_point(cfg, 1_000.0), eta=0.5)
     assert len(built) == 2 * 4
     built.clear()
     hom_scan(np.linspace(-200.0, 200.0, n), cfg)
@@ -882,7 +885,7 @@ def test_sweep_working_memory_is_bounded_by_blocks():
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
     tracemalloc.start()
     try:
-        measure_sweep(sweep_angles(settings_), replace(cfg, seed=5), 1_000.0)
+        measure_sweep(sweep_angles(settings_), with_pairs_per_point(replace(cfg, seed=5), 1_000.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
