@@ -15,10 +15,21 @@ D1=(1,H), D2=(1,V), D4=(2,H), D3=(2,V), which reproduces the coincidence
 table: D1&D3 or D2&D4 fire together for Psi+, D1&D2 or D3&D4 for Psi-,
 anything else (including both photons in one detector) is inconclusive.
 
-A batch of states reaches its output amplitudes as U psi U^T for any
-two-photon state (pattern_probs_batch), or in rank-1 product form for two
-separately prepared photons (product_outcome_probs); one core then mixes the
-pattern probabilities by the mode overlap and sums them per outcome class.
+Two entry points give outcome probabilities.  Any two-photon state reaches
+its output amplitudes as U psi U^T (pattern_probs_batch); the pattern
+probabilities are mixed by the mode overlap and summed per outcome class
+(outcome_probs_batch).  Two separately prepared photons take a real-arithmetic
+shortcut (stokes_outcome_probs): for a product input every class probability
+is a bilinear form s_d^T (K_dist + M K_bos) s_p in the photons' Stokes
+4-vectors s = (1, z, x, y), whose 4x4 tables are built once per config
+(_stokes_tables).  With the default wiring
+
+    p+- = A+-(1 - z_d z_p) +- M B (x_d x_p + y_d y_p),    p? = (1 + z_d z_p) / 2,
+
+with A+ = (T_h T_v + R_h R_v) / 2, A- = (T_h R_v + R_h T_v) / 2 and
+B = sqrt(T_h R_h T_v R_v) (all 1/4 for a 50:50 splitter); the equatorial
+term is the phase covariance the multimeter relies on.  The general path
+stays as the oracle of the shortcut.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .polarization import stokes_vectors
 from .twophoton import TwoPhotonState, bell_probabilities
 
 DETECTORS = ("D1", "D2", "D3", "D4")
@@ -45,7 +57,7 @@ PATTERNS: tuple[tuple[int, int], ...] = tuple(
 )
 
 # row/column indices of PATTERNS into the symmetric 4x4 pattern matrix, and the
-# factor mapping its entries to pattern probabilities (see _mixed_patterns)
+# factor mapping its entries to pattern probabilities (see pattern_probs_batch)
 _PATTERN_ROWS, _PATTERN_COLS = np.array(PATTERNS).T
 _PATTERN_WEIGHTS = np.where(_PATTERN_ROWS == _PATTERN_COLS, 0.5, 1.0)
 
@@ -153,30 +165,113 @@ def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, tuple[np.ndarray
     return u, groups
 
 
-def _normalized(vectors: np.ndarray, width: int, what: str) -> np.ndarray:
-    """`vectors` as a complex (n, width) array of unit rows; ValueError otherwise."""
-    v = np.asarray(vectors, dtype=complex)
+@functools.lru_cache(maxsize=64)
+def _stokes_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """K_dist, K_bos, shape (3, 4, 4) each: p_c = s_d^T (K_dist[c] + M K_bos[c]) s_p per class.
+
+    s = (1, z, x, y) is a photon's Stokes 4-vector, so |H|^2 = (1 + z)/2,
+    |V|^2 = (1 - z)/2 and Re(d_H conj(d_V) conj(p_H) p_V) = (x_d x_p + y_d y_p)/4.
+    The photons reach mode k with intensities data_in[k] and program_in[k]
+    (T or R = 1 - T of its polarization) and with amplitudes whose product is
+    w_k = U[k, pol] U[k, 2 + pol].  Pattern (k, l) adds its distinguishable
+    probability |x_k|^2 |y_l|^2 + |x_l|^2 |y_k|^2 to K_dist and its interference
+    2 Re(x_k y_l conj(x_l y_k)) to K_bos (for k = l, the pair's half-weighted
+    sums).  Each entry is one math.fsum of its exact-weighted terms, so a
+    coefficient that cancels is exactly 0.  Classes follow OutcomeProbs; the
+    arrays are shared and therefore read-only.
+    """
+    t = np.array([config.transmittance_h, config.transmittance_v])
+    r = 1.0 - t
+    pol, port_one = np.arange(4) % 2, np.arange(4) < 2
+    data_in = np.where(port_one, t[pol], r[pol])
+    program_in = np.where(port_one, r[pol], t[pol])
+    g = -1.0 if config.geometric_phase else 1.0
+    sign = np.array([g, 1.0, -g, -1.0])  # of w_k, see bs_transform
+    split = t * r  # w_k^2 of a polarization; w_k w_l = sign_k sign_l sqrt(split_k split_l)
+    stokes_rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]])  # |H|^2, |V|^2
+    equatorial = np.diag([0.0, 0.0, 0.25, 0.25])
+    classes = (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)
+    dist_terms, bos_terms = [], []  # (class, 4x4 term) per pattern
+    for (k, l), outcome in zip(PATTERNS, pattern_outcomes(config)):
+        c, e_k, e_l = classes.index(outcome), stokes_rows[pol[k]], stokes_rows[pol[l]]
+        if k == l:
+            same = data_in[k] * program_in[k] * np.outer(e_k, e_k)
+            dist_terms.append((c, same))
+            bos_terms.append((c, same))
+            continue
+        dist_terms.append((c, data_in[k] * program_in[l] * np.outer(e_k, e_l)))
+        dist_terms.append((c, data_in[l] * program_in[k] * np.outer(e_l, e_k)))
+        mixing = np.outer(e_k, e_k) if pol[k] == pol[l] else equatorial
+        bos_terms.append((c, 2.0 * sign[k] * sign[l] * np.sqrt(split[pol[k]] * split[pol[l]]) * mixing))
+    tables = []
+    for terms in (dist_terms, bos_terms):
+        stack = np.zeros((3, 4, 4, len(terms)))
+        for i, (c, term) in enumerate(terms):
+            stack[c, :, :, i] = term
+        table = np.vectorize(math.fsum, signature="(n)->()")(stack)
+        table.setflags(write=False)
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+# the entries of a class table (see _stokes_tables) and the monomial of the
+# two Stokes vectors each one weights; E = x_d x_p + y_d y_p weights (2, 2) and
+# (3, 3) alike, and every other entry is 0
+_MONOMIAL_ENTRIES = {"1": (0, 0), "z_d": (1, 0), "z_p": (0, 1), "zz": (1, 1), "E": (2, 2)}
+
+
+@functools.lru_cache(maxsize=64)
+def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float], ...], ...]:
+    """Per OutcomeProbs class, its nonzero (monomial, K_dist, K_bos) coefficient terms.
+
+    A class whose constant and z_d z_p coefficients cancel (the Psi classes
+    of the default wiring) is written in difference form, using
+    1 - z_d z_p = Q- + E = Q+ - E for unit Stokes vectors, with
+    Q- = |n_d - n_p|^2 / 2 and Q+ = |n_d - n_p * _PARTNER|^2 / 2, the halved
+    squared distances of the data state from the program state and from its
+    negated-angle partner, taking the one whose E coefficient then cancels at
+    M = 1.  A state equal
+    to the program, or to its negated-angle partner, then gives exactly 0 in
+    the class it cannot reach, not a rounding residue.
+    """
+    classes = []
+    for dist, bos in zip(*_stokes_tables(config)):
+        coef = {name: (float(dist[e]), float(bos[e])) for name, e in _MONOMIAL_ENTRIES.items()}
+        terms = []
+        (c_d, c_b), (e_d, e_b) = coef["1"], coef["E"]
+        if (c_d, c_b) != (0.0, 0.0) and coef["zz"] == (-c_d, -c_b):
+            del coef["1"], coef["zz"]
+            side = 1.0 if e_d + e_b > 0.0 else -1.0  # Q+ or Q-
+            terms.append(("Q+" if side > 0 else "Q-", c_d, c_b))
+            coef["E"] = (e_d - side * c_d, e_b - side * c_b)
+        terms += [(name, d, b) for name, (d, b) in coef.items() if (d, b) != (0.0, 0.0)]
+        classes.append(tuple(terms))
+    return tuple(classes)
+
+
+def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = complex) -> np.ndarray:
+    """`vectors` as an (n, width) array of unit rows; ValueError otherwise.
+
+    A real row is a Stokes vector, whose norm^2 is the square of its Jones
+    vector's, so it may miss 1 by twice as much.
+    """
+    v = np.asarray(vectors, dtype=dtype)
     if v.ndim != 2 or v.shape[1] != width:
         raise ValueError(f"expected {what} of shape (n, {width}), got {v.shape}")
-    norm_sq = np.sum(v.real**2 + v.imag**2, axis=1)
-    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
+    norm_sq = np.einsum("ij,ij->i", v.conj(), v).real
+    if not np.all(np.abs(norm_sq - 1.0) <= (_NORM_TOL if dtype is complex else 3.0 * _NORM_TOL)):
         raise ValueError(f"{what} are not normalized: {norm_sq}")
     return v
 
 
-def _mixed_patterns(a_kl: np.ndarray, a_lk: np.ndarray, mode_overlap) -> np.ndarray:
-    """Pattern probabilities from the amplitudes a_kl, a_lk of each PATTERNS entry (k, l).
-
-    The core of both batch paths (see pattern_probs_batch), elementwise per row.
-    """
+def _overlap_column(mode_overlap, n: int) -> np.ndarray:
+    """The mode overlaps as an (n, 1) or (1, 1) array in [0, 1]; ValueError otherwise."""
     overlap = np.asarray(mode_overlap, dtype=float).reshape(-1, 1)
     if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
         raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
-    if len(overlap) not in (1, len(a_kl)):
-        raise ValueError(f"expected 1 or {len(a_kl)} mode overlaps, got {len(overlap)}")
-    bosonic = np.abs(a_kl + a_lk) ** 2
-    distinguishable = np.abs(a_kl) ** 2 + np.abs(a_lk) ** 2
-    return (overlap * bosonic + (1.0 - overlap) * distinguishable) * _PATTERN_WEIGHTS
+    if len(overlap) not in (1, n):
+        raise ValueError(f"expected 1 or {n} mode overlaps, got {len(overlap)}")
+    return overlap
 
 
 def _class_sums(pattern_probs: np.ndarray, config: AnalyzerConfig) -> np.ndarray:
@@ -203,13 +298,16 @@ def pattern_probs_batch(
     add their probabilities, |a_kl|^2 + |a_lk|^2; partially distinguishable
     photons mix the two with weight mode_overlap, one value for the batch or
     one per state, shape (n,).  A photon pair in one mode (k = l) counts half
-    of the symmetric sum.  product_outcome_probs shares this mixing core.
+    of the symmetric sum.
     """
     amps = _normalized(amplitudes, 4, "two-photon states")
     u, _ = _config_tables(config)
     a = u[:, :2] @ amps.reshape(-1, 2, 2) @ u[:, 2:].T
     a_kl, a_lk = a[:, _PATTERN_ROWS, _PATTERN_COLS], a[:, _PATTERN_COLS, _PATTERN_ROWS]
-    return _mixed_patterns(a_kl, a_lk, mode_overlap)
+    overlap = _overlap_column(mode_overlap, len(a))
+    bosonic = np.abs(a_kl + a_lk) ** 2
+    distinguishable = np.abs(a_kl) ** 2 + np.abs(a_lk) ** 2
+    return (overlap * bosonic + (1.0 - overlap) * distinguishable) * _PATTERN_WEIGHTS
 
 
 def outcome_probs_batch(
@@ -222,27 +320,66 @@ def outcome_probs_batch(
     return _class_sums(pattern_probs_batch(amplitudes, config, mode_overlap), config)
 
 
+# a Stokes vector times this is that of the state whose plate angles are negated
+_PARTNER = np.array([1.0, -1.0, -1.0])
+
+# the monomials of _stokes_terms, from the unit Stokes vectors (z, x, y) of the two photons
+_MONOMIALS = {
+    "1": lambda d, p: 1.0,
+    "z_d": lambda d, p: d[:, 0],
+    "z_p": lambda d, p: p[:, 0],
+    "zz": lambda d, p: d[:, 0] * p[:, 0],
+    "E": lambda d, p: d[:, 1] * p[:, 1] + d[:, 2] * p[:, 2],
+    "Q-": lambda d, p: _half_distance_sq(d, p),
+    "Q+": lambda d, p: _half_distance_sq(d, _PARTNER * p),
+}
+
+
+def _half_distance_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2 / 2 per row of two (n, 3) arrays, column by column (a reduction is slower)."""
+    return 0.5 * ((a[:, 0] - b[:, 0]) ** 2 + (a[:, 1] - b[:, 1]) ** 2 + (a[:, 2] - b[:, 2]) ** 2)
+
+
+def stokes_outcome_probs(
+    data: np.ndarray, program: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
+) -> np.ndarray:
+    """Psi+/Psi-/inconclusive probabilities of n product states, shape (n, 3), from Stokes vectors.
+
+    `data` and `program` hold the photons' unit Stokes vectors (z, x, y),
+    shape (n, 3) each, as polarization.stokes_from_angles gives them, and
+    mode_overlap is one value for the batch or one per state, shape (n,).
+    Class c is s_d^T (K_dist[c] + M K_bos[c]) s_p (see _stokes_tables),
+    evaluated as the sum of its few _stokes_terms in real arithmetic,
+    elementwise, so a row does not depend on the batch size.  Equals
+    outcome_probs_batch on the product amplitudes to rounding.
+    """
+    d = _normalized(data, 3, "data Stokes vectors", float)
+    p = _normalized(program, 3, "program Stokes vectors", float)
+    if len(d) != len(p):
+        raise ValueError(f"got {len(d)} data and {len(p)} program Stokes vectors")
+    overlap = _overlap_column(mode_overlap, len(d))[:, 0]
+    terms = _stokes_terms(config)
+    values = {name: _MONOMIALS[name](d, p) for name in {term[0] for group in terms for term in group}}
+    out = np.empty((len(d), 3))
+    for c, group in enumerate(terms):
+        total = 0.0
+        for name, dist, bos in group:
+            total = total + (dist + bos * overlap if bos else dist) * values[name]
+        out[:, c] = total
+    return out
+
+
 def product_outcome_probs(
     data: np.ndarray, program: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
 ) -> np.ndarray:
-    """Psi+/Psi-/inconclusive probabilities of n product states, shape (n, 3).
+    """Psi+/Psi-/inconclusive probabilities of n product states, shape (n, 3), from Jones vectors.
 
-    `data` and `program` hold the photons' Jones vectors d and p, shape (n, 2)
-    each.  The output amplitude U psi U^T of d p^T is the rank-1 x y^T, with
-    x = U[:, :2] d and y = U[:, 2:] p written as elementwise sums, so a row
-    does not depend on the batch size.  Equals outcome_probs_batch on the
-    product amplitudes to rounding.
+    `data` and `program` hold the photons' Jones vectors, shape (n, 2) each;
+    their Stokes vectors go through stokes_outcome_probs.
     """
     d = _normalized(data, 2, "data Jones vectors")
     p = _normalized(program, 2, "program Jones vectors")
-    if len(d) != len(p):
-        raise ValueError(f"got {len(d)} data and {len(p)} program Jones vectors")
-    u, _ = _config_tables(config)
-    x = d[:, :1] * u[:, 0] + d[:, 1:] * u[:, 1]
-    y = p[:, :1] * u[:, 2] + p[:, 1:] * u[:, 3]
-    a_kl = x[:, _PATTERN_ROWS] * y[:, _PATTERN_COLS]
-    a_lk = x[:, _PATTERN_COLS] * y[:, _PATTERN_ROWS]
-    return _class_sums(_mixed_patterns(a_kl, a_lk, mode_overlap), config)
+    return stokes_outcome_probs(stokes_vectors(d), stokes_vectors(p), config, mode_overlap)
 
 
 def quantum_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:

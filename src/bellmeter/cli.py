@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -116,7 +117,7 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
     from .experiment import config_to_dict, hom_scan
 
     config = _load_config(args)
-    if args.positions:
+    if args.positions is not None:
         positions = _parse_float_list(args.positions)
     else:
         positions = _parse_range(args.range)
@@ -159,7 +160,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(f"wrote {len(out)} rows to {args.out} (NaN rows: {nan_rows})")
     else:
-        sys.stdout.writelines(out.tsv())
+        try:
+            sys.stdout.writelines(out.tsv())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (`| head`); the pattern of Python's
+            # signal docs: stdout goes to devnull, so the interpreter's last
+            # flush cannot fail again, and the command exits quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0
 
 

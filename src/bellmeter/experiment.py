@@ -17,15 +17,17 @@ draws whose means add up the class probabilities of all its periods.
 A sweep runs as four stages, one per input setting (main plus, main minus,
 shoulder plus, shoulder minus), and each stage has two random streams of its
 own, spawned from config.seed: stage s takes its plate jitter from stream 2s
-and its counts from stream 2s + 1.  In a stage the points first draw the
-jitter of their periods, R x 2 x 2 uniforms per point in one array draw (only
-when angle_jitter > 0); the periods of all points are then prepared and
-analyzed in one array pass (without jitter all periods of a point carry one
-state, so each point is analyzed as one period that counts R times); last,
-one Poisson draw gives every point its (Psi+, Psi-) pair.  A sweep with more
-than 4096 periods per input setting runs the four stages block by block of
-points.  Both streams of a stage are consumed in point order, so the block
-size changes no draw, and the first k rows of a sweep equal the sweep of its
+and its counts from stream 2s + 1.  The points run in blocks of at most 4096
+analyzed periods per stage (R per point with angle_jitter > 0, else 1).  In
+a block each stage first draws the jitter of its periods, R x 2 x 2 uniforms
+per point in one array draw (only when angle_jitter > 0); the periods of all
+stages then go from plate angles to Stokes vectors to class probabilities in
+one real-arithmetic pass (polarization.stokes_from_angles,
+analyzer.stokes_outcome_probs; without jitter all periods of a point carry
+one state, so each point is analyzed as one period that counts R times);
+last, one Poisson draw per stage gives every point its (Psi+, Psi-) pair.
+Both streams of a stage are consumed in point order, so the block size
+changes no draw, and the first k rows of a sweep equal the sweep of its
 first k points.  The mirror scan through the dip runs the same way, as two
 stages (the +45 and -45 degree data inputs) over its positions.
 """
@@ -39,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import polarization as pol
-from .analyzer import AnalyzerConfig, check_field_types, product_outcome_probs
+from .analyzer import AnalyzerConfig, check_field_types, stokes_outcome_probs
 from .errors import SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
@@ -52,9 +54,9 @@ _PROB_FLOOR = 4 * np.finfo(float).eps
 # Generator.poisson rejects means above about 9.2e18
 _MAX_POISSON_MEAN = 1e18
 
-# a sweep is measured in blocks of points with at most this many periods per
-# input setting, so the working arrays of a stage (about 0.8 kB per period)
-# stay a few MB however many points the sweep has
+# a sweep is measured in blocks of points with at most this many analyzed
+# periods per input setting, so the working arrays of a block (about 0.3 kB
+# per period and stage) stay a few MB however many points the sweep has
 _MAX_STAGE_PERIODS = 4096
 
 # a block holds at least one point, and each of its R periods is analyzed on
@@ -174,24 +176,26 @@ def mode_overlap_at(position, config: ExperimentConfig) -> float | np.ndarray:
 
 
 def _poisson_means(
-    angles: np.ndarray, mode_overlaps: np.ndarray, config: ExperimentConfig, eta: float = 1.0
+    angles: np.ndarray, mode_overlaps: np.ndarray, config: ExperimentConfig, eta: float | np.ndarray = 1.0
 ) -> np.ndarray:
     """Means of the (Psi+, Psi-) Poisson counts of n input settings, shape (n, 2).
 
     `angles` holds the plate angles of P periods per setting, shape (n, P, 2, 2):
-    [setting, period, photon (data, program), plate (QWP, HWP)], and
-    `mode_overlaps` the mode overlap of each setting, shape (n,).  P is
-    config.repetitions, or 1 when all periods of a setting carry one state.
-    All n * P periods are prepared and analyzed in one pass; see
-    simulate_counts for the means.  A class probability below _PROB_FLOOR
-    counts as 0.
+    [setting, period, photon (data, program), plate (QWP, HWP)],
+    `mode_overlaps` the mode overlap of each setting, shape (n,), and `eta`
+    one value or one per setting.  P is config.repetitions, or 1 when all
+    periods of a setting carry one state.  All n * P periods go from plate
+    angles to Stokes vectors to class probabilities in one real-arithmetic
+    pass; see simulate_counts for the means.  A class probability below
+    _PROB_FLOOR counts as 0.
     """
-    if not 0.0 <= eta <= 1.0:
+    etas = np.asarray(eta, dtype=float).reshape(-1, 1)
+    if not np.all((0.0 <= etas) & (etas <= 1.0)):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     n, periods = angles.shape[:2]
-    jones = pol.prepare_from_angles(angles[..., 0], angles[..., 1]).reshape(-1, 2, 2)
+    stokes = pol.stokes_from_angles(angles[..., 0], angles[..., 1]).reshape(-1, 2, 3)
     overlaps = np.repeat(mode_overlaps, periods)
-    probs = product_outcome_probs(jones[:, 0], jones[:, 1], config.analyzer, overlaps)
+    probs = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], config.analyzer, overlaps)
     prob_sums = probs.sum(axis=1)
     if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
         raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
@@ -203,35 +207,37 @@ def _poisson_means(
     totals = probs.reshape(n, periods, 3).sum(axis=1) * (config.repetitions / periods)
     detected = config.detector_efficiency**2 * config.pair_rate * config.period
     dark = config.dark_count_rate**2 * config.coincidence_window * config.period
-    relabeled = (1.0 - eta) / 2.0 * totals[:, 2:]
+    relabeled = (1.0 - etas) / 2.0 * totals[:, 2:]
     return detected * (totals[:, :2] + relabeled) + 2.0 * dark * config.repetitions
 
 
-def _stage_counts(
-    angles: np.ndarray,
-    positions: np.ndarray,
+def _block_counts(
+    stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
     config: ExperimentConfig,
-    rngs: tuple[np.random.Generator, np.random.Generator],
-    eta: float = 1.0,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Recorded (Psi+, Psi-) counts of one input setting at n points, shape (n, 2) int64.
+    """Recorded (Psi+, Psi-) counts of every stage at the same n points, shape (n, 2 * stages) int64.
 
-    `angles` holds the nominal plate angles of the points, shape (n, 2, 2),
-    and `positions` their mirror positions, shape (n,), whose mode overlaps
-    are one mode_overlap_at call; `rngs` is the (jitter, count) pair of
-    generators.  The jitter of all periods is one uniform draw of shape
-    (n, R, 2, 2), all points are prepared and analyzed together, then one
-    Poisson draw of the (n, 2) means gives the counts.  Without jitter, each
-    point is analyzed as one period that counts R times.
+    A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta);
+    stage s draws its jitter from rngs[2s] and its counts from rngs[2s + 1].
+    Each stage draws the jitter of all its periods in one uniform draw of
+    shape (n, R, 2, 2); the periods of all stages then go through one
+    _poisson_means pass, and one Poisson draw of a stage's (n, 2) means gives
+    its counts.  Without jitter, each point is analyzed as one period that
+    counts R times.
     """
-    jitter_rng, count_rng = rngs
-    n = len(angles)
-    overlaps = mode_overlap_at(positions, config)
-    angles = np.asarray(angles, dtype=float).reshape(n, 1, 2, 2)
-    if config.angle_jitter > 0.0:
-        jitter, shape = config.angle_jitter, (n, config.repetitions, 2, 2)
-        angles = angles + jitter_rng.uniform(-jitter, jitter, size=shape)
-    return count_rng.poisson(_poisson_means(angles, overlaps, config, eta))
+    n = len(stages[0][0])
+    angles = []
+    for s, (nominal, _, _) in enumerate(stages):
+        nominal = np.asarray(nominal, dtype=float).reshape(n, 1, 2, 2)
+        if config.angle_jitter > 0.0:
+            jitter, shape = config.angle_jitter, (n, config.repetitions, 2, 2)
+            nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
+        angles.append(nominal)
+    overlaps = mode_overlap_at(np.concatenate([positions for _, positions, _ in stages]), config)
+    etas = np.repeat([eta for _, _, eta in stages], n)
+    means = _poisson_means(np.concatenate(angles), overlaps, config, etas)
+    return np.hstack([rngs[2 * s + 1].poisson(means[s * n : (s + 1) * n]) for s in range(len(stages))])
 
 
 def simulate_counts(
@@ -271,7 +277,7 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = np.array([[astuple(data_setting), astuple(program_setting)]])
-    return ClassCounts(*_stage_counts(angles, [position], config, (rng, rng), eta)[0].tolist())
+    return ClassCounts(*_block_counts([(angles, [position], eta)], config, (rng, rng))[0].tolist())
 
 
 def shoulder_counts(
@@ -295,22 +301,22 @@ def _run_stages(
 
     A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
     Stage s takes its jitter from SeedSequence(config.seed).spawn(2 * stages)[2s]
-    and its counts from stream 2s + 1 (see the module docstring).  The stages
-    run in turn over blocks of at most _MAX_STAGE_PERIODS periods per stage
-    (one block for up to 4096 / repetitions points), each block filling its
-    rows of one table.  Returns that (n, 2 * stages) int64 table: row i holds
-    the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at point i.
+    and its counts from stream 2s + 1 (see the module docstring).  The points
+    run in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage
+    (R per point with jitter, 1 without), all stages of a block in one
+    _block_counts pass, each block filling its rows of one table.  Returns
+    that (n, 2 * stages) int64 table: row i holds the (Psi+, Psi-) counts of
+    stage 0, then of stage 1, and so on, at point i.
     """
     n = len(stages[0][0])
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * len(stages))]
-    block = max(1, _MAX_STAGE_PERIODS // config.repetitions)
+    periods = config.repetitions if config.angle_jitter > 0.0 else 1
+    block = max(1, _MAX_STAGE_PERIODS // periods)
     counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
     for start in range(0, n, block):
         points = slice(start, start + block)
-        for s, (angles, positions, eta) in enumerate(stages):
-            counts[points, 2 * s : 2 * s + 2] = _stage_counts(
-                angles[points], positions[points], config, (rngs[2 * s], rngs[2 * s + 1]), eta
-            )
+        block_stages = [(angles[points], positions[points], eta) for angles, positions, eta in stages]
+        counts[points] = _block_counts(block_stages, config, rngs)
     return counts
 
 

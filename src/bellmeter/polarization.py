@@ -130,6 +130,40 @@ def prepare_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
     return np.einsum("...ij,...j->...i", waveplate_matrices(PlateKind.HALF, hwp_deg), after_qwp)
 
 
+def stokes_vectors(jones) -> np.ndarray:
+    """Stokes vectors (z, x, y), shape (..., 3), of Jones vectors (h, v), shape (..., 2).
+
+    z = |h|^2 - |v|^2 and x + i y = 2 conj(h) v, so |+45> is (0, 1, 0) and
+    (|H> + i|V>)/sqrt(2) is (0, 0, 1); a unit Jones vector has a unit one.
+    """
+    jones = np.asarray(jones, dtype=complex)
+    h, v = jones[..., 0], jones[..., 1]
+    cross = 2.0 * np.conj(h) * v
+    return np.stack([(h * h.conj()).real - (v * v.conj()).real, cross.real, cross.imag], axis=-1)
+
+
+def stokes_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
+    """Stokes vectors (z, x, y), shape (..., 3), of |H> sent through a QWP then a HWP at broadcast angles.
+
+    Those of the prepare_from_angles Jones vectors (h, v), z = |h|^2 - |v|^2
+    and x + i y = 2 conj(h) v, in closed form and real arithmetic: the QWP
+    at q gives (cos^2 2q, sin 2q cos 2q, sin 2q), and the HWP at h reflects
+    the linear part (z, x) about the Stokes-plane axis at 2h, by the matrix
+    [[cos 4h, sin 4h], [sin 4h, -cos 4h]], and negates y.  Negating both
+    angles negates x and y and keeps z, bit for bit.
+    """
+    q = 2.0 * np.radians(np.asarray(qwp_deg, dtype=float))
+    h = 4.0 * np.radians(np.asarray(hwp_deg, dtype=float))
+    cos_q, sin_q = np.cos(q), np.sin(q)
+    cos_h, sin_h = np.cos(h), np.sin(h)
+    z, x = cos_q * cos_q, sin_q * cos_q
+    out = np.empty(np.broadcast_shapes(q.shape, h.shape) + (3,))
+    out[..., 0] = cos_h * z + sin_h * x
+    out[..., 1] = sin_h * z - cos_h * x
+    out[..., 2] = -sin_q
+    return out
+
+
 def prepare_elliptical(epsilon_deg: float, theta_deg: float, sign: int = +1) -> PolarizationState:
     """Elliptically polarized state with ellipticity epsilon and axis angle theta.
 

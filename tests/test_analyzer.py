@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellmeter.analyzer import (
+    DETECTORS,
     PATTERNS,
     AnalyzerConfig,
     Outcome,
@@ -19,13 +20,16 @@ from bellmeter.analyzer import (
     pattern_probs_batch,
     product_outcome_probs,
     quantum_pattern_probs,
+    stokes_outcome_probs,
 )
+from bellmeter.analyzer import _stokes_tables
 from bellmeter.polarization import (
     PolarizationState,
     PrepRecipe,
     prepare_elliptical,
     prepare_from_angles,
     prepare_from_recipe,
+    stokes_from_angles,
 )
 from bellmeter.twophoton import BELL_STATES, TwoPhotonState, tensor
 
@@ -373,3 +377,83 @@ def test_product_form_rejects_bad_input():
     ):
         with pytest.raises(ValueError):
             product_outcome_probs(data, program, IDEAL, overlap)
+
+
+def random_product_inputs(seed, n):
+    """Jones and Stokes vectors of n random plate settings per photon, and n mode overlaps."""
+    rng = np.random.default_rng(seed)
+    # [state, photon (data, program), plate (QWP, HWP)]
+    settings_deg = rng.uniform(-360.0, 360.0, size=(n, 2, 2))
+    row_overlaps = rng.uniform(size=n)
+    row_overlaps[: min(n, 2)] = [0.0, 1.0][: min(n, 2)]
+    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    stokes = stokes_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    return jones, stokes, row_overlaps
+
+
+any_analyzer = st.builds(
+    AnalyzerConfig,
+    transmittance_h=transmittances,
+    transmittance_v=transmittances,
+    geometric_phase=st.booleans(),
+    detector_map=st.permutations(DETECTORS).map(tuple),
+)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), cfg=any_analyzer)
+def test_stokes_form_equals_the_general_path(seed, cfg):
+    # every wiring, with and without the geometric phase, at any splitting ratio
+    jones, stokes, row_overlaps = random_product_inputs(seed, 20)
+    product = np.einsum("ni,nj->nij", jones[:, 0], jones[:, 1]).reshape(-1, 4)
+    want = outcome_probs_batch(product, cfg, row_overlaps)
+    got = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], cfg, row_overlaps)
+    assert got.shape == (20, 3)
+    assert np.max(np.abs(got - want)) < 1e-13
+    # the tables are that bilinear form in the Stokes 4-vectors (1, z, x, y)
+    k_dist, k_bos = _stokes_tables(cfg)
+    s_d, s_p = (np.insert(stokes[:, photon], 0, 1.0, axis=1) for photon in (0, 1))
+    tables = k_dist + row_overlaps[:, None, None, None] * k_bos
+    assert np.max(np.abs(np.einsum("ni,ncij,nj->nc", s_d, tables, s_p) - want)) < 1e-13
+    # holding only 1, z_d, z_p, z_d z_p and the phase-covariant x_d x_p + y_d y_p
+    outside = np.ones((4, 4), dtype=bool)
+    outside[[0, 0, 1, 1, 2, 3], [0, 1, 0, 1, 2, 3]] = False
+    for table in (k_dist, k_bos):
+        assert not np.any(table[:, outside]) and np.array_equal(table[:, 2, 2], table[:, 3, 3])
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), cfg=any_analyzer)
+def test_stokes_form_rows_do_not_depend_on_the_batch(seed, n, cfg):
+    _, stokes, row_overlaps = random_product_inputs(seed, n)
+    batch = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], cfg, row_overlaps)
+    for i in range(n):
+        alone = stokes_outcome_probs(stokes[i : i + 1, 0], stokes[i : i + 1, 1], cfg, row_overlaps[i])
+        assert np.array_equal(batch[i], alone[0])
+
+
+@PROPERTY_SETTINGS
+@given(qwp=angles, hwp=angles)
+def test_stokes_form_gives_exact_zeros_where_a_class_is_unreachable(qwp, hwp):
+    # balanced splitter, full overlap: data in the program's state never gives
+    # Psi-, and data in its negated-angle partner never Psi+; both are exactly 0
+    program = stokes_from_angles(np.full(2, qwp), np.full(2, hwp))
+    data = stokes_from_angles(np.array([qwp, -qwp]), np.array([hwp, -hwp]))
+    probs = stokes_outcome_probs(data, program, IDEAL, 1.0)
+    assert probs[0, 1] == 0.0 and probs[1, 0] == 0.0
+
+
+def test_stokes_form_rejects_bad_input():
+    h, v = np.array([[1.0, 0.0, 0.0]]), np.array([[-1.0, 0.0, 0.0]])
+    assert np.array_equal(stokes_outcome_probs(h, v, IDEAL, 1.0), [[0.5, 0.5, 0.0]])
+    for data, program, overlap in (
+        (np.array([[1.0, 1.0, 0.0]]), v, 1.0),
+        (np.array([[np.nan, 0.0, 0.0]]), v, 1.0),
+        (h[0], v[0], 1.0),
+        (np.array([[1.0, 0.0]]), v, 1.0),
+        (np.vstack([h, h]), v, 1.0),
+        (h, v, 1.5),
+        (h, v, np.full(2, 0.5)),
+    ):
+        with pytest.raises(ValueError):
+            stokes_outcome_probs(data, program, IDEAL, overlap)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellmeter
@@ -412,6 +413,35 @@ def test_non_finite_grid_values_exit_nonzero_without_dataset(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{argv[-1]!r}" in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("positions", ["", ","])
+def test_empty_positions_exit_nonzero_without_dataset(tmp_path, capsys, positions):
+    # an empty --positions list is an empty scan, not the default --range
+    out = tmp_path / "empty.tsv"
+    assert main(["hom-scan", "--positions", positions, "--pairs", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: positions must be nonempty\n"
+    assert not out.exists()
+
+
+def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `bellmeter analyze counts.tsv | head -n 1`: the output is far larger than a
+    # pipe buffer, so the writer is still writing when the reader closes its end
+    counts = tmp_path / "counts.tsv"
+    Dataset(COUNT_HEADER, [np.full(20_000, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "bellmeter.cli", "analyze", str(counts)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as analyze:
+        first = analyze.stdout.readline()
+        analyze.stdout.close()
+        err = analyze.stderr.read()
+        assert analyze.wait(timeout=60) == 1
+    assert first == "\t".join(ESTIMATE_HEADER) + "\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])

@@ -13,7 +13,7 @@ from bellmeter.analyzer import (
     AnalyzerConfig,
     distinguishable_outcome_probs,
     ideal_outcome_probs,
-    product_outcome_probs,
+    stokes_outcome_probs,
 )
 from bellmeter.counts import CountRecord, count_table, estimate_table
 from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
@@ -35,11 +35,12 @@ from bellmeter.experiment import (
 from bellmeter.discriminator import run_discriminator_sweep
 from bellmeter.multimeter import run_multimeter_sweep
 from bellmeter.polarization import (
+    multimeter_angles,
     prepare_elliptical,
-    prepare_from_angles,
     prepare_from_recipe,
     recipe_discriminator,
     recipe_multimeter,
+    stokes_from_angles,
 )
 from bellmeter.twophoton import tensor
 
@@ -241,15 +242,16 @@ def test_hom_scan_stages_draw_from_their_spawned_streams(positions, jitter, repe
 
 
 def test_hom_scan_analyzes_once_per_input(monkeypatch):
+    # both inputs of the scan, all positions and periods, in one analyzer call
     calls = []
 
     def counting(*args):
         calls.append(len(args[0]))
-        return product_outcome_probs(*args)
+        return stokes_outcome_probs(*args)
 
-    monkeypatch.setattr("bellmeter.experiment.product_outcome_probs", counting)
+    monkeypatch.setattr("bellmeter.experiment.stokes_outcome_probs", counting)
     hom_scan(np.arange(-200.0, 201.0, 10.0), ExperimentConfig(seed=1))
-    assert calls == [41 * 10, 41 * 10]
+    assert calls == [2 * 41 * 10]
 
 
 @pytest.mark.parametrize("mode_overlap", [1.0, 0.92, 0.5, 0.1])
@@ -495,8 +497,8 @@ def test_counts_are_independent_poisson_with_the_analytic_mean():
 @pytest.mark.parametrize("broken", [lambda p: p * 1.001, lambda p: np.full_like(p, np.nan)])
 def test_broken_class_probabilities_raise(monkeypatch, broken):
     monkeypatch.setattr(
-        "bellmeter.experiment.product_outcome_probs",
-        lambda *args: broken(product_outcome_probs(*args)),
+        "bellmeter.experiment.stokes_outcome_probs",
+        lambda *args: broken(stokes_outcome_probs(*args)),
     )
     with pytest.raises(ValueError, match="sum to 1"):
         simulate_counts(
@@ -804,7 +806,8 @@ def test_the_flush_moves_only_means_below_floor_times_pairs(make_config, pairs):
                 assert np.all(before[moved] <= _PROB_FLOOR * pairs) and np.all(after[moved] == 0.0)
 
 
-def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
+def counting_kernel(monkeypatch):
+    """Patch the sampler's preparation and analyzer calls; return the call counter and analyzed rows."""
     calls, rows = Counter(), []
 
     def counting(name, fn):
@@ -816,30 +819,56 @@ def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
 
     def analyze(data, *args):
         rows.append(len(data))
-        return product_outcome_probs(data, *args)
+        return stokes_outcome_probs(data, *args)
 
-    monkeypatch.setattr("bellmeter.experiment.product_outcome_probs", counting("analyze", analyze))
+    monkeypatch.setattr("bellmeter.experiment.stokes_outcome_probs", counting("analyze", analyze))
     monkeypatch.setattr(
-        "bellmeter.polarization.prepare_from_angles", counting("prepare", prepare_from_angles)
+        "bellmeter.polarization.stokes_from_angles", counting("prepare", stokes_from_angles)
     )
-    # with jitter every period is a state of its own: n points x 10 periods per stage
+    return calls, rows
+
+
+def test_sweep_prepares_and_analyzes_once_per_stage_and_block(monkeypatch):
+    calls, rows = counting_kernel(monkeypatch)
+    # with jitter every period is a state of its own: the four stages of n points
+    # x 10 periods each go through one preparation and one analyzer call
     cfg = ExperimentConfig.realistic(seed=4)
     for thetas in ([10.0], np.arange(0.0, 91.0, 4.0)):
         calls.clear()
         rows.clear()
         run_discriminator_sweep([0.0, 24.0], thetas, cfg, pairs_per_point=1_000)
-        assert calls == {"analyze": 4, "prepare": 4}
-        assert rows == [2 * len(thetas) * 10] * 4
-    # without jitter each point of a stage is analyzed as one period, the shoulder
-    # stages' points too.  One block holds up to 4096 periods per input setting:
-    # 409 points of 10 periods
-    for n_points, block_rows in ((181, [181]), (409, [409]), (410, [409, 1])):
+        assert calls == {"analyze": 1, "prepare": 1}
+        assert rows == [4 * 2 * len(thetas) * 10]
+    # one block holds up to 4096 analyzed periods per input setting: 409 points of
+    # 10 jittered periods, or 4096 points without jitter, where each point of a
+    # stage, the shoulder stages' points too, is analyzed as one period
+    for sweep_cfg, n_points, block_rows in (
+        (cfg, 409, [409]),
+        (cfg, 410, [409, 1]),
+        (cfg.idealized(), 181, [181]),
+        (cfg.idealized(), 4096, [4096]),
+        (cfg.idealized(), 4097, [4096, 1]),
+    ):
         calls.clear()
         rows.clear()
         phis = np.linspace(-90.0, 90.0, n_points)
-        run_multimeter_sweep(phis, 0.5, cfg.idealized(), pairs_per_point=1_000)
-        assert calls == {"analyze": 4 * len(block_rows), "prepare": 4 * len(block_rows)}
-        assert rows == [r for n in block_rows for r in (n, n, n, n)]
+        run_multimeter_sweep(phis, 0.5, sweep_cfg, pairs_per_point=1_000)
+        assert calls == {"analyze": len(block_rows), "prepare": len(block_rows)}
+        periods = sweep_cfg.repetitions if sweep_cfg.angle_jitter > 0 else 1
+        assert rows == [4 * n * periods for n in block_rows]
+
+
+def test_blocks_hold_analyzed_periods_not_repetitions(monkeypatch):
+    # without jitter a point is one analyzed period however large R is, so a
+    # 1801-point sweep at R = 100000 is one block, and the block size changes no draw
+    calls, rows = counting_kernel(monkeypatch)
+    cfg = with_pairs_per_point(replace(ExperimentConfig(seed=8), repetitions=100_000, angle_jitter=0.0), 1e6)
+    angles = multimeter_angles(np.linspace(-90.0, 90.0, 1801))
+    counts = measure_sweep(angles, cfg, eta=0.5)
+    assert calls == {"analyze": 1, "prepare": 1} and rows == [4 * 1801]
+    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", 1):
+        assert np.array_equal(measure_sweep(angles, cfg, eta=0.5), counts)
+    assert calls["analyze"] == 1 + 1801
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])

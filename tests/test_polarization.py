@@ -20,6 +20,8 @@ from bellmeter.polarization import (
     prepare_from_recipe,
     recipe_discriminator,
     recipe_multimeter,
+    stokes_from_angles,
+    stokes_vectors,
     waveplate_matrix,
 )
 
@@ -201,6 +203,29 @@ def test_prepare_from_angles_broadcasts():
     vectors = prepare_from_angles(np.zeros((3, 2)), 22.5)
     assert vectors.shape == (3, 2, 2)
     assert np.allclose(vectors, 1 / np.sqrt(2), atol=1e-12)
+
+
+def test_stokes_vectors_of_the_basis_states():
+    diagonal = PolarizationState(1 / np.sqrt(2), 1 / np.sqrt(2))
+    right = apply_plate(HORIZONTAL, WavePlate(PlateKind.QUARTER, 45.0))  # (|H> + i|V>)/sqrt(2)
+    got = stokes_vectors([HORIZONTAL.vector, VERTICAL.vector, diagonal.vector, right.vector])
+    assert np.allclose(got, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0)), min_size=1, max_size=8)
+)
+def test_stokes_from_angles_is_the_stokes_vector_of_the_recipe(plate_angles):
+    qwp_deg, hwp_deg = np.array(plate_angles).T
+    got = stokes_from_angles(qwp_deg, hwp_deg)
+    assert got.shape == (len(plate_angles), 3)
+    for vec, (qwp, hwp) in zip(got, plate_angles):
+        want = stokes_vectors(prepare_from_recipe(PrepRecipe(qwp, hwp)).vector)
+        assert np.max(np.abs(vec - want)) < 1e-12
+    # the negated-angle partner has x and y negated and z kept, bit for bit
+    assert np.array_equal(stokes_from_angles(-qwp_deg, -hwp_deg), got * [1.0, -1.0, -1.0])
+    assert stokes_from_angles(np.zeros((3, 2)), 22.5).shape == (3, 2, 3)
 
 
 ANGLES = st.floats(-1e300, 1e300)
