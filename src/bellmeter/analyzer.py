@@ -29,7 +29,8 @@ is a bilinear form s_d^T (K_dist + M K_bos) s_p in the photons' Stokes
 with A+ = (T_h T_v + R_h R_v) / 2, A- = (T_h R_v + R_h T_v) / 2 and
 B = sqrt(T_h R_h T_v R_v) (all 1/4 for a 50:50 splitter); the equatorial
 term is the phase covariance the multimeter relies on.  The general path
-stays as the oracle of the shortcut.
+stays as the oracle of the shortcut, and bell_projection_probs (the one
+importer of twophoton, which no sweep loads) as the oracle of the general path.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .polarization import stokes_vectors
-from .twophoton import TwoPhotonState, bell_probabilities
+if TYPE_CHECKING:
+    from .twophoton import TwoPhotonState
 
 DETECTORS = ("D1", "D2", "D3", "D4")
 
@@ -369,45 +370,6 @@ def stokes_outcome_probs(
     return out
 
 
-def product_outcome_probs(
-    data: np.ndarray, program: np.ndarray, config: AnalyzerConfig, mode_overlap: float | np.ndarray
-) -> np.ndarray:
-    """Psi+/Psi-/inconclusive probabilities of n product states, shape (n, 3), from Jones vectors.
-
-    `data` and `program` hold the photons' Jones vectors, shape (n, 2) each;
-    their Stokes vectors go through stokes_outcome_probs.
-    """
-    d = _normalized(data, 2, "data Jones vectors")
-    p = _normalized(program, 2, "program Jones vectors")
-    return stokes_outcome_probs(stokes_vectors(d), stokes_vectors(p), config, mode_overlap)
-
-
-def quantum_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:
-    """Output-pattern probabilities for fully indistinguishable (bosonic) photons.
-
-    Propagates the two-photon amplitude through bs_transform and collects the
-    coefficient of each unordered pair of output modes, in PATTERNS order.
-    """
-    return pattern_probs_batch(state.amplitudes[None], config, 1.0)[0]
-
-
-def distinguishable_pattern_probs(state: TwoPhotonState, config: AnalyzerConfig) -> np.ndarray:
-    """Output-pattern probabilities for fully distinguishable photons.
-
-    Each photon is routed independently (no two-photon interference); the
-    joint amplitudes of the ordered mode pairs are squared individually.
-    """
-    return pattern_probs_batch(state.amplitudes[None], config, 0.0)[0]
-
-
-def mixed_pattern_probs(
-    state: TwoPhotonState, config: AnalyzerConfig, mode_overlap: float | None = None
-) -> np.ndarray:
-    """Partial-distinguishability mixture M * quantum + (1 - M) * distinguishable."""
-    m = config.mode_overlap if mode_overlap is None else mode_overlap
-    return pattern_probs_batch(state.amplitudes[None], config, m)[0]
-
-
 def classify(pattern: Sequence[str]) -> Outcome:
     """Map a detector coincidence pattern (two fired detectors) to an outcome.
 
@@ -436,25 +398,23 @@ def pattern_outcomes(config: AnalyzerConfig) -> tuple[Outcome, ...]:
     )
 
 
-def _aggregate(probs: np.ndarray, config: AnalyzerConfig) -> OutcomeProbs:
-    return OutcomeProbs(*(float(p) for p in _class_sums(probs[None], config)[0]))
-
-
 def ideal_outcome_probs(state: TwoPhotonState, config: AnalyzerConfig) -> OutcomeProbs:
     """Outcome probabilities for perfectly overlapping photons.
 
     For a balanced beamsplitter with the geometric phase this equals the Bell
     projection probabilities (|c_Psi+|^2, |c_Psi-|^2, |c_Phi+|^2 + |c_Phi-|^2).
     """
-    return _aggregate(quantum_pattern_probs(state, config), config)
+    return OutcomeProbs(*map(float, outcome_probs_batch(state.amplitudes[None], config, 1.0)[0]))
 
 
 def distinguishable_outcome_probs(state: TwoPhotonState, config: AnalyzerConfig) -> OutcomeProbs:
     """Outcome probabilities for temporally separated (non-interfering) photons."""
-    return _aggregate(distinguishable_pattern_probs(state, config), config)
+    return OutcomeProbs(*map(float, outcome_probs_batch(state.amplitudes[None], config, 0.0)[0]))
 
 
 def bell_projection_probs(state: TwoPhotonState) -> OutcomeProbs:
     """Reference probabilities (Psi+, Psi-, rest) straight from the Bell decomposition."""
+    from .twophoton import bell_probabilities
+
     p = bell_probabilities(state)
     return OutcomeProbs(p.psi_plus, p.psi_minus, p.phi_plus + p.phi_minus)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .counts import COUNT_COLUMNS, DiscriminationPoint, Estimates, MultimeterPoint, count_table, estimate_table
-from .dataset import Dataset
+from .dataset import Dataset, read_json
 from .errors import SchemaViolationError
 
 if TYPE_CHECKING:
@@ -59,15 +58,17 @@ def _parse_range(text: str) -> list[float]:
     if not span < _MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
     count = math.floor(span) + 1
-    return [round(start + i * step, 9) for i in range(count)]
+    points = [round(start + i * step, 9) for i in range(count)]
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
+    return points
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     from .experiment import ExperimentConfig, config_from_dict, with_pairs_per_point
 
     if args.config:
-        data = json.loads(Path(args.config).read_text())
-        config = config_from_dict(data)
+        config = config_from_dict(read_json(Path(args.config)))
     else:
         config = ExperimentConfig()
     if getattr(args, "ideal", False):

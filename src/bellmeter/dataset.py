@@ -24,6 +24,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import SchemaViolationError
+
 # rows per block of cells that are parsed or formatted together; the cell
 # strings of a whole table are never alive at once
 _BLOCK_ROWS = 4096
@@ -102,7 +104,9 @@ class Dataset:
 
         A row of the wrong width or a cell that is no number raises
         ValueError naming the file, the line and, for a cell, the column;
-        blank lines are skipped.
+        blank lines are skipped.  A sidecar that is no JSON raises
+        ValueError, and one that holds no JSON object SchemaViolationError,
+        each naming the sidecar.
         """
         path = Path(path)
         lines = path.read_text().splitlines()
@@ -128,13 +132,23 @@ class Dataset:
         metadata = {}
         sidecar = sidecar_path(path)
         if sidecar.exists():
-            metadata = json.loads(sidecar.read_text())
+            metadata = read_json(sidecar)
+            if not isinstance(metadata, dict):
+                raise SchemaViolationError(f"{sidecar} holds no JSON object")
         return Dataset(columns, data, metadata)
 
 
 def sidecar_path(path: str | Path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
+
+
+def read_json(path: Path):
+    """The JSON value in the file at `path`; ValueError naming the file if it holds no JSON."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:

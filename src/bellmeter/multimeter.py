@@ -20,7 +20,6 @@ from . import polarization as pol
 from .analyzer import Outcome
 from .counts import Estimates, MultimeterPoint, estimate_table, sweep_columns, sweep_points
 from .experiment import ExperimentConfig, measure_sweep, with_pairs_per_point
-from .twophoton import BELL_STATES
 
 _HERMITIAN_TOL = 1e-12
 _EQUATOR_TOL = 1e-9
@@ -49,6 +48,8 @@ def povm_elements(eta: float) -> tuple[PovmElement, PovmElement, PovmElement]:
     Pi+/- = |Psi+/-><Psi+/-| + (1-eta)/2 (|Phi+><Phi+| + |Phi-><Phi-|),
     Pi?   = eta (|Phi+><Phi+| + |Phi-><Phi-|).
     """
+    from .twophoton import BELL_STATES
+
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     phi_p, phi_m, psi_p, psi_m = (np.outer(b, b.conj()) for b in BELL_STATES)

@@ -85,25 +85,17 @@ def waveplate_matrix(plate: WavePlate) -> np.ndarray:
     active rotation by the fast-axis angle and delta the retardance (180 deg
     for a half-wave plate, 90 deg for a quarter-wave plate).  With this sign a
     quarter-wave plate at +45 deg maps |H> to (|H> + i|V>)/sqrt(2), and the
-    two-plate recipes below reproduce their analytic targets.
-    """
-    return waveplate_matrices(plate.kind, plate.angle_deg)
-
-
-def waveplate_matrices(kind: PlateKind, angle_deg) -> np.ndarray:
-    """Jones matrices, shape angle_deg.shape + (2, 2), of one plate kind at an array of angles.
-
-    Closed form of the waveplate_matrix convention: with c, s the cosine and
-    sine of the fast-axis angle and e = exp(-i delta),
+    two-plate recipes below reproduce their analytic targets.  In closed form,
+    with c, s the cosine and sine of the fast-axis angle and e = exp(-i delta),
     [[c^2 + s^2 e, c s (1 - e)], [c s (1 - e), s^2 + c^2 e]].
     """
-    th = np.radians(np.asarray(angle_deg, dtype=float))
+    th = np.radians(np.asarray(plate.angle_deg, dtype=float))
     c, s = np.cos(th), np.sin(th)
-    e = np.exp(-1j * radians(_RETARDANCE_DEG[kind]))
-    out = np.empty(th.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c * c + s * s * e
-    out[..., 0, 1] = out[..., 1, 0] = c * s * (1.0 - e)
-    out[..., 1, 1] = s * s + c * c * e
+    e = np.exp(-1j * radians(_RETARDANCE_DEG[plate.kind]))
+    out = np.empty((2, 2), dtype=complex)
+    out[0, 0] = c * c + s * s * e
+    out[0, 1] = out[1, 0] = c * s * (1.0 - e)
+    out[1, 1] = s * s + c * c * e
     return out
 
 
@@ -119,33 +111,10 @@ def prepare_from_recipe(recipe: PrepRecipe, state: PolarizationState = HORIZONTA
     return apply_plate(apply_plate(state, qwp), hwp)
 
 
-def prepare_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
-    """Jones vectors, shape (..., 2), of |H> sent through a QWP then a HWP at broadcast angles.
-
-    The array counterpart of prepare_from_recipe: entry [...] equals, to
-    rounding, prepare_from_recipe(PrepRecipe(qwp_deg[...], hwp_deg[...])).vector.
-    Both plates are unitary, so the vectors are normalized without rescaling.
-    """
-    after_qwp = waveplate_matrices(PlateKind.QUARTER, qwp_deg)[..., :, 0]
-    return np.einsum("...ij,...j->...i", waveplate_matrices(PlateKind.HALF, hwp_deg), after_qwp)
-
-
-def stokes_vectors(jones) -> np.ndarray:
-    """Stokes vectors (z, x, y), shape (..., 3), of Jones vectors (h, v), shape (..., 2).
-
-    z = |h|^2 - |v|^2 and x + i y = 2 conj(h) v, so |+45> is (0, 1, 0) and
-    (|H> + i|V>)/sqrt(2) is (0, 0, 1); a unit Jones vector has a unit one.
-    """
-    jones = np.asarray(jones, dtype=complex)
-    h, v = jones[..., 0], jones[..., 1]
-    cross = 2.0 * np.conj(h) * v
-    return np.stack([(h * h.conj()).real - (v * v.conj()).real, cross.real, cross.imag], axis=-1)
-
-
 def stokes_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
     """Stokes vectors (z, x, y), shape (..., 3), of |H> sent through a QWP then a HWP at broadcast angles.
 
-    Those of the prepare_from_angles Jones vectors (h, v), z = |h|^2 - |v|^2
+    Those of the prepare_from_recipe Jones vectors (h, v), z = |h|^2 - |v|^2
     and x + i y = 2 conj(h) v, in closed form and real arithmetic: the QWP
     at q gives (cos^2 2q, sin 2q cos 2q, sin 2q), and the HWP at h reflects
     the linear part (z, x) about the Stokes-plane axis at 2h, by the matrix

@@ -1,4 +1,4 @@
-"""Composite data (x) program states and Bell-basis algebra.
+"""Composite data (x) program states and their Bell-basis probabilities.
 
 Basis ordering is fixed everywhere: product basis (HH, HV, VH, VV) with the
 data photon first, Bell basis (Phi+, Phi-, Psi+, Psi-).
@@ -45,22 +45,6 @@ class TwoPhotonState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
-class BellDecomposition:
-    """Complex coefficients on the (Phi+, Phi-, Psi+, Psi-) Bell basis."""
-
-    c_phi_plus: complex
-    c_phi_minus: complex
-    c_psi_plus: complex
-    c_psi_minus: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.c_phi_plus, self.c_phi_minus, self.c_psi_plus, self.c_psi_minus],
-            dtype=complex,
-        )
-
-
 class BellProbs(NamedTuple):
     phi_plus: float
     phi_minus: float
@@ -71,17 +55,6 @@ class BellProbs(NamedTuple):
 def tensor(data: PolarizationState, program: PolarizationState) -> TwoPhotonState:
     """Product state of a data and a program photon."""
     return TwoPhotonState(np.kron(data.vector, program.vector))
-
-
-def bell_decompose(state: TwoPhotonState) -> BellDecomposition:
-    """Coefficients of a state on the Bell basis (inner products with Eq.-style states)."""
-    coeffs = BELL_STATES.conj() @ state.amplitudes
-    return BellDecomposition(*[complex(c) for c in coeffs])
-
-
-def bell_reconstruct(decomposition: BellDecomposition) -> TwoPhotonState:
-    """Inverse of bell_decompose."""
-    return TwoPhotonState(BELL_STATES.T @ decomposition.as_array())
 
 
 def bell_probabilities(state: TwoPhotonState) -> BellProbs:

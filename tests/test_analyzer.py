@@ -12,14 +12,10 @@ from bellmeter.analyzer import (
     bs_transform,
     classify,
     distinguishable_outcome_probs,
-    distinguishable_pattern_probs,
     ideal_outcome_probs,
-    mixed_pattern_probs,
     outcome_probs_batch,
     pattern_outcomes,
     pattern_probs_batch,
-    product_outcome_probs,
-    quantum_pattern_probs,
     stokes_outcome_probs,
 )
 from bellmeter.analyzer import _stokes_tables
@@ -27,7 +23,6 @@ from bellmeter.polarization import (
     PolarizationState,
     PrepRecipe,
     prepare_elliptical,
-    prepare_from_angles,
     prepare_from_recipe,
     stokes_from_angles,
 )
@@ -52,6 +47,18 @@ def random_product_state(rng):
     return tensor(
         PolarizationState.from_vector(d), PolarizationState.from_vector(p)
     )
+
+
+def pattern_probs(state, config, mode_overlap):
+    """pattern_probs_batch of one state."""
+    return pattern_probs_batch(state.amplitudes[None], config, mode_overlap)[0]
+
+
+def recipe_vectors(settings_deg):
+    """Jones vectors of prepare_from_recipe, shape (..., 2), for (QWP, HWP) angles of shape (..., 2)."""
+    settings_deg = np.asarray(settings_deg)
+    vectors = [prepare_from_recipe(PrepRecipe(*plates)).vector for plates in settings_deg.reshape(-1, 2)]
+    return np.reshape(vectors, settings_deg.shape)
 
 
 def test_bs_transform_rejects_degenerate_transmittance():
@@ -82,7 +89,7 @@ def test_bell_state_routing_with_geometric_phase():
 
 def test_psi_plus_exits_different_ports():
     # with the phase, the two Psi+ photons leave by different output ports
-    probs = quantum_pattern_probs(PSI_PLUS, IDEAL)
+    probs = pattern_probs(PSI_PLUS, IDEAL, 1.0)
     cross_port = 0.0
     for pr, (k, l) in zip(probs, PATTERNS):
         if (k < 2) != (l < 2):
@@ -134,9 +141,9 @@ def test_probabilities_sum_to_one_any_branch_any_transmittance():
         )
         state = random_state(rng)
         for probs in (
-            quantum_pattern_probs(state, cfg),
-            distinguishable_pattern_probs(state, cfg),
-            mixed_pattern_probs(state, cfg, rng.uniform(0, 1)),
+            pattern_probs(state, cfg, 1.0),
+            pattern_probs(state, cfg, 0.0),
+            pattern_probs(state, cfg, rng.uniform(0, 1)),
         ):
             assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -155,7 +162,7 @@ def test_distinguishable_hh_enumeration():
     hh = TwoPhotonState(np.array([1, 0, 0, 0], dtype=complex))
     p = distinguishable_outcome_probs(hh, IDEAL)
     assert abs(p.inconclusive - 1.0) < 1e-12
-    probs = distinguishable_pattern_probs(hh, IDEAL)
+    probs = pattern_probs(hh, IDEAL, 0.0)
     by_pattern = dict(zip(PATTERNS, probs))
     assert abs(by_pattern[(0, 2)] - 0.5) < 1e-12  # one photon per port, both H
     assert abs(by_pattern[(0, 0)] - 0.25) < 1e-12
@@ -167,7 +174,7 @@ def test_distinguishable_unbalanced_routing():
     # probability 2 T R = 0.48, both-same-decision (different ports) 0.52
     cfg = AnalyzerConfig(transmittance_h=0.6)
     hh = TwoPhotonState(np.array([1, 0, 0, 0], dtype=complex))
-    probs = dict(zip(PATTERNS, distinguishable_pattern_probs(hh, cfg)))
+    probs = dict(zip(PATTERNS, pattern_probs(hh, cfg, 0.0)))
     same_port = probs[(0, 0)] + probs[(2, 2)]
     assert abs(same_port - 2 * 0.6 * 0.4) < 1e-12
     assert abs(probs[(0, 2)] - (0.6**2 + 0.4**2)) < 1e-12
@@ -291,10 +298,6 @@ def test_pattern_probs_match_reference_loop(seed, t_h, t_v, geometric_phase, m):
     for state, got in zip(states, batch):
         want = reference_pattern_probs(state, cfg, m)
         assert np.max(np.abs(got - want)) < 1e-12
-        assert np.max(np.abs(mixed_pattern_probs(state, cfg, m) - want)) < 1e-12
-        if m in (0.0, 1.0):
-            scalar = quantum_pattern_probs if m == 1.0 else distinguishable_pattern_probs
-            assert np.max(np.abs(scalar(state, cfg) - want)) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -311,7 +314,7 @@ def test_batched_outcome_probs_match_scalar_path(recipe, jitter, t_h, t_v, m):
     cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v)
     # [period, photon (data, program), plate (QWP, HWP)]
     settings_deg = np.reshape(recipe, (2, 2)) + np.reshape(jitter, (-1, 2, 2))
-    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    jones = recipe_vectors(settings_deg)
     product = np.einsum("ni,nj->nij", jones[:, 0], jones[:, 1]).reshape(-1, 4)
     got = outcome_probs_batch(product, cfg, m)
     assert got.shape == (len(settings_deg), 3)
@@ -319,7 +322,7 @@ def test_batched_outcome_probs_match_scalar_path(recipe, jitter, t_h, t_v, m):
         state = tensor(
             prepare_from_recipe(PrepRecipe(*data_deg)), prepare_from_recipe(PrepRecipe(*program_deg))
         )
-        want = aggregate(mixed_pattern_probs(state, cfg, m), cfg)
+        want = aggregate(pattern_probs(state, cfg, m), cfg)
         assert np.max(np.abs(row - want)) < 1e-12
 
 
@@ -339,46 +342,6 @@ def test_batch_rejects_unnormalized_states_and_bad_overlap():
         pattern_probs_batch(np.vstack([good, good]), IDEAL, np.full(3, 0.5))
 
 
-@PROPERTY_SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 50),
-    t_h=transmittances,
-    t_v=transmittances,
-    geometric_phase=st.booleans(),
-)
-def test_product_form_rows_do_not_depend_on_the_batch(seed, n, t_h, t_v, geometric_phase):
-    cfg = AnalyzerConfig(transmittance_h=t_h, transmittance_v=t_v, geometric_phase=geometric_phase)
-    rng = np.random.default_rng(seed)
-    # [state, photon (data, program), plate (QWP, HWP)]
-    settings_deg = rng.uniform(-360.0, 360.0, size=(n, 2, 2))
-    row_overlaps = rng.uniform(size=n)
-    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
-    batch = product_outcome_probs(jones[:, 0], jones[:, 1], cfg, row_overlaps)
-    for i in range(n):
-        alone = product_outcome_probs(jones[i : i + 1, 0], jones[i : i + 1, 1], cfg, row_overlaps[i])
-        assert np.array_equal(batch[i], alone[0])
-    # and the product form is the general path's U psi U^T on the product amplitudes
-    product = np.einsum("ni,nj->nij", jones[:, 0], jones[:, 1]).reshape(-1, 4)
-    assert np.max(np.abs(batch - outcome_probs_batch(product, cfg, row_overlaps))) < 1e-12
-
-
-def test_product_form_rejects_bad_input():
-    h, v = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    assert product_outcome_probs(h, v, IDEAL, 1.0).shape == (1, 3)
-    for data, program, overlap in (
-        (np.array([[1.0, 1.0]]), v, 1.0),
-        (np.array([[np.nan, 0.0]]), v, 1.0),
-        (h[0], v[0], 1.0),
-        (np.array([[1.0, 0.0, 0.0, 0.0]]), v, 1.0),
-        (np.vstack([h, h]), v, 1.0),
-        (h, v, 1.5),
-        (h, v, np.full(2, 0.5)),
-    ):
-        with pytest.raises(ValueError):
-            product_outcome_probs(data, program, IDEAL, overlap)
-
-
 def random_product_inputs(seed, n):
     """Jones and Stokes vectors of n random plate settings per photon, and n mode overlaps."""
     rng = np.random.default_rng(seed)
@@ -386,7 +349,7 @@ def random_product_inputs(seed, n):
     settings_deg = rng.uniform(-360.0, 360.0, size=(n, 2, 2))
     row_overlaps = rng.uniform(size=n)
     row_overlaps[: min(n, 2)] = [0.0, 1.0][: min(n, 2)]
-    jones = prepare_from_angles(settings_deg[..., 0], settings_deg[..., 1])
+    jones = recipe_vectors(settings_deg)
     stokes = stokes_from_angles(settings_deg[..., 0], settings_deg[..., 1])
     return jones, stokes, row_overlaps
 

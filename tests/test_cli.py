@@ -125,6 +125,13 @@ def test_hom_scan_runs_without_scipy(tmp_path):
     assert out.is_file()
 
 
+# what every sweep command loads: the count core, the optics and the sampler
+SWEEP_MODULES = {
+    "bellmeter", "bellmeter.analyzer", "bellmeter.cli", "bellmeter.counts", "bellmeter.dataset",
+    "bellmeter.errors", "bellmeter.experiment", "bellmeter.polarization",
+}
+
+
 @pytest.mark.parametrize(
     "code, loaded",
     [
@@ -134,11 +141,27 @@ def test_hom_scan_runs_without_scipy(tmp_path):
             "assert main(['analyze', sys.argv[1], '--out', sys.argv[2]]) == 0",
             {"bellmeter", "bellmeter.cli", "bellmeter.counts", "bellmeter.dataset", "bellmeter.errors"},
         ),
+        (
+            "from bellmeter.cli import main; assert main(['discriminate', '--epsilon', '0', "
+            "'--theta-range', '0:90:45', '--pairs', '100', '--out', sys.argv[2]]) == 0",
+            SWEEP_MODULES | {"bellmeter.discriminator"},
+        ),
+        (
+            "from bellmeter.cli import main; "
+            "assert main(['multimeter', '--phi-range=-90:90:90', '--pairs', '100', '--out', sys.argv[2]]) == 0",
+            SWEEP_MODULES | {"bellmeter.multimeter"},
+        ),
+        (
+            "from bellmeter.cli import main; "
+            "assert main(['hom-scan', '--range=-50:50:50', '--pairs', '100', '--out', sys.argv[2]]) == 0",
+            SWEEP_MODULES,
+        ),
     ],
-    ids=["package", "analyze"],
+    ids=["package", "analyze", "discriminate", "multimeter", "hom-scan"],
 )
 def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, loaded):
-    # the package root imports no module, and `analyze` needs only the count core
+    # the package root imports no module, `analyze` needs only the count core,
+    # and no command loads the two-photon oracles (twophoton)
     counts, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
     Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
     script = f"import sys; {code}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellmeter'))"
@@ -269,6 +292,23 @@ def test_parse_range_builds_values_from_an_index():
     assert _parse_range("-90:90:8") == [float(v) for v in range(-90, 91, 8)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--epsilon", "0", "--theta-range", "0:1e-10:1e-11"],
+        ["multimeter", "--phi-range", "1e8:100000000.00001:1e-9"],
+    ],
+    ids=["below-the-rounding", "beyond-float-spacing"],
+)
+def test_range_whose_rounding_merges_points_exits_nonzero(tmp_path, capsys, argv):
+    # each point is rounded to 9 decimals; a finer grid would repeat points
+    out = tmp_path / "x.tsv"
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: range {argv[-1]!r} repeats points once they are rounded to 9 decimals\n"
+    assert not out.exists()
+
+
 def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):
     code = main(["discriminate", "--theta-range", "10:0:-5", "--out", str(tmp_path / "x.tsv")])
     assert code == 1
@@ -360,6 +400,30 @@ def test_fractional_repetitions_in_config_exit_nonzero(tmp_path, capsys):
                  "--theta-range", "45:45:1", "--out", str(tmp_path / "x.tsv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [("{bad", "is not JSON: Expecting property name"), ("[1, 2]", "holds no JSON object")],
+    ids=["no-json", "no-object"],
+)
+def test_analyze_names_a_bad_sidecar(tmp_path, capsys, sidecar, message):
+    path = tmp_path / "counts.tsv"
+    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(path)
+    sidecar_path(path).write_text(sidecar)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar_path(path)} {message}") and len(err.splitlines()) == 1
+
+
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("{bad")
+    out = tmp_path / "x.tsv"
+    assert main(["discriminate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path} is not JSON: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):

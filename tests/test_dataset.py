@@ -1,4 +1,5 @@
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellmeter.dataset import Dataset
+from bellmeter.dataset import Dataset, sidecar_path
+from bellmeter.errors import SchemaViolationError
 
 INT64 = st.one_of(st.sampled_from([0, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
 # NaN only as the one NaN that repr() and float() give back: the TSV text has no NaN payload or sign
@@ -88,3 +90,17 @@ def test_dataset_rejects_mismatched_shapes_and_duplicate_names():
         Dataset(["x", "n"], [[1, 3]])
     with pytest.raises(ValueError, match="column 'x' appears twice"):
         Dataset(["x", "n", "x"], [[1], [2], [3]])
+
+
+def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):
+    path = tmp_path / "x.tsv"
+    Dataset(["n"], [[1]], {"k": 1}).write(path)
+    assert Dataset.read(path).metadata["k"] == 1
+    sidecar, name = sidecar_path(path), re.escape(str(sidecar_path(path)))
+    sidecar.write_text("{bad")
+    with pytest.raises(ValueError, match=f"^{name} is not JSON: "):
+        Dataset.read(path)
+    for value in ("[1, 2]", "3", "null"):
+        sidecar.write_text(value)
+        with pytest.raises(SchemaViolationError, match=f"^{name} holds no JSON object$"):
+            Dataset.read(path)

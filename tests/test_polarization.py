@@ -16,12 +16,10 @@ from bellmeter.polarization import (
     overlap,
     prepare_elliptical,
     prepare_equatorial,
-    prepare_from_angles,
     prepare_from_recipe,
     recipe_discriminator,
     recipe_multimeter,
     stokes_from_angles,
-    stokes_vectors,
     waveplate_matrix,
 )
 
@@ -84,6 +82,17 @@ def test_waveplates_unitary_for_random_angles():
         for angle in rng.uniform(-360.0, 360.0, size=500):
             m = waveplate_matrix(WavePlate(kind, angle))
             assert np.max(np.abs(m @ m.conj().T - np.eye(2))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-360.0, 360.0), st.sampled_from(PlateKind))
+def test_waveplate_matrix_is_the_rotated_retarder(angle, kind):
+    # R(theta) diag(1, exp(-i delta)) R(-theta), the convention of its docstring
+    th = np.radians(angle)
+    rotation = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    delta = np.radians({PlateKind.HALF: 180.0, PlateKind.QUARTER: 90.0}[kind])
+    want = rotation @ np.diag([1.0, np.exp(-1j * delta)]) @ rotation.T
+    assert np.max(np.abs(waveplate_matrix(WavePlate(kind, angle)) - want)) <= 1e-15
 
 
 def test_two_hwps_compose_to_identity_up_to_phase():
@@ -186,29 +195,14 @@ def test_overlap_conjugate_linear_in_first_argument():
         assert abs(overlap(s1, s2)) <= 1.0 + 1e-12
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.tuples(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0)), min_size=1, max_size=8)
-)
-def test_prepare_from_angles_matches_recipe_up_to_phase(plate_angles):
-    qwp_deg, hwp_deg = np.array(plate_angles).T
-    vectors = prepare_from_angles(qwp_deg, hwp_deg)
-    assert vectors.shape == (len(plate_angles), 2)
-    for vec, (qwp, hwp) in zip(vectors, plate_angles):
-        want = prepare_from_recipe(PrepRecipe(qwp, hwp))
-        assert states_equal_up_to_phase(PolarizationState(*vec), want, tol=1e-12)
-
-
-def test_prepare_from_angles_broadcasts():
-    vectors = prepare_from_angles(np.zeros((3, 2)), 22.5)
-    assert vectors.shape == (3, 2, 2)
-    assert np.allclose(vectors, 1 / np.sqrt(2), atol=1e-12)
-
-
-def test_stokes_vectors_of_the_basis_states():
-    diagonal = PolarizationState(1 / np.sqrt(2), 1 / np.sqrt(2))
-    right = apply_plate(HORIZONTAL, WavePlate(PlateKind.QUARTER, 45.0))  # (|H> + i|V>)/sqrt(2)
-    got = stokes_vectors([HORIZONTAL.vector, VERTICAL.vector, diagonal.vector, right.vector])
+def test_stokes_from_angles_of_the_basis_states():
+    # (QWP, HWP) recipes of H, V, +45 and (|H> + i|V>)/sqrt(2), and their Stokes vectors
+    recipes = [(0.0, 0.0), (0.0, 45.0), (0.0, 22.5), (-45.0, 0.0)]
+    states = [HORIZONTAL, VERTICAL, PolarizationState(1 / np.sqrt(2), 1 / np.sqrt(2)),
+              PolarizationState(1 / np.sqrt(2), 1j / np.sqrt(2))]
+    for recipe, state in zip(recipes, states):
+        assert states_equal_up_to_phase(prepare_from_recipe(PrepRecipe(*recipe)), state, 1e-12)
+    got = stokes_from_angles(*np.transpose(recipes))
     assert np.allclose(got, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], atol=1e-15)
 
 
@@ -221,7 +215,9 @@ def test_stokes_from_angles_is_the_stokes_vector_of_the_recipe(plate_angles):
     got = stokes_from_angles(qwp_deg, hwp_deg)
     assert got.shape == (len(plate_angles), 3)
     for vec, (qwp, hwp) in zip(got, plate_angles):
-        want = stokes_vectors(prepare_from_recipe(PrepRecipe(qwp, hwp)).vector)
+        h, v = prepare_from_recipe(PrepRecipe(qwp, hwp)).vector
+        cross = 2.0 * np.conj(h) * v
+        want = [abs(h) ** 2 - abs(v) ** 2, cross.real, cross.imag]
         assert np.max(np.abs(vec - want)) < 1e-12
     # the negated-angle partner has x and y negated and z kept, bit for bit
     assert np.array_equal(stokes_from_angles(-qwp_deg, -hwp_deg), got * [1.0, -1.0, -1.0])

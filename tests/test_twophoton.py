@@ -4,11 +4,8 @@ import pytest
 from bellmeter.polarization import PolarizationState, prepare_elliptical, prepare_equatorial
 from bellmeter.twophoton import (
     BELL_STATES,
-    BellDecomposition,
     TwoPhotonState,
-    bell_decompose,
     bell_probabilities,
-    bell_reconstruct,
     tensor,
 )
 
@@ -47,32 +44,31 @@ def test_tensor_rejects_nothing_but_matches_products():
                 assert abs(amps[2 * i + j] - di * pj) < 1e-15
 
 
-def test_bell_decompose_hv():
-    dec = bell_decompose(TwoPhotonState(np.array([0, 1, 0, 0], dtype=complex)))
-    assert abs(dec.c_phi_plus) < 1e-15 and abs(dec.c_phi_minus) < 1e-15
-    assert abs(dec.c_psi_plus - 1 / np.sqrt(2)) < 1e-15
-    assert abs(dec.c_psi_minus - 1 / np.sqrt(2)) < 1e-15
+def test_bell_probabilities_hv():
+    p = bell_probabilities(TwoPhotonState(np.array([0, 1, 0, 0], dtype=complex)))
+    assert p.phi_plus < 1e-30 and p.phi_minus < 1e-30
+    assert abs(p.psi_plus - (1 / np.sqrt(2)) ** 2) < 1e-15
+    assert abs(p.psi_minus - (1 / np.sqrt(2)) ** 2) < 1e-15
 
 
-def test_bell_decompose_symmetric_pair_closed_form():
+def test_bell_probabilities_symmetric_pair_closed_form():
     # plus branch with a = b = 1/sqrt(2): coefficients (1/sqrt2, 0, 1/sqrt2, 0)
     state = tensor(prepare_elliptical(0.0, 45.0, +1), prepare_elliptical(0.0, 45.0, +1))
-    dec = bell_decompose(state)
-    assert abs(dec.c_phi_plus - 1 / np.sqrt(2)) < 1e-12
-    assert abs(dec.c_phi_minus) < 1e-12
-    assert abs(dec.c_psi_plus - 1 / np.sqrt(2)) < 1e-12
-    assert abs(dec.c_psi_minus) < 1e-12
+    p = bell_probabilities(state)
+    assert abs(p.phi_plus - (1 / np.sqrt(2)) ** 2) < 1e-12
+    assert p.phi_minus < 1e-24
+    assert abs(p.psi_plus - (1 / np.sqrt(2)) ** 2) < 1e-12
+    assert p.psi_minus < 1e-24
 
 
-def test_bell_decompose_minus_branch_values():
+def test_bell_probabilities_minus_branch_values():
     state = tensor(prepare_elliptical(0.0, 20.0, -1), prepare_elliptical(0.0, 20.0, +1))
-    dec = bell_decompose(state)
-    assert abs(dec.c_phi_plus - C_PHI_PLUS_20) < 1e-12
-    assert abs(dec.c_phi_minus - C_PHI_MINUS_20) < 1e-12
-    assert abs(dec.c_psi_minus - C_PSI_MINUS_20) < 1e-12
-    assert abs(dec.c_psi_plus) < 1e-12
-    total = sum(abs(c) ** 2 for c in dec.as_array())
-    assert abs(total - 1.0) < 1e-12
+    p = bell_probabilities(state)
+    assert abs(p.phi_plus - C_PHI_PLUS_20**2) < 1e-12
+    assert abs(p.phi_minus - C_PHI_MINUS_20**2) < 1e-12
+    assert abs(p.psi_minus - C_PSI_MINUS_20**2) < 1e-12
+    assert p.psi_plus < 1e-24
+    assert abs(sum(p) - 1.0) < 1e-12
 
 
 def test_closed_form_coefficients_for_real_pairs():
@@ -82,26 +78,16 @@ def test_closed_form_coefficients_for_real_pairs():
         program = PolarizationState.from_vector([a, b])
         for sign in (+1, -1):
             data = PolarizationState.from_vector([a, sign * b])
-            dec = bell_decompose(tensor(data, program))
+            p = bell_probabilities(tensor(data, program))
             sq2 = np.sqrt(2.0)
-            assert abs(dec.c_phi_plus - sq2 * (a * a + sign * b * b) / 2) < 1e-12
-            assert abs(dec.c_phi_minus - sq2 * (a * a - sign * b * b) / 2) < 1e-12
+            assert abs(p.phi_plus - (sq2 * (a * a + sign * b * b) / 2) ** 2) < 1e-12
+            assert abs(p.phi_minus - (sq2 * (a * a - sign * b * b) / 2) ** 2) < 1e-12
             if sign > 0:
-                assert abs(dec.c_psi_plus - sq2 * a * b) < 1e-12
-                assert abs(dec.c_psi_minus) < 1e-12  # error-free channel
+                assert abs(p.psi_plus - (sq2 * a * b) ** 2) < 1e-12
+                assert p.psi_minus < 1e-24  # error-free channel
             else:
-                assert abs(dec.c_psi_minus - sq2 * a * b) < 1e-12
-                assert abs(dec.c_psi_plus) < 1e-12
-
-
-def test_reconstruct_roundtrip_random_states():
-    rng = np.random.default_rng(123)
-    for _ in range(1000):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        state = TwoPhotonState(v)
-        back = bell_reconstruct(bell_decompose(state))
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+                assert abs(p.psi_minus - (sq2 * a * b) ** 2) < 1e-12
+                assert p.psi_plus < 1e-24
 
 
 def test_bell_probabilities_examples():
