@@ -20,9 +20,9 @@ its output amplitudes as U psi U^T (pattern_probs_batch); the pattern
 probabilities are mixed by the mode overlap and summed per outcome class
 (outcome_probs_batch).  Two separately prepared photons take a real-arithmetic
 shortcut (stokes_outcome_probs): for a product input every class probability
-is a bilinear form s_d^T (K_dist + M K_bos) s_p in the photons' Stokes
-4-vectors s = (1, z, x, y), whose 4x4 tables are built once per config
-(_stokes_tables).  With the default wiring
+is a bilinear form in the photons' Stokes vectors n = (z, x, y), built from
+the monomials 1, z_d, z_p, z_d z_p and E = x_d x_p + y_d y_p with
+coefficients computed once per config (_stokes_terms).  With the default wiring
 
     p+- = A+-(1 - z_d z_p) +- M B (x_d x_p + y_d y_p),    p? = (1 + z_d z_p) / 2,
 
@@ -95,6 +95,10 @@ class OutcomeProbs(NamedTuple):
     inconclusive: float
 
 
+# the Outcome of each OutcomeProbs field, in order
+_CLASSES = (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
     """Static parameters of the Bell analyzer.
@@ -159,27 +163,39 @@ def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, tuple[np.ndarray
     """
     u = bs_transform(config)
     outcomes = np.array(pattern_outcomes(config))
-    classes = (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)
-    groups = tuple(np.flatnonzero(outcomes == c) for c in classes)
+    groups = tuple(np.flatnonzero(outcomes == c) for c in _CLASSES)
     for array in (u, *groups):
         array.setflags(write=False)
     return u, groups
 
 
 @functools.lru_cache(maxsize=64)
-def _stokes_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """K_dist, K_bos, shape (3, 4, 4) each: p_c = s_d^T (K_dist[c] + M K_bos[c]) s_p per class.
+def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float], ...], ...]:
+    """Per OutcomeProbs class, its nonzero (monomial, K_dist, K_bos) coefficient terms.
 
-    s = (1, z, x, y) is a photon's Stokes 4-vector, so |H|^2 = (1 + z)/2,
-    |V|^2 = (1 - z)/2 and Re(d_H conj(d_V) conj(p_H) p_V) = (x_d x_p + y_d y_p)/4.
-    The photons reach mode k with intensities data_in[k] and program_in[k]
-    (T or R = 1 - T of its polarization) and with amplitudes whose product is
-    w_k = U[k, pol] U[k, 2 + pol].  Pattern (k, l) adds its distinguishable
-    probability |x_k|^2 |y_l|^2 + |x_l|^2 |y_k|^2 to K_dist and its interference
-    2 Re(x_k y_l conj(x_l y_k)) to K_bos (for k = l, the pair's half-weighted
-    sums).  Each entry is one math.fsum of its exact-weighted terms, so a
-    coefficient that cancels is exactly 0.  Classes follow OutcomeProbs; the
-    arrays are shared and therefore read-only.
+    A class probability sums (K_dist + M K_bos) m over the monomials m = 1,
+    z_d, z_p, zz = z_d z_p and E = x_d x_p + y_d y_p of the photons' unit
+    Stokes vectors (z, x, y).  The photons reach mode k with intensities
+    data_in[k] and program_in[k] (T or R = 1 - T of its polarization) and
+    amplitudes whose product is w_k = U[k, pol] U[k, 2 + pol].  Pattern (k, l)
+    adds its distinguishable probability |x_k|^2 |y_l|^2 + |x_l|^2 |y_k|^2 to
+    K_dist and its interference 2 Re(x_k y_l conj(x_l y_k)) to K_bos (for
+    k = l, the pair's half-weighted sums).  As |H|^2 = (1 + z)/2 and
+    |V|^2 = (1 - z)/2, a product weight w of the data photon in a mode of
+    polarization sign z_k and the program photon in one of sign z_l adds
+    w/4 (1, z_k, z_l, z_k z_l); interference across the polarizations adds a
+    quarter of its weight to E, as Re(d_H conj(d_V) conj(p_H) p_V) = E/4.
+    Each coefficient is one math.fsum of its products, so one that cancels
+    is exactly 0.
+
+    A class whose constant and z_d z_p coefficients cancel (the Psi classes
+    of the default wiring) is written in difference form, using
+    1 - z_d z_p = Q- + E = Q+ - E for unit Stokes vectors, with
+    Q- = |n_d - n_p|^2 / 2 and Q+ = |n_d - n_p * _PARTNER|^2 / 2, the halved
+    squared distances of the data state from the program state and from its
+    negated-angle partner, taking the one whose E coefficient then cancels at
+    M = 1.  A state equal to the program, or to its negated-angle partner,
+    then gives exactly 0 in the class it cannot reach, not a rounding residue.
     """
     t = np.array([config.transmittance_h, config.transmittance_v])
     r = 1.0 - t
@@ -189,55 +205,31 @@ def _stokes_tables(config: AnalyzerConfig) -> tuple[np.ndarray, np.ndarray]:
     g = -1.0 if config.geometric_phase else 1.0
     sign = np.array([g, 1.0, -g, -1.0])  # of w_k, see bs_transform
     split = t * r  # w_k^2 of a polarization; w_k w_l = sign_k sign_l sqrt(split_k split_l)
-    stokes_rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]])  # |H|^2, |V|^2
-    equatorial = np.diag([0.0, 0.0, 0.25, 0.25])
-    classes = (Outcome.PSI_PLUS, Outcome.PSI_MINUS, Outcome.INCONCLUSIVE)
-    dist_terms, bos_terms = [], []  # (class, 4x4 term) per pattern
-    for (k, l), outcome in zip(PATTERNS, pattern_outcomes(config)):
-        c, e_k, e_l = classes.index(outcome), stokes_rows[pol[k]], stokes_rows[pol[l]]
+    z = (1.0, -1.0)  # of H and V
+    # per class and monomial, the products its K_dist and K_bos coefficients sum
+    products = {c: {m: ([], []) for m in ("1", "z_d", "z_p", "zz", "E")} for c in _CLASSES}
+
+    def add(c, part, w, z_d, z_p):
+        for name, factor in (("1", 1.0), ("z_d", z_d), ("z_p", z_p), ("zz", z_d * z_p)):
+            products[c][name][part].append(w * (0.25 * factor))
+
+    for (k, l), c in zip(PATTERNS, pattern_outcomes(config)):
+        z_k, z_l = z[pol[k]], z[pol[l]]
         if k == l:
-            same = data_in[k] * program_in[k] * np.outer(e_k, e_k)
-            dist_terms.append((c, same))
-            bos_terms.append((c, same))
+            same = data_in[k] * program_in[k]
+            add(c, 0, same, z_k, z_k)
+            add(c, 1, same, z_k, z_k)
             continue
-        dist_terms.append((c, data_in[k] * program_in[l] * np.outer(e_k, e_l)))
-        dist_terms.append((c, data_in[l] * program_in[k] * np.outer(e_l, e_k)))
-        mixing = np.outer(e_k, e_k) if pol[k] == pol[l] else equatorial
-        bos_terms.append((c, 2.0 * sign[k] * sign[l] * np.sqrt(split[pol[k]] * split[pol[l]]) * mixing))
-    tables = []
-    for terms in (dist_terms, bos_terms):
-        stack = np.zeros((3, 4, 4, len(terms)))
-        for i, (c, term) in enumerate(terms):
-            stack[c, :, :, i] = term
-        table = np.vectorize(math.fsum, signature="(n)->()")(stack)
-        table.setflags(write=False)
-        tables.append(table)
-    return tables[0], tables[1]
-
-
-# the entries of a class table (see _stokes_tables) and the monomial of the
-# two Stokes vectors each one weights; E = x_d x_p + y_d y_p weights (2, 2) and
-# (3, 3) alike, and every other entry is 0
-_MONOMIAL_ENTRIES = {"1": (0, 0), "z_d": (1, 0), "z_p": (0, 1), "zz": (1, 1), "E": (2, 2)}
-
-
-@functools.lru_cache(maxsize=64)
-def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float], ...], ...]:
-    """Per OutcomeProbs class, its nonzero (monomial, K_dist, K_bos) coefficient terms.
-
-    A class whose constant and z_d z_p coefficients cancel (the Psi classes
-    of the default wiring) is written in difference form, using
-    1 - z_d z_p = Q- + E = Q+ - E for unit Stokes vectors, with
-    Q- = |n_d - n_p|^2 / 2 and Q+ = |n_d - n_p * _PARTNER|^2 / 2, the halved
-    squared distances of the data state from the program state and from its
-    negated-angle partner, taking the one whose E coefficient then cancels at
-    M = 1.  A state equal
-    to the program, or to its negated-angle partner, then gives exactly 0 in
-    the class it cannot reach, not a rounding residue.
-    """
+        add(c, 0, data_in[k] * program_in[l], z_k, z_l)
+        add(c, 0, data_in[l] * program_in[k], z_l, z_k)
+        mixing = 2.0 * sign[k] * sign[l] * np.sqrt(split[pol[k]] * split[pol[l]])
+        if pol[k] == pol[l]:
+            add(c, 1, mixing, z_k, z_k)
+        else:
+            products[c]["E"][1].append(mixing * 0.25)
     classes = []
-    for dist, bos in zip(*_stokes_tables(config)):
-        coef = {name: (float(dist[e]), float(bos[e])) for name, e in _MONOMIAL_ENTRIES.items()}
+    for by_monomial in products.values():
+        coef = {name: (math.fsum(dist), math.fsum(bos)) for name, (dist, bos) in by_monomial.items()}
         terms = []
         (c_d, c_b), (e_d, e_b) = coef["1"], coef["E"]
         if (c_d, c_b) != (0.0, 0.0) and coef["zz"] == (-c_d, -c_b):
@@ -349,8 +341,7 @@ def stokes_outcome_probs(
     `data` and `program` hold the photons' unit Stokes vectors (z, x, y),
     shape (n, 3) each, as polarization.stokes_from_angles gives them, and
     mode_overlap is one value for the batch or one per state, shape (n,).
-    Class c is s_d^T (K_dist[c] + M K_bos[c]) s_p (see _stokes_tables),
-    evaluated as the sum of its few _stokes_terms in real arithmetic,
+    Class c is evaluated as the sum of its few _stokes_terms in real arithmetic,
     elementwise, so a row does not depend on the batch size.  Equals
     outcome_probs_batch on the product amplitudes to rounding.
     """

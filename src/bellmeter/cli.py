@@ -68,7 +68,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     from .experiment import ExperimentConfig, config_from_dict, with_pairs_per_point
 
     if args.config:
-        config = config_from_dict(read_json(Path(args.config)))
+        path = Path(args.config)
+        data = read_json(path)
+        try:
+            config = config_from_dict(data)
+        except ValueError as exc:  # of the same type, naming the file as read_json does
+            raise type(exc)(f"{path}: {exc}") from None
     else:
         config = ExperimentConfig()
     if getattr(args, "ideal", False):

@@ -102,14 +102,17 @@ class Dataset:
     def read(path: str | Path) -> "Dataset":
         """Read a dataset and its sidecar, if there is one.
 
-        A row of the wrong width or a cell that is no number raises
-        ValueError naming the file, the line and, for a cell, the column;
-        blank lines are skipped.  A sidecar that is no JSON raises
-        ValueError, and one that holds no JSON object SchemaViolationError,
-        each naming the sidecar.
+        A file that is not UTF-8 text raises ValueError naming it, and a
+        row of the wrong width or a cell that is no number one naming the
+        file, the line and, for a cell, the column; blank lines are skipped.
+        A sidecar that is no JSON raises ValueError, and one that holds no
+        JSON object SchemaViolationError, each naming the sidecar.
         """
         path = Path(path)
-        lines = path.read_text().splitlines()
+        try:
+            lines = path.read_text().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
         if not lines:
             raise ValueError(f"{path} is empty")
         columns = lines[0].split("\t")

@@ -104,8 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"detector_efficiency must lie in [0, 1], got {self.detector_efficiency}")
         if self.dark_count_rate < 0 or self.coincidence_window < 0:
             raise ValueError("dark_count_rate and coincidence_window must be >= 0")
-        if self.dip_sigma <= 0:
-            raise ValueError(f"dip_sigma must be > 0, got {self.dip_sigma}")
+        if not 1e-100 <= self.dip_sigma <= 1e100:  # so that sigma^2 is a normal float
+            raise ValueError(f"dip_sigma must lie in [1e-100, 1e100] um, got {self.dip_sigma}")
         if self.angle_jitter < 0:
             raise ValueError(f"angle_jitter must be >= 0, got {self.angle_jitter}")
         try:
@@ -168,11 +168,13 @@ def mode_overlap_at(position, config: ExperimentConfig) -> float | np.ndarray:
     """Photon indistinguishability as a function of mirror displacement.
 
     Gaussian dip profile M(x) = M0 * exp(-x^2 / (2 sigma^2)); at the default
-    sigma the 150 um shoulder retains ~1e-4 of the central overlap.  Takes a
-    position or an array; each element gets the bits of a call on it alone.
+    sigma the 150 um shoulder retains ~1e-4 of the central overlap, and a
+    position whose square overflows gets 0.  Takes a position or an array;
+    each element gets the bits of a call on it alone.
     """
     m0 = config.analyzer.mode_overlap
-    return m0 * np.exp(-(np.asarray(position, dtype=float) ** 2) / (2.0 * config.dip_sigma**2))
+    with np.errstate(over="ignore"):
+        return m0 * np.exp(-(np.asarray(position, dtype=float) ** 2) / (2.0 * config.dip_sigma**2))
 
 
 def _poisson_means(
@@ -209,35 +211,6 @@ def _poisson_means(
     dark = config.dark_count_rate**2 * config.coincidence_window * config.period
     relabeled = (1.0 - etas) / 2.0 * totals[:, 2:]
     return detected * (totals[:, :2] + relabeled) + 2.0 * dark * config.repetitions
-
-
-def _block_counts(
-    stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
-    config: ExperimentConfig,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Recorded (Psi+, Psi-) counts of every stage at the same n points, shape (n, 2 * stages) int64.
-
-    A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta);
-    stage s draws its jitter from rngs[2s] and its counts from rngs[2s + 1].
-    Each stage draws the jitter of all its periods in one uniform draw of
-    shape (n, R, 2, 2); the periods of all stages then go through one
-    _poisson_means pass, and one Poisson draw of a stage's (n, 2) means gives
-    its counts.  Without jitter, each point is analyzed as one period that
-    counts R times.
-    """
-    n = len(stages[0][0])
-    angles = []
-    for s, (nominal, _, _) in enumerate(stages):
-        nominal = np.asarray(nominal, dtype=float).reshape(n, 1, 2, 2)
-        if config.angle_jitter > 0.0:
-            jitter, shape = config.angle_jitter, (n, config.repetitions, 2, 2)
-            nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
-        angles.append(nominal)
-    overlaps = mode_overlap_at(np.concatenate([positions for _, positions, _ in stages]), config)
-    etas = np.repeat([eta for _, _, eta in stages], n)
-    means = _poisson_means(np.concatenate(angles), overlaps, config, etas)
-    return np.hstack([rngs[2 * s + 1].poisson(means[s * n : (s + 1) * n]) for s in range(len(stages))])
 
 
 def simulate_counts(
@@ -277,7 +250,7 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = np.array([[astuple(data_setting), astuple(program_setting)]])
-    return ClassCounts(*_block_counts([(angles, [position], eta)], config, (rng, rng))[0].tolist())
+    return ClassCounts(*_run_stages([(angles, np.array([position]), eta)], config, (rng, rng))[0].tolist())
 
 
 def shoulder_counts(
@@ -296,27 +269,40 @@ def shoulder_counts(
 def _run_stages(
     stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
     config: ExperimentConfig,
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Counts of every stage at n points, each stage drawing from two streams of config.seed.
+    """Counts of every stage at n points, each stage drawing from two random streams.
 
     A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
-    Stage s takes its jitter from SeedSequence(config.seed).spawn(2 * stages)[2s]
-    and its counts from stream 2s + 1 (see the module docstring).  The points
-    run in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage
-    (R per point with jitter, 1 without), all stages of a block in one
-    _block_counts pass, each block filling its rows of one table.  Returns
-    that (n, 2 * stages) int64 table: row i holds the (Psi+, Psi-) counts of
-    stage 0, then of stage 1, and so on, at point i.
+    Stage s takes its jitter from rngs[2s] and its counts from rngs[2s + 1],
+    by default SeedSequence(config.seed).spawn(2 * stages).  The points run
+    in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage, each
+    block as the module docstring tells.  Returns the (n, 2 * stages) int64
+    table: row i holds the (Psi+, Psi-) counts of stage 0, then of stage 1,
+    and so on, at point i.
     """
     n = len(stages[0][0])
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * len(stages))]
+    if rngs is None:
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * len(stages))]
     periods = config.repetitions if config.angle_jitter > 0.0 else 1
     block = max(1, _MAX_STAGE_PERIODS // periods)
     counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
     for start in range(0, n, block):
         points = slice(start, start + block)
-        block_stages = [(angles[points], positions[points], eta) for angles, positions, eta in stages]
-        counts[points] = _block_counts(block_stages, config, rngs)
+        size = min(block, n - start)
+        angles = []
+        for s, (nominal, _, _) in enumerate(stages):
+            nominal = np.asarray(nominal[points], dtype=float).reshape(size, 1, 2, 2)
+            if config.angle_jitter > 0.0:
+                jitter, shape = config.angle_jitter, (size, config.repetitions, 2, 2)
+                nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
+            angles.append(nominal)
+        overlaps = mode_overlap_at(np.concatenate([positions[points] for _, positions, _ in stages]), config)
+        etas = np.repeat([eta for _, _, eta in stages], size)
+        means = _poisson_means(np.concatenate(angles), overlaps, config, etas)
+        counts[points] = np.hstack(
+            [rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))]
+        )
     return counts
 
 
@@ -375,7 +361,8 @@ def _fit_visibility(
         return None
 
     def solve(log_width: float) -> tuple[float, np.ndarray, int]:
-        dip = np.exp(-(positions**2) / (2.0 * math.exp(2.0 * log_width)))
+        with np.errstate(over="ignore"):  # a far position gets dip 0
+            dip = np.exp(-(positions**2) / (2.0 * math.exp(2.0 * log_width)))
         design = np.column_stack([np.ones_like(dip), -dip])
         coef, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
         return float(np.sum((design @ coef - rates) ** 2)), coef, rank

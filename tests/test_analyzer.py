@@ -18,7 +18,7 @@ from bellmeter.analyzer import (
     pattern_probs_batch,
     stokes_outcome_probs,
 )
-from bellmeter.analyzer import _stokes_tables
+from bellmeter.analyzer import _stokes_terms
 from bellmeter.polarization import (
     PolarizationState,
     PrepRecipe,
@@ -373,16 +373,43 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
     got = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], cfg, row_overlaps)
     assert got.shape == (20, 3)
     assert np.max(np.abs(got - want)) < 1e-13
-    # the tables are that bilinear form in the Stokes 4-vectors (1, z, x, y)
-    k_dist, k_bos = _stokes_tables(cfg)
-    s_d, s_p = (np.insert(stokes[:, photon], 0, 1.0, axis=1) for photon in (0, 1))
-    tables = k_dist + row_overlaps[:, None, None, None] * k_bos
-    assert np.max(np.abs(np.einsum("ni,ncij,nj->nc", s_d, tables, s_p) - want)) < 1e-13
-    # holding only 1, z_d, z_p, z_d z_p and the phase-covariant x_d x_p + y_d y_p
-    outside = np.ones((4, 4), dtype=bool)
-    outside[[0, 0, 1, 1, 2, 3], [0, 1, 0, 1, 2, 3]] = False
-    for table in (k_dist, k_bos):
-        assert not np.any(table[:, outside]) and np.array_equal(table[:, 2, 2], table[:, 3, 3])
+
+
+@pytest.mark.parametrize(
+    "cfg, want",
+    [
+        (
+            IDEAL,
+            (
+                (("Q+", 0.25, 0.0), ("E", -0.25, 0.25)),
+                (("Q-", 0.25, 0.0), ("E", 0.25, -0.25)),
+                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+            ),
+        ),
+        (
+            AnalyzerConfig(transmittance_h=0.53, transmittance_v=0.48, mode_overlap=0.92),
+            (
+                (("Q+", 0.2494, 0.0), ("E", -0.2494, 0.24934987467412129)),
+                (("Q-", 0.2506, 0.0), ("E", 0.2506, -0.24934987467412129)),
+                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+            ),
+        ),
+        (
+            AnalyzerConfig(
+                transmittance_h=0.55, geometric_phase=False, detector_map=("D1", "D3", "D4", "D2")
+            ),
+            (
+                (("Q+", 0.25, 0.0), ("E", -0.25, 0.248746859276655)),
+                (("Q-", 0.25, 0.0), ("E", 0.25, -0.248746859276655)),
+                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+            ),
+        ),
+    ],
+    ids=["ideal", "realistic", "rewired-no-phase"],
+)
+def test_stokes_terms_are_pinned(cfg, want):
+    # the (monomial, K_dist, K_bos) terms per class, to the bit
+    assert _stokes_terms(cfg) == want
 
 
 @PROPERTY_SETTINGS

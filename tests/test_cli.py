@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import bellmeter
-from bellmeter.cli import _parse_range, build_parser, main
+from bellmeter.cli import _load_config, _parse_range, build_parser, main
 from bellmeter.dataset import Dataset, sidecar_path
+from bellmeter.errors import SchemaViolationError
 
 
 COUNT_HEADER = ["c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm"]
@@ -426,6 +427,36 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content, error, message",
+    [
+        ([], SchemaViolationError, "a config must be a JSON object, got list"),
+        ({"x": 1}, SchemaViolationError, "unknown config key 'x'"),
+        ({"seed": -1}, ValueError, "seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["list", "unknown-key", "negative-seed"],
+)
+def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "x.tsv"
+    argv = ["discriminate", "--config", str(cfg_path), "--out", str(out)]
+    with pytest.raises(error) as raised:
+        _load_config(build_parser().parse_args(argv))
+    assert type(raised.value) is error and str(raised.value) == f"{cfg_path}: {message}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not out.exists()
+
+
+def test_analyze_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.tsv"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text: ") and len(err.splitlines()) == 1
+
+
 def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps([1, 2]))
@@ -636,7 +667,7 @@ def test_jittered_repetitions_beyond_a_block_exit_nonzero_without_dataset(tmp_pa
                  "--theta-range", "45:45:1", "--pairs", "100", "--out", str(out)])
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == (
-        "error: repetitions must be at most 4096 when angle_jitter > 0, got 4097\n"
+        f"error: {cfg_path}: repetitions must be at most 4096 when angle_jitter > 0, got 4097\n"
     )
 
 

@@ -453,10 +453,33 @@ def test_config_accepts_detector_map_override():
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(detector_efficiency=1.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dip_sigma=0.0)
+    # beyond [1e-100, 1e100] sigma^2 overflows or underflows, and the dip profile with it
+    for sigma in (0.0, 1e-200, 9.999999e-101, 1.0000001e100, 1e200):
+        with pytest.raises(ValueError, match="dip_sigma must lie in"):
+            ExperimentConfig(dip_sigma=sigma)
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+
+
+@pytest.mark.parametrize("sigma", [1e-100, 1e100])
+def test_hom_scan_runs_at_the_dip_width_bounds(sigma):
+    # pytest turns every RuntimeWarning (overflow, 0/0) into an error
+    cfg = replace(ideal(seed=5, pairs=1000), dip_sigma=sigma)
+    overlaps = mode_overlap_at(np.array([0.0, 1e-200, 35.0, 1e200]), cfg)
+    assert overlaps[0] == 1.0 and np.all((0.0 <= overlaps) & (overlaps <= 1.0))
+    result = hom_scan(np.arange(-200.0, 201.0, 10.0), cfg)
+    assert np.all(np.isfinite(np.column_stack([result.rate_mp, result.rate_pm])))
+
+
+def test_far_positions_get_zero_overlap_without_warnings():
+    cfg = ideal(seed=6, pairs=1000)
+    far = [1e200, 2e200, 3e200, 4e200]
+    assert np.array_equal(mode_overlap_at(np.array(far), cfg), np.zeros(4))
+    assert mode_overlap_at(-1e200, cfg) == 0.0
+    result = hom_scan(far, cfg)
+    assert result.visibility is None and result.curve_visibilities == ()
+    shoulder_far = replace(cfg, shoulder_position=1e200)
+    assert shoulder_counts(+1, shoulder_far) == shoulder_counts(+1, replace(cfg, shoulder_position=1e4))
 
 
 def test_counts_are_independent_poisson_with_the_analytic_mean():
