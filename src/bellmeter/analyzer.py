@@ -252,8 +252,10 @@ def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = comple
     if v.ndim != 2 or v.shape[1] != width:
         raise ValueError(f"expected {what} of shape (n, {width}), got {v.shape}")
     norm_sq = np.einsum("ij,ij->i", v.conj(), v).real
-    if not np.all(np.abs(norm_sq - 1.0) <= (_NORM_TOL if dtype is complex else 3.0 * _NORM_TOL)):
-        raise ValueError(f"{what} are not normalized: {norm_sq}")
+    tol = _NORM_TOL if dtype is complex else 3.0 * _NORM_TOL
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= tol))
+    if len(bad):
+        raise ValueError(f"{what} are not normalized: row {bad[0]} has norm^2 {norm_sq[bad[0]]}")
     return v
 
 

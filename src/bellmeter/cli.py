@@ -2,8 +2,9 @@
 
 Subcommands: `discriminate` (success-probability sweep), `multimeter`
 (inconclusive-rate sweep), `hom-scan` (mirror scan through the dip) and
-`analyze` (offline re-estimation from raw count columns).  Each handler
-imports the modules it runs, so `analyze` loads no optics.
+`analyze` (offline re-estimation from raw count columns).  Each has a
+builder that imports only the modules it runs (`analyze` loads no optics)
+and returns its columns, sidecar keys and summary suffix to run_command.
 """
 
 from __future__ import annotations
@@ -83,44 +84,37 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return with_pairs_per_point(config, args.pairs)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """`discriminate` and `multimeter`: run the task's sweep and write its dataset.
-
-    The columns are those of the task's sweep (counts.sweep_columns).
-    Estimates the counts of a point leave undefined are NaN; an empty grid
-    gives an empty dataset.
-    """
+def _simulation_keys(config: ExperimentConfig) -> dict:
     from .experiment import config_to_dict
 
+    return {"seed": config.seed, "config": config_to_dict(config)}
+
+
+def build_discriminate(args: argparse.Namespace) -> tuple[dict, dict, str]:
+    from .discriminator import discriminator_columns
+
     config = _load_config(args)
-    metadata = {
-        "command": args.command,
-        "argv": _recorded_argv(args),
-        "task": args.task,
-        "seed": config.seed,
-        "pairs_per_point": args.pairs,
-        "config": config_to_dict(config),
-    }
-    if args.task == "discriminator":
-        from .discriminator import discriminator_columns
-
-        epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
-        if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
-            raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
-        columns = discriminator_columns(epsilons, thetas, config)
-    else:
-        from .multimeter import multimeter_columns
-
-        columns = multimeter_columns(_parse_range(args.phi_range), args.eta, config)
-        metadata["eta"] = args.eta
-    dataset = Dataset(list(columns), list(columns.values()), metadata)
-    dataset.write(args.out)
-    print(f"wrote {len(dataset)} rows to {args.out}")
-    return 0
+    epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
+    if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
+        raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
+    for pick in (min, max):  # the HWP angle is (epsilon + theta) / 2; the sum is extreme at these corners
+        eps, theta = pick(epsilons, default=0.0), pick(thetas, default=0.0)
+        if not math.isfinite(eps + theta):
+            raise ValueError(f"--epsilon + --theta-range overflows at {eps!r} + {theta!r}")
+    keys = {"task": "discriminator", "pairs_per_point": args.pairs, **_simulation_keys(config)}
+    return discriminator_columns(epsilons, thetas, config), keys, ""
 
 
-def cmd_hom_scan(args: argparse.Namespace) -> int:
-    from .experiment import config_to_dict, hom_scan
+def build_multimeter(args: argparse.Namespace) -> tuple[dict, dict, str]:
+    from .multimeter import multimeter_columns
+
+    config = _load_config(args)
+    keys = {"task": "multimeter", "pairs_per_point": args.pairs, "eta": args.eta, **_simulation_keys(config)}
+    return multimeter_columns(_parse_range(args.phi_range), args.eta, config), keys, ""
+
+
+def build_hom_scan(args: argparse.Namespace) -> tuple[dict, dict, str]:
+    from .experiment import hom_scan
 
     config = _load_config(args)
     if args.positions is not None:
@@ -128,58 +122,51 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
     else:
         positions = _parse_range(args.range)
     result = hom_scan(positions, config)
-    rates = [result.rate_pp, result.rate_mp, result.rate_pm, result.rate_mm]
-    dataset = Dataset(
-        ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"],
-        [result.positions, *rates],
-        metadata={
-            "command": "hom-scan",
-            "argv": _recorded_argv(args),
-            "seed": config.seed,
-            "config": config_to_dict(config),
-            "fitted_visibility": result.visibility,
-            "curve_visibilities": list(result.curve_visibilities),
-        },
-    )
-    dataset.write(args.out)
+    columns = {"position": result.positions, "rate_pp": result.rate_pp, "rate_mp": result.rate_mp,
+               "rate_pm": result.rate_pm, "rate_mm": result.rate_mm}
+    keys = {
+        **_simulation_keys(config),
+        "fitted_visibility": result.visibility,
+        "curve_visibilities": list(result.curve_visibilities),
+    }
     vis = "n/a" if result.visibility is None else f"{result.visibility:.4f}"
-    print(f"wrote {len(dataset)} rows to {args.out} (fitted visibility {vis})")
-    return 0
+    return columns, keys, f" (fitted visibility {vis})"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def build_analyze(args: argparse.Namespace) -> tuple[dict, dict, str]:
     dataset = Dataset.read(args.input)
     for column in COUNT_COLUMNS:
         if column not in dataset.columns:
-            raise SchemaViolationError(f"input dataset is missing required column {column!r}")
+            raise SchemaViolationError(f"{args.input}: input dataset is missing required column {column!r}")
     estimates = estimate_table(count_table({name: dataset.column(name) for name in COUNT_COLUMNS}))
-    coord_columns = [c for c in _COORD_COLUMNS if c in dataset.columns]
-    out = Dataset(
-        coord_columns + list(Estimates._fields),
-        [dataset.column(c) for c in coord_columns] + list(estimates.T),
-        metadata={"command": "analyze", "argv": _recorded_argv(args), "input": str(args.input)},
-    )
-    if args.out:
-        out.write(args.out)
-        nan_rows = ", ".join(
-            f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0))
-        )
-        print(f"wrote {len(out)} rows to {args.out} (NaN rows: {nan_rows})")
-    else:
-        try:
-            sys.stdout.writelines(out.tsv())
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed the pipe (`| head`); the pattern of Python's
-            # signal docs: stdout goes to devnull, so the interpreter's last
-            # flush cannot fail again, and the command exits quietly
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+    columns = {c: dataset.column(c) for c in _COORD_COLUMNS if c in dataset.columns}
+    columns.update(zip(Estimates._fields, estimates.T))
+    nan_rows = ", ".join(f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0)))
+    return columns, {"input": str(args.input)}, f" (NaN rows: {nan_rows})"
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Write the dataset of the subcommand's builder to --out, or stream its TSV to stdout.
+
+    A builder returns the dataset columns, its command's sidecar keys and the
+    suffix of the summary line; `command` and `argv` are added here.
+    """
+    columns, keys, summary = args.build(args)
+    dataset = Dataset(list(columns), list(columns.values()), {"command": args.command, "argv": args.argv, **keys})
+    if args.out is not None:
+        dataset.write(args.out)
+        print(f"wrote {len(dataset)} rows to {args.out}{summary}")
+        return 0
+    try:
+        sys.stdout.writelines(dataset.tsv())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); the pattern of Python's
+        # signal docs: stdout goes to devnull, so the interpreter's last
+        # flush cannot fail again, and the command exits quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
-
-
-def _recorded_argv(args: argparse.Namespace) -> list[str]:
-    return list(getattr(args, "_argv", []))
 
 
 @functools.cache
@@ -202,26 +189,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--epsilon", default="0,12,24,36", help="comma list of ellipticities (deg)")
     p_disc.add_argument("--theta-range", default="0:90:4", help="axis-angle grid start:stop:step (deg)")
     p_disc.add_argument("--out", default="discriminate.tsv", help="output dataset path")
-    p_disc.set_defaults(func=cmd_sweep, task="discriminator")
+    p_disc.set_defaults(build=build_discriminate)
 
     p_multi = sub.add_parser("multimeter", help="inconclusive-rate sweep of the multimeter")
     add_common(p_multi)
     p_multi.add_argument("--phi-range", default="-90:90:8", help="basis-phase grid start:stop:step (deg)")
     p_multi.add_argument("--eta", type=float, default=1.0, help="POVM parameter in [0, 1]")
     p_multi.add_argument("--out", default="multimeter.tsv", help="output dataset path")
-    p_multi.set_defaults(func=cmd_sweep, task="multimeter")
+    p_multi.set_defaults(build=build_multimeter)
 
     p_hom = sub.add_parser("hom-scan", help="coincidence rates vs mirror position")
     add_common(p_hom)
     p_hom.add_argument("--positions", default=None, help="comma list of mirror positions (um)")
     p_hom.add_argument("--range", default="-200:200:10", help="position grid start:stop:step (um)")
     p_hom.add_argument("--out", default="hom_scan.tsv", help="output dataset path")
-    p_hom.set_defaults(func=cmd_hom_scan)
+    p_hom.set_defaults(build=build_hom_scan)
 
     p_an = sub.add_parser("analyze", help="recompute estimators from a raw-count dataset")
     p_an.add_argument("input", help="dataset file with the eight count columns")
     p_an.add_argument("--out", default=None, help="output path (default: print to stdout)")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(build=build_analyze)
 
     return parser
 
@@ -230,9 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = argv
+    args.argv = argv
     try:
-        return args.func(args)
+        return run_command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -102,9 +102,10 @@ class Dataset:
     def read(path: str | Path) -> "Dataset":
         """Read a dataset and its sidecar, if there is one.
 
-        A file that is not UTF-8 text raises ValueError naming it, and a
-        row of the wrong width or a cell that is no number one naming the
-        file, the line and, for a cell, the column; blank lines are skipped.
+        A file that is not UTF-8 text or whose header names a column twice
+        raises ValueError naming it, and a row of the wrong width or a cell
+        that is no number one naming the file, the line and, for a cell, the
+        column; blank lines are skipped.
         A sidecar that is no JSON raises ValueError, and one that holds no
         JSON object SchemaViolationError, each naming the sidecar.
         """
@@ -116,6 +117,9 @@ class Dataset:
         if not lines:
             raise ValueError(f"{path} is empty")
         columns = lines[0].split("\t")
+        for j, name in enumerate(columns):
+            if name in columns[:j]:
+                raise ValueError(f"{path}: column {name!r} appears twice")
         blocks: list[list[np.ndarray]] = [[] for _ in columns]
         for start in range(1, len(lines), _BLOCK_ROWS):
             block = lines[start : start + _BLOCK_ROWS]

@@ -199,8 +199,9 @@ def _poisson_means(
     overlaps = np.repeat(mode_overlaps, periods)
     probs = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], config.analyzer, overlaps)
     prob_sums = probs.sum(axis=1)
-    if not np.all(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL):
-        raise ValueError(f"analyzer class probabilities do not sum to 1: {prob_sums}")
+    bad = np.flatnonzero(~(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL))
+    if len(bad):
+        raise ValueError(f"analyzer class probabilities do not sum to 1: row {bad[0]} sums to {prob_sums[bad[0]]}")
     # an ideally empty class comes out as 0 or as a residue, by the order of the
     # analyzer's arithmetic; Generator.poisson takes a number from the stream for
     # a residue mean but none for a zero one, so every residue is made exactly 0
@@ -262,7 +263,7 @@ def shoulder_counts(
     the two recorded classes approaches half the detected pair rate
     independently of the beamsplitter imbalance.
     """
-    data, program = pol.recipe_discriminator(0.0, 45.0, sign), pol.recipe_discriminator(0.0, 45.0, +1)
+    data, program = (pol.PrepRecipe(*plates) for plates in _DIAGONAL[0 if sign >= 0 else 1].tolist())
     return simulate_counts(data, program, config.shoulder_position, config, rng)
 
 

@@ -150,12 +150,8 @@ def prepare_elliptical(epsilon_deg: float, theta_deg: float, sign: int = +1) -> 
 
 
 def recipe_discriminator(epsilon_deg: float, theta_deg: float, sign: int = +1) -> PrepRecipe:
-    """Wave-plate angles preparing prepare_elliptical(epsilon, theta, sign) from |H>.
-
-    QWP at +/-epsilon, then HWP at +/-(epsilon+theta)/2.
-    """
-    s = 1.0 if sign >= 0 else -1.0
-    return PrepRecipe(qwp_deg=s * epsilon_deg, hwp_deg=s * (epsilon_deg + theta_deg) / 2.0)
+    """Wave-plate angles preparing prepare_elliptical(epsilon, theta, sign) from |H>, as discriminator_angles."""
+    return PrepRecipe(*discriminator_angles(epsilon_deg, theta_deg)[0 if sign >= 0 else 1].tolist())
 
 
 def prepare_equatorial(phi_deg: float, sign: int = +1) -> PolarizationState:
@@ -165,24 +161,26 @@ def prepare_equatorial(phi_deg: float, sign: int = +1) -> PolarizationState:
 
 
 def recipe_multimeter(phi_deg: float, sign: int = +1) -> PrepRecipe:
-    """Wave-plate angles preparing prepare_equatorial(phi, sign) from |H>.
-
-    The plus state uses QWP at -phi/2 and HWP at (90 - phi)/4; the minus state
-    flips both plate angles, which shifts phi by 180 deg.
-    """
-    s = 1.0 if sign >= 0 else -1.0
-    return PrepRecipe(qwp_deg=s * (-phi_deg / 2.0), hwp_deg=s * (90.0 - phi_deg) / 4.0)
+    """Wave-plate angles preparing prepare_equatorial(phi, sign) from |H>, as multimeter_angles."""
+    return PrepRecipe(*multimeter_angles(phi_deg)[0 if sign >= 0 else 1].tolist())
 
 
 def discriminator_angles(epsilon_deg, theta_deg) -> np.ndarray:
-    """recipe_discriminator at signs +1, -1, +1 over arrays, bit for bit: shape (..., 3, 2)."""
+    """Plate angles (QWP, HWP) at signs +1, -1, +1 over arrays, shape (..., 3, 2).
+
+    Sign s prepares prepare_elliptical(epsilon, theta, s): QWP at s epsilon, HWP at s (epsilon + theta)/2.
+    """
     eps = np.asarray(epsilon_deg, dtype=float)
     plus = np.stack([eps, (eps + np.asarray(theta_deg, dtype=float)) / 2.0], axis=-1)
     return np.stack([plus, -plus, plus], axis=-2)  # sign -1 negates both angles, exactly
 
 
 def multimeter_angles(phi_deg) -> np.ndarray:
-    """recipe_multimeter at signs +1, -1, +1 over arrays, bit for bit: shape (..., 3, 2)."""
+    """Plate angles (QWP, HWP) at signs +1, -1, +1 over arrays, shape (..., 3, 2).
+
+    Sign s prepares prepare_equatorial(phi, s): QWP at -s phi/2, HWP at s (90 - phi)/4; flipping
+    both angles shifts phi by 180 deg.
+    """
     phi = np.asarray(phi_deg, dtype=float)
     plus = np.stack([-phi / 2.0, (90.0 - phi) / 4.0], axis=-1)
     return np.stack([plus, -plus, plus], axis=-2)

@@ -447,3 +447,12 @@ def test_stokes_form_rejects_bad_input():
     ):
         with pytest.raises(ValueError):
             stokes_outcome_probs(data, program, IDEAL, overlap)
+
+
+def test_unnormalized_stokes_rows_are_named_on_one_line():
+    data = np.tile([1.0, 0.0, 0.0], (40, 1))
+    data[25] = np.nan
+    data[30] = [2.0, 0.0, 0.0]
+    with pytest.raises(ValueError) as raised:
+        stokes_outcome_probs(data, data, IDEAL, 1.0)
+    assert str(raised.value) == "data Stokes vectors are not normalized: row 25 has norm^2 nan"

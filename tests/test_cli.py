@@ -655,8 +655,73 @@ def test_analyze_rejects_a_duplicate_column_name(tmp_path, capsys):
     out = tmp_path / "est.tsv"
     assert main(["analyze", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: column 'c_pp' appears twice\n"
+    assert captured.out == "" and captured.err == f"error: {path}: column 'c_pp' appears twice\n"
     assert not out.exists()
+
+
+def test_analyze_names_the_file_missing_a_count_column(tmp_path, capsys):
+    path = tmp_path / "counts.tsv"
+    path.write_text("theta\tc_mp\n12.5\t0\n")
+    out = tmp_path / "est.tsv"
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: input dataset is missing required column 'c_pp'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "epsilon, theta_range",
+    [("1e308", "1e308"), ("0,1e308", "0:1e308:1e307"), ("-1e308", "-1e308"), ("1e308,-1e308", "-1e308")],
+)
+def test_overflowing_discriminator_grid_fails_on_one_line(tmp_path, capsys, epsilon, theta_range):
+    # (epsilon + theta) / 2 is the half-wave plate angle; the sum must not overflow
+    # anywhere on the grid (pytest turns every RuntimeWarning into an error here)
+    out = tmp_path / "x.tsv"
+    argv = ["discriminate", f"--epsilon={epsilon}", f"--theta-range={theta_range}", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --epsilon + --theta-range overflows") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_discriminator_grid_at_the_largest_finite_sums_runs(tmp_path):
+    out = tmp_path / "x.tsv"
+    argv = ["discriminate", "--ideal", "--epsilon=1e308,-1e308", "--theta-range=7e307", "--pairs", "10"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert Dataset.read(out).column("epsilon").tolist() == [1e308, -1e308]
+
+
+DISCRIMINATE_KEYS = {"argv", "columns", "command", "config", "pairs_per_point", "seed", "task", "timestamp"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys, summary",
+    [
+        (["discriminate", "--epsilon", "0", "--theta-range", "0:90:45", "--seed", "3", "--pairs", "100"],
+         DISCRIMINATE_KEYS, "wrote 3 rows to {out}\n"),
+        (["multimeter", "--phi-range=-90:90:90", "--seed", "3", "--pairs", "100"],
+         DISCRIMINATE_KEYS | {"eta"}, "wrote 3 rows to {out}\n"),
+        (["hom-scan", "--range=-50:50:25", "--seed", "3", "--pairs", "100"],
+         {"argv", "columns", "command", "config", "curve_visibilities", "fitted_visibility", "seed", "timestamp"},
+         "wrote 5 rows to {out} (fitted visibility {vis})\n"),
+        (["analyze", "{counts}"], {"argv", "columns", "command", "input", "timestamp"},
+         "wrote 1 rows to {out} (NaN rows: p_succ 0, p_succ_stderr 0, p_inconclusive 0, pi_stderr 0,"
+         " error_rate 0, error_rate_stderr 0)\n"),
+    ],
+    ids=["discriminate", "multimeter", "hom-scan", "analyze"],
+)
+def test_each_command_records_its_sidecar_keys_and_summary(tmp_path, capsys, argv, keys, summary):
+    counts, out = tmp_path / "counts.tsv", tmp_path / "out.tsv"
+    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    argv = [arg.format(counts=counts) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 0
+    meta = read_sidecar(out)
+    assert set(meta) == keys
+    assert meta["command"] == argv[0] and meta["argv"] == argv
+    assert meta["columns"] == Dataset.read(out).columns
+    vis = f"{meta['fitted_visibility']:.4f}" if "fitted_visibility" in meta else None
+    assert capsys.readouterr().out == summary.format(out=out, vis=vis)
 
 
 def test_jittered_repetitions_beyond_a_block_exit_nonzero_without_dataset(tmp_path, capsys):

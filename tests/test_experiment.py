@@ -529,6 +529,18 @@ def test_broken_class_probabilities_raise(monkeypatch, broken):
         )
 
 
+def test_broken_class_probabilities_name_the_first_row_on_one_line(monkeypatch):
+    def broken(*args):
+        probs = stokes_outcome_probs(*args)
+        probs[[3, 5]] *= 2.0
+        return probs
+
+    monkeypatch.setattr("bellmeter.experiment.stokes_outcome_probs", broken)
+    with pytest.raises(ValueError) as raised:
+        measure_sweep(sweep_angles([tuple(recipe_multimeter(0.0, s) for s in (+1, -1, +1))] * 3), ideal(seed=3))
+    assert str(raised.value) == "analyzer class probabilities do not sum to 1: row 3 sums to 2.0"
+
+
 @pytest.mark.parametrize(
     "bad",
     [
