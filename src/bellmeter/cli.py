@@ -92,16 +92,19 @@ def _simulation_keys(config: ExperimentConfig) -> dict:
 
 def build_discriminate(args: argparse.Namespace) -> tuple[dict, dict, str]:
     from .discriminator import discriminator_columns
+    from .polarization import discriminator_sums_are_finite
 
     config = _load_config(args)
     epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
     if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
         raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
-    for pick in (min, max):  # the HWP angle is (epsilon + theta) / 2; the sum is extreme at these corners
-        eps, theta = pick(epsilons, default=0.0), pick(thetas, default=0.0)
-        if not math.isfinite(eps + theta):
-            raise ValueError(f"--epsilon + --theta-range overflows at {eps!r} + {theta!r}")
-    keys = {"task": "discriminator", "pairs_per_point": args.pairs, **_simulation_keys(config)}
+    if not discriminator_sums_are_finite(epsilons, thetas):
+        raise ValueError("--epsilon + --theta-range overflows the half-wave plate angle")
+    keys = {
+        "task": "discriminator",
+        "pairs_per_point": args.pairs,
+        **_simulation_keys(config),
+    }
     return discriminator_columns(epsilons, thetas, config), keys, ""
 
 
@@ -109,7 +112,12 @@ def build_multimeter(args: argparse.Namespace) -> tuple[dict, dict, str]:
     from .multimeter import multimeter_columns
 
     config = _load_config(args)
-    keys = {"task": "multimeter", "pairs_per_point": args.pairs, "eta": args.eta, **_simulation_keys(config)}
+    keys = {
+        "task": "multimeter",
+        "pairs_per_point": args.pairs,
+        "eta": args.eta,
+        **_simulation_keys(config),
+    }
     return multimeter_columns(_parse_range(args.phi_range), args.eta, config), keys, ""
 
 
@@ -122,8 +130,13 @@ def build_hom_scan(args: argparse.Namespace) -> tuple[dict, dict, str]:
     else:
         positions = _parse_range(args.range)
     result = hom_scan(positions, config)
-    columns = {"position": result.positions, "rate_pp": result.rate_pp, "rate_mp": result.rate_mp,
-               "rate_pm": result.rate_pm, "rate_mm": result.rate_mm}
+    columns = {
+        "position": result.positions,
+        "rate_pp": result.rate_pp,
+        "rate_mp": result.rate_mp,
+        "rate_pm": result.rate_pm,
+        "rate_mm": result.rate_mm,
+    }
     keys = {
         **_simulation_keys(config),
         "fitted_visibility": result.visibility,
@@ -141,7 +154,9 @@ def build_analyze(args: argparse.Namespace) -> tuple[dict, dict, str]:
     estimates = estimate_table(count_table({name: dataset.column(name) for name in COUNT_COLUMNS}))
     columns = {c: dataset.column(c) for c in _COORD_COLUMNS if c in dataset.columns}
     columns.update(zip(Estimates._fields, estimates.T))
-    nan_rows = ", ".join(f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0)))
+    nan_rows = ", ".join(
+        f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0))
+    )
     return columns, {"input": str(args.input)}, f" (NaN rows: {nan_rows})"
 
 
@@ -149,11 +164,16 @@ def run_command(args: argparse.Namespace) -> int:
     """Write the dataset of the subcommand's builder to --out, or stream its TSV to stdout.
 
     A builder returns the dataset columns, its command's sidecar keys and the
-    suffix of the summary line; `command` and `argv` are added here.
+    suffix of the summary line; `command` and `argv` are added here.  An empty
+    --out (`analyze` without one, or `--out=`) streams the TSV.
     """
     columns, keys, summary = args.build(args)
-    dataset = Dataset(list(columns), list(columns.values()), {"command": args.command, "argv": args.argv, **keys})
-    if args.out is not None:
+    dataset = Dataset(
+        list(columns),
+        list(columns.values()),
+        metadata={"command": args.command, "argv": args.argv, **keys},
+    )
+    if args.out:
         dataset.write(args.out)
         print(f"wrote {len(dataset)} rows to {args.out}{summary}")
         return 0

@@ -43,9 +43,8 @@ class Dataset:
             raise ValueError(f"{len(data)} columns of data for {len(columns)} column names")
         self.columns = list(columns)
         self._data = []
-        for j, (name, values) in enumerate(zip(self.columns, data)):
-            if name in self.columns[:j]:
-                raise ValueError(f"column {name!r} appears twice")
+        _check_distinct(self.columns)
+        for name, values in zip(self.columns, data):
             values = np.asarray(values)
             if values.ndim != 1 or values.dtype.kind not in "if":
                 raise ValueError(
@@ -117,9 +116,7 @@ class Dataset:
         if not lines:
             raise ValueError(f"{path} is empty")
         columns = lines[0].split("\t")
-        for j, name in enumerate(columns):
-            if name in columns[:j]:
-                raise ValueError(f"{path}: column {name!r} appears twice")
+        _check_distinct(columns, f"{path}: ")
         blocks: list[list[np.ndarray]] = [[] for _ in columns]
         for start in range(1, len(lines), _BLOCK_ROWS):
             block = lines[start : start + _BLOCK_ROWS]
@@ -156,6 +153,13 @@ def read_json(path: Path):
         return json.loads(path.read_text())
     except ValueError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
+def _check_distinct(columns: list[str], prefix: str = "") -> None:
+    """ValueError, its message starting with `prefix`, if a column name appears twice."""
+    for j, name in enumerate(columns):
+        if name in columns[:j]:
+            raise ValueError(f"{prefix}column {name!r} appears twice")
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:

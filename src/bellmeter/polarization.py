@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import cos, radians, sin, sqrt
+from math import cos, isfinite, radians, sin, sqrt
 
 import numpy as np
 
@@ -173,6 +173,11 @@ def discriminator_angles(epsilon_deg, theta_deg) -> np.ndarray:
     eps = np.asarray(epsilon_deg, dtype=float)
     plus = np.stack([eps, (eps + np.asarray(theta_deg, dtype=float)) / 2.0], axis=-1)
     return np.stack([plus, -plus, plus], axis=-2)  # sign -1 negates both angles, exactly
+
+
+def discriminator_sums_are_finite(epsilons_deg, thetas_deg) -> bool:
+    """Whether epsilon + theta, twice the HWP angle, is finite on the grid epsilons x thetas (checked at its corners)."""
+    return all(isfinite(pick(epsilons_deg, default=0.0) + pick(thetas_deg, default=0.0)) for pick in (min, max))
 
 
 def multimeter_angles(phi_deg) -> np.ndarray:

@@ -632,6 +632,21 @@ def test_analyze_prints_what_it_writes(tmp_path, capsys):
     assert "nan" in printed
 
 
+def test_an_empty_out_streams_the_tsv(tmp_path, capsys, monkeypatch):
+    # `--out=` names no file: the TSV goes to stdout, as for `analyze` without --out
+    monkeypatch.chdir(tmp_path)
+    argv = ["discriminate", "--ideal", "--epsilon", "0", "--theta-range", "0:90:45", "--pairs", "10", "--seed", "1"]
+    assert main(argv + ["--out", "raw.tsv"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out="]) == 0
+    assert capsys.readouterr().out == Path("raw.tsv").read_text()
+    assert main(["analyze", "raw.tsv", "--out="]) == 0
+    streamed = capsys.readouterr().out
+    assert main(["analyze", "raw.tsv"]) == 0
+    assert capsys.readouterr().out == streamed and streamed.startswith("epsilon\ttheta\tp_succ\t")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["raw.tsv", "raw.tsv.meta.json"]
+
+
 def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
     path = tmp_path / "counts.tsv"
     rows = [

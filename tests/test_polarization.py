@@ -234,13 +234,26 @@ ANGLES = st.floats(-1e300, 1e300)
 )
 def test_sweep_angle_arrays_equal_the_recipes_bit_for_bit(grid, special):
     # rows data plus, data minus, program; signed zeros and a subnormal, where a
-    # reordered closed form such as eps / 2 + theta / 2 would round differently
+    # reordered closed form such as eps / 2 + theta / 2 would round differently.
+    # The reference is the closed form of each plate, in Python floats.
     grid = grid + [(special, special), (special, 0.0), (-0.0, special)]
     eps, theta = np.array(grid).T
-    want = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_discriminator(e, t, s) for s in (1, -1, 1))]
-            for e, t in grid]
+    want = [[(s * e, s * (e + t) / 2.0) for s in (1.0, -1.0, 1.0)] for e, t in grid]
     assert discriminator_angles(eps, theta).tobytes() == np.array(want).tobytes()
-    want = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_multimeter(phi, s) for s in (1, -1, 1))]
-            for phi in eps]
+    got = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_discriminator(e, t, s) for s in (1, -1, 1))]
+           for e, t in grid]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    want = [[(s * (-phi / 2.0), s * (90.0 - phi) / 4.0) for s in (1.0, -1.0, 1.0)] for phi in eps.tolist()]
     assert multimeter_angles(eps).tobytes() == np.array(want).tobytes()
+    got = [[(r.qwp_deg, r.hwp_deg) for r in (recipe_multimeter(phi, s) for s in (1, -1, 1))]
+           for phi in eps]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
     assert discriminator_angles(grid[0][0], grid[0][1]).shape == multimeter_angles(eps[0]).shape == (3, 2)
+
+
+def test_half_wave_plate_angle_halves_the_sum():
+    # (eps + theta) / 2 keeps the subnormal that eps / 2 + theta / 2 rounds to 0
+    assert discriminator_angles(5e-324, 5e-324)[0, 1] == 5e-324
+    assert recipe_discriminator(5e-324, 5e-324, -1).hwp_deg == -5e-324
+    assert np.signbit(discriminator_angles(-0.0, -0.0)).tolist() == [[True, True], [False, False], [True, True]]
+    assert np.signbit(discriminator_angles(0.0, -0.0)).tolist() == [[False, False], [True, True], [False, False]]
