@@ -4,7 +4,8 @@ Subcommands: `discriminate` (success-probability sweep), `multimeter`
 (inconclusive-rate sweep), `hom-scan` (mirror scan through the dip) and
 `analyze` (offline re-estimation from raw count columns).  Each has a
 builder that imports only the modules it runs (`analyze` loads no optics)
-and returns its columns, sidecar keys and summary suffix to run_command.
+and returns its columns, their blocks, sidecar keys and summary suffix to
+run_command, which writes each block before the next one is made.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .counts import COUNT_COLUMNS, DiscriminationPoint, Estimates, MultimeterPoint, count_table, estimate_table
-from .dataset import Dataset, read_json
+from .counts import (
+    COUNT_COLUMNS,
+    DiscriminationPoint,
+    Estimates,
+    MultimeterPoint,
+    count_table,
+    estimate_table,
+    sweep_header,
+)
+from .dataset import TableReader, read_json, write_table
 from .errors import SchemaViolationError
 
 if TYPE_CHECKING:
@@ -29,6 +38,10 @@ if TYPE_CHECKING:
 
 # most points a sweep grid may have, checked before the grid is built
 _MAX_GRID_POINTS = 10**6
+
+# what a builder returns: the dataset columns, their blocks, the command's
+# sidecar keys and a function giving the summary suffix once all is written
+_Built = tuple[list[str], Iterable, dict, Callable[[], str]]
 
 _COORD_COLUMNS = [
     f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
@@ -90,8 +103,8 @@ def _simulation_keys(config: ExperimentConfig) -> dict:
     return {"seed": config.seed, "config": config_to_dict(config)}
 
 
-def build_discriminate(args: argparse.Namespace) -> tuple[dict, dict, str]:
-    from .discriminator import discriminator_columns
+def build_discriminate(args: argparse.Namespace) -> _Built:
+    from .discriminator import discriminator_blocks
     from .polarization import discriminator_sums_are_finite
 
     config = _load_config(args)
@@ -105,11 +118,12 @@ def build_discriminate(args: argparse.Namespace) -> tuple[dict, dict, str]:
         "pairs_per_point": args.pairs,
         **_simulation_keys(config),
     }
-    return discriminator_columns(epsilons, thetas, config), keys, ""
+    blocks = discriminator_blocks(epsilons, thetas, config)
+    return sweep_header(DiscriminationPoint), blocks, keys, lambda: ""
 
 
-def build_multimeter(args: argparse.Namespace) -> tuple[dict, dict, str]:
-    from .multimeter import multimeter_columns
+def build_multimeter(args: argparse.Namespace) -> _Built:
+    from .multimeter import multimeter_blocks
 
     config = _load_config(args)
     keys = {
@@ -118,10 +132,11 @@ def build_multimeter(args: argparse.Namespace) -> tuple[dict, dict, str]:
         "eta": args.eta,
         **_simulation_keys(config),
     }
-    return multimeter_columns(_parse_range(args.phi_range), args.eta, config), keys, ""
+    blocks = multimeter_blocks(_parse_range(args.phi_range), args.eta, config)
+    return sweep_header(MultimeterPoint), blocks, keys, lambda: ""
 
 
-def build_hom_scan(args: argparse.Namespace) -> tuple[dict, dict, str]:
+def build_hom_scan(args: argparse.Namespace) -> _Built:
     from .experiment import hom_scan
 
     config = _load_config(args)
@@ -143,49 +158,53 @@ def build_hom_scan(args: argparse.Namespace) -> tuple[dict, dict, str]:
         "curve_visibilities": list(result.curve_visibilities),
     }
     vis = "n/a" if result.visibility is None else f"{result.visibility:.4f}"
-    return columns, keys, f" (fitted visibility {vis})"
+    return list(columns), [list(columns.values())], keys, lambda: f" (fitted visibility {vis})"
 
 
-def build_analyze(args: argparse.Namespace) -> tuple[dict, dict, str]:
-    dataset = Dataset.read(args.input)
+def build_analyze(args: argparse.Namespace) -> _Built:
+    table = TableReader(args.input)
     for column in COUNT_COLUMNS:
-        if column not in dataset.columns:
+        if column not in table.columns:
             raise SchemaViolationError(f"{args.input}: input dataset is missing required column {column!r}")
-    estimates = estimate_table(count_table({name: dataset.column(name) for name in COUNT_COLUMNS}))
-    columns = {c: dataset.column(c) for c in _COORD_COLUMNS if c in dataset.columns}
-    columns.update(zip(Estimates._fields, estimates.T))
-    nan_rows = ", ".join(
-        f"{name} {n}" for name, n in zip(Estimates._fields, np.isnan(estimates).sum(axis=0))
-    )
-    return columns, {"input": str(args.input)}, f" (NaN rows: {nan_rows})"
+    coordinates = [c for c in _COORD_COLUMNS if c in table.columns]
+    nan_rows = np.zeros(len(Estimates._fields), dtype=np.int64)
+
+    def blocks() -> Iterator[list]:
+        # the coordinates are carried over as the text that was read
+        for block in table.blocks(COUNT_COLUMNS, coordinates):
+            counts, cells = block[: len(COUNT_COLUMNS)], block[len(COUNT_COLUMNS) :]
+            estimates = estimate_table(count_table(dict(zip(COUNT_COLUMNS, counts))))
+            nan_rows[:] += np.isnan(estimates).sum(axis=0)
+            yield cells + list(estimates.T)
+
+    def summary() -> str:
+        return f" (NaN rows: {', '.join(f'{name} {n}' for name, n in zip(Estimates._fields, nan_rows))})"
+
+    return coordinates + list(Estimates._fields), blocks(), {"input": str(args.input)}, summary
 
 
 def run_command(args: argparse.Namespace) -> int:
-    """Write the dataset of the subcommand's builder to --out, or stream its TSV to stdout.
+    """Write the dataset of the subcommand's builder to --out, or its TSV to stdout.
 
-    A builder returns the dataset columns, its command's sidecar keys and the
-    suffix of the summary line; `command` and `argv` are added here.  An empty
-    --out (`analyze` without one, or `--out=`) streams the TSV.
+    A builder returns the dataset columns, an iterable of column blocks, its
+    command's sidecar keys and a function giving the suffix of the summary
+    line once every block is written; `command` and `argv` are added here.
+    Each block is written before the next one is made (dataset.write_table),
+    so a failing command leaves no output.  An empty --out (`analyze`
+    without one, or `--out=`) writes the TSV to stdout.
     """
-    columns, keys, summary = args.build(args)
-    dataset = Dataset(
-        list(columns),
-        list(columns.values()),
-        metadata={"command": args.command, "argv": args.argv, **keys},
-    )
-    if args.out:
-        dataset.write(args.out)
-        print(f"wrote {len(dataset)} rows to {args.out}{summary}")
-        return 0
+    columns, blocks, keys, summary = args.build(args)
+    metadata = {"command": args.command, "argv": args.argv, **keys}
     try:
-        sys.stdout.writelines(dataset.tsv())
-        sys.stdout.flush()
+        rows = write_table(Path(args.out) if args.out else None, columns, blocks, metadata)
     except BrokenPipeError:
         # the reader closed the pipe (`| head`); the pattern of Python's
         # signal docs: stdout goes to devnull, so the interpreter's last
         # flush cannot fail again, and the command exits quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    if args.out:
+        print(f"wrote {rows} rows to {args.out}{summary()}")
     return 0
 
 

@@ -5,17 +5,18 @@ probability and the inconclusive rate are counts normalized by the shoulder
 counts.  So this count core needs none of the optics, and it sits below
 them: `analyze` loads no physics.
 
-A sweep is columnar: its settings arrive as one (n, 3, 2) plate-angle array,
-its counts leave the draw as one (n, 8) int64 table, columns COUNT_COLUMNS,
-and sweep_columns names them and the other arrays of the sweep as dataset
-columns; sweep_points builds point dataclasses from those columns.
+A sweep is columnar and runs in blocks of points: the settings of a block
+arrive as one (n, 3, 2) plate-angle array, its counts leave the draw as one
+(n, 8) int64 table, columns COUNT_COLUMNS, and sweep_columns puts them and
+the other arrays of the block in the order of the dataset columns
+(sweep_header); sweep_points builds point dataclasses from those blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,22 +182,31 @@ def estimate_table(counts) -> np.ndarray:
     return out
 
 
-def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> dict[str, np.ndarray]:
-    """The dataset columns of a sweep in order: the fields of `point_type` before its last, `counts`.
+def sweep_header(point_type: type) -> list[str]:
+    """The dataset columns of a sweep: the fields of `point_type` before its last, then COUNT_COLUMNS.
 
-    Each such field is given in `values` and named by its "column" metadata
-    where it has one; the COUNT_COLUMNS of the (n, 8) `counts` follow.
+    A field is named by its "column" metadata where it has one.
     """
-    leading = fields(point_type)[:-1]
-    columns = {f.metadata.get("column", f.name): values[f.name] for f in leading}
-    return columns | dict(zip(COUNT_COLUMNS, counts.T))
+    return [f.metadata.get("column", f.name) for f in fields(point_type)[:-1]] + list(COUNT_COLUMNS)
 
 
-def sweep_points(point_type: type, columns: Mapping[str, np.ndarray]) -> list:
-    """One `point_type` per row of the sweep_columns `columns`, its counts a CountRecord."""
-    leading = [columns[name].tolist() for name in list(columns)[: -len(COUNT_COLUMNS)]]
-    counts = np.column_stack([columns[name] for name in COUNT_COLUMNS]).tolist()
-    return [point_type(*row, CountRecord(*c)) for *row, c in zip(*leading, counts)]
+def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> list[np.ndarray]:
+    """One block of a sweep's columns, in sweep_header order.
+
+    Each field of `point_type` before its last is given in `values`; the
+    COUNT_COLUMNS of the (n, 8) `counts` follow.
+    """
+    return [values[f.name] for f in fields(point_type)[:-1]] + list(counts.T)
+
+
+def sweep_points(point_type: type, blocks: Iterable[Sequence[np.ndarray]]) -> list:
+    """One `point_type` per row of the sweep_columns `blocks`, its counts a CountRecord."""
+    points = []
+    for block in blocks:
+        leading = [values.tolist() for values in block[: -len(COUNT_COLUMNS)]]
+        counts = np.column_stack(block[-len(COUNT_COLUMNS) :]).tolist()
+        points += [point_type(*row, CountRecord(*c)) for *row, c in zip(*leading, counts)]
+    return points
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,7 @@ class DiscriminationPoint:
     """One sweep point: theory, optimal benchmark and simulated estimates.
 
     The fields before `counts` name the sweep's leading dataset columns
-    (sweep_columns); the grid coordinates, which `analyze` carries over,
+    (sweep_header); the grid coordinates, which `analyze` carries over,
     carry "grid" metadata.
     """
 
@@ -224,7 +234,7 @@ class MultimeterPoint:
     """One sweep point of the multimeter run: theory and simulated estimates.
 
     The fields before `counts` name the sweep's leading dataset columns
-    (sweep_columns), by "column" metadata where they have it; the grid
+    (sweep_header), by "column" metadata where they have it; the grid
     coordinates, which `analyze` carries over, carry "grid" metadata.
     """
 

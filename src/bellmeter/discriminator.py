@@ -5,19 +5,19 @@ qubit.  Success probability of the Bell-analysis strategy is
 p = 2(|a|^2 - |a|^4) with |a|^2 = x^2 cos^2(theta) + y^2 sin^2(theta); the
 optimal unambiguous strategy reaches 1 - |<phi+|phi->|.
 
-The sweep is columnar (discriminator_columns); its two theory columns are
-the functions below evaluated over the grid's arrays.
+The sweep is columnar and runs block by block (discriminator_blocks); its
+two theory columns are the functions below evaluated over a block's arrays.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import polarization as pol
 from .counts import DiscriminationPoint, Estimates, estimate_table, sweep_columns, sweep_points
-from .experiment import ExperimentConfig, measure_sweep, with_pairs_per_point
+from .experiment import ExperimentConfig, sweep_blocks, with_pairs_per_point
 
 
 def success_prob_theory(epsilon_deg, theta_deg) -> float | np.ndarray:
@@ -43,34 +43,43 @@ def optimal_prob(epsilon_deg, theta_deg) -> float | np.ndarray:
     return 1.0 - np.abs((a * a + b * b) - (c * c + d * d))
 
 
-def discriminator_columns(
+def discriminator_blocks(
     epsilons: Sequence[float], thetas: Sequence[float], config: ExperimentConfig
-) -> dict[str, np.ndarray]:
-    """Dataset columns of the discriminator over a grid of ellipticities and axis angles, theta fastest.
+) -> Iterator[list[np.ndarray]]:
+    """The discriminator over a grid of ellipticities and axis angles, theta fastest, block by block.
 
-    The data photon is prepared alternately in the plus and minus elliptical
-    state while the program photon always carries the plus state.  The
-    counts are drawn stage by stage from streams of the master seed, in grid
-    order, at config.pair_rate (see experiment.measure_sweep).  Estimator
-    failures (for example no conclusive events at a point) are recorded as
-    NaN instead of aborting the sweep.
+    Each block holds the sweep_header(DiscriminationPoint) columns of one
+    block of points of experiment.sweep_blocks: its grid coordinates, plate
+    angles, counts, estimates and theory columns are made for that block
+    alone.  The data photon is prepared alternately in the plus and minus
+    elliptical state while the program photon always carries the plus
+    state.  The counts are drawn stage by stage from streams of the master
+    seed, in grid order, at config.pair_rate (see experiment.measure_sweep).
+    Estimator failures (for example no conclusive events at a point) are
+    recorded as NaN instead of aborting the sweep.
     """
-    eps = np.repeat(np.asarray(epsilons, dtype=float), len(thetas))
-    theta = np.tile(np.asarray(thetas, dtype=float), len(epsilons))
-    counts = measure_sweep(pol.discriminator_angles(eps, theta), config)
-    est = dict(zip(Estimates._fields, estimate_table(counts).T))
-    return sweep_columns(
-        DiscriminationPoint, counts, epsilon=eps, theta=theta,
-        p_theory=success_prob_theory(eps, theta), p_optimal=optimal_prob(eps, theta),
-        p_estimated=est["p_succ"], p_stderr=est["p_succ_stderr"],
-        error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
-    )
+    # arrays, so that no grid list is kept alive through the sweep
+    epsilons, thetas = np.asarray(epsilons, dtype=float), np.asarray(thetas, dtype=float)
+
+    def grid(points: slice) -> tuple[np.ndarray, np.ndarray]:
+        index = np.arange(points.start, points.stop)
+        return epsilons[index // len(thetas)], thetas[index % len(thetas)]
+
+    n = len(epsilons) * len(thetas)
+    for (eps, theta), counts in sweep_blocks(n, grid, pol.discriminator_angles, config):
+        est = dict(zip(Estimates._fields, estimate_table(counts).T))
+        yield sweep_columns(
+            DiscriminationPoint, counts, epsilon=eps, theta=theta,
+            p_theory=success_prob_theory(eps, theta), p_optimal=optimal_prob(eps, theta),
+            p_estimated=est["p_succ"], p_stderr=est["p_succ_stderr"],
+            error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
+        )
 
 
 def run_discriminator_sweep(
     epsilons: Sequence[float], thetas: Sequence[float], config: ExperimentConfig,
     pairs_per_point: float = 100_000.0,
 ) -> list[DiscriminationPoint]:
-    """The discriminator_columns sweep at pairs_per_point pairs per input setting, as points."""
+    """The discriminator_blocks sweep at pairs_per_point pairs per input setting, as points."""
     point_cfg = with_pairs_per_point(config, pairs_per_point)
-    return sweep_points(DiscriminationPoint, discriminator_columns(epsilons, thetas, point_cfg))
+    return sweep_points(DiscriminationPoint, discriminator_blocks(epsilons, thetas, point_cfg))

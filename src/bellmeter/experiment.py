@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -276,35 +276,62 @@ def _run_stages(
 
     A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
     Stage s takes its jitter from rngs[2s] and its counts from rngs[2s + 1],
-    by default SeedSequence(config.seed).spawn(2 * stages).  The points run
-    in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage, each
-    block as the module docstring tells.  Returns the (n, 2 * stages) int64
-    table: row i holds the (Psi+, Psi-) counts of stage 0, then of stage 1,
-    and so on, at point i.
+    by default _stage_streams(config, stages).  The points run in blocks of
+    at most _MAX_STAGE_PERIODS analyzed periods per stage (_blocks), each
+    drawn by _draw_block.  Returns the (n, 2 * stages) int64 table: row i
+    holds the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at
+    point i.
     """
     n = len(stages[0][0])
     if rngs is None:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * len(stages))]
+        rngs = _stage_streams(config, len(stages))
+    counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
+    for points in _blocks(n, config):
+        counts[points] = _draw_block([(a[points], x[points], eta) for a, x, eta in stages], config, rngs)
+    return counts
+
+
+def _stage_streams(config: ExperimentConfig, stages: int) -> list[np.random.Generator]:
+    """The jitter and count streams of each stage: SeedSequence(config.seed).spawn(2 * stages)."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * stages)]
+
+
+def _blocks(n: int, config: ExperimentConfig) -> Iterator[slice]:
+    """The points 0 .. n-1 in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage."""
     periods = config.repetitions if config.angle_jitter > 0.0 else 1
     block = max(1, _MAX_STAGE_PERIODS // periods)
-    counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
-    for start in range(0, n, block):
-        points = slice(start, start + block)
-        size = min(block, n - start)
-        angles = []
-        for s, (nominal, _, _) in enumerate(stages):
-            nominal = np.asarray(nominal[points], dtype=float).reshape(size, 1, 2, 2)
-            if config.angle_jitter > 0.0:
-                jitter, shape = config.angle_jitter, (size, config.repetitions, 2, 2)
-                nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
-            angles.append(nominal)
-        overlaps = mode_overlap_at(np.concatenate([positions[points] for _, positions, _ in stages]), config)
-        etas = np.repeat([eta for _, _, eta in stages], size)
-        means = _poisson_means(np.concatenate(angles), overlaps, config, etas)
-        counts[points] = np.hstack(
-            [rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))]
-        )
-    return counts
+    return (slice(start, min(start + block, n)) for start in range(0, n, block))
+
+
+def _draw_block(
+    stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
+    config: ExperimentConfig,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """The (size, 2 * stages) counts of one block of points, stages as _run_stages takes them."""
+    size = len(stages[0][0])
+    angles = []
+    for s, (nominal, _, _) in enumerate(stages):
+        nominal = np.asarray(nominal, dtype=float).reshape(size, 1, 2, 2)
+        if config.angle_jitter > 0.0:
+            jitter, shape = config.angle_jitter, (size, config.repetitions, 2, 2)
+            nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
+        angles.append(nominal)
+    overlaps = mode_overlap_at(np.concatenate([positions for _, positions, _ in stages]), config)
+    etas = np.repeat([eta for _, _, eta in stages], size)
+    means = _poisson_means(np.concatenate(angles), overlaps, config, etas)
+    return np.hstack([rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))])
+
+
+def _sweep_stages(angles: np.ndarray, config: ExperimentConfig, eta: float) -> list:
+    """The four stages of a sweep over settings with nominal plate angles `angles` (see measure_sweep)."""
+    n = len(angles)
+    center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
+    return [
+        (angles[:, [0, 2]], center, eta),
+        (angles[:, [1, 2]], center, eta),
+        *((np.broadcast_to(diagonal, (n, 2, 2)), shoulder, 1.0) for diagonal in _DIAGONAL),
+    ]
 
 
 def measure_sweep(angles: np.ndarray, config: ExperimentConfig, eta: float = 1.0) -> np.ndarray:
@@ -322,15 +349,29 @@ def measure_sweep(angles: np.ndarray, config: ExperimentConfig, eta: float = 1.0
     inputs outside the dip.  `eta` relaxes the main runs only, so the
     shoulder normalization stays that of the raw measurement.
     """
-    angles = np.asarray(angles, dtype=float)
-    n = len(angles)
-    center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
-    stages = [
-        (angles[:, [0, 2]], center, eta),
-        (angles[:, [1, 2]], center, eta),
-        *((np.broadcast_to(diagonal, (n, 2, 2)), shoulder, 1.0) for diagonal in _DIAGONAL),
-    ]
-    return _run_stages(stages, config)
+    return _run_stages(_sweep_stages(np.asarray(angles, dtype=float), config, eta), config)
+
+
+def sweep_blocks(
+    n: int,
+    coordinates_at: Callable[[slice], tuple[np.ndarray, ...]],
+    angles_of: Callable[..., np.ndarray],
+    config: ExperimentConfig,
+    eta: float = 1.0,
+) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """A sweep of n settings block by block: the coordinates and the (size, 8) counts of each block.
+
+    coordinates_at(points) gives the grid coordinates of a block, a slice of
+    the points, and angles_of(*coordinates) their (size, 3, 2) nominal plate
+    angles, so only one block of angles exists at a time.  The blocks are
+    those of _run_stages and draw from the same streams in the same order,
+    so the count blocks joined equal measure_sweep of all the angles.
+    """
+    rngs = _stage_streams(config, 4)
+    for points in _blocks(n, config):
+        coordinates = coordinates_at(points)
+        angles = np.asarray(angles_of(*coordinates), dtype=float)
+        yield coordinates, _draw_block(_sweep_stages(angles, config, eta), config, rngs)
 
 
 @dataclass

@@ -6,20 +6,21 @@ between the unambiguous partial Bell measurement (eta = 1, inconclusive rate
 1/2, fidelity 1) and an error-prone von Neumann-like measurement (eta = 0,
 no inconclusive results, fidelity 3/4).
 
-The sweep is columnar (multimeter_columns); its theory columns are constants.
+The sweep is columnar and runs block by block (multimeter_blocks); its theory
+columns are constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import polarization as pol
 from .analyzer import Outcome
 from .counts import Estimates, MultimeterPoint, estimate_table, sweep_columns, sweep_points
-from .experiment import ExperimentConfig, measure_sweep, with_pairs_per_point
+from .experiment import ExperimentConfig, sweep_blocks, with_pairs_per_point
 
 _HERMITIAN_TOL = 1e-12
 _EQUATOR_TOL = 1e-9
@@ -115,38 +116,42 @@ def reinterpret(
     return out
 
 
-def multimeter_columns(
+def multimeter_blocks(
     phis: Sequence[float], eta: float, config: ExperimentConfig
-) -> dict[str, np.ndarray]:
-    """Dataset columns of the multimeter over a grid of basis phases.
+) -> Iterator[list[np.ndarray]]:
+    """The multimeter over a grid of basis phases, block by block.
 
-    Per phi the data photon is prepared alternately in the two basis states
-    psi+(phi) and psi-(phi) while the program photon carries psi+(phi).  Only
-    the unambiguous analyzer is physically simulated; eta < 1 is produced by
-    relabeling inconclusive outcomes, so the shoulder normalization stays that
-    of the raw measurement.  The fidelity estimate is 1 - the wrong-class
-    rate of the conclusive events, and the counts are drawn at config.pair_rate.
+    Each block holds the sweep_header(MultimeterPoint) columns of one block
+    of points of experiment.sweep_blocks.  Per phi the data photon is
+    prepared alternately in the two basis states psi+(phi) and psi-(phi)
+    while the program photon carries psi+(phi).  Only the unambiguous
+    analyzer is physically simulated; eta < 1 is produced by relabeling
+    inconclusive outcomes, so the shoulder normalization stays that of the
+    raw measurement.  The fidelity estimate is 1 - the wrong-class rate of
+    the conclusive events, and the counts are drawn at config.pair_rate.
     Estimates the counts leave undefined are NaN.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    phi = np.asarray(phis, dtype=float)
-    counts = measure_sweep(pol.multimeter_angles(phi), config, eta=eta)
-    est = dict(zip(Estimates._fields, estimate_table(counts).T))
+    phis = np.asarray(phis, dtype=float)  # so that no grid list is kept alive through the sweep
     pi_theory = theory_PI(eta)
-    return sweep_columns(
-        MultimeterPoint, counts, phi=phi, eta=np.full(len(phi), float(eta)),
-        pi_theory=np.full(len(phi), pi_theory),
-        fidelity_theory=np.full(len(phi), fidelity_from_PI(pi_theory)),
-        p_inconclusive=est["p_inconclusive"], pi_stderr=est["pi_stderr"],
-        fidelity=1.0 - est["error_rate"],
-        error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
-    )
+    fidelity_theory = fidelity_from_PI(pi_theory)
+    blocks = sweep_blocks(len(phis), lambda points: (phis[points],), pol.multimeter_angles, config, eta)
+    for (phi,), counts in blocks:
+        est = dict(zip(Estimates._fields, estimate_table(counts).T))
+        yield sweep_columns(
+            MultimeterPoint, counts, phi=phi, eta=np.full(len(phi), float(eta)),
+            pi_theory=np.full(len(phi), pi_theory),
+            fidelity_theory=np.full(len(phi), fidelity_theory),
+            p_inconclusive=est["p_inconclusive"], pi_stderr=est["pi_stderr"],
+            fidelity=1.0 - est["error_rate"],
+            error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
+        )
 
 
 def run_multimeter_sweep(
     phis: Sequence[float], eta: float, config: ExperimentConfig, pairs_per_point: float = 100_000.0
 ) -> list[MultimeterPoint]:
-    """The multimeter_columns sweep at pairs_per_point pairs per input setting, as points."""
+    """The multimeter_blocks sweep at pairs_per_point pairs per input setting, as points."""
     point_cfg = with_pairs_per_point(config, pairs_per_point)
-    return sweep_points(MultimeterPoint, multimeter_columns(phis, eta, point_cfg))
+    return sweep_points(MultimeterPoint, multimeter_blocks(phis, eta, point_cfg))

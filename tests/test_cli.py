@@ -10,6 +10,7 @@ import pytest
 
 import bellmeter
 from bellmeter.cli import _load_config, _parse_range, build_parser, main
+from bellmeter.counts import CountRecord
 from bellmeter.dataset import Dataset, sidecar_path
 from bellmeter.errors import SchemaViolationError
 
@@ -613,9 +614,9 @@ def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, 
     assert code == 0
     lines = captured.out.splitlines()
     assert lines[0] == "theta\t" + "\t".join(ESTIMATE_HEADER) and len(lines) == 5000
-    # 13.0 counts as 13; a column with 12 beside 12.5 is a float column, so 12 reads as 12.0
+    # 13.0 counts as 13; a coordinate is carried over as the text that was read
     first, last = lines[1].split("\t"), lines[-1].split("\t")
-    assert first[0] == "12.5" and last[0] == ("12.0" if column == "theta" else "12.5")
+    assert first[0] == "12.5" and last[0] == ("12" if column == "theta" else "12.5")
     assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
 
 
@@ -833,3 +834,127 @@ def test_cli_sweeps_build_no_per_point_objects(tmp_path, monkeypatch):
             repr(row) for row in rows
         ]
     assert built[CountRecord] == 16 + 5
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_output_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
+    # jittered discriminator points of 3 periods each, and ideal multimeter points of one
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"repetitions": 3}))
+    commands = {
+        "discriminate": ["discriminate", "--config", str(cfg_path), "--theta-range", "0:90:15"],
+        "multimeter": ["multimeter", "--ideal", "--eta", "0.5", "--phi-range=-90:90:20"],
+    }
+
+    def outputs(directory):
+        directory.mkdir()
+        written = {}
+        for name, argv in commands.items():
+            raw, analyzed = directory / f"{name}.tsv", directory / f"{name}-analyzed.tsv"
+            assert main(argv + ["--pairs", "1000", "--seed", "5", "--out", str(raw)]) == 0
+            assert main(["analyze", str(raw), "--out", str(analyzed)]) == 0
+            written[raw.name], written[analyzed.name] = raw.read_bytes(), analyzed.read_bytes()
+        return written
+
+    expected = outputs(tmp_path / "default")
+    for constant in ("dataset._BLOCK_ROWS", "dataset._FORMAT_ROWS", "experiment._MAX_STAGE_PERIODS"):
+        monkeypatch.setattr(f"bellmeter.{constant}", block)
+    assert outputs(tmp_path / "blocks") == expected
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        (ANALYZE_HEADER + "\n", 0),
+        (ANALYZE_HEADER, 0),
+        (ANALYZE_HEADER + "\n" + "\t".join(ANALYZE_ROW), 1),
+        (ANALYZE_HEADER + "\n" + "\t".join(ANALYZE_ROW) + "\n", 1),
+    ],
+    ids=["header", "header-without-line-end", "last-line-without-line-end", "last-line"],
+)
+def test_analyze_reads_a_header_alone_and_a_last_line_without_line_end(tmp_path, capsys, text, rows):
+    path, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {rows} rows to {out} ")
+    estimates = CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()
+    row = "\t".join([ANALYZE_ROW[0], *map(repr, estimates)]) + "\n"
+    assert out.read_text() == "theta\t" + "\t".join(ESTIMATE_HEADER) + "\n" + row * rows
+
+
+def test_a_failing_analyze_leaves_the_previous_output_as_it_was(tmp_path, capsys, monkeypatch):
+    # blocks of 2 rows: the bad cell on line 5 is read after the first block is written
+    monkeypatch.setattr("bellmeter.dataset._BLOCK_ROWS", 2)
+    path, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
+    lines = [ANALYZE_HEADER] + ["\t".join(ANALYZE_ROW)] * 3
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    bad = ANALYZE_ROW[:2] + ["abc"] + ANALYZE_ROW[3:]
+    path.write_text("\n".join(lines + ["\t".join(bad)]) + "\n")
+    before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+    assert sorted(before) == ["counts.tsv", "est.tsv", "est.tsv.meta.json"]
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}, line 5, column 'c_mp': 'abc' is not a number\n")
+    assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_analyze_in_place_equals_the_analysis_of_a_copy(tmp_path, monkeypatch):
+    # several blocks: the output replaces its input only once every block is written
+    monkeypatch.setattr("bellmeter.dataset._BLOCK_ROWS", 16)
+    raw, copy, analyzed = tmp_path / "raw.tsv", tmp_path / "copy.tsv", tmp_path / "analyzed.tsv"
+    argv = ["multimeter", "--ideal", "--eta", "0.5", "--phi-range=-90:90:1", "--pairs", "100", "--seed", "2"]
+    assert main(argv + ["--out", str(raw)]) == 0
+    copy.write_bytes(raw.read_bytes())
+    assert main(["analyze", str(copy), "--out", str(analyzed)]) == 0
+    assert main(["analyze", str(raw), "--out", str(raw)]) == 0
+    assert raw.read_bytes() == analyzed.read_bytes()
+    assert read_sidecar(raw)["input"] == str(raw)
+    assert sorted(file.name for file in tmp_path.iterdir()) == [
+        "analyzed.tsv", "analyzed.tsv.meta.json", "copy.tsv", "raw.tsv", "raw.tsv.meta.json",
+    ]
+
+
+# Starts the command as a child of a small `python -S` process, by fork and exec,
+# and prints the child's peak RSS in KiB and its exit code.  subprocess may start
+# a child by vfork, which carries the parent's (pytest's) peak into ru_maxrss.
+PEAK_RSS_HELPER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def peak_rss_mib(argv):
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS_HELPER, sys.executable, "-m", "bellmeter.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    peak_kib, code = map(int, done.stdout.split()[-2:])
+    assert code == 0, done.stderr
+    return peak_kib / 1024
+
+
+def test_analyze_memory_stays_flat_in_the_rows(tmp_path):
+    peaks = []
+    for n in (1_000, 100_000):
+        path = tmp_path / f"counts-{n}.tsv"
+        counts = [np.full(n, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]]
+        Dataset(["theta", *COUNT_HEADER], [np.linspace(0.0, 90.0, n), *counts]).write(path)
+        peaks.append(peak_rss_mib(["analyze", str(path), "--out", str(tmp_path / "est.tsv")]))
+    assert peaks[1] - peaks[0] < 8.0, peaks
+
+
+def test_sweep_memory_stays_flat_in_the_points(tmp_path):
+    peaks = []
+    for phi_range in ("-90:90:1", "-90:90:0.002"):  # 181 and 90,001 points
+        argv = ["multimeter", "--ideal", f"--phi-range={phi_range}", "--out", str(tmp_path / "m.tsv")]
+        peaks.append(peak_rss_mib(argv))
+    assert peaks[1] - peaks[0] < 10.0, peaks

@@ -4,10 +4,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellmeter.dataset import Dataset, sidecar_path
+from bellmeter.dataset import Dataset, _parse_cells, sidecar_path
 from bellmeter.errors import SchemaViolationError
 
 INT64 = st.one_of(st.sampled_from([0, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
@@ -104,3 +104,73 @@ def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):
         sidecar.write_text(value)
         with pytest.raises(SchemaViolationError, match=f"^{name} holds no JSON object$"):
             Dataset.read(path)
+
+
+def reference_parse(cells):
+    """A column's cells as int() per cell gives them, in int64, or else as float() per cell gives them."""
+    try:
+        return np.array(list(map(int, cells)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return np.array(list(map(float, cells)))
+
+
+def parse_outcome(parse, cells):
+    """The dtype and bytes that `parse` gives for `cells`, or the class of the exception it raises."""
+    try:
+        values = parse(cells)
+    except Exception as exc:
+        return type(exc)
+    return values.dtype, values.tobytes()
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def integer_text(draw):
+    # 19 to 25 digits overflow int64 from 9223372036854775808 on
+    digits = str(draw(st.one_of(st.integers(0, 2**64), st.integers(10**18, 10**25 - 1))))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    if draw(st.booleans()):
+        digits = digits.translate(ARABIC_INDIC_DIGITS)
+    pad = draw(st.sampled_from(["", " ", "  ", "\u2003"]))
+    return pad + draw(st.sampled_from(["", "+", "-"])) + digits + pad
+
+
+CELL = st.one_of(
+    integer_text(),
+    st.sampled_from(["12.0", "1e3", "nan", "", " ", "-0", "inf", "1__0", "_1", "1_", "+-1", "abc", "0x10"]),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cells=st.lists(CELL, max_size=5))
+@example(cells=["9223372036854775807", "-9223372036854775808"])
+@example(cells=["1", "9223372036854775808"])
+@example(cells=["12", "1_000", " \u0661\u0662 ", "+7"])
+def test_numpy_parse_equals_int_per_cell_with_the_float_fallback(cells):
+    assert parse_outcome(_parse_cells, cells) == parse_outcome(reference_parse, cells)
+
+
+def test_an_integer_beyond_int64_makes_a_float_column():
+    assert _parse_cells(["1", "9223372036854775807"]).dtype == np.int64
+    for digits in range(19, 26):
+        column = _parse_cells(["1", "9" * digits])
+        assert column.dtype == np.float64 and column.tolist() == [1.0, float("9" * digits)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cells=st.lists(st.one_of(CELL, st.text(max_size=4)), max_size=4))
+def test_a_carried_cell_is_a_number_exactly_when_float_takes_it(cells):
+    # TableReader.blocks checks a carried column with numpy's float64 parse
+    def accepted(parse):
+        try:
+            parse()
+        except ValueError:
+            return False
+        return True
+
+    assert accepted(lambda: np.array(cells, dtype=np.float64)) == accepted(lambda: list(map(float, cells)))

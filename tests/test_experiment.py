@@ -30,6 +30,7 @@ from bellmeter.experiment import (
     mode_overlap_at,
     shoulder_counts,
     simulate_counts,
+    sweep_blocks,
     with_pairs_per_point,
 )
 from bellmeter.discriminator import run_discriminator_sweep
@@ -904,6 +905,19 @@ def test_blocks_hold_analyzed_periods_not_repetitions(monkeypatch):
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", 1):
         assert np.array_equal(measure_sweep(angles, cfg, eta=0.5), counts)
     assert calls["analyze"] == 1 + 1801
+
+
+@pytest.mark.parametrize("jitter, block_periods", [(1.0, 7), (0.0, 4)])
+def test_sweep_blocks_join_to_measure_sweep(jitter, block_periods):
+    # blocks of 2 jittered points of R = 3 periods, or of 4 points without jitter
+    cfg = with_pairs_per_point(replace(ExperimentConfig(seed=6), repetitions=3, angle_jitter=jitter), 1e4)
+    phis = np.linspace(-90.0, 90.0, 11)
+    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
+        blocks = list(sweep_blocks(len(phis), lambda points: (phis[points],), multimeter_angles, cfg, eta=0.5))
+    assert [len(phi) for (phi,), _ in blocks] == ([2] * 5 + [1] if jitter else [4, 4, 3])
+    assert np.array_equal(np.concatenate([phi for (phi,), _ in blocks]), phis)
+    counts = np.concatenate([block for _, block in blocks])
+    assert np.array_equal(counts, measure_sweep(multimeter_angles(phis), cfg, eta=0.5))
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])
