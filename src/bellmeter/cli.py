@@ -55,8 +55,8 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _parse_range(text: str) -> list[float]:
-    """Parse 'start:stop:step' with an inclusive stop; a bare number is a single point."""
+def _parse_range(text: str) -> np.ndarray:
+    """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number is a single point."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
@@ -64,7 +64,7 @@ def _parse_range(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if len(values) == 1:
-        return values
+        return np.array(values)
     start, stop, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
@@ -72,8 +72,8 @@ def _parse_range(text: str) -> list[float]:
     if not span < _MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
     count = math.floor(span) + 1
-    points = [round(start + i * step, 9) for i in range(count)]
-    if any(a >= b for a, b in zip(points, points[1:])):
+    points = np.fromiter((round(start + i * step, 9) for i in range(count)), dtype=float, count=count)
+    if np.any(points[:-1] >= points[1:]):
         raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
     return points
 

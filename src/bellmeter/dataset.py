@@ -8,15 +8,11 @@ Every table goes through one block reader (TableReader) and one block
 writer (write_table), so no more than _BLOCK_ROWS lines of text are held at
 once.  A block of a column is parsed as int64 when int() accepts every cell
 and int64 holds it, and as float64 otherwise, or kept as its cell text once
-every cell is checked to be a number.  An int array is written with `str`,
-a float array with `repr`, and cell text as it is.  The TSV and the sidecar
-replace the previous pair only once every block is written.
-
-A Dataset holds one 1-D numpy array per column, int64 or float64, and reads
-and writes through the two: Dataset.read joins the parsed blocks, so a
-column is float64 as soon as one of its cells is not integer text (`12`
-beside `12.5` reads as 12.0).  A written column reads back with its dtype
-and bits; one without rows reads back as float64.
+every cell is checked to be a number, so one column may be int64 in one
+block and float64 in the next.  An int array is written with `str`, a float
+array with `repr`, and cell text as it is, so a written block reads back
+with its dtype and bits.  The TSV and the sidecar replace the previous pair
+only once every block is written.
 """
 
 from __future__ import annotations
@@ -33,71 +29,13 @@ import numpy as np
 
 from .errors import SchemaViolationError
 
-# lines per block that are read and parsed together, and rows per block of
-# a Dataset; the cell strings of a whole table are never alive at once
+# lines per block that are read and parsed together; the cell strings of a
+# whole table are never alive at once
 _BLOCK_ROWS = 4096
 # rows formatted together: 1024-row pieces formatted about 15% faster than
 # 4096-row ones (Python 3.11, numpy 2.4, 2-vCPU x86 host), and they hold a
 # quarter of the cell strings
 _FORMAT_ROWS = 1024
-
-
-class Dataset:
-    """Named numeric columns and a metadata mapping.
-
-    Column columns[j] holds data[j] as a 1-D int64 or float64 numpy array;
-    the names are distinct and all columns have one length.
-    """
-
-    def __init__(self, columns: list[str], data: Sequence, metadata: dict | None = None):
-        if len(data) != len(columns):
-            raise ValueError(f"{len(data)} columns of data for {len(columns)} column names")
-        self.columns = list(columns)
-        self._data = []
-        _check_distinct(self.columns)
-        for name, values in zip(self.columns, data):
-            values = np.asarray(values)
-            if values.ndim != 1 or values.dtype.kind not in "if":
-                raise ValueError(
-                    f"column {name!r} must be a 1-D array of signed ints or floats,"
-                    f" got {values.ndim}-D {values.dtype}"
-                )
-            dtype = np.int64 if values.dtype.kind == "i" else np.float64
-            self._data.append(values.astype(dtype, copy=False))
-        if len(set(map(len, self._data))) > 1:
-            raise ValueError(f"columns of unequal lengths {sorted(set(map(len, self._data)))}")
-        self.metadata = {} if metadata is None else metadata
-
-    def __len__(self) -> int:
-        return len(self._data[0]) if self._data else 0
-
-    def column(self, name: str) -> np.ndarray:
-        return self._data[self.columns.index(name)]
-
-    def _blocks(self) -> Iterator[list[np.ndarray]]:
-        """The columns in blocks of at most _BLOCK_ROWS rows."""
-        for start in range(0, len(self), _BLOCK_ROWS):
-            yield [values[start : start + _BLOCK_ROWS] for values in self._data]
-
-    def tsv(self) -> Iterator[str]:
-        """The TSV text as write_table writes it, in pieces: the header line, then the rows."""
-        return (text for _, text in _tsv_pieces(self.columns, self._blocks()))
-
-    def write(self, path: str | Path) -> Path:
-        """Write the table to `path` and the metadata sidecar next to it (see write_table)."""
-        write_table(Path(path), self.columns, self._blocks(), self.metadata)
-        return Path(path)
-
-    @staticmethod
-    def read(path: str | Path) -> "Dataset":
-        """Read a dataset and its sidecar, if there is one; errors as TableReader raises them."""
-        table = TableReader(path)
-        parts: list[list[np.ndarray]] = [[] for _ in table.columns]
-        for block in table.blocks(table.columns):
-            for column_parts, values in zip(parts, block):
-                column_parts.append(values)
-        data = [np.concatenate(column_parts) if column_parts else np.empty(0) for column_parts in parts]
-        return Dataset(table.columns, data, table.metadata)
 
 
 class TableReader:
@@ -117,7 +55,9 @@ class TableReader:
         if not header:
             raise ValueError(f"{self.path} is empty")
         self.columns = header[0].split("\t")
-        _check_distinct(self.columns, f"{self.path}: ")
+        for j, name in enumerate(self.columns):
+            if name in self.columns[:j]:
+                raise ValueError(f"{self.path}: column {name!r} appears twice")
         self.metadata = {}
         sidecar = sidecar_path(self.path)
         if sidecar.exists():
@@ -210,8 +150,11 @@ def write_table(
             rows = _write_tsv(out, columns, blocks)
         with _open_beside(sidecar_path(path), temporaries) as out:
             out.write(sidecar)
-        os.replace(temporaries[0], path)
-        os.replace(temporaries[1], sidecar_path(path))
+        for temporary, target in zip(temporaries, (path, sidecar_path(path))):
+            try:
+                os.replace(temporary, target)
+            except OSError as exc:  # named by its target, not by the temporary file
+                raise type(exc)(exc.errno, exc.strerror, str(target)) from None
     except BaseException:
         for temporary in temporaries:
             temporary.unlink(missing_ok=True)
@@ -232,33 +175,6 @@ def read_json(path: Path):
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
-def _check_distinct(columns: list[str], prefix: str = "") -> None:
-    """ValueError, its message starting with `prefix`, if a column name appears twice."""
-    for j, name in enumerate(columns):
-        if name in columns[:j]:
-            raise ValueError(f"{prefix}column {name!r} appears twice")
-
-
-def _tsv_pieces(columns: Sequence[str], blocks: Iterable[Sequence]) -> Iterator[tuple[int, str]]:
-    """The TSV text in pieces, each with its number of rows: the header line, then the blocks.
-
-    A block is cut into pieces of at most _FORMAT_ROWS rows, which format
-    faster than longer ones and hold fewer cell strings at once.
-    """
-    yield 0, "\t".join(columns) + "\n"
-    for block in blocks:
-        lengths = set(map(len, block))
-        if len(block) != len(columns) or len(lengths) > 1:
-            raise ValueError(
-                f"a block of {len(block)} columns of lengths {sorted(lengths)} for {len(columns)} names"
-            )
-        size = lengths.pop() if lengths else 0
-        for start in range(0, size, _FORMAT_ROWS):
-            piece = slice(start, start + _FORMAT_ROWS)
-            yield min(size - start, _FORMAT_ROWS), _format_rows([values[piece] for values in block])
-        del block  # the next block is made while none of this one is alive
-
-
 def _format_rows(block: Sequence) -> str:
     """The TSV lines of a block of one or more rows, each with its line end."""
     cells = [
@@ -269,11 +185,24 @@ def _format_rows(block: Sequence) -> str:
 
 
 def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence]) -> int:
-    """Write the TSV text of `columns` and `blocks` to `out`; the number of rows."""
+    """Write the TSV text of `columns` and `blocks` to `out`; the number of rows.
+
+    A block is cut into pieces of at most _FORMAT_ROWS rows, which format
+    faster than longer ones and hold fewer cell strings at once.
+    """
+    out.write("\t".join(columns) + "\n")
     rows = 0
-    for size, text in _tsv_pieces(columns, blocks):
-        out.write(text)
+    for block in blocks:
+        lengths = set(map(len, block))
+        if len(block) != len(columns) or len(lengths) > 1:
+            raise ValueError(
+                f"a block of {len(block)} columns of lengths {sorted(lengths)} for {len(columns)} names"
+            )
+        size = lengths.pop() if lengths else 0
+        for start in range(0, size, _FORMAT_ROWS):
+            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block]))
         rows += size
+        del block  # the next block is made while none of this one is alive
     return rows
 
 

@@ -54,7 +54,7 @@ def discriminator_blocks(
     alone.  The data photon is prepared alternately in the plus and minus
     elliptical state while the program photon always carries the plus
     state.  The counts are drawn stage by stage from streams of the master
-    seed, in grid order, at config.pair_rate (see experiment.measure_sweep).
+    seed, in grid order, at config.pair_rate (see experiment.sweep_blocks).
     Estimator failures (for example no conclusive events at a point) are
     recorded as NaN instead of aborting the sweep.
     """

@@ -14,22 +14,24 @@ counts per class, and sums of independent Poisson counts are Poisson.  The
 recorded Psi+ and Psi- counts of an input setting are therefore two Poisson
 draws whose means add up the class probabilities of all its periods.
 
-A sweep runs as four stages, one per input setting (main plus, main minus,
-shoulder plus, shoulder minus), and each stage has two random streams of its
-own, spawned from config.seed: stage s takes its plate jitter from stream 2s
-and its counts from stream 2s + 1.  The points run in blocks of at most 4096
-analyzed periods per stage (R per point with angle_jitter > 0, else 1).  In
-a block each stage first draws the jitter of its periods, R x 2 x 2 uniforms
-per point in one array draw (only when angle_jitter > 0); the periods of all
-stages then go from plate angles to Stokes vectors to class probabilities in
-one real-arithmetic pass (polarization.stokes_from_angles,
-analyzer.stokes_outcome_probs; without jitter all periods of a point carry
-one state, so each point is analyzed as one period that counts R times);
-last, one Poisson draw per stage gives every point its (Psi+, Psi-) pair.
-Both streams of a stage are consumed in point order, so the block size
-changes no draw, and the first k rows of a sweep equal the sweep of its
-first k points.  The mirror scan through the dip runs the same way, as two
-stages (the +45 and -45 degree data inputs) over its positions.
+A sweep (sweep_blocks) runs as four stages, one per input setting (main plus,
+main minus, shoulder plus, shoulder minus), and each stage has two random
+streams of its own, spawned from config.seed: stage s takes its plate jitter
+from stream 2s and its counts from stream 2s + 1.  The points run in blocks
+(_blocks) of at most 4096 analyzed periods per stage (R per point with
+angle_jitter > 0, else 1), each drawn by _draw_block.  In a block each stage
+first draws the jitter of its periods, R x 2 x 2 uniforms per point in one
+array draw (only when angle_jitter > 0); the periods of all stages then go
+from plate angles to Stokes vectors to class probabilities in one
+real-arithmetic pass (polarization.stokes_from_angles,
+analyzer.stokes_outcome_probs; without jitter all periods of a point carry one
+state, so each point is analyzed as one period that counts R times); last, one
+Poisson draw per stage gives every point its (Psi+, Psi-) pair.  Both streams
+of a stage are consumed in point order, so the block size changes no draw, and
+the first k rows of a sweep equal the sweep of its first k points.  The mirror
+scan through the dip runs the same way, as two stages (the +45 and -45 degree
+data inputs) over its positions, and one input setting (simulate_counts) is
+one stage drawn as a block of one point.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def simulate_counts(
     rng: np.random.Generator | None = None,
     eta: float = 1.0,
 ) -> ClassCounts:
-    """Simulate the recorded coincidence counts for one input setting.
+    """Simulate the recorded coincidence counts for one input setting, drawn as a block of one point.
 
     The four wave-plate angles of each of the config.repetitions periods get
     their own uniform jitter (without jitter one period stands for all), and
@@ -251,7 +253,7 @@ def simulate_counts(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     angles = np.array([[astuple(data_setting), astuple(program_setting)]])
-    return ClassCounts(*_run_stages([(angles, np.array([position]), eta)], config, (rng, rng))[0].tolist())
+    return ClassCounts(*_draw_block([(angles, np.array([position]), eta)], config, (rng, rng))[0].tolist())
 
 
 def shoulder_counts(
@@ -265,30 +267,6 @@ def shoulder_counts(
     """
     data, program = (pol.PrepRecipe(*plates) for plates in _DIAGONAL[0 if sign >= 0 else 1].tolist())
     return simulate_counts(data, program, config.shoulder_position, config, rng)
-
-
-def _run_stages(
-    stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
-    config: ExperimentConfig,
-    rngs: Sequence[np.random.Generator] | None = None,
-) -> np.ndarray:
-    """Counts of every stage at n points, each stage drawing from two random streams.
-
-    A stage is (nominal plate angles (n, 2, 2), mirror positions (n,), eta).
-    Stage s takes its jitter from rngs[2s] and its counts from rngs[2s + 1],
-    by default _stage_streams(config, stages).  The points run in blocks of
-    at most _MAX_STAGE_PERIODS analyzed periods per stage (_blocks), each
-    drawn by _draw_block.  Returns the (n, 2 * stages) int64 table: row i
-    holds the (Psi+, Psi-) counts of stage 0, then of stage 1, and so on, at
-    point i.
-    """
-    n = len(stages[0][0])
-    if rngs is None:
-        rngs = _stage_streams(config, len(stages))
-    counts = np.empty((n, 2 * len(stages)), dtype=np.int64)
-    for points in _blocks(n, config):
-        counts[points] = _draw_block([(a[points], x[points], eta) for a, x, eta in stages], config, rngs)
-    return counts
 
 
 def _stage_streams(config: ExperimentConfig, stages: int) -> list[np.random.Generator]:
@@ -308,7 +286,13 @@ def _draw_block(
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """The (size, 2 * stages) counts of one block of points, stages as _run_stages takes them."""
+    """The (size, 2 * stages) int64 counts of one block of points.
+
+    A stage is (nominal plate angles (size, 2, 2), mirror positions (size,),
+    eta).  Stage s takes its jitter from rngs[2s] and its counts from
+    rngs[2s + 1]; row i holds the (Psi+, Psi-) counts of stage 0, then of
+    stage 1, and so on, at point i.
+    """
     size = len(stages[0][0])
     angles = []
     for s, (nominal, _, _) in enumerate(stages):
@@ -324,7 +308,7 @@ def _draw_block(
 
 
 def _sweep_stages(angles: np.ndarray, config: ExperimentConfig, eta: float) -> list:
-    """The four stages of a sweep over settings with nominal plate angles `angles` (see measure_sweep)."""
+    """The four stages of a sweep over settings with nominal plate angles `angles` (see sweep_blocks)."""
     n = len(angles)
     center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
     return [
@@ -332,24 +316,6 @@ def _sweep_stages(angles: np.ndarray, config: ExperimentConfig, eta: float) -> l
         (angles[:, [1, 2]], center, eta),
         *((np.broadcast_to(diagonal, (n, 2, 2)), shoulder, 1.0) for diagonal in _DIAGONAL),
     ]
-
-
-def measure_sweep(angles: np.ndarray, config: ExperimentConfig, eta: float = 1.0) -> np.ndarray:
-    """The (n, 8) int64 count table of the n settings of a sweep, drawn at config.pair_rate as given.
-
-    `angles` holds their nominal plate angles, shape (n, 3, 2): [point, input
-    (data plus, data minus, program), plate (QWP, HWP)], as
-    pol.discriminator_angles gives them.  Row i holds the counts of setting
-    i, columns COUNT_COLUMNS.  Each stage draws from its own two streams in
-    point order (see _run_stages), so row i does not depend on the points
-    after it.  The four stages are main plus, main minus, shoulder plus and
-    shoulder minus, which is the COUNT_COLUMNS order.  In the main runs
-    the data photon is prepared in its plus, then its minus state while the
-    program photon keeps its setting; the shoulder runs use the 45-degree
-    inputs outside the dip.  `eta` relaxes the main runs only, so the
-    shoulder normalization stays that of the raw measurement.
-    """
-    return _run_stages(_sweep_stages(np.asarray(angles, dtype=float), config, eta), config)
 
 
 def sweep_blocks(
@@ -363,9 +329,16 @@ def sweep_blocks(
 
     coordinates_at(points) gives the grid coordinates of a block, a slice of
     the points, and angles_of(*coordinates) their (size, 3, 2) nominal plate
-    angles, so only one block of angles exists at a time.  The blocks are
-    those of _run_stages and draw from the same streams in the same order,
-    so the count blocks joined equal measure_sweep of all the angles.
+    angles [point, input (data plus, data minus, program), plate (QWP, HWP)],
+    so only one block of angles exists at a time.  The counts, drawn at
+    config.pair_rate, come in the COUNT_COLUMNS order of the four stages:
+    main plus and main minus (the data photon in its plus, then its minus
+    state, the program photon keeping its setting), then shoulder plus and
+    shoulder minus (the 45-degree inputs outside the dip).  Each stage draws
+    from its own two streams in point order, so the block size changes no
+    draw and row i does not depend on the points after it.  `eta` relaxes
+    the main runs only, so the shoulder normalization stays that of the raw
+    measurement.
     """
     rngs = _stage_streams(config, 4)
     for points in _blocks(n, config):
@@ -435,17 +408,21 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
     Per position, records the Psi+/Psi- class rates for the (45, 45) input
     (rate_pp rises toward the dip center, rate_mp dips) and for the (-45, 45)
     input (rate_pm dips, rate_mm rises).  The scan runs as two stages over
-    all positions, each with its own jitter and count streams (see
-    _run_stages).  The two dipping curves are fitted with a Gaussian dip;
-    their mean fitted visibility estimates the mode overlap at zero
-    displacement.
+    the positions in the blocks of a sweep, each stage with its own jitter
+    and count streams (see sweep_blocks).  The two dipping curves are fitted
+    with a Gaussian dip; their mean fitted visibility estimates the mode
+    overlap at zero displacement.
     """
     if len(positions) == 0:
         raise ValueError("positions must be nonempty")
     pos = np.asarray(positions, dtype=float)
-    stages = [(np.broadcast_to(diagonal, (len(pos), 2, 2)), pos, 1.0) for diagonal in _DIAGONAL]
+    rngs = _stage_streams(config, 2)
+    counts = []
+    for points in _blocks(len(pos), config):
+        x = pos[points]
+        counts.append(_draw_block([(np.broadcast_to(d, (len(x), 2, 2)), x, 1.0) for d in _DIAGONAL], config, rngs))
     # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
-    rates = _run_stages(stages, config) / (config.repetitions * config.period)
+    rates = np.concatenate(counts) / (config.repetitions * config.period)
     dips = (rates[:, 1], rates[:, 2])
     fits = [f[0] for f in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if f is not None]
     visibility = float(np.mean(fits)) if fits else None

@@ -129,17 +129,18 @@ def multimeter_blocks(
     inconclusive outcomes, so the shoulder normalization stays that of the
     raw measurement.  The fidelity estimate is 1 - the wrong-class rate of
     the conclusive events, and the counts are drawn at config.pair_rate.
-    Estimates the counts leave undefined are NaN.
+    Estimates the counts leave undefined are NaN.  An eta outside [0, 1]
+    raises ValueError on the call.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     phis = np.asarray(phis, dtype=float)  # so that no grid list is kept alive through the sweep
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)
-    blocks = sweep_blocks(len(phis), lambda points: (phis[points],), pol.multimeter_angles, config, eta)
-    for (phi,), counts in blocks:
+
+    def columns(phi: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
         est = dict(zip(Estimates._fields, estimate_table(counts).T))
-        yield sweep_columns(
+        return sweep_columns(
             MultimeterPoint, counts, phi=phi, eta=np.full(len(phi), float(eta)),
             pi_theory=np.full(len(phi), pi_theory),
             fidelity_theory=np.full(len(phi), fidelity_theory),
@@ -147,6 +148,9 @@ def multimeter_blocks(
             fidelity=1.0 - est["error_rate"],
             error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
         )
+
+    blocks = sweep_blocks(len(phis), lambda points: (phis[points],), pol.multimeter_angles, config, eta)
+    return (columns(phi, counts) for (phi,), counts in blocks)
 
 
 def run_multimeter_sweep(

@@ -177,7 +177,10 @@ def discriminator_angles(epsilon_deg, theta_deg) -> np.ndarray:
 
 def discriminator_sums_are_finite(epsilons_deg, thetas_deg) -> bool:
     """Whether epsilon + theta, twice the HWP angle, is finite on the grid epsilons x thetas (checked at its corners)."""
-    return all(isfinite(pick(epsilons_deg, default=0.0) + pick(thetas_deg, default=0.0)) for pick in (min, max))
+    eps, thetas = np.asarray(epsilons_deg, dtype=float), np.asarray(thetas_deg, dtype=float)
+    if not eps.size or not thetas.size:  # an empty grid has no sum
+        return True
+    return all(isfinite(float(pick(eps)) + float(pick(thetas))) for pick in (np.min, np.max))
 
 
 def multimeter_angles(phi_deg) -> np.ndarray:

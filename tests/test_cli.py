@@ -11,8 +11,9 @@ import pytest
 import bellmeter
 from bellmeter.cli import _load_config, _parse_range, build_parser, main
 from bellmeter.counts import CountRecord
-from bellmeter.dataset import Dataset, sidecar_path
+from bellmeter.dataset import sidecar_path
 from bellmeter.errors import SchemaViolationError
+from tsv_helpers import read_columns, write_columns
 
 
 COUNT_HEADER = ["c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm"]
@@ -32,13 +33,13 @@ def test_discriminate_single_point(tmp_path, capsys):
         "--pairs", "20000", "--seed", "7", "--out", str(out),
     ])
     assert code == 0
-    ds = Dataset.read(out)
-    assert ds.columns == [
+    ds = read_columns(out)
+    assert list(ds) == [
         "epsilon", "theta", "p_theory", "p_optimal", "p_estimated", "p_stderr",
         "error_rate", "error_rate_stderr", *COUNT_HEADER,
     ]
-    assert len(ds) == 1
-    row = {name: ds.column(name)[0] for name in ds.columns}
+    assert len(ds["epsilon"]) == 1
+    row = {name: ds[name][0] for name in ds}
     assert row["p_theory"] == 0.5
     assert abs(row["p_estimated"] - 0.5) <= 4 * row["p_stderr"]
 
@@ -49,12 +50,12 @@ def test_discriminate_default_grid_shape(tmp_path):
         "discriminate", "--ideal", "--pairs", "200", "--seed", "3", "--out", str(out),
     ])
     assert code == 0
-    ds = Dataset.read(out)
+    ds = read_columns(out)
     # 4 ellipticity curves, 23 theta points each
-    assert len(ds) == 4 * 23
-    eps_values = sorted(set(ds.column("epsilon")))
+    assert len(ds["epsilon"]) == 4 * 23
+    eps_values = sorted(set(ds["epsilon"]))
     assert eps_values == [0.0, 12.0, 24.0, 36.0]
-    thetas = [r for r, e in zip(ds.column("theta"), ds.column("epsilon")) if e == 0.0]
+    thetas = [r for r, e in zip(ds["theta"], ds["epsilon"]) if e == 0.0]
     assert thetas == [float(t) for t in range(0, 91, 4)]
 
 
@@ -63,21 +64,21 @@ def test_discriminate_matches_theory(tmp_path):
     out = tmp_path / "theory.tsv"
     assert main(["discriminate", "--ideal", "--seed", "50", "--epsilon", "24",
                  "--theta-range", "20:60:40", "--pairs", "200000", "--out", str(out)]) == 0
-    ds = Dataset.read(out)
-    assert ds.column("theta").tolist() == [20.0, 60.0]
+    ds = read_columns(out)
+    assert ds["theta"].tolist() == [20.0, 60.0]
     for p_est, p_theory, p_stderr in zip(
-        ds.column("p_estimated"), ds.column("p_theory"), ds.column("p_stderr")
+        ds["p_estimated"], ds["p_theory"], ds["p_stderr"]
     ):
         assert abs(p_est - p_theory) <= 3 * p_stderr
-    assert ds.column("error_rate").tolist() == [0.0, 0.0]
+    assert ds["error_rate"].tolist() == [0.0, 0.0]
 
 
 def test_empty_grid_writes_an_empty_dataset(tmp_path, capsys):
     out = tmp_path / "empty.tsv"
     assert main(["discriminate", "--ideal", "--epsilon=", "--pairs", "100", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 0 rows to {out}\n"
-    ds = Dataset.read(out)
-    assert len(ds) == 0 and ds.columns[-8:] == COUNT_HEADER
+    ds = read_columns(out)
+    assert len(ds["c_pp"]) == 0 and list(ds)[-8:] == COUNT_HEADER
 
 def test_multimeter_command(tmp_path):
     out = tmp_path / "multi.tsv"
@@ -86,13 +87,13 @@ def test_multimeter_command(tmp_path):
         "--pairs", "100000", "--seed", "11", "--out", str(out),
     ])
     assert code == 0
-    ds = Dataset.read(out)
-    assert ds.columns == [
+    ds = read_columns(out)
+    assert list(ds) == [
         "phi", "eta", "pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr",
         "fidelity_estimated", "error_rate", "error_rate_stderr", *COUNT_HEADER,
     ]
-    assert len(ds) == 3
-    row = {name: ds.column(name)[0] for name in ds.columns}
+    assert len(ds["phi"]) == 3
+    row = {name: ds[name][0] for name in ds}
     assert row["pi_theory"] == 0.25
     assert abs(row["fidelity_theory"] - 5.0 / 6.0) < 1e-12
     assert abs(row["fidelity_estimated"] - 5.0 / 6.0) < 0.02
@@ -105,12 +106,12 @@ def test_hom_scan_command(tmp_path):
         "--pairs", "100000", "--out", str(out),
     ])
     assert code == 0
-    ds = Dataset.read(out)
+    ds = read_columns(out)
     meta = read_sidecar(out)
     assert meta["fitted_visibility"] == pytest.approx(1.0, abs=0.02)
-    positions = ds.column("position").tolist()
+    positions = ds["position"].tolist()
     dip_idx = positions.index(0.0)
-    assert ds.column("rate_mp")[dip_idx] < 0.02 * max(ds.column("rate_mp"))
+    assert ds["rate_mp"][dip_idx] < 0.02 * max(ds["rate_mp"])
 
 
 def test_hom_scan_runs_without_scipy(tmp_path):
@@ -165,7 +166,7 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, loaded):
     # the package root imports no module, `analyze` needs only the count core,
     # and no command loads the two-photon oracles (twophoton)
     counts, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
-    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    write_columns(counts, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     script = f"import sys; {code}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellmeter'))"
     src = str(Path(bellmeter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -182,8 +183,8 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     argv = ["multimeter", "--ideal", "--phi-range=0:8:8", "--pairs", "100", "--seed", "1"]
     assert main(argv + ["--eta", "0.5", "--out", str(first)]) == 0
     assert main(argv + ["--out", str(second)]) == 0
-    assert Dataset.read(first).column("eta").tolist() == [0.5, 0.5]
-    assert Dataset.read(second).column("eta").tolist() == [1.0, 1.0]
+    assert read_columns(first)["eta"].tolist() == [0.5, 0.5]
+    assert read_columns(second)["eta"].tolist() == [1.0, 1.0]
     meta = read_sidecar(second)
     assert meta["eta"] == 1.0
     assert meta["argv"] == argv + ["--out", str(second)]
@@ -225,36 +226,36 @@ def test_analyze_roundtrip_identity(tmp_path, argv, coords, same):
     assert main(argv + ["--out", str(raw)]) == 0
     out = tmp_path / "analyzed.tsv"
     assert main(["analyze", str(raw), "--out", str(out)]) == 0
-    raw_ds = Dataset.read(raw)
-    out_ds = Dataset.read(out)
-    assert out_ds.columns == coords + ESTIMATE_HEADER
+    raw_ds = read_columns(raw)
+    out_ds = read_columns(out)
+    assert list(out_ds) == coords + ESTIMATE_HEADER
     same = {**same, "error_rate": "error_rate", "error_rate_stderr": "error_rate_stderr"}
     for analyzed, swept in same.items():
-        assert any(map(math.isnan, raw_ds.column(swept)))
+        assert any(map(math.isnan, raw_ds[swept]))
         # bit for bit, NaN matching NaN
-        assert [v.hex() for v in out_ds.column(analyzed)] == [v.hex() for v in raw_ds.column(swept)]
+        assert [v.hex() for v in out_ds[analyzed]] == [v.hex() for v in raw_ds[swept]]
 
 
 def test_analyze_handcrafted_counts(tmp_path):
     path = tmp_path / "counts.tsv"
     columns = ["c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm", "sh_mm"]
-    Dataset(columns, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(path)
+    write_columns(path, columns, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     out = tmp_path / "est.tsv"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
-    row = {name: Dataset.read(out).column(name)[0] for name in ESTIMATE_HEADER}
+    row = {name: read_columns(out)[name][0] for name in ESTIMATE_HEADER}
     assert row["p_succ"] == pytest.approx(0.39, abs=1e-15)
 
     # all-zero conclusive counts: P_I = 1, error rate undefined
-    Dataset(columns, [[c] for c in [0, 0, 0, 0, 300, 200, 150, 350]]).write(path)
+    write_columns(path, columns, [[c] for c in [0, 0, 0, 0, 300, 200, 150, 350]])
     assert main(["analyze", str(path), "--out", str(out)]) == 0
-    row = {name: Dataset.read(out).column(name)[0] for name in ESTIMATE_HEADER}
+    row = {name: read_columns(out)[name][0] for name in ESTIMATE_HEADER}
     assert row["p_inconclusive"] == 1.0
     assert math.isnan(row["error_rate"])
 
 
 def test_analyze_missing_column_is_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.tsv"
-    Dataset(["c_pp", "c_mp"], [[1], [2]]).write(path)
+    write_columns(path, ["c_pp", "c_mp"], [[1], [2]])
     code = main(["analyze", str(path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -291,7 +292,22 @@ def test_parse_range_builds_values_from_an_index():
     assert len(values) == 100_001
     assert values[-1] == 10000.0
     assert _parse_range("0:1000:0.01")[70926] == 709.26
-    assert _parse_range("-90:90:8") == [float(v) for v in range(-90, 91, 8)]
+    assert _parse_range("-90:90:8").tolist() == [float(v) for v in range(-90, 91, 8)]
+
+
+def test_parse_range_holds_the_grid_as_one_array():
+    # 900,001 points: 7.2 MB of float64; a list of Python floats and its
+    # shifted copy for the order check peaked at about 36 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        values = _parse_range("-90:90:0.0002")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.dtype == np.float64 and len(values) == 900_001 and values[-1] == 90.0
+    assert peak < 12e6, peak
 
 
 @pytest.mark.parametrize(
@@ -317,6 +333,27 @@ def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["multimeter", "--eta", "1.5", "--out", str(tmp_path / "y.tsv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+@pytest.mark.parametrize("out", ["x.tsv", ""])
+def test_non_finite_eta_is_named_before_the_sidecar(tmp_path, capsys, monkeypatch, eta, out):
+    # the sidecar records eta, so it is checked before the sidecar is serialized
+    monkeypatch.chdir(tmp_path)
+    assert main(["multimeter", "--eta", eta, "--pairs", "100", f"--out={out}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: eta must lie in [0, 1], got {eta}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_that_is_a_directory_is_named(tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["multimeter", "--pairs", "1000", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(repr(str(target))) and ".tmp" not in err
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["d"]
 
 
 def test_unwritable_output_exits_nonzero(capsys):
@@ -411,7 +448,7 @@ def test_fractional_repetitions_in_config_exit_nonzero(tmp_path, capsys):
 )
 def test_analyze_names_a_bad_sidecar(tmp_path, capsys, sidecar, message):
     path = tmp_path / "counts.tsv"
-    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(path)
+    write_columns(path, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     sidecar_path(path).write_text(sidecar)
     assert main(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
@@ -525,7 +562,7 @@ def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
     # `bellmeter analyze counts.tsv | head -n 1`: the output is far larger than a
     # pipe buffer, so the writer is still writing when the reader closes its end
     counts = tmp_path / "counts.tsv"
-    Dataset(COUNT_HEADER, [np.full(20_000, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    write_columns(counts, COUNT_HEADER, [np.full(20_000, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     src = str(Path(bellmeter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with subprocess.Popen(
@@ -569,9 +606,8 @@ def test_analyze_names_a_non_numeric_cell(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, -math.inf]])
 def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
     path = tmp_path / "sub" / "bad.tsv"
-    dataset = Dataset(["x"], [[1.0]], metadata={"visibility": bad})
     with pytest.raises(ValueError, match="strict JSON"):
-        dataset.write(path)
+        write_columns(path, ["x"], [[1.0]], {"visibility": bad})
     assert not path.parent.exists()
 
 
@@ -656,7 +692,7 @@ def test_analyze_summary_counts_nan_rows_per_estimate(tmp_path, capsys):
         [0, 0, 0, 0, 1, 1, 1, 1],  # no conclusive count: the error rate undefined
         [0, 0, 0, 0, 1, 1, 1, 1],
     ]
-    Dataset(COUNT_HEADER, [list(column) for column in zip(*rows)]).write(path)
+    write_columns(path, COUNT_HEADER, [list(column) for column in zip(*rows)])
     out = tmp_path / "est.tsv"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
@@ -705,7 +741,7 @@ def test_discriminator_grid_at_the_largest_finite_sums_runs(tmp_path):
     out = tmp_path / "x.tsv"
     argv = ["discriminate", "--ideal", "--epsilon=1e308,-1e308", "--theta-range=7e307", "--pairs", "10"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert Dataset.read(out).column("epsilon").tolist() == [1e308, -1e308]
+    assert read_columns(out)["epsilon"].tolist() == [1e308, -1e308]
 
 
 DISCRIMINATE_KEYS = {"argv", "columns", "command", "config", "pairs_per_point", "seed", "task", "timestamp"}
@@ -729,13 +765,13 @@ DISCRIMINATE_KEYS = {"argv", "columns", "command", "config", "pairs_per_point", 
 )
 def test_each_command_records_its_sidecar_keys_and_summary(tmp_path, capsys, argv, keys, summary):
     counts, out = tmp_path / "counts.tsv", tmp_path / "out.tsv"
-    Dataset(COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]]).write(counts)
+    write_columns(counts, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     argv = [arg.format(counts=counts) for arg in argv] + ["--out", str(out)]
     assert main(argv) == 0
     meta = read_sidecar(out)
     assert set(meta) == keys
     assert meta["command"] == argv[0] and meta["argv"] == argv
-    assert meta["columns"] == Dataset.read(out).columns
+    assert meta["columns"] == list(read_columns(out))
     vis = f"{meta['fitted_visibility']:.4f}" if "fitted_visibility" in meta else None
     assert capsys.readouterr().out == summary.format(out=out, vis=vis)
 
@@ -775,11 +811,11 @@ def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch,
 
 def test_sweep_grid_at_the_limit_runs(tmp_path, monkeypatch):
     monkeypatch.setattr("bellmeter.cli._MAX_GRID_POINTS", 10)
-    assert _parse_range("0:9:1") == [float(v) for v in range(10)]
+    assert _parse_range("0:9:1").tolist() == [float(v) for v in range(10)]
     out = tmp_path / "grid.tsv"
     argv = ["discriminate", "--ideal", "--epsilon", "0,12", "--theta-range", "0:8:2"]
     assert main(argv + ["--pairs", "100", "--out", str(out)]) == 0
-    assert len(Dataset.read(out)) == 10
+    assert len(read_columns(out)["epsilon"]) == 10
 
 
 @pytest.mark.parametrize("rows", [0, 3])
@@ -826,11 +862,11 @@ def test_cli_sweeps_build_no_per_point_objects(tmp_path, monkeypatch):
         (multi, run_multimeter_sweep([-90.0, -45.0, 0.0, 45.0, 90.0], 0.4, cfg, 50.0)),
     ]
     for path, points in sweeps:
-        ds = Dataset.read(path)
-        assert len(points) == len(ds) and built[type(points[0])] == len(ds)
+        ds = read_columns(path)
+        assert len(points) == len(ds["c_pp"]) and built[type(points[0])] == len(points)
         leading = [f.name for f in fields(points[0])][:-1]
         rows = [[getattr(pt, name) for name in leading] + list(astuple(pt.counts)) for pt in points]
-        assert [repr(list(row)) for row in zip(*(ds.column(c).tolist() for c in ds.columns))] == [
+        assert [repr(list(row)) for row in zip(*(values.tolist() for values in ds.values()))] == [
             repr(row) for row in rows
         ]
     assert built[CountRecord] == 16 + 5
@@ -947,7 +983,7 @@ def test_analyze_memory_stays_flat_in_the_rows(tmp_path):
     for n in (1_000, 100_000):
         path = tmp_path / f"counts-{n}.tsv"
         counts = [np.full(n, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]]
-        Dataset(["theta", *COUNT_HEADER], [np.linspace(0.0, 90.0, n), *counts]).write(path)
+        write_columns(path, ["theta", *COUNT_HEADER], [np.linspace(0.0, 90.0, n), *counts])
         peaks.append(peak_rss_mib(["analyze", str(path), "--out", str(tmp_path / "est.tsv")]))
     assert peaks[1] - peaks[0] < 8.0, peaks
 

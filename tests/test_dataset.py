@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellmeter.dataset import Dataset, _parse_cells, sidecar_path
+from bellmeter.dataset import TableReader, _parse_cells, sidecar_path, write_table
 from bellmeter.errors import SchemaViolationError
 
 INT64 = st.one_of(st.sampled_from([0, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
@@ -34,76 +34,60 @@ def test_dataset_roundtrip_keeps_dtype_and_bits(tmp_path_factory, data, kinds, n
         )
         for kind in kinds
     ]
-    path = tmp_path_factory.mktemp("roundtrip") / "data.tsv"
+    path, again = (tmp_path_factory.mktemp("roundtrip") / name for name in ("data.tsv", "again.tsv"))
+    blocks = [[values[start : start + block_rows] for values in arrays] for start in range(0, n_rows, block_rows)]
     with patch("bellmeter.dataset._BLOCK_ROWS", block_rows):
-        Dataset(columns, arrays, {"k": 1}).write(path)
-        back = Dataset.read(path)
-        text = "".join(back.tsv())
-    assert back.columns == columns and back.metadata["k"] == 1
-    for name, written in zip(columns, arrays):
-        read = back.column(name)
-        assert read.dtype == written.dtype
+        assert write_table(path, columns, blocks, {"k": 1}) == n_rows
+        table = TableReader(path)
+        back = list(table.blocks(columns))
+        write_table(again, columns, back, {})
+    assert table.columns == columns and table.metadata["k"] == 1
+    assert [len(block[0]) for block in back] == [len(block[0]) for block in blocks]
+    for j, written in enumerate(arrays):
+        assert {block[j].dtype for block in back} == {written.dtype}
+        read = np.concatenate([block[j] for block in back])
         assert read.view(np.int64).tolist() == written.view(np.int64).tolist()
-    assert text == path.read_text()
+    assert again.read_text() == path.read_text()
 
 
 def test_dataset_column_is_float_when_one_cell_is_not_integer_text(tmp_path):
-    # blocks of 2 rows: the first block of x parses as int64, the second as float64
+    # blocks of 2 rows: the first block of x parses as int64, the second as
+    # float64, and each is written back as it was read
     path = tmp_path / "mixed.tsv"
     path.write_text("x\tn\n12\t1\n13\t2\n12.5\t3\n")
     with patch("bellmeter.dataset._BLOCK_ROWS", 2):
-        back = Dataset.read(path)
-    assert back.column("x").dtype == np.float64
-    assert back.column("x").tolist() == [12.0, 13.0, 12.5]
-    assert back.column("n").dtype == np.int64 and back.column("n").tolist() == [1, 2, 3]
-    assert "".join(back.tsv()) == "x\tn\n12.0\t1\n13.0\t2\n12.5\t3\n"
+        (x1, n1), (x2, n2) = blocks = list(TableReader(path).blocks(["x", "n"]))
+        write_table(tmp_path / "again.tsv", ["x", "n"], blocks, {})
+    assert x1.dtype == np.int64 and x1.tolist() == [12, 13]
+    assert x2.dtype == np.float64 and x2.tolist() == [12.5]
+    assert n1.dtype == n2.dtype == np.int64 and n1.tolist() + n2.tolist() == [1, 2, 3]
+    assert (tmp_path / "again.tsv").read_text() == path.read_text()
 
 
-def test_dataset_column_is_the_stored_array():
-    data = Dataset(["x", "n"], [[0.5, 1.5], np.array([1, 2], dtype=np.int32)])
-    assert data.column("x").dtype == np.float64 and data.column("n").dtype == np.int64
-    assert data.column("x") is data.column("x") and len(data) == 2
-
-
-@pytest.mark.parametrize(
-    "values, got",
-    [
-        ([True, False], "1-D bool"),
-        (["abc"], "1-D <U3"),
-        ([2**64, 1], "1-D object"),
-        (np.array([1, 2], dtype=np.uint64), "1-D uint64"),
-        ([[1.0], [2.0]], "2-D float64"),
-        (1.0, "0-D float64"),
-    ],
-    ids=["bool", "str", "object", "uint64", "2-D", "0-D"],
-)
-def test_dataset_rejects_a_column_that_is_no_numeric_vector(values, got):
-    with pytest.raises(ValueError) as exc:
-        Dataset(["n", "x"], [[1, 2], values])
-    assert str(exc.value) == f"column 'x' must be a 1-D array of signed ints or floats, got {got}"
-
-
-def test_dataset_rejects_mismatched_shapes_and_duplicate_names():
-    with pytest.raises(ValueError, match=r"columns of unequal lengths \[1, 2\]"):
-        Dataset(["x", "n"], [[1, 3], [2]])
-    with pytest.raises(ValueError, match="1 columns of data for 2 column names"):
-        Dataset(["x", "n"], [[1, 3]])
-    with pytest.raises(ValueError, match="column 'x' appears twice"):
-        Dataset(["x", "n", "x"], [[1], [2], [3]])
+def test_dataset_rejects_mismatched_shapes_and_duplicate_names(tmp_path):
+    path = tmp_path / "x.tsv"
+    with pytest.raises(ValueError, match=r"a block of 2 columns of lengths \[1, 2\] for 2 names"):
+        write_table(path, ["x", "n"], [[np.array([1, 3]), np.array([2])]], {})
+    with pytest.raises(ValueError, match=r"a block of 1 columns of lengths \[2\] for 2 names"):
+        write_table(path, ["x", "n"], [[np.array([1, 3])]], {})
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("x\tn\tx\n1\t2\t3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: column 'x' appears twice$"):
+        TableReader(path)
 
 
 def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):
     path = tmp_path / "x.tsv"
-    Dataset(["n"], [[1]], {"k": 1}).write(path)
-    assert Dataset.read(path).metadata["k"] == 1
+    write_table(path, ["n"], [[np.array([1])]], {"k": 1})
+    assert TableReader(path).metadata["k"] == 1
     sidecar, name = sidecar_path(path), re.escape(str(sidecar_path(path)))
     sidecar.write_text("{bad")
     with pytest.raises(ValueError, match=f"^{name} is not JSON: "):
-        Dataset.read(path)
+        TableReader(path)
     for value in ("[1, 2]", "3", "null"):
         sidecar.write_text(value)
         with pytest.raises(SchemaViolationError, match=f"^{name} holds no JSON object$"):
-            Dataset.read(path)
+            TableReader(path)
 
 
 def reference_parse(cells):

@@ -26,7 +26,6 @@ from bellmeter.experiment import (
     config_from_dict,
     config_to_dict,
     hom_scan,
-    measure_sweep,
     mode_overlap_at,
     shoulder_counts,
     simulate_counts,
@@ -402,7 +401,7 @@ def test_estimate_table_shapes():
 
 @pytest.mark.parametrize("bad", [-1, 13.7, math.nan, math.inf, 2**63, 1e300])
 def test_count_table_names_a_bad_count_like_a_count_record(bad):
-    # a column is an int64 or float64 array, as a Dataset holds it: [3, 2**63] is float64
+    # a column is an int64 or float64 array, as TableReader.blocks parses it: [3, 2**63] is float64
     columns = {name: [1, 2] for name in ("c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm")}
     column = np.asarray([3, bad])
     with pytest.raises(ValueError, match="sh_mm must be a nonnegative integer below 2\\*\\*63") as table:
@@ -538,7 +537,7 @@ def test_broken_class_probabilities_name_the_first_row_on_one_line(monkeypatch):
 
     monkeypatch.setattr("bellmeter.experiment.stokes_outcome_probs", broken)
     with pytest.raises(ValueError) as raised:
-        measure_sweep(sweep_angles([tuple(recipe_multimeter(0.0, s) for s in (+1, -1, +1))] * 3), ideal(seed=3))
+        joined_sweep(sweep_angles([tuple(recipe_multimeter(0.0, s) for s in (+1, -1, +1))] * 3), ideal(seed=3))
     assert str(raised.value) == "analyzer class probabilities do not sum to 1: row 3 sums to 2.0"
 
 
@@ -580,8 +579,14 @@ def test_config_rejects_bad_analyzer_at_construction(analyzer):
 
 
 def sweep_angles(settings_):
-    """The (n, 3, 2) plate angles that measure_sweep takes for (plus, minus, program) recipes."""
+    """The (n, 3, 2) plate angles of a sweep of (plus, minus, program) recipes."""
     return np.array([[(r.qwp_deg, r.hwp_deg) for r in setting] for setting in settings_], dtype=float)
+
+
+def joined_sweep(angles, cfg, eta=1.0):
+    """The (n, 8) count table of a sweep over the nominal plate angles `angles`, its sweep_blocks joined."""
+    blocks = sweep_blocks(len(angles), lambda points: (angles[points],), lambda block: block, cfg, eta)
+    return np.concatenate([counts for _, counts in blocks])
 
 
 def sequential_record(setting, point_cfg, stream, eta=1.0):
@@ -685,11 +690,11 @@ def test_sweep_stage_draws_from_its_two_spawned_streams(
     expected = staged_reference(sweep_stages(settings_, point_cfg, eta), point_cfg)
     for block_periods in (1, 6, 4096):
         with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-            counts = measure_sweep(sweep_angles(settings_), point_cfg, eta=eta)
+            counts = joined_sweep(sweep_angles(settings_), point_cfg, eta=eta)
         assert counts.dtype == np.int64 and counts.shape == (len(settings_), 8)
         assert np.array_equal(counts, expected)
     for k in range(1, len(settings_)):
-        prefix = measure_sweep(sweep_angles(settings_[:k]), point_cfg, eta=eta)
+        prefix = joined_sweep(sweep_angles(settings_[:k]), point_cfg, eta=eta)
         assert np.array_equal(prefix, expected[:k])
 
 
@@ -735,7 +740,7 @@ def test_stage_sampler_draws_the_distribution_of_the_per_point_sampler(device, p
     point_cfg = with_pairs_per_point(cfg, pairs)
     lam = stage_means(sweep_stages(settings_, point_cfg, eta), point_cfg)
     assert lam.min() > 0.49 and (pairs > 100 or lam.max() < 10.0)
-    tables = measure_sweep(sweep_angles(settings_), point_cfg, eta), per_point_sampler(settings_, cfg, pairs, eta)
+    tables = joined_sweep(sweep_angles(settings_), point_cfg, eta), per_point_sampler(settings_, cfg, pairs, eta)
     z = [((table - lam) / np.sqrt(lam)).ravel() for table in tables]
     n = z[0].size
     # standard errors of the sample mean and sd (delta method on the variance)
@@ -759,7 +764,7 @@ def test_a_sweep_builds_two_generators_per_stage(monkeypatch, n):
     cfg = ExperimentConfig.realistic(seed=2)
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in (-30.0, 45.0)]
     angles = sweep_angles(settings_)
-    measure_sweep(np.resize(angles, (n, 3, 2)), with_pairs_per_point(cfg, 1_000.0), eta=0.5)
+    joined_sweep(np.resize(angles, (n, 3, 2)), with_pairs_per_point(cfg, 1_000.0), eta=0.5)
     assert len(built) == 2 * 4
     built.clear()
     hom_scan(np.linspace(-200.0, 200.0, n), cfg)
@@ -900,24 +905,30 @@ def test_blocks_hold_analyzed_periods_not_repetitions(monkeypatch):
     calls, rows = counting_kernel(monkeypatch)
     cfg = with_pairs_per_point(replace(ExperimentConfig(seed=8), repetitions=100_000, angle_jitter=0.0), 1e6)
     angles = multimeter_angles(np.linspace(-90.0, 90.0, 1801))
-    counts = measure_sweep(angles, cfg, eta=0.5)
+    counts = joined_sweep(angles, cfg, eta=0.5)
     assert calls == {"analyze": 1, "prepare": 1} and rows == [4 * 1801]
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", 1):
-        assert np.array_equal(measure_sweep(angles, cfg, eta=0.5), counts)
+        assert np.array_equal(joined_sweep(angles, cfg, eta=0.5), counts)
     assert calls["analyze"] == 1 + 1801
 
 
 @pytest.mark.parametrize("jitter, block_periods", [(1.0, 7), (0.0, 4)])
 def test_sweep_blocks_join_to_measure_sweep(jitter, block_periods):
-    # blocks of 2 jittered points of R = 3 periods, or of 4 points without jitter
+    # blocks of 2 jittered points of R = 3 periods, or of 4 points without
+    # jitter, join to the one block of the default size: the block size changes no draw
     cfg = with_pairs_per_point(replace(ExperimentConfig(seed=6), repetitions=3, angle_jitter=jitter), 1e4)
     phis = np.linspace(-90.0, 90.0, 11)
+
+    def sweep():
+        return list(sweep_blocks(len(phis), lambda points: (phis[points],), multimeter_angles, cfg, eta=0.5))
+
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
-        blocks = list(sweep_blocks(len(phis), lambda points: (phis[points],), multimeter_angles, cfg, eta=0.5))
+        blocks = sweep()
     assert [len(phi) for (phi,), _ in blocks] == ([2] * 5 + [1] if jitter else [4, 4, 3])
     assert np.array_equal(np.concatenate([phi for (phi,), _ in blocks]), phis)
     counts = np.concatenate([block for _, block in blocks])
-    assert np.array_equal(counts, measure_sweep(multimeter_angles(phis), cfg, eta=0.5))
+    [((whole_phi,), whole)] = sweep()
+    assert np.array_equal(whole_phi, phis) and np.array_equal(counts, whole)
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])
@@ -963,7 +974,7 @@ def test_sweep_working_memory_is_bounded_by_blocks():
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(40)]
     tracemalloc.start()
     try:
-        measure_sweep(sweep_angles(settings_), with_pairs_per_point(replace(cfg, seed=5), 1_000.0))
+        joined_sweep(sweep_angles(settings_), with_pairs_per_point(replace(cfg, seed=5), 1_000.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
