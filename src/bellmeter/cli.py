@@ -5,7 +5,8 @@ Subcommands: `discriminate` (success-probability sweep), `multimeter`
 `analyze` (offline re-estimation from raw count columns).  Each has a
 builder that imports only the modules it runs (`analyze` loads no optics)
 and returns its columns, their blocks, sidecar keys and summary suffix to
-run_command, which writes each block before the next one is made.
+run_command, which writes each block before the next one is made and the
+sidecar after the last, so a key may depend on the rows (`hom-scan`'s fit).
 """
 
 from __future__ import annotations
@@ -137,28 +138,18 @@ def build_multimeter(args: argparse.Namespace) -> _Built:
 
 
 def build_hom_scan(args: argparse.Namespace) -> _Built:
-    from .experiment import hom_scan
+    from .experiment import hom_scan_blocks
 
     config = _load_config(args)
-    if args.positions is not None:
-        positions = _parse_float_list(args.positions)
-    else:
-        positions = _parse_range(args.range)
-    result = hom_scan(positions, config)
-    columns = {
-        "position": result.positions,
-        "rate_pp": result.rate_pp,
-        "rate_mp": result.rate_mp,
-        "rate_pm": result.rate_pm,
-        "rate_mm": result.rate_mm,
-    }
-    keys = {
-        **_simulation_keys(config),
-        "fitted_visibility": result.visibility,
-        "curve_visibilities": list(result.curve_visibilities),
-    }
-    vis = "n/a" if result.visibility is None else f"{result.visibility:.4f}"
-    return list(columns), [list(columns.values())], keys, lambda: f" (fitted visibility {vis})"
+    positions = _parse_range(args.range) if args.positions is None else _parse_float_list(args.positions)
+    keys = _simulation_keys(config)
+    blocks = hom_scan_blocks(positions, config, keys)
+
+    def summary() -> str:
+        vis = keys["fitted_visibility"]
+        return f" (fitted visibility {'n/a' if vis is None else f'{vis:.4f}'})"
+
+    return ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"], blocks, keys, summary
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:
@@ -187,16 +178,17 @@ def run_command(args: argparse.Namespace) -> int:
     """Write the dataset of the subcommand's builder to --out, or its TSV to stdout.
 
     A builder returns the dataset columns, an iterable of column blocks, its
-    command's sidecar keys and a function giving the suffix of the summary
-    line once every block is written; `command` and `argv` are added here.
-    Each block is written before the next one is made (dataset.write_table),
-    so a failing command leaves no output.  An empty --out (`analyze`
-    without one, or `--out=`) writes the TSV to stdout.
+    command's sidecar keys (a dict it may fill while the blocks are made, so
+    `command` and `argv` are added to it, not to a copy) and a function
+    giving the summary suffix once every block is written.  Each block is
+    written before the next one is made (dataset.write_table), so a failing
+    command leaves no output.  An empty --out (`analyze` without one, or
+    `--out=`) writes the TSV to stdout.
     """
     columns, blocks, keys, summary = args.build(args)
-    metadata = {"command": args.command, "argv": args.argv, **keys}
+    keys.update(command=args.command, argv=args.argv)
     try:
-        rows = write_table(Path(args.out) if args.out else None, columns, blocks, metadata)
+        rows = write_table(Path(args.out) if args.out else None, columns, blocks, keys)
     except BrokenPipeError:
         # the reader closed the pipe (`| head`); the pattern of Python's
         # signal docs: stdout goes to devnull, so the interpreter's last

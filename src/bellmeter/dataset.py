@@ -117,15 +117,16 @@ def write_table(
 
     A block holds one entry per column, all of one length: an int or float
     array (formatted with str and repr) or a list of cell text (written as
-    it is).  The sidecar gets `columns` and a timestamp besides `metadata`;
-    it is serialized before anything is written, so metadata that is not
-    strict JSON raises ValueError and leaves nothing on disk.  Both files
-    are written to temporary files in the target directory, which are moved
-    into place with os.replace once every block is written; if anything
-    fails, the temporary files are removed and the previous files stay as
-    they were.  With `path` None the TSV goes to stdout, through an unnamed
-    temporary file that is copied out once every block is written, and there
-    is no sidecar.  Returns the number of rows.
+    it is).  The sidecar gets `columns` and a timestamp besides `metadata`.
+    It is serialized before anything is written, so metadata that is not
+    strict JSON raises ValueError and leaves nothing on disk, and again once
+    every block is written, with the keys added to `metadata` meanwhile.
+    Both files are written to temporary files in the target directory, which
+    are moved into place with os.replace once every block is written; if
+    anything fails, the temporary files are removed and the previous files
+    stay as they were.  With `path` None the TSV goes to stdout, through an
+    unnamed temporary file that is copied out once every block is written,
+    and there is no sidecar.  Returns the number of rows.
     """
     if path is None:
         import shutil
@@ -137,11 +138,15 @@ def write_table(
             shutil.copyfileobj(out, sys.stdout)
         sys.stdout.flush()
         return rows
-    meta = {**metadata, "columns": list(columns), "timestamp": datetime.now(timezone.utc).isoformat()}
-    try:
-        sidecar = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
+    stamp = {"columns": list(columns), "timestamp": datetime.now(timezone.utc).isoformat()}
+
+    def sidecar() -> str:
+        try:
+            return json.dumps({**metadata, **stamp}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
+
+    sidecar()
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     temporaries: list[Path] = []
@@ -149,7 +154,7 @@ def write_table(
         with _open_beside(path, temporaries) as out:
             rows = _write_tsv(out, columns, blocks)
         with _open_beside(sidecar_path(path), temporaries) as out:
-            out.write(sidecar)
+            out.write(sidecar())
         for temporary, target in zip(temporaries, (path, sidecar_path(path))):
             try:
                 os.replace(temporary, target)

@@ -29,9 +29,9 @@ state, so each point is analyzed as one period that counts R times); last, one
 Poisson draw per stage gives every point its (Psi+, Psi-) pair.  Both streams
 of a stage are consumed in point order, so the block size changes no draw, and
 the first k rows of a sweep equal the sweep of its first k points.  The mirror
-scan through the dip runs the same way, as two stages (the +45 and -45 degree
-data inputs) over its positions, and one input setting (simulate_counts) is
-one stage drawn as a block of one point.
+scan (hom_scan_blocks) runs through the same block loop (_drawn_blocks) as
+two stages, the +45 and -45 degree data inputs, and one input setting
+(simulate_counts) is one stage drawn as a block of one point.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ _DIAGONAL = pol.discriminator_angles(0.0, 45.0)[[[0, 2], [1, 2]]]
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FIT_GRID = 64  # log-spaced dip widths the visibility fit tries before its golden-section search
 
+# a dip-fit solve is singular below this share of n^2 in its determinant n sum(d^2) - sum(d)^2
+# = n^2 Var(d): the dip profile d in [0, 1] then varies by under 1e-5, too little to fix A and V,
+# and the determinant's rounding error (< 3e-13 n^2 at 10^6 equal positions) stays far below it
+_FIT_MIN_DET = 1e-10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,8 +113,8 @@ class ExperimentConfig:
             raise ValueError("dark_count_rate and coincidence_window must be >= 0")
         if not 1e-100 <= self.dip_sigma <= 1e100:  # so that sigma^2 is a normal float
             raise ValueError(f"dip_sigma must lie in [1e-100, 1e100] um, got {self.dip_sigma}")
-        if self.angle_jitter < 0:
-            raise ValueError(f"angle_jitter must be >= 0, got {self.angle_jitter}")
+        if not 0.0 <= self.angle_jitter <= 180.0:  # a plate's period; far beyond, the draw's range overflows
+            raise ValueError(f"angle_jitter must lie in [0, 180] degrees, got {self.angle_jitter}")
         try:
             worst_mean = self.pair_rate * self.period * self.repetitions + (
                 2.0 * self.dark_count_rate * self.dark_count_rate * self.coincidence_window
@@ -269,11 +274,6 @@ def shoulder_counts(
     return simulate_counts(data, program, config.shoulder_position, config, rng)
 
 
-def _stage_streams(config: ExperimentConfig, stages: int) -> list[np.random.Generator]:
-    """The jitter and count streams of each stage: SeedSequence(config.seed).spawn(2 * stages)."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * stages)]
-
-
 def _blocks(n: int, config: ExperimentConfig) -> Iterator[slice]:
     """The points 0 .. n-1 in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage."""
     periods = config.repetitions if config.angle_jitter > 0.0 else 1
@@ -288,15 +288,15 @@ def _draw_block(
 ) -> np.ndarray:
     """The (size, 2 * stages) int64 counts of one block of points.
 
-    A stage is (nominal plate angles (size, 2, 2), mirror positions (size,),
-    eta).  Stage s takes its jitter from rngs[2s] and its counts from
-    rngs[2s + 1]; row i holds the (Psi+, Psi-) counts of stage 0, then of
-    stage 1, and so on, at point i.
+    A stage is (nominal plate angles (size, 2, 2), or (2, 2) for every point,
+    mirror positions (size,), eta).  Stage s takes its jitter from rngs[2s]
+    and its counts from rngs[2s + 1]; row i holds the (Psi+, Psi-) counts of
+    stage 0, then of stage 1, and so on, at point i.
     """
-    size = len(stages[0][0])
+    size = len(stages[0][1])
     angles = []
     for s, (nominal, _, _) in enumerate(stages):
-        nominal = np.asarray(nominal, dtype=float).reshape(size, 1, 2, 2)
+        nominal = np.broadcast_to(np.asarray(nominal, dtype=float).reshape(-1, 1, 2, 2), (size, 1, 2, 2))
         if config.angle_jitter > 0.0:
             jitter, shape = config.angle_jitter, (size, config.repetitions, 2, 2)
             nominal = nominal + rngs[2 * s].uniform(-jitter, jitter, size=shape)
@@ -307,15 +307,13 @@ def _draw_block(
     return np.hstack([rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))])
 
 
-def _sweep_stages(angles: np.ndarray, config: ExperimentConfig, eta: float) -> list:
-    """The four stages of a sweep over settings with nominal plate angles `angles` (see sweep_blocks)."""
-    n = len(angles)
-    center, shoulder = np.zeros(n), np.full(n, config.shoulder_position)
-    return [
-        (angles[:, [0, 2]], center, eta),
-        (angles[:, [1, 2]], center, eta),
-        *((np.broadcast_to(diagonal, (n, 2, 2)), shoulder, 1.0) for diagonal in _DIAGONAL),
-    ]
+def _drawn_blocks(n: int, stages: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
+    """The one block loop: per block of the points 0 .. n-1, stages_at(points) gives a head and the
+    block's stages, whose _draw_block counts come with the head; stage s draws from streams 2s, 2s + 1."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * stages)]
+    for points in _blocks(n, config):
+        head, block_stages = stages_at(points)
+        yield head, _draw_block(block_stages, config, rngs)
 
 
 def sweep_blocks(
@@ -340,11 +338,15 @@ def sweep_blocks(
     the main runs only, so the shoulder normalization stays that of the raw
     measurement.
     """
-    rngs = _stage_streams(config, 4)
-    for points in _blocks(n, config):
+
+    def stages(points: slice) -> tuple[tuple[np.ndarray, ...], list]:
         coordinates = coordinates_at(points)
         angles = np.asarray(angles_of(*coordinates), dtype=float)
-        yield coordinates, _draw_block(_sweep_stages(angles, config, eta), config, rngs)
+        center, shoulder = np.zeros(len(angles)), np.full(len(angles), config.shoulder_position)
+        main = [(angles[:, [data, 2]], center, eta) for data in (0, 1)]
+        return coordinates, main + [(diagonal, shoulder, 1.0) for diagonal in _DIAGONAL]
+
+    return _drawn_blocks(n, 4, stages, config)
 
 
 @dataclass
@@ -360,27 +362,36 @@ class HomScanResult:
     curve_visibilities: tuple[float, ...] = ()
 
 
-def _fit_visibility(
-    positions: np.ndarray, rates: np.ndarray, sigma_guess: float
-) -> tuple[float, float] | None:
+def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float) -> tuple[float, float] | None:
     """Least-squares fit of rate(x) = A (1 - V exp(-x^2/(2 s^2))); returns V and the residual.
 
-    The model is linear in (A, A V) at a fixed s, so the fit minimizes the
-    residual of that linear solve over log s in [sigma_guess / 10, 10
-    sigma_guess]: on _FIT_GRID widths, then by golden-section search around
-    the best of them (the residual can have several minima).  None with fewer
-    than 4 positions, no positive rate, or positions that leave A and V
-    undetermined.
+    At a fixed s the model is linear in (A, A V), solved from the 2x2 normal
+    equations of the sums of d, d^2, r and r d (d the dip profile, r the rates
+    over their largest, so no square overflows).  The fit minimizes the
+    residual over log s in [sigma_guess / 10, 10 sigma_guess]: on _FIT_GRID
+    widths, then by golden-section search around the best of them (the
+    residual can have several minima); a singular solve (_FIT_MIN_DET) counts
+    as residual inf.  None with fewer than 4 positions, no positive rate, or
+    a singular solve at the best width.
     """
-    if len(positions) < 4 or rates.max() <= 0:
+    n, scale = len(positions), float(np.max(rates, initial=0.0))
+    if n < 4 or scale <= 0:
         return None
+    scaled = rates / scale
+    sum_r = float(scaled.sum())
+    with np.errstate(over="ignore", under="ignore"):  # a far position gets dip 0
+        neg_half_sq = -(positions**2) / 2.0
 
-    def solve(log_width: float) -> tuple[float, np.ndarray, int]:
-        with np.errstate(over="ignore"):  # a far position gets dip 0
-            dip = np.exp(-(positions**2) / (2.0 * math.exp(2.0 * log_width)))
-        design = np.column_stack([np.ones_like(dip), -dip])
-        coef, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
-        return float(np.sum((design @ coef - rates) ** 2)), coef, rank
+    def solve(log_width: float) -> tuple[float, float | None]:
+        with np.errstate(over="ignore", under="ignore"):
+            dip = np.exp(neg_half_sq / math.exp(2.0 * log_width))
+        sum_d, sum_dd, sum_rd = float(dip.sum()), float(dip @ dip), float(scaled @ dip)
+        det = n * sum_dd - sum_d * sum_d
+        if det <= _FIT_MIN_DET * n * n:
+            return math.inf, None
+        amp, slope = (sum_dd * sum_r - sum_d * sum_rd) / det, (n * sum_rd - sum_d * sum_r) / det
+        residuals = dip * slope + amp - scaled  # numpy reuses the temporary of dip * slope
+        return float(residuals @ residuals), -slope / amp if amp else None
 
     grid = np.linspace(math.log(sigma_guess / 10.0), math.log(10.0 * sigma_guess), _FIT_GRID)
     best = int(np.argmin([solve(w)[0] for w in grid]))
@@ -396,37 +407,43 @@ def _fit_visibility(
             lo, left, f_left = left, right, f_right
             right = lo + _GOLDEN * (hi - lo)
             f_right = solve(right)[0]
-    residual, (amp, amp_vis), rank = solve(0.5 * (lo + hi))
-    if rank < 2 or amp == 0.0:
-        return None
-    return float(amp_vis / amp), residual
+    residual, visibility = solve(0.5 * (lo + hi))
+    # in Python floats, so a residual beyond the float range is inf without a warning
+    return None if visibility is None else (visibility, residual * scale * scale)
+
+
+def hom_scan_blocks(positions: Sequence[float], config: ExperimentConfig, fit: dict) -> Iterator[list[np.ndarray]]:
+    """The mirror scan block by block: [position, rate_pp, rate_mp, rate_pm, rate_mm] (counts/s).
+
+    rate_pp and rate_mp are the classes of the (45, 45) input, rate_pm and
+    rate_mm of the (-45, 45) input; rate_mp and rate_pm dip.  Only the
+    positions and those two columns are kept, and after the last block `fit`
+    gets their Gaussian-dip visibilities (curve_visibilities, those that fit)
+    and the mean (fitted_visibility, None if neither fits), which estimates
+    the mode overlap.  Empty positions raise ValueError on the call.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if len(pos) == 0:
+        raise ValueError("positions must be nonempty")
+    dips = np.empty((2, len(pos)))  # rate_mp and rate_pm
+
+    def blocks() -> Iterator[list[np.ndarray]]:
+        drawn = _drawn_blocks(len(pos), 2, lambda points: (points, [(d, pos[points], 1.0) for d in _DIAGONAL]), config)
+        for points, counts in drawn:
+            rates = counts / (config.repetitions * config.period)
+            dips[:, points] = rates[:, 1:3].T
+            yield [pos[points], *rates.T]
+        fits = [f[0] for f in (_fit_visibility(pos, rates, config.dip_sigma) for rates in dips) if f is not None]
+        fit.update(fitted_visibility=float(np.mean(fits)) if fits else None, curve_visibilities=fits)
+
+    return blocks()
 
 
 def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanResult:
-    """Scan the mirror through the dip with 45-degree-type inputs.
-
-    Per position, records the Psi+/Psi- class rates for the (45, 45) input
-    (rate_pp rises toward the dip center, rate_mp dips) and for the (-45, 45)
-    input (rate_pm dips, rate_mm rises).  The scan runs as two stages over
-    the positions in the blocks of a sweep, each stage with its own jitter
-    and count streams (see sweep_blocks).  The two dipping curves are fitted
-    with a Gaussian dip; their mean fitted visibility estimates the mode
-    overlap at zero displacement.
-    """
-    if len(positions) == 0:
-        raise ValueError("positions must be nonempty")
-    pos = np.asarray(positions, dtype=float)
-    rngs = _stage_streams(config, 2)
-    counts = []
-    for points in _blocks(len(pos), config):
-        x = pos[points]
-        counts.append(_draw_block([(np.broadcast_to(d, (len(x), 2, 2)), x, 1.0) for d in _DIAGONAL], config, rngs))
-    # columns rate_pp, rate_mp, rate_pm, rate_mm; rate_mp and rate_pm dip
-    rates = np.concatenate(counts) / (config.repetitions * config.period)
-    dips = (rates[:, 1], rates[:, 2])
-    fits = [f[0] for f in (_fit_visibility(pos, r, config.dip_sigma) for r in dips) if f is not None]
-    visibility = float(np.mean(fits)) if fits else None
-    return HomScanResult(pos, *rates.T, visibility, tuple(fits))
+    """The hom_scan_blocks scan joined into one result."""
+    fit: dict = {}
+    table = np.hstack(list(hom_scan_blocks(positions, config, fit)))
+    return HomScanResult(*table, fit["fitted_visibility"], tuple(fit["curve_visibilities"]))
 
 
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:

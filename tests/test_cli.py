@@ -114,6 +114,20 @@ def test_hom_scan_command(tmp_path):
     assert ds["rate_mp"][dip_idx] < 0.02 * max(ds["rate_mp"])
 
 
+def test_hom_scan_at_a_tiny_period_warns_of_no_overflow(tmp_path):
+    # rates near 1e303 once squared overflowed in the dip fit
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"period": 1e-300}))
+    argv = ["hom-scan", "--config", str(cfg_path), "--out", str(tmp_path / "hom.tsv")]
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bellmeter.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert read_sidecar(tmp_path / "hom.tsv")["fitted_visibility"] == pytest.approx(1.0, abs=0.02)
+
+
 def test_hom_scan_runs_without_scipy(tmp_path):
     out = tmp_path / "hom.tsv"
     script = (
@@ -611,6 +625,20 @@ def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
     assert not path.parent.exists()
 
 
+def test_a_late_sidecar_key_that_is_not_json_leaves_the_previous_output(tmp_path, capsys, monkeypatch):
+    # the fitted visibilities join the sidecar keys after the last block is written
+    out = tmp_path / "hom.tsv"
+    argv = ["hom-scan", "--range=-50:50:25", "--pairs", "100", "--out", str(out)]
+    assert main(argv + ["--seed", "3"]) == 0
+    before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+    monkeypatch.setattr("bellmeter.experiment._fit_visibility", lambda *args: (math.nan, 0.0))
+    capsys.readouterr()
+    assert main(argv + ["--seed", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: metadata of {out} is not strict JSON") and len(err.splitlines()) == 1
+    assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+
+
 ANALYZE_HEADER = "theta\t" + "\t".join(COUNT_HEADER)
 ANALYZE_ROW = ["12.5", "13", "0", "0", "380", "300", "200", "150", "350"]
 
@@ -994,3 +1022,13 @@ def test_sweep_memory_stays_flat_in_the_points(tmp_path):
         argv = ["multimeter", "--ideal", f"--phi-range={phi_range}", "--out", str(tmp_path / "m.tsv")]
         peaks.append(peak_rss_mib(argv))
     assert peaks[1] - peaks[0] < 10.0, peaks
+
+
+def test_hom_scan_memory_holds_only_the_fit_columns(tmp_path):
+    # the scan keeps its positions and two rate columns for the fit, 24 bytes a
+    # position, and the fit a few more arrays of n; the whole scan and an (n, 2)
+    # least-squares design took 13 MiB more at 100,001 positions
+    peaks = []
+    for scan_range in ("-100:100:1", "-50000:50000:1"):  # 201 and 100,001 positions
+        peaks.append(peak_rss_mib(["hom-scan", f"--range={scan_range}", "--out", str(tmp_path / "h.tsv")]))
+    assert peaks[1] - peaks[0] < 8.0, peaks

@@ -26,6 +26,7 @@ from bellmeter.experiment import (
     config_from_dict,
     config_to_dict,
     hom_scan,
+    hom_scan_blocks,
     mode_overlap_at,
     shoulder_counts,
     simulate_counts,
@@ -296,6 +297,28 @@ def test_hom_scan_fit_finds_the_lowest_of_several_minima():
     assert result.curve_visibilities[0] == visibility
 
 
+@pytest.mark.parametrize("positions", [[0.0] * 4, [35.0] * 5, [-12.5] * 7])
+def test_hom_scan_fit_of_equal_positions_is_undetermined(positions):
+    # every dip width gives one dip value at all positions, so A and V are undetermined
+    result = hom_scan(positions, ideal(seed=44, pairs=10_000))
+    assert result.visibility is None and result.curve_visibilities == ()
+
+
+def test_dip_fit_divides_the_rates_by_their_largest():
+    # rates near the float range leave V as it is, and warn of no overflow
+    positions = np.arange(-200.0, 201.0, 10.0)
+    rates = 1e3 * (1.0 - 0.9 * np.exp(-(positions**2) / (2.0 * 30.0**2))) + np.cos(positions)
+    visibility, residual = _fit_visibility(positions, rates, 35.0)
+    assert abs(visibility - 0.9) < 0.01 and 0.0 < residual < math.inf
+    huge = _fit_visibility(positions, rates * 2.0**1000, 35.0)
+    assert huge[0] == visibility and huge[1] == math.inf
+
+
+def test_empty_positions_fail_on_the_call():
+    with pytest.raises(ValueError, match="positions must be nonempty"):
+        hom_scan_blocks([], ideal(), {})
+
+
 def test_hom_scan_shoulder_only_positions():
     cfg = ideal(seed=43, pairs=400_000)
     result = hom_scan([150.0], cfg)
@@ -459,6 +482,11 @@ def test_config_rejects_bad_values():
             ExperimentConfig(dip_sigma=sigma)
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+    # a jitter range beyond the float range failed in the uniform draw
+    for jitter in (-1e-9, 180.0000001, 1e308):
+        with pytest.raises(ValueError, match="angle_jitter must lie in"):
+            ExperimentConfig(angle_jitter=jitter)
+    assert ExperimentConfig(angle_jitter=180.0).angle_jitter == 180.0
 
 
 @pytest.mark.parametrize("sigma", [1e-100, 1e100])
