@@ -9,18 +9,25 @@ writer (write_table), so no more than _BLOCK_ROWS lines of text are held at
 once.  A block of a column is parsed as int64 when int() accepts every cell
 and int64 holds it, and as float64 otherwise, or kept as its cell text once
 every cell is checked to be a number, so one column may be int64 in one
-block and float64 in the next.  An int array is written with `str`, a float
-array with `repr`, and cell text as it is, so a written block reads back
-with its dtype and bits.  The TSV and the sidecar replace the previous pair
-only once every block is written.
+block and float64 in the next.  The parsed columns of a block are read
+first by numpy's C tokenizer, which takes optional whitespace, a sign and
+ASCII digits within int64 (_int_columns); a block it does not take in full
+goes to the per-column int()/float() rule (_parse_cells), which decides the
+result.  Only then is each row split into all its cells; otherwise it is
+split only up to its last carried cell.  An int array is written with
+`str`, a float array with `repr`, and cell text as it is, so a written
+block reads back with its dtype and bits.  The TSV and the sidecar replace
+the previous pair only once every block is written.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -36,6 +43,8 @@ _BLOCK_ROWS = 4096
 # 4096-row ones (Python 3.11, numpy 2.4, 2-vCPU x86 host), and they hold a
 # quarter of the cell strings
 _FORMAT_ROWS = 1024
+# ASCII characters that numpy's int64 tokenizer takes as whitespace and int() does not
+_NOT_INT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class TableReader:
@@ -50,7 +59,7 @@ class TableReader:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with open(self.path) as file:
+        with open(self.path, encoding="utf-8") as file:
             header = self._lines(file, 1)
         if not header:
             raise ValueError(f"{self.path} is empty")
@@ -78,7 +87,7 @@ class TableReader:
         width = len(self.columns)
         parsed = [self.columns.index(name) for name in parse]
         carried = [self.columns.index(name) for name in carry]
-        with open(self.path) as file:
+        with open(self.path, encoding="utf-8") as file:
             next_line = 1 + len(self._lines(file, 1))
             while lines := self._lines(file, _BLOCK_ROWS):
                 first_line, next_line = next_line, next_line + len(lines)
@@ -88,11 +97,19 @@ class TableReader:
                 try:
                     if set(map(str.count, rows, itertools.repeat("\t"))) - {width - 1}:
                         raise ValueError("a row of the wrong width")
-                    cells = "\t".join(rows).split("\t")
-                    block = [_parse_cells(cells[j::width]) for j in parsed]
-                    for j in carried:
-                        block.append(cells[j::width])
-                        np.array(block[-1], dtype=np.float64)  # ValueError unless each is a number
+                    ints = _int_columns(rows, parsed)
+                    if ints is None:
+                        cells = "\t".join(rows).split("\t")
+                        block = [_parse_cells(cells[j::width]) for j in parsed]
+                        block += [cells[j::width] for j in carried]
+                    else:
+                        block = list(ints.T)
+                        if carried:  # each row is split only up to its last carried cell
+                            splits = itertools.repeat(max(carried) + 1)
+                            heads = list(map(str.split, rows, itertools.repeat("\t"), splits))
+                            block += [list(map(operator.itemgetter(j), heads)) for j in carried]
+                    for text in block[len(parsed) :]:
+                        np.array(text, dtype=np.float64)  # ValueError unless each is a number
                 except ValueError:
                     _raise_first_bad_row(self.path, self.columns, lines, first_line, parsed + carried)
                     raise
@@ -132,7 +149,7 @@ def write_table(
         import shutil
         import tempfile
 
-        with tempfile.TemporaryFile("w+") as out:
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
             rows = _write_tsv(out, columns, blocks)
             out.seek(0)
             shutil.copyfileobj(out, sys.stdout)
@@ -175,7 +192,7 @@ def sidecar_path(path: str | Path) -> Path:
 def read_json(path: Path):
     """The JSON value in the file at `path`; ValueError naming the file if it holds no JSON."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
@@ -216,11 +233,37 @@ def _open_beside(path: Path, opened: list[Path]):
     for attempt in itertools.count():
         temporary = path.with_name(f".{path.name}.{os.getpid()}-{attempt}.tmp")
         try:
-            file = open(temporary, "x")
+            file = open(temporary, "x", encoding="utf-8")
         except FileExistsError:
             continue
         opened.append(temporary)
         return file
+
+
+def _int_columns(rows: list[str], parsed: list[int]) -> np.ndarray | None:
+    """The `parsed` columns of `rows` as an (n, len(parsed)) int64 array, read by numpy's
+    C tokenizer, or None where it might read a cell otherwise than int() does.
+
+    The tokenizer takes optional whitespace, a sign and ASCII digits within
+    int64, and rejects anything else; so a cell it takes is one that int()
+    takes, with the same value.  Two exceptions keep it to ASCII text without
+    _NOT_INT_SPACE: it takes those four characters as whitespace, which int()
+    does not, and it reads some non-ASCII letters as digits (numpy 2.4).  A
+    warning counts as a rejection, for releases that still read `12.5` in an
+    int column as 12 with a DeprecationWarning.  None also when a row is
+    skipped or split, so the caller's int()/float() parse (_parse_cells)
+    decides every cell the tokenizer does not.
+    """
+    text = "\n".join(rows)
+    if not text.isascii() or any(space in text for space in _NOT_INT_SPACE):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, usecols=parsed, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return values if values.shape == (len(rows), len(parsed)) else None
 
 
 def _parse_cells(cells: Sequence[str]) -> np.ndarray:

@@ -107,8 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.pair_rate < 0 or self.period <= 0 or self.repetitions < 1:
             raise ValueError("pair_rate must be >= 0, period > 0, repetitions >= 1")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError(f"detector_efficiency must lie in [0, 1], got {self.detector_efficiency}")
+        if not 0.0 < self.detector_efficiency <= 1.0:  # at 0 every count of a sweep is 0
+            raise ValueError(f"detector_efficiency must lie in (0, 1], got {self.detector_efficiency}")
         if self.dark_count_rate < 0 or self.coincidence_window < 0:
             raise ValueError("dark_count_rate and coincidence_window must be >= 0")
         if not 1e-100 <= self.dip_sigma <= 1e100:  # so that sigma^2 is a normal float

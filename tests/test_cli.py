@@ -485,8 +485,10 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
         ([], SchemaViolationError, "a config must be a JSON object, got list"),
         ({"x": 1}, SchemaViolationError, "unknown config key 'x'"),
         ({"seed": -1}, ValueError, "seed must be a nonnegative integer, got -1"),
+        # at efficiency 0 the sweep wrote a table of zero counts and exited 0
+        ({"detector_efficiency": 0}, ValueError, "detector_efficiency must lie in (0, 1], got 0"),
     ],
-    ids=["list", "unknown-key", "negative-seed"],
+    ids=["list", "unknown-key", "negative-seed", "zero-efficiency"],
 )
 def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
     cfg_path = tmp_path / "config.json"
@@ -507,6 +509,32 @@ def test_analyze_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not UTF-8 text: ") and len(err.splitlines()) == 1
+
+
+def test_every_command_names_the_encoding_of_its_files(tmp_path):
+    # under -X warn_default_encoding an open() without encoding= warns, and
+    # read text in the locale's encoding, not UTF-8
+    config, data = tmp_path / "config.json", str(tmp_path / "multimeter.tsv")
+    config.write_text(json.dumps({"angle_jitter": 0.0}), encoding="utf-8")
+    runs = [
+        ["discriminate", "--config", str(config), "--theta-range", "0:90:45", "--pairs", "1000",
+         "--out", str(tmp_path / "discriminate.tsv")],
+        ["multimeter", "--ideal", "--phi-range=-90:90:30", "--pairs", "1000", "--out", data],
+        ["hom-scan", "--range=-50:50:25", "--pairs", "1000", "--out", str(tmp_path / "hom.tsv")],
+        ["analyze", data, "--out", str(tmp_path / "estimates.tsv")],
+        ["analyze", data],
+    ]
+    script = "import json, sys; from bellmeter.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    src = str(Path(bellmeter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script,
+         json.dumps(runs)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    # four summary lines, then the TSV of `analyze` without --out
+    assert (tmp_path / "estimates.tsv").read_text(encoding="utf-8") == done.stdout.split("\n", 4)[4]
 
 
 def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):

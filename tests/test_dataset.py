@@ -158,3 +158,104 @@ def test_a_carried_cell_is_a_number_exactly_when_float_takes_it(cells):
         return True
 
     assert accepted(lambda: np.array(cells, dtype=np.float64)) == accepted(lambda: list(map(float, cells)))
+
+
+def per_cell_blocks(path, parse, carry, block_rows):
+    """TableReader.blocks as each cell parsed on its own gives it: every row split in full,
+    a parse column as reference_parse gives it, and the first bad row of a block named."""
+    header, *lines = path.read_text(encoding="utf-8").split("\n")
+    columns = header.split("\t")
+    parsed, carried = [columns.index(name) for name in parse], [columns.index(name) for name in carry]
+    blocks = []
+    for start in range(0, len(lines), block_rows):
+        numbered = enumerate(lines[start : start + block_rows], start=start + 2)
+        rows = [(number, line.split("\t")) for number, line in numbered if line]
+        for number, cells in rows:
+            if len(cells) != len(columns):
+                raise ValueError(f"{path}, line {number}: {len(cells)} cells, but the header has {len(columns)}")
+            for j in sorted(parsed + carried):
+                try:
+                    float(cells[j])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {number}, column {columns[j]!r}: {cells[j]!r} is not a number"
+                    ) from None
+        if rows:
+            blocks.append(
+                [reference_parse([cells[j] for _, cells in rows]) for j in parsed]
+                + [[cells[j] for _, cells in rows] for j in carried]
+            )
+    return blocks
+
+
+def block_outcome(read):
+    """Per block, the dtype and bytes of each array and the text of each list; or the ValueError message."""
+    try:
+        blocks = list(read())
+    except ValueError as exc:
+        return str(exc)
+    return [[column if isinstance(column, list) else (column.dtype, column.tobytes()) for column in block]
+            for block in blocks]
+
+
+def assert_blocks_are_parsed_per_cell(path, parse, carry, block_rows=4096):
+    with patch("bellmeter.dataset._BLOCK_ROWS", block_rows):
+        got = block_outcome(lambda: TableReader(path).blocks(parse, carry))
+    assert got == block_outcome(lambda: per_cell_blocks(path, parse, carry, block_rows))
+    return got
+
+
+# no padding, padding that int() strips, and two separators that it does not
+# strip, though numpy's tokenizer does
+PAD = st.sampled_from(["", " ", "\xa0", "\x0b", "\x0c", "\x1c", "\x1f"])
+# cells of a column of integer text, which numpy's tokenizer reads unless padded
+# with the last two
+INT_CELL = st.tuples(PAD, INT64.map(str), PAD).map("".join)
+# any cell: among them, letters that numpy 2.4 reads as digits and a cell that
+# makes its row one cell too wide
+FREE_CELL = st.one_of(
+    st.tuples(PAD, CELL, PAD).map("".join),
+    st.sampled_from(["#1", '"1"', "Ǿ", "1Ǿ", "١", "1\t"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 4),
+    n_rows=st.integers(1, 5),
+    block_rows=st.sampled_from([2, 4096]),
+)
+def test_blocks_parse_as_each_cell_on_its_own(tmp_path_factory, data, width, n_rows, block_rows):
+    columns = [f"x{j}" for j in range(width)]
+    kinds = data.draw(st.lists(st.sampled_from([INT_CELL, FREE_CELL]), min_size=width, max_size=width))
+    rows = data.draw(st.lists(st.tuples(*kinds), min_size=n_rows, max_size=n_rows))
+    lines = ["\t".join(row) for row in rows]
+    blank = data.draw(st.integers(0, n_rows + 1))  # where a blank line goes, if anywhere
+    lines[blank:blank] = [""] if blank <= n_rows else []
+    order = data.draw(st.permutations(columns))
+    cut = data.draw(st.integers(0, width))
+    parse, rest = order[:cut], order[cut:]
+    carry = rest[: data.draw(st.integers(0, len(rest)))]
+    path = tmp_path_factory.mktemp("blocks") / "table.tsv"
+    path.write_text("\t".join(columns) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert_blocks_are_parsed_per_cell(path, parse, carry, block_rows)
+
+
+def test_a_block_is_parsed_on_its_own(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("x\tn\n12\t1\n13\t2\n13.0\t3\n14\t9223372036854775808\n")
+    (x1, n1), (x2, n2) = assert_blocks_are_parsed_per_cell(path, ["x", "n"], [], block_rows=2)
+    assert x1[0] == n1[0] == np.dtype(np.int64)
+    # 13.0 makes its block's x float64, and 2^63 its block's n
+    assert x2[0] == n2[0] == np.dtype(np.float64)
+    assert np.frombuffer(x2[1]).tolist() == [13.0, 14.0] and np.frombuffer(n2[1]).tolist() == [3.0, 2.0**63]
+
+
+def test_a_bad_count_in_a_later_block_names_its_line(tmp_path):
+    path = tmp_path / "table.tsv"
+    rows = [f"{k}\t{k}" for k in range(2, 6000)]
+    rows[5000 - 2] = "0.5\t1e3x"  # line 5000: the header is line 1
+    path.write_text("x\tn\n" + "\n".join(rows) + "\n")
+    message = assert_blocks_are_parsed_per_cell(path, ["n"], ["x"])
+    assert message == f"{path}, line 5000, column 'n': '1e3x' is not a number"

@@ -474,8 +474,10 @@ def test_config_accepts_detector_map_override():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        ExperimentConfig(detector_efficiency=1.5)
+    # at efficiency 0 every count is 0, and so every estimate NaN
+    for efficiency in (1.5, 0.0, -0.0, -1e-300):
+        with pytest.raises(ValueError, match=r"detector_efficiency must lie in \(0, 1\]"):
+            ExperimentConfig(detector_efficiency=efficiency)
     # beyond [1e-100, 1e100] sigma^2 overflows or underflows, and the dip profile with it
     for sigma in (0.0, 1e-200, 9.999999e-101, 1.0000001e100, 1e200):
         with pytest.raises(ValueError, match="dip_sigma must lie in"):
