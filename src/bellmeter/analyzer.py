@@ -251,7 +251,7 @@ def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = comple
     v = np.asarray(vectors, dtype=dtype)
     if v.ndim != 2 or v.shape[1] != width:
         raise ValueError(f"expected {what} of shape (n, {width}), got {v.shape}")
-    norm_sq = np.einsum("ij,ij->i", v.conj(), v).real
+    norm_sq = np.einsum("ij,ij->i", v.conj() if dtype is complex else v, v).real
     tol = _NORM_TOL if dtype is complex else 3.0 * _NORM_TOL
     bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= tol))
     if len(bad):

@@ -40,6 +40,12 @@ if TYPE_CHECKING:
 # most points a sweep grid may have, checked before the grid is built
 _MAX_GRID_POINTS = 10**6
 
+# _parse_range rounds a grid to 9 decimals in chunks of this many points, so its
+# temporaries stay small; at |v| >= _ROUND_EXACT, |v| * 1e9 may exceed 2^52
+_ROUND_CHUNK = 2**14
+_ROUND_EXACT = 2.0**52 / 1e9
+_VELTKAMP = 2.0**27 + 1.0  # splits a float into two halves of at most 26 significant bits
+
 # what a builder returns: the dataset columns, their blocks, the command's
 # sidecar keys and a function giving the summary suffix once all is written
 _Built = tuple[list[str], Iterable, dict, Callable[[], str]]
@@ -73,10 +79,43 @@ def _parse_range(text: str) -> np.ndarray:
     if not span < _MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
     count = math.floor(span) + 1
-    points = np.fromiter((round(start + i * step, 9) for i in range(count)), dtype=float, count=count)
+    points = np.arange(count, dtype=float)
+    points *= step
+    points += start  # the bits of start + i * step in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond _ROUND_EXACT may overflow here
+        for chunk in range(0, count, _ROUND_CHUNK):
+            _round_9(points[chunk : chunk + _ROUND_CHUNK])
     if np.any(points[:-1] >= points[1:]):
         raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
     return points
+
+
+def _round_9(values: np.ndarray) -> None:
+    """Round `values` in place to 9 decimals exactly as round(v, 9) does.
+
+    round(v, 9) is the float nearest to k / 1e9, where k is the exact
+    |v| * 1e9 rounded to an integer, ties to even, with the sign of v.
+    Dekker's product splits that exact product into hi + lo (1e9 has 21
+    significant bits, so each half of Veltkamp's split times 1e9 is exact);
+    rint(hi) is k unless hi lies exactly halfway, where lo breaks the tie.
+    k / 1e9 is one correctly rounded division.  Values with |v| * 1e9 beyond
+    2^52, where k might not be a float, go through round() itself, but for
+    the integers beyond 2^52, which it keeps.
+    """
+    mag = np.abs(values)
+    hi = mag * 1e9
+    split = mag * _VELTKAMP
+    head = split - (split - mag)
+    lo = (head * 1e9 - hi) + (mag - head) * 1e9
+    k = np.rint(hi)
+    half = hi - k
+    k += (half == 0.5) & (lo > 0.0)
+    k -= (half == -0.5) & (lo < 0.0)
+    exact = mag < _ROUND_EXACT
+    np.copysign(np.divide(k, 1e9, out=k), values, out=values, where=exact)
+    rest = ~exact & ~(mag >= 2.0**52)  # a float of |v| >= 2^52 is an integer, which round() keeps
+    if rest.any():
+        values[rest] = [round(v, 9) for v in values[rest].tolist()]
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

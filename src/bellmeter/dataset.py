@@ -15,7 +15,8 @@ ASCII digits within int64 (_int_columns); a block it does not take in full
 goes to the per-column int()/float() rule (_parse_cells), which decides the
 result.  Only then is each row split into all its cells; otherwise it is
 split only up to its last carried cell.  An int array is written with
-`str`, a float array with `repr`, and cell text as it is, so a written
+`str`, a float array with `repr` (a float column of one value, as the
+multimeter's `eta`, is formatted once), and cell text as it is, so a written
 block reads back with its dtype and bits.  The TSV and the sidecar replace
 the previous pair only once every block is written.
 """
@@ -135,9 +136,10 @@ def write_table(
     A block holds one entry per column, all of one length: an int or float
     array (formatted with str and repr) or a list of cell text (written as
     it is).  The sidecar gets `columns` and a timestamp besides `metadata`.
-    It is serialized before anything is written, so metadata that is not
-    strict JSON raises ValueError and leaves nothing on disk, and again once
-    every block is written, with the keys added to `metadata` meanwhile.
+    It is checked to be strict JSON (unindented, by the C encoder) before
+    anything is written, so metadata that is not raises ValueError and
+    leaves nothing on disk, and it is serialized once every block is
+    written, with the keys added to `metadata` meanwhile.
     Both files are written to temporary files in the target directory, which
     are moved into place with os.replace once every block is written; if
     anything fails, the temporary files are removed and the previous files
@@ -157,13 +159,15 @@ def write_table(
         return rows
     stamp = {"columns": list(columns), "timestamp": datetime.now(timezone.utc).isoformat()}
 
-    def sidecar() -> str:
+    def sidecar(indent: int | None = 2) -> str:
         try:
-            return json.dumps({**metadata, **stamp}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            return json.dumps({**metadata, **stamp}, indent=indent, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
+            if indent is None:  # the C encoder's check; the indented encoder's message names the value
+                return sidecar()
             raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
 
-    sidecar()
+    sidecar(indent=None)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     temporaries: list[Path] = []
@@ -199,11 +203,21 @@ def read_json(path: Path):
 
 def _format_rows(block: Sequence) -> str:
     """The TSV lines of a block of one or more rows, each with its line end."""
-    cells = [
-        values if isinstance(values, list) else map(repr if values.dtype.kind == "f" else str, values.tolist())
-        for values in block
-    ]
-    return "\n".join(map("\t".join, zip(*cells))) + "\n"
+    return "\n".join(map("\t".join, zip(*map(_cells, block)))) + "\n"
+
+
+def _cells(values) -> Iterable[str]:
+    """The cell text of one column of a block: a float64 array whose values all have
+    the bits of its first is that value's repr repeated, so it is formatted once."""
+    if isinstance(values, list):
+        return values
+    if values.dtype.kind != "f":
+        return map(str, values.tolist())
+    if values.dtype == np.float64 and len(values):
+        bits = values.view(np.int64)
+        if bits[0] == bits[-1] and (bits == bits[0]).all():
+            return itertools.repeat(repr(float(values[0])), len(values))
+    return map(repr, values.tolist())
 
 
 def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence]) -> int:

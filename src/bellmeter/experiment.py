@@ -205,7 +205,7 @@ def _poisson_means(
     stokes = pol.stokes_from_angles(angles[..., 0], angles[..., 1]).reshape(-1, 2, 3)
     overlaps = np.repeat(mode_overlaps, periods)
     probs = stokes_outcome_probs(stokes[:, 0], stokes[:, 1], config.analyzer, overlaps)
-    prob_sums = probs.sum(axis=1)
+    prob_sums = probs[:, 0] + probs[:, 1] + probs[:, 2]
     bad = np.flatnonzero(~(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL))
     if len(bad):
         raise ValueError(f"analyzer class probabilities do not sum to 1: row {bad[0]} sums to {prob_sums[bad[0]]}")
@@ -310,7 +310,10 @@ def _draw_block(
 def _drawn_blocks(n: int, stages: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
     """The one block loop: per block of the points 0 .. n-1, stages_at(points) gives a head and the
     block's stages, whose _draw_block counts come with the head; stage s draws from streams 2s, 2s + 1."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2 * stages)]
+    # a jitter stream (2s) is drawn from only when angle_jitter > 0; it is spawned either way
+    drawn = [config.angle_jitter > 0.0, True] * stages
+    streams = np.random.SeedSequence(config.seed).spawn(2 * stages)
+    rngs = [np.random.default_rng(seq) if use else None for seq, use in zip(streams, drawn)]
     for points in _blocks(n, config):
         head, block_stages = stages_at(points)
         yield head, _draw_block(block_stages, config, rngs)
@@ -447,11 +450,26 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
 
 
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:
-    """Config whose expected pair count per input setting equals pairs_per_point."""
+    """Config whose expected pair count per input setting equals pairs_per_point.
+
+    ValueError when the count is not finite and above 0, or when no input
+    setting can expect one coincidence: detector_efficiency^2 * pairs plus
+    the dark accidentals of both conclusive classes bound every class mean.
+    """
     if not 0.0 < pairs_per_point < math.inf:
         raise ValueError(f"pairs per point must be a finite number > 0, got {pairs_per_point!r}")
     rate = pairs_per_point / (config.period * config.repetitions)
-    return replace(config, pair_rate=rate)
+    config = replace(config, pair_rate=rate)
+    most = config.detector_efficiency * config.detector_efficiency * pairs_per_point + (
+        2.0 * config.dark_count_rate * config.dark_count_rate * config.coincidence_window
+        * config.period * config.repetitions
+    )
+    if not most >= 1.0:
+        raise ValueError(
+            "detector_efficiency^2 * pairs + 2 * dark_count_rate^2 * coincidence_window * period"
+            f" * repetitions must be at least 1, so that an input setting can expect a coincidence, got {most:g}"
+        )
+    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

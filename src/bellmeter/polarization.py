@@ -121,15 +121,18 @@ def stokes_from_angles(qwp_deg, hwp_deg) -> np.ndarray:
     [[cos 4h, sin 4h], [sin 4h, -cos 4h]], and negates y.  Negating both
     angles negates x and y and keeps z, bit for bit.
     """
-    q = 2.0 * np.radians(np.asarray(qwp_deg, dtype=float))
-    h = 4.0 * np.radians(np.asarray(hwp_deg, dtype=float))
-    cos_q, sin_q = np.cos(q), np.sin(q)
-    cos_h, sin_h = np.cos(h), np.sin(h)
+    q, h = np.array(qwp_deg, dtype=float), np.array(hwp_deg, dtype=float)  # copies, worked in place
+    np.radians(q, out=q)
+    q *= 2.0
+    np.radians(h, out=h)
+    h *= 4.0
+    cos_q, sin_q = np.cos(q), np.sin(q, out=q)
+    cos_h, sin_h = np.cos(h), np.sin(h, out=h)
     z, x = cos_q * cos_q, sin_q * cos_q
     out = np.empty(np.broadcast_shapes(q.shape, h.shape) + (3,))
     out[..., 0] = cos_h * z + sin_h * x
     out[..., 1] = sin_h * z - cos_h * x
-    out[..., 2] = -sin_q
+    np.negative(sin_q, out=out[..., 2])
     return out
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellmeter
 from bellmeter.cli import _load_config, _parse_range, build_parser, main
@@ -324,6 +326,60 @@ def test_parse_range_holds_the_grid_as_one_array():
     assert peak < 12e6, peak
 
 
+def assert_grid_is_rounded_per_point(text):
+    # the grid of `text` equals one round(v, 9) per point, bit for bit, or
+    # fails as that grid would, on points that repeat once rounded
+    start, stop, step = map(float, text.split(":"))
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    expected = np.array([round(start + i * step, 9) for i in range(count)])
+    if np.any(expected[:-1] >= expected[1:]):
+        with pytest.raises(ValueError, match="repeats points once they are rounded to 9 decimals"):
+            _parse_range(text)
+    else:
+        assert _parse_range(text).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+# where rounding to 9 decimals is hard: signed zeros, odd multiples of 2^-10 (whose
+# product with 1e9 is an exact .5 tie), other dyadic values, and both sides of
+# 2^52 / 1e9, beyond which |v| * 1e9 may not be rounded in floats
+GRID_STARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-(2**20), 2**20).map(lambda j: (2 * j + 1) / 2**10),
+    st.integers(-(2**40), 2**40).map(lambda k: k / 2**20),
+    st.floats(-4503600.5, -4503599.0),
+    st.floats(4503599.0, 4503600.5),
+    st.floats(-1e-8, 1e-8),
+    st.floats(-2e7, 2e7),
+)
+GRID_STEPS = st.one_of(
+    st.sampled_from([1e-9, 0.5e-9, 1e-10, 2**-10]),
+    st.integers(1, 2**20).map(lambda k: k / 2**20),
+    st.floats(1e-9, 10.0),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(start=GRID_STARTS, step=GRID_STEPS, count=st.integers(1, 40))
+def test_grid_points_are_rounded_as_round_rounds_each(start, step, count):
+    assert_grid_is_rounded_per_point(f"{start!r}:{start + (count - 1) * step!r}:{step!r}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5e-10:5e-10:1",
+        "1.5e-09:1.5e-09:1",
+        "2.5e-09:2.5e-09:1",
+        "-1e-10:-1e-10:1",  # rounds to -0.0
+        "0.0009765625:20:0.0009765625",  # 20,480 points, across the 16,384-point chunk edge, every other a tie
+        "0:1e308:1e303",  # all but the first beyond 2^52 / 1e9
+        "15745512.275806915:15745512.275806915:1",  # rint(fl(v * 1e9)) / 1e9 misses round(v, 9)
+    ],
+)
+def test_hard_grid_points_are_rounded_as_round_rounds_each(text):
+    assert_grid_is_rounded_per_point(text)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -547,6 +603,31 @@ def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, argv",
+    [
+        # an efficiency whose square underflows wrote 12 rows of zero counts and exited 0
+        ({"detector_efficiency": 1e-150}, ["discriminate", "--theta-range", "0:90:45"]),
+        ({"detector_efficiency": 1e-200}, ["discriminate", "--theta-range", "0:90:45"]),
+        # at the default config one pair expects at most 0.25 + 0.002 coincidences
+        (None, ["multimeter", "--pairs", "1"]),
+    ],
+    ids=["efficiency-1e-150", "efficiency-1e-200", "one-pair"],
+)
+def test_a_sweep_that_can_expect_no_coincidence_fails(tmp_path, capsys, config, argv):
+    out = tmp_path / "x.tsv"
+    if config is not None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg_path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector_efficiency^2 * pairs + 2 * dark_count_rate^2") and "at least 1" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    assert main(argv + ["--ideal", "--pairs", "1", "--out", str(out)]) == 0  # efficiency 1, one pair
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["multimeter", "--phi-range=0:0:1", "--pairs", "0"],
@@ -651,6 +732,16 @@ def test_dataset_with_non_json_metadata_writes_nothing(tmp_path, bad):
     with pytest.raises(ValueError, match="strict JSON"):
         write_columns(path, ["x"], [[1.0]], {"visibility": bad})
     assert not path.parent.exists()
+
+
+def test_metadata_that_is_not_strict_json_is_named_with_its_value(tmp_path):
+    # the check before the first block gives the indented encoder's whole message
+    out = tmp_path / "sub" / "bad.tsv"
+    with pytest.raises(ValueError) as raised:
+        write_columns(out, ["x"], [[1.0]], {"visibility": math.nan})
+    message = f"metadata of {out} is not strict JSON: Out of range float values are not JSON compliant: nan"
+    assert str(raised.value) == message
+    assert not out.parent.exists()
 
 
 def test_a_late_sidecar_key_that_is_not_json_leaves_the_previous_output(tmp_path, capsys, monkeypatch):

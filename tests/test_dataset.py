@@ -259,3 +259,39 @@ def test_a_bad_count_in_a_later_block_names_its_line(tmp_path):
     path.write_text("x\tn\n" + "\n".join(rows) + "\n")
     message = assert_blocks_are_parsed_per_cell(path, ["n"], ["x"])
     assert message == f"{path}, line 5000, column 'n': '1e3x' is not a number"
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize(
+    "floats",
+    [
+        np.full(3000, 0.25),
+        np.array([0.0, -0.0, 0.0]),
+        np.array([-0.0, -0.0]),
+        np.full(5, math.nan),
+        np.array([math.nan, nan_with_payload(1), -math.nan]),
+        np.array([1.5]),
+        np.array([0.5, 0.75, 0.5]),  # its first and last value agree
+        np.concatenate([np.full(1024, 0.5), np.full(1023, 0.5), [0.75]]),  # constant in the first piece only
+    ],
+    ids=["constant", "signed-zeros", "negative-zeros", "nan", "nan-payloads", "one-row", "ends-agree", "second-piece"],
+)
+def test_a_float_column_is_written_as_per_cell_repr(tmp_path, floats):
+    # a float column of one value is formatted once; the text is that of each cell's repr
+    path = tmp_path / "data.tsv"
+    ints = np.full(len(floats), 7, dtype=np.int64)
+    write_table(path, ["x", "n", "y"], [[floats, ints, floats[::-1].copy()]], {})
+    rows = zip(map(repr, floats.tolist()), map(str, ints.tolist()), map(repr, floats[::-1].tolist()))
+    assert path.read_text() == "x\tn\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
+
+
+def test_multimeter_points_keep_float_constant_columns():
+    from bellmeter.experiment import ExperimentConfig
+    from bellmeter.multimeter import run_multimeter_sweep
+
+    points = run_multimeter_sweep([-45.0, 0.0, 45.0], 0.5, ExperimentConfig.ideal(seed=1), 1_000.0)
+    for point in points:
+        assert all(type(getattr(point, name)) is float for name in ("eta", "pi_theory", "fidelity_theory"))

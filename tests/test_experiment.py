@@ -967,6 +967,16 @@ def test_with_pairs_per_point_rejects_non_positive_and_non_finite_counts(pairs):
         with_pairs_per_point(ExperimentConfig(), pairs)
 
 
+def test_with_pairs_per_point_needs_one_expected_coincidence():
+    # at the default config every class mean is at most 0.5^2 pairs + 2 * 100^2 * 1e-8 * 10
+    with pytest.raises(ValueError, match=r"detector_efficiency\^2 \* pairs .* got 0\.9995$"):
+        with_pairs_per_point(ExperimentConfig(), 3.99)
+    assert with_pairs_per_point(ExperimentConfig(), 4.0).pair_rate == 0.4
+    # dark accidentals alone may be enough: 2 * 1000^2 * 1e-8 * 5 s * 10 periods = 1
+    dark = ExperimentConfig(detector_efficiency=1e-200, dark_count_rate=1000.0, period=5.0)
+    assert with_pairs_per_point(dark, 1.0).pair_rate == 0.02
+
+
 @pytest.mark.parametrize(
     "fields_",
     [

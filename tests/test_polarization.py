@@ -224,6 +224,20 @@ def test_stokes_from_angles_is_the_stokes_vector_of_the_recipe(plate_angles):
     assert stokes_from_angles(np.zeros((3, 2)), 22.5).shape == (3, 2, 3)
 
 
+def test_stokes_from_angles_takes_scalars_and_broadcast_views_and_keeps_its_inputs():
+    # it works in place on copies of its inputs: a 0-d or read-only broadcast
+    # input works, an array given to it is left as it was, and each element
+    # gets the bits of a call on its own angles
+    qwp = np.array([[10.0], [-33.5]])
+    hwp = np.broadcast_to(np.array([0.0, 22.5, 71.25]), (2, 3))
+    kept = qwp.copy()
+    got = stokes_from_angles(qwp, hwp)
+    assert np.array_equal(qwp, kept) and got.shape == (2, 3, 3)
+    for i, j in np.ndindex(2, 3):
+        alone = stokes_from_angles(np.array(qwp[i, 0]), float(hwp[i, j]))
+        assert alone.shape == (3,) and alone.tobytes() == got[i, j].tobytes()
+
+
 ANGLES = st.floats(-1e300, 1e300)
 
 
