@@ -132,7 +132,7 @@ class AnalyzerConfig:
             raise ValueError(
                 f"detector_map must be a permutation of {DETECTORS}, got {self.detector_map!r}"
             )
-        # a tuple keeps the config hashable; _config_tables caches on it
+        # a tuple keeps the config hashable; _stokes_terms caches on it
         object.__setattr__(self, "detector_map", tuple(self.detector_map))
 
 
@@ -153,20 +153,6 @@ def bs_transform(config: AnalyzerConfig) -> np.ndarray:
     u[1, 1], u[1, 3] = t_v, r_v
     u[3, 1], u[3, 3] = r_v, -t_v
     return u
-
-
-@functools.lru_cache(maxsize=64)
-def _config_tables(config: AnalyzerConfig) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """bs_transform and the PATTERNS indices of each OutcomeProbs class, built once per config.
-
-    The arrays are shared between callers and therefore read-only.
-    """
-    u = bs_transform(config)
-    outcomes = np.array(pattern_outcomes(config))
-    groups = tuple(np.flatnonzero(outcomes == c) for c in _CLASSES)
-    for array in (u, *groups):
-        array.setflags(write=False)
-    return u, groups
 
 
 @functools.lru_cache(maxsize=64)
@@ -275,7 +261,8 @@ def _class_sums(pattern_probs: np.ndarray, config: AnalyzerConfig) -> np.ndarray
     Unlike a matrix product (BLAS gemv for one row, gemm for more), this gives
     a row the same sums in a batch of any size.
     """
-    groups = _config_tables(config)[1]
+    outcomes = np.array(pattern_outcomes(config))
+    groups = [np.flatnonzero(outcomes == c) for c in _CLASSES]
     return np.stack([functools.reduce(np.add, (pattern_probs[:, i] for i in g)) for g in groups], 1)
 
 
@@ -296,7 +283,7 @@ def pattern_probs_batch(
     of the symmetric sum.
     """
     amps = _normalized(amplitudes, 4, "two-photon states")
-    u, _ = _config_tables(config)
+    u = bs_transform(config)
     a = u[:, :2] @ amps.reshape(-1, 2, 2) @ u[:, 2:].T
     a_kl, a_lk = a[:, _PATTERN_ROWS, _PATTERN_COLS], a[:, _PATTERN_COLS, _PATTERN_ROWS]
     overlap = _overlap_column(mode_overlap, len(a))

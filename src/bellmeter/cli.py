@@ -63,7 +63,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number is a single point."""
+    """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number x is x:x:1."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
@@ -71,7 +71,7 @@ def _parse_range(text: str) -> np.ndarray:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if len(values) == 1:
-        return np.array(values)
+        values += [values[0], 1.0]
     start, stop, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
@@ -130,7 +130,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise type(exc)(f"{path}: {exc}") from None
     else:
         config = ExperimentConfig()
-    if getattr(args, "ideal", False):
+    if args.ideal:
         config = config.idealized()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -247,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, pairs_default: int = 100_000):
+    def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, default=None, help="master random seed (overrides config)")
         p.add_argument("--ideal", action="store_true", help="switch off every imperfection")
-        p.add_argument("--pairs", type=float, default=pairs_default,
+        p.add_argument("--pairs", type=float, default=100_000,
                        help="expected photon pairs per input setting and sweep point")
 
     p_disc = sub.add_parser("discriminate", help="success-probability sweep of the discriminator")

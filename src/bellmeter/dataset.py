@@ -55,12 +55,13 @@ class TableReader:
     that is not UTF-8 text or whose header names a column twice raises
     ValueError naming it; a sidecar that is no JSON raises ValueError, and
     one that holds no JSON object SchemaViolationError, each naming the
-    sidecar.  Without a sidecar the metadata is empty.
+    sidecar.  Without a sidecar the metadata is empty.  A leading UTF-8
+    byte-order mark of either file is skipped.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with open(self.path, encoding="utf-8") as file:
+        with open(self.path, encoding="utf-8-sig") as file:
             header = self._lines(file, 1)
         if not header:
             raise ValueError(f"{self.path} is empty")
@@ -88,7 +89,7 @@ class TableReader:
         width = len(self.columns)
         parsed = [self.columns.index(name) for name in parse]
         carried = [self.columns.index(name) for name in carry]
-        with open(self.path, encoding="utf-8") as file:
+        with open(self.path, encoding="utf-8-sig") as file:
             next_line = 1 + len(self._lines(file, 1))
             while lines := self._lines(file, _BLOCK_ROWS):
                 first_line, next_line = next_line, next_line + len(lines)
@@ -168,8 +169,7 @@ def write_table(
             raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
 
     sidecar(indent=None)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporaries: list[Path] = []
     try:
         with _open_beside(path, temporaries) as out:
@@ -194,9 +194,9 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def read_json(path: Path):
-    """The JSON value in the file at `path`; ValueError naming the file if it holds no JSON."""
+    """The JSON value in the file at `path`, past a byte-order mark; ValueError naming the file if it holds no JSON."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
 

@@ -116,11 +116,8 @@ class ExperimentConfig:
         if not 0.0 <= self.angle_jitter <= 180.0:  # a plate's period; far beyond, the draw's range overflows
             raise ValueError(f"angle_jitter must lie in [0, 180] degrees, got {self.angle_jitter}")
         try:
-            worst_mean = self.pair_rate * self.period * self.repetitions + (
-                2.0 * self.dark_count_rate * self.dark_count_rate * self.coincidence_window
-                * self.period * self.repetitions
-            )
-        except OverflowError:  # a repetitions integer beyond the float range
+            worst_mean = self.pair_rate * self.period * self.repetitions + _accidentals(self)
+        except OverflowError:  # a repetitions integer beyond the float range, or a dark rate squared beyond it
             worst_mean = math.inf
         if not worst_mean < _MAX_POISSON_MEAN:
             raise ValueError(
@@ -184,6 +181,21 @@ def mode_overlap_at(position, config: ExperimentConfig) -> float | np.ndarray:
         return m0 * np.exp(-(np.asarray(position, dtype=float) ** 2) / (2.0 * config.dip_sigma**2))
 
 
+def _accidentals(config: ExperimentConfig) -> float:
+    """Mean dark-count accidentals of one conclusive class over an input setting (see simulate_counts);
+    OverflowError where the dark rate's square, or repetitions, lies beyond the float range."""
+    return 2.0 * (config.dark_count_rate**2 * config.coincidence_window * config.period) * config.repetitions
+
+
+def check_eta(eta: float | np.ndarray) -> np.ndarray:
+    """`eta` as a float array; ValueError naming its first value outside [0, 1] (NaN is outside)."""
+    etas = np.asarray(eta, dtype=float)
+    outside = etas[~((0.0 <= etas) & (etas <= 1.0))]
+    if outside.size:
+        raise ValueError(f"eta must lie in [0, 1], got {float(outside[0])}")
+    return etas
+
+
 def _poisson_means(
     angles: np.ndarray, mode_overlaps: np.ndarray, config: ExperimentConfig, eta: float | np.ndarray = 1.0
 ) -> np.ndarray:
@@ -198,9 +210,7 @@ def _poisson_means(
     pass; see simulate_counts for the means.  A class probability below
     _PROB_FLOOR counts as 0.
     """
-    etas = np.asarray(eta, dtype=float).reshape(-1, 1)
-    if not np.all((0.0 <= etas) & (etas <= 1.0)):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    etas = check_eta(eta).reshape(-1, 1)
     n, periods = angles.shape[:2]
     stokes = pol.stokes_from_angles(angles[..., 0], angles[..., 1]).reshape(-1, 2, 3)
     overlaps = np.repeat(mode_overlaps, periods)
@@ -216,9 +226,8 @@ def _poisson_means(
 
     totals = probs.reshape(n, periods, 3).sum(axis=1) * (config.repetitions / periods)
     detected = config.detector_efficiency**2 * config.pair_rate * config.period
-    dark = config.dark_count_rate**2 * config.coincidence_window * config.period
     relabeled = (1.0 - etas) / 2.0 * totals[:, 2:]
-    return detected * (totals[:, :2] + relabeled) + 2.0 * dark * config.repetitions
+    return detected * (totals[:, :2] + relabeled) + _accidentals(config)
 
 
 def simulate_counts(
@@ -460,10 +469,7 @@ def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> Ex
         raise ValueError(f"pairs per point must be a finite number > 0, got {pairs_per_point!r}")
     rate = pairs_per_point / (config.period * config.repetitions)
     config = replace(config, pair_rate=rate)
-    most = config.detector_efficiency * config.detector_efficiency * pairs_per_point + (
-        2.0 * config.dark_count_rate * config.dark_count_rate * config.coincidence_window
-        * config.period * config.repetitions
-    )
+    most = config.detector_efficiency * config.detector_efficiency * pairs_per_point + _accidentals(config)
     if not most >= 1.0:
         raise ValueError(
             "detector_efficiency^2 * pairs + 2 * dark_count_rate^2 * coincidence_window * period"

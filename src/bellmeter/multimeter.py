@@ -20,7 +20,7 @@ import numpy as np
 from . import polarization as pol
 from .analyzer import Outcome
 from .counts import Estimates, MultimeterPoint, estimate_table, sweep_columns, sweep_points
-from .experiment import ExperimentConfig, sweep_blocks, with_pairs_per_point
+from .experiment import ExperimentConfig, check_eta, sweep_blocks, with_pairs_per_point
 
 _HERMITIAN_TOL = 1e-12
 _EQUATOR_TOL = 1e-9
@@ -51,8 +51,7 @@ def povm_elements(eta: float) -> tuple[PovmElement, PovmElement, PovmElement]:
     """
     from .twophoton import BELL_STATES
 
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     phi_p, phi_m, psi_p, psi_m = (np.outer(b, b.conj()) for b in BELL_STATES)
     phi_part = phi_p + phi_m
     return (
@@ -105,8 +104,7 @@ def reinterpret(
     relabeled Psi+ or Psi- with probability 1/2 each; conclusive outcomes pass
     through unchanged.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     out = np.asarray(outcomes, dtype=np.int64).copy()
     inconclusive = out == int(Outcome.INCONCLUSIVE)
     relabel = inconclusive & (rng.random(out.shape) >= eta)
@@ -132,8 +130,7 @@ def multimeter_blocks(
     Estimates the counts leave undefined are NaN.  An eta outside [0, 1]
     raises ValueError on the call.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     phis = np.asarray(phis, dtype=float)  # so that no grid list is kept alive through the sweep
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)

@@ -380,6 +380,20 @@ def test_hard_grid_points_are_rounded_as_round_rounds_each(text):
     assert_grid_is_rounded_per_point(text)
 
 
+@pytest.mark.parametrize("text", ["0.1234567891234", "5e-10", "-1e-10", "1e308", "7e307"])
+def test_a_bare_number_is_the_one_point_range(text):
+    # rounded as round(v, 9) rounds it: 5e-10 becomes 1e-09 and -1e-10 becomes -0.0
+    expected = np.array([round(float(text), 9)]).view(np.int64).tolist()
+    assert _parse_range(text).view(np.int64).tolist() == expected
+    assert _parse_range(f"{text}:{text}:1").view(np.int64).tolist() == expected
+
+
+def test_a_bare_phi_is_written_rounded(tmp_path):
+    out = tmp_path / "m.tsv"
+    assert main(["multimeter", "--phi-range=0.1234567891234", "--pairs", "1000", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split("\t")[0] == "0.123456789"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -565,6 +579,39 @@ def test_analyze_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not UTF-8 text: ") and len(err.splitlines()) == 1
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+def test_analyze_ignores_a_byte_order_mark(tmp_path):
+    # a marked TSV and a marked sidecar give the analysis of the unmarked pair, byte for byte
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    assert main(["multimeter", "--phi-range=-90:90:30", "--pairs", "1000", "--out", str(plain)]) == 0
+    marked.write_bytes(BOM + plain.read_bytes())
+    sidecar_path(marked).write_bytes(BOM + sidecar_path(plain).read_bytes())
+    for path in (plain, marked):
+        assert main(["analyze", str(path), "--out", str(tmp_path / f"a-{path.name}")]) == 0
+    analyzed = (tmp_path / "a-plain.tsv").read_bytes()
+    assert analyzed.startswith(b"phi\teta\t") and (tmp_path / "a-marked.tsv").read_bytes() == analyzed
+
+
+def test_a_byte_order_mark_before_a_count_column_is_read(tmp_path, capsys):
+    path = tmp_path / "counts.tsv"
+    write_columns(path, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
+    assert main(["analyze", str(path)]) == 0
+    expected = capsys.readouterr().out
+    path.write_bytes(BOM + path.read_bytes())
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_a_config_with_a_byte_order_mark_loads(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(BOM + json.dumps({"angle_jitter": 0.0, "seed": 5}).encode())
+    args = build_parser().parse_args(["discriminate", "--config", str(cfg_path)])
+    config = _load_config(args)
+    assert (config.angle_jitter, config.seed) == (0.0, 5)
 
 
 def test_every_command_names_the_encoding_of_its_files(tmp_path):

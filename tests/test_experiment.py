@@ -21,6 +21,7 @@ from bellmeter.experiment import (
     ClassCounts,
     ExperimentConfig,
     _PROB_FLOOR,
+    _accidentals,
     _fit_visibility,
     _poisson_means,
     config_from_dict,
@@ -826,6 +827,47 @@ def test_jitter_free_means_weight_one_period_by_the_repetitions(
     one_period = _poisson_means(angles, overlaps, cfg, eta)
     every_period = _poisson_means(np.broadcast_to(angles, (n, repetitions, 2, 2)), overlaps, cfg, eta)
     assert np.all(np.abs(one_period - every_period) <= 1e-15 * every_period)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    efficiency=st.floats(0.01, 1.0),
+    pairs=st.floats(1e4, 1e12),
+    period=st.floats(1e-3, 1e3),
+    repetitions=st.integers(1, 50),
+    dark_count_rate=st.floats(0.0, 1e5),
+    coincidence_window=st.floats(0.0, 1e-6),
+    analyzer=st.builds(
+        AnalyzerConfig,
+        transmittance_h=st.floats(0.01, 0.99),
+        transmittance_v=st.floats(0.01, 0.99),
+        mode_overlap=st.floats(0.0, 1.0),
+        geometric_phase=st.booleans(),
+    ),
+    every_period=st.booleans(),
+    n=st.integers(1, 4),
+)
+def test_the_config_bounds_bracket_the_means(
+    seed, efficiency, pairs, period, repetitions, dark_count_rate, coincidence_window, analyzer, every_period, n
+):
+    # every class mean <= efficiency^2 * pairs + accidentals (the "can expect a
+    # coincidence" bound) <= pair_rate * period * repetitions + accidentals (the worst mean)
+    cfg = with_pairs_per_point(
+        ExperimentConfig(
+            period=period, repetitions=repetitions, detector_efficiency=efficiency,
+            dark_count_rate=dark_count_rate, coincidence_window=coincidence_window, analyzer=analyzer,
+        ),
+        pairs,
+    )
+    rng = np.random.default_rng(seed)
+    periods = repetitions if every_period else 1
+    angles = rng.uniform(-180.0, 180.0, size=(n, periods, 2, 2))
+    means = _poisson_means(angles, rng.uniform(0.0, 1.0, n), cfg, rng.uniform(0.0, 1.0, n))
+    most = efficiency**2 * pairs + _accidentals(cfg)
+    worst = cfg.pair_rate * cfg.period * cfg.repetitions + _accidentals(cfg)
+    assert np.all(means <= most * (1.0 + 1e-12))
+    assert most <= worst * (1.0 + 1e-12)
 
 
 def main_stage_means(settings_, cfg, eta=1.0):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +8,17 @@ import pytest
 from bellmeter.analyzer import AnalyzerConfig, Outcome
 from bellmeter.counts import CountRecord
 from bellmeter.errors import InvalidNormalizationError
-from bellmeter.experiment import ExperimentConfig
+from bellmeter.experiment import ExperimentConfig, _poisson_means, simulate_counts
 from bellmeter.multimeter import (
     effective_povm,
     fidelity_from_PI,
+    multimeter_blocks,
     povm_elements,
     reinterpret,
     run_multimeter_sweep,
     theory_PI,
 )
-from bellmeter.polarization import PolarizationState, prepare_equatorial
+from bellmeter.polarization import PolarizationState, prepare_equatorial, recipe_multimeter
 from bellmeter.twophoton import BELL_STATES, tensor
 
 
@@ -165,6 +167,22 @@ def test_reinterpret_keeps_half_at_eta_half():
     # conclusive outcomes pass through untouched
     conclusive = np.full(1000, int(Outcome.PSI_MINUS))
     assert np.array_equal(reinterpret(conclusive, 0.5, rng), conclusive)
+
+
+@pytest.mark.parametrize("eta", [math.nan, -0.1, 1.1])
+def test_every_entry_point_names_a_bad_eta_alike(eta):
+    config, rng = ExperimentConfig(), np.random.default_rng(1)
+    recipe = recipe_multimeter(30.0, +1)
+    calls = [
+        lambda: simulate_counts(recipe, recipe, 0.0, config, eta=eta),
+        lambda: multimeter_blocks([0.0, 30.0], eta, config),  # on the call, before a block is drawn
+        lambda: povm_elements(eta),
+        lambda: reinterpret([0, 1, 2], eta, rng),
+        lambda: _poisson_means(np.zeros((2, 1, 2, 2)), np.ones(2), config, np.array([0.5, eta])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'eta must lie in [0, 1], got {eta}')}$"):
+            call()
 
 
 def test_estimate_pi_arithmetic():
