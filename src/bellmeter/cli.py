@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 # most points a sweep grid may have, checked before the grid is built
 _MAX_GRID_POINTS = 10**6
 
-# _parse_range rounds a grid to 9 decimals in chunks of this many points, so its
+# _round_9 rounds a grid to 9 decimals in chunks of this many points, so its
 # temporaries stay small; at |v| >= _ROUND_EXACT, |v| * 1e9 may exceed 2^52
 _ROUND_CHUNK = 2**14
 _ROUND_EXACT = 2.0**52 / 1e9
@@ -55,11 +55,12 @@ _COORD_COLUMNS = [
 ]
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_float_list(text: str) -> np.ndarray:
+    """Parse a comma list of numbers into a float64 array; each number x has the bits of the range x:x:1."""
     values = [float(part) for part in text.split(",") if part.strip() != ""]
     if not all(map(math.isfinite, values)):
         raise ValueError(f"list values must be finite, got {text!r}")
-    return values
+    return _round_9(np.array(values, dtype=float) + 0.0)  # x + 0.0 is a range's start + 0 * step: -0 is 0.0
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -82,16 +83,14 @@ def _parse_range(text: str) -> np.ndarray:
     points = np.arange(count, dtype=float)
     points *= step
     points += start  # the bits of start + i * step in Python floats
-    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond _ROUND_EXACT may overflow here
-        for chunk in range(0, count, _ROUND_CHUNK):
-            _round_9(points[chunk : chunk + _ROUND_CHUNK])
+    _round_9(points)
     if np.any(points[:-1] >= points[1:]):
         raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
     return points
 
 
-def _round_9(values: np.ndarray) -> None:
-    """Round `values` in place to 9 decimals exactly as round(v, 9) does.
+def _round_9(values: np.ndarray) -> np.ndarray:
+    """Round `values` in place to 9 decimals exactly as round(v, 9) does, and return them.
 
     round(v, 9) is the float nearest to k / 1e9, where k is the exact
     |v| * 1e9 rounded to an integer, ties to even, with the sign of v.
@@ -102,20 +101,24 @@ def _round_9(values: np.ndarray) -> None:
     2^52, where k might not be a float, go through round() itself, but for
     the integers beyond 2^52, which it keeps.
     """
-    mag = np.abs(values)
-    hi = mag * 1e9
-    split = mag * _VELTKAMP
-    head = split - (split - mag)
-    lo = (head * 1e9 - hi) + (mag - head) * 1e9
-    k = np.rint(hi)
-    half = hi - k
-    k += (half == 0.5) & (lo > 0.0)
-    k -= (half == -0.5) & (lo < 0.0)
-    exact = mag < _ROUND_EXACT
-    np.copysign(np.divide(k, 1e9, out=k), values, out=values, where=exact)
-    rest = ~exact & ~(mag >= 2.0**52)  # a float of |v| >= 2^52 is an integer, which round() keeps
-    if rest.any():
-        values[rest] = [round(v, 9) for v in values[rest].tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond _ROUND_EXACT may overflow here
+        for start in range(0, len(values), _ROUND_CHUNK):
+            chunk = values[start : start + _ROUND_CHUNK]
+            mag = np.abs(chunk)
+            hi = mag * 1e9
+            split = mag * _VELTKAMP
+            head = split - (split - mag)
+            lo = (head * 1e9 - hi) + (mag - head) * 1e9
+            k = np.rint(hi)
+            half = hi - k
+            k += (half == 0.5) & (lo > 0.0)
+            k -= (half == -0.5) & (lo < 0.0)
+            exact = mag < _ROUND_EXACT
+            np.copysign(np.divide(k, 1e9, out=k), chunk, out=chunk, where=exact)
+            rest = ~exact & ~(mag >= 2.0**52)  # a float of |v| >= 2^52 is an integer, which round() keeps
+            if rest.any():
+                chunk[rest] = [round(v, 9) for v in chunk[rest].tolist()]
+    return values
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -58,15 +58,7 @@ def discriminator_blocks(
     Estimator failures (for example no conclusive events at a point) are
     recorded as NaN instead of aborting the sweep.
     """
-    # arrays, so that no grid list is kept alive through the sweep
-    epsilons, thetas = np.asarray(epsilons, dtype=float), np.asarray(thetas, dtype=float)
-
-    def grid(points: slice) -> tuple[np.ndarray, np.ndarray]:
-        index = np.arange(points.start, points.stop)
-        return epsilons[index // len(thetas)], thetas[index % len(thetas)]
-
-    n = len(epsilons) * len(thetas)
-    for (eps, theta), counts in sweep_blocks(n, grid, pol.discriminator_angles, config):
+    for (eps, theta), counts in sweep_blocks((epsilons, thetas), pol.discriminator_angles, config):
         est = dict(zip(Estimates._fields, estimate_table(counts).T))
         yield sweep_columns(
             DiscriminationPoint, counts, epsilon=eps, theta=theta,

@@ -14,12 +14,13 @@ counts per class, and sums of independent Poisson counts are Poisson.  The
 recorded Psi+ and Psi- counts of an input setting are therefore two Poisson
 draws whose means add up the class probabilities of all its periods.
 
-A sweep (sweep_blocks) runs as four stages, one per input setting (main plus,
-main minus, shoulder plus, shoulder minus), and each stage has two random
-streams of its own, spawned from config.seed: stage s takes its plate jitter
-from stream 2s and its counts from stream 2s + 1.  The points run in blocks
-(_blocks) of at most 4096 analyzed periods per stage (R per point with
-angle_jitter > 0, else 1), each drawn by _draw_block.  In a block each stage
+A sweep (sweep_blocks) runs over the product of its grid axes, last axis
+fastest, as four stages, one per input setting (main plus, main minus,
+shoulder plus, shoulder minus), and each stage has two random streams of its
+own, spawned from config.seed: stage s takes its plate jitter from stream 2s
+and its counts from stream 2s + 1.  The points run through one block loop
+(_drawn_blocks), in blocks of at most 4096 analyzed periods per stage (R per
+point with angle_jitter > 0, else 1), each drawn by _draw_block.  In a block each stage
 first draws the jitter of its periods, R x 2 x 2 uniforms per point in one
 array draw (only when angle_jitter > 0); the periods of all stages then go
 from plate angles to Stokes vectors to class probabilities in one
@@ -29,9 +30,9 @@ state, so each point is analyzed as one period that counts R times); last, one
 Poisson draw per stage gives every point its (Psi+, Psi-) pair.  Both streams
 of a stage are consumed in point order, so the block size changes no draw, and
 the first k rows of a sweep equal the sweep of its first k points.  The mirror
-scan (hom_scan_blocks) runs through the same block loop (_drawn_blocks) as
-two stages, the +45 and -45 degree data inputs, and one input setting
-(simulate_counts) is one stage drawn as a block of one point.
+scan (hom_scan_blocks) runs through the same block loop as two stages, the
++45 and -45 degree data inputs, and one input setting (simulate_counts) is one
+stage drawn as a block of one point.
 """
 
 from __future__ import annotations
@@ -283,13 +284,6 @@ def shoulder_counts(
     return simulate_counts(data, program, config.shoulder_position, config, rng)
 
 
-def _blocks(n: int, config: ExperimentConfig) -> Iterator[slice]:
-    """The points 0 .. n-1 in blocks of at most _MAX_STAGE_PERIODS analyzed periods per stage."""
-    periods = config.repetitions if config.angle_jitter > 0.0 else 1
-    block = max(1, _MAX_STAGE_PERIODS // periods)
-    return (slice(start, min(start + block, n)) for start in range(0, n, block))
-
-
 def _draw_block(
     stages: Sequence[tuple[np.ndarray, np.ndarray, float]],
     config: ExperimentConfig,
@@ -317,28 +311,29 @@ def _draw_block(
 
 
 def _drawn_blocks(n: int, stages: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
-    """The one block loop: per block of the points 0 .. n-1, stages_at(points) gives a head and the
-    block's stages, whose _draw_block counts come with the head; stage s draws from streams 2s, 2s + 1."""
+    """The one block loop over the points 0 .. n-1, in blocks of at most _MAX_STAGE_PERIODS analyzed
+    periods per stage: stages_at(points), a slice, gives a head and the block's stages, whose
+    _draw_block counts come with the head; stage s draws from streams 2s, 2s + 1."""
     # a jitter stream (2s) is drawn from only when angle_jitter > 0; it is spawned either way
     drawn = [config.angle_jitter > 0.0, True] * stages
     streams = np.random.SeedSequence(config.seed).spawn(2 * stages)
     rngs = [np.random.default_rng(seq) if use else None for seq, use in zip(streams, drawn)]
-    for points in _blocks(n, config):
-        head, block_stages = stages_at(points)
+    block = max(1, _MAX_STAGE_PERIODS // (config.repetitions if config.angle_jitter > 0.0 else 1))
+    for start in range(0, n, block):
+        head, block_stages = stages_at(slice(start, min(start + block, n)))
         yield head, _draw_block(block_stages, config, rngs)
 
 
 def sweep_blocks(
-    n: int,
-    coordinates_at: Callable[[slice], tuple[np.ndarray, ...]],
+    axes: Sequence[Sequence[float]],
     angles_of: Callable[..., np.ndarray],
     config: ExperimentConfig,
     eta: float = 1.0,
 ) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """A sweep of n settings block by block: the coordinates and the (size, 8) counts of each block.
+    """A sweep over the product of the grid axes block by block: the coordinates and the (size, 8) counts of each block.
 
-    coordinates_at(points) gives the grid coordinates of a block, a slice of
-    the points, and angles_of(*coordinates) their (size, 3, 2) nominal plate
+    The points run last axis fastest.  A block's coordinates hold each
+    axis's values at its points, and angles_of(*coordinates) their (size, 3, 2) nominal plate
     angles [point, input (data plus, data minus, program), plate (QWP, HWP)],
     so only one block of angles exists at a time.  The counts, drawn at
     config.pair_rate, come in the COUNT_COLUMNS order of the four stages:
@@ -350,15 +345,19 @@ def sweep_blocks(
     the main runs only, so the shoulder normalization stays that of the raw
     measurement.
     """
+    # arrays, so that no grid list is kept alive through the sweep
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
 
     def stages(points: slice) -> tuple[tuple[np.ndarray, ...], list]:
-        coordinates = coordinates_at(points)
+        index = np.unravel_index(np.arange(points.start, points.stop), shape)
+        coordinates = tuple(axis[i] for axis, i in zip(axes, index))
         angles = np.asarray(angles_of(*coordinates), dtype=float)
         center, shoulder = np.zeros(len(angles)), np.full(len(angles), config.shoulder_position)
         main = [(angles[:, [data, 2]], center, eta) for data in (0, 1)]
         return coordinates, main + [(diagonal, shoulder, 1.0) for diagonal in _DIAGONAL]
 
-    return _drawn_blocks(n, 4, stages, config)
+    return _drawn_blocks(math.prod(shape), 4, stages, config)
 
 
 @dataclass

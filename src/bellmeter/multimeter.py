@@ -131,7 +131,6 @@ def multimeter_blocks(
     raises ValueError on the call.
     """
     check_eta(eta)
-    phis = np.asarray(phis, dtype=float)  # so that no grid list is kept alive through the sweep
     pi_theory = theory_PI(eta)
     fidelity_theory = fidelity_from_PI(pi_theory)
 
@@ -146,7 +145,7 @@ def multimeter_blocks(
             error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
         )
 
-    blocks = sweep_blocks(len(phis), lambda points: (phis[points],), pol.multimeter_angles, config, eta)
+    blocks = sweep_blocks((phis,), pol.multimeter_angles, config, eta)
     return (columns(phi, counts) for (phi,), counts in blocks)
 
 

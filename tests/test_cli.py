@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellmeter
-from bellmeter.cli import _load_config, _parse_range, build_parser, main
+from bellmeter.cli import _load_config, _parse_float_list, _parse_range, build_parser, main
 from bellmeter.counts import CountRecord
 from bellmeter.dataset import sidecar_path
 from bellmeter.errors import SchemaViolationError
@@ -392,6 +392,33 @@ def test_a_bare_phi_is_written_rounded(tmp_path):
     out = tmp_path / "m.tsv"
     assert main(["multimeter", "--phi-range=0.1234567891234", "--pairs", "1000", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].split("\t")[0] == "0.123456789"
+
+
+@pytest.mark.parametrize("text", ["0.1234567891234", "-0", "1e-320", "5e-10", "-1e-10", "1e308", "7e307"])
+def test_a_list_number_has_the_bits_of_the_bare_number(text):
+    # a comma list follows the bare-number rule: -0 becomes 0.0, -1e-10 becomes -0.0
+    expected = _parse_range(text).view(np.int64).tolist()
+    assert _parse_float_list(text).view(np.int64).tolist() == expected
+    assert _parse_float_list(f"1,{text},2").view(np.int64).tolist()[1:2] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, first_cell",
+    [
+        (["discriminate", "--epsilon", "0.1234567891234", "--theta-range", "0"], "0.123456789"),
+        (["hom-scan", "--positions=-0,1,2,3"], "0.0"),
+    ],
+    ids=["epsilon", "negative-zero-position"],
+)
+def test_a_list_value_is_written_rounded(tmp_path, argv, first_cell):
+    out = tmp_path / "x.tsv"
+    assert main(argv + ["--pairs", "1000", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split("\t")[0] == first_cell
+
+
+def test_a_list_item_is_no_range(tmp_path, capsys):
+    assert main(["discriminate", "--epsilon", "0:90:45", "--out", str(tmp_path / "x.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("error: could not convert string to float: '0:90:45'")
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from bellmeter.experiment import (
 from bellmeter.discriminator import run_discriminator_sweep
 from bellmeter.multimeter import run_multimeter_sweep
 from bellmeter.polarization import (
+    discriminator_angles,
     multimeter_angles,
     prepare_elliptical,
     prepare_from_recipe,
@@ -616,7 +617,7 @@ def sweep_angles(settings_):
 
 def joined_sweep(angles, cfg, eta=1.0):
     """The (n, 8) count table of a sweep over the nominal plate angles `angles`, its sweep_blocks joined."""
-    blocks = sweep_blocks(len(angles), lambda points: (angles[points],), lambda block: block, cfg, eta)
+    blocks = sweep_blocks((angles,), lambda block: block, cfg, eta)
     return np.concatenate([counts for _, counts in blocks])
 
 
@@ -992,7 +993,7 @@ def test_sweep_blocks_join_to_measure_sweep(jitter, block_periods):
     phis = np.linspace(-90.0, 90.0, 11)
 
     def sweep():
-        return list(sweep_blocks(len(phis), lambda points: (phis[points],), multimeter_angles, cfg, eta=0.5))
+        return list(sweep_blocks((phis,), multimeter_angles, cfg, eta=0.5))
 
     with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
         blocks = sweep()
@@ -1001,6 +1002,33 @@ def test_sweep_blocks_join_to_measure_sweep(jitter, block_periods):
     counts = np.concatenate([block for _, block in blocks])
     [((whole_phi,), whole)] = sweep()
     assert np.array_equal(whole_phi, phis) and np.array_equal(counts, whole)
+
+
+@pytest.mark.parametrize("jitter", [1.0, 0.0])
+@pytest.mark.parametrize("block_periods", [1, 7])
+def test_sweep_blocks_run_over_the_product_of_the_axes(jitter, block_periods):
+    # epsilon x theta, theta fastest, in blocks of 1 to 7 points: the coordinates of
+    # np.repeat / np.tile, and the counts of the one block of the default size
+    cfg = with_pairs_per_point(replace(ExperimentConfig(seed=4), repetitions=3, angle_jitter=jitter), 1e4)
+    eps, thetas = [0.0, 12.5, 30.0], np.linspace(0.0, 90.0, 5)
+
+    def sweep():
+        blocks = list(sweep_blocks((eps, thetas), discriminator_angles, cfg))
+        return len(blocks), [np.concatenate(column) for column in zip(*[(*xy, counts) for xy, counts in blocks])]
+
+    whole_blocks, whole = sweep()
+    with patch("bellmeter.experiment._MAX_STAGE_PERIODS", block_periods):
+        cut_blocks, cut = sweep()
+    assert whole_blocks == 1 and cut_blocks == math.ceil(15 / max(1, block_periods // (3 if jitter else 1)))
+    assert np.array_equal(whole[0], np.repeat(eps, len(thetas)))
+    assert np.array_equal(whole[1], np.tile(thetas, len(eps)))
+    assert all(np.array_equal(a, b) for a, b in zip(cut, whole))
+
+
+@pytest.mark.parametrize("axes", [([], [0.0, 45.0]), ([0.0, 12.0], []), ([],)])
+def test_an_empty_axis_yields_no_block(axes):
+    angles_of = discriminator_angles if len(axes) == 2 else multimeter_angles
+    assert list(sweep_blocks(axes, angles_of, ExperimentConfig())) == []
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])

@@ -1,0 +1,121 @@
+"""Check that this tree writes the same seeded outputs as another git revision.
+
+    python tools/same_output.py <rev> [--differs NAME ...]
+
+<rev> is checked out with `git worktree add` into a temporary directory,
+which is removed at exit; nothing is written into the repository.  One fixed
+command list runs as `python -m bellmeter.cli` in <tmp>/base/ with
+PYTHONPATH=<rev's tree>/src and in <tmp>/head/ with PYTHONPATH=<this
+tree>/src.  Every path a command names is relative, so `argv` and `input`
+match on both sides.  Each TSV is compared byte for byte and each JSON
+sidecar with its `timestamp` dropped, one line per output.  The exit code is
+1 if an output differs that no --differs names, if a named output matches,
+or if a command fails; 0 otherwise, and 2 if <rev> names no commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# ExperimentConfig.realistic(): 92% mode overlap, a few percent of splitting imbalance
+REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
+
+# (output, argv): every subcommand under the default, --ideal and realistic configs, then an
+# analyze of each sweep; discriminate-blocks spans several blocks of jittered periods
+COMMANDS = [
+    ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
+    ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
+    ("discriminate-blocks.tsv", ["discriminate", "--config", "realistic.json", "--epsilon", "0,30",
+                                 "--theta-range=0:90:0.05", "--pairs", "5000", "--seed", "3"]),
+    ("multimeter.tsv", ["multimeter", "--pairs", "2000", "--seed", "7"]),
+    ("multimeter-ideal.tsv", ["multimeter", "--ideal", "--eta", "0.5", "--phi-range=-90:90:0.1", "--pairs", "2000"]),
+    ("multimeter-realistic.tsv", ["multimeter", "--config", "realistic.json", "--eta", "0.25",
+                                  "--phi-range=-90:90:10", "--pairs", "2000", "--seed", "5"]),
+    ("hom-scan.tsv", ["hom-scan", "--pairs", "2000", "--seed", "7"]),
+    ("hom-scan-ideal.tsv", ["hom-scan", "--ideal", "--positions=-100,-50,-10,0,10,50,100", "--pairs", "2000"]),
+    ("hom-scan-realistic.tsv", ["hom-scan", "--config", "realistic.json", "--range=-300:300:0.5", "--seed", "5"]),
+]
+COMMANDS += [
+    (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
+]
+OUTPUTS = [path for name, _ in COMMANDS for path in (name, f"{name}.meta.json")]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
+
+
+def run_commands(tree: Path, workdir: Path) -> bool:
+    """Run COMMANDS in `workdir` on the package in `tree`; False, after printing why, if one fails."""
+    workdir.mkdir()
+    (workdir / "realistic.json").write_text(json.dumps(REALISTIC), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import bellmeter; print(bellmeter.__file__)"],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    if not where.stdout.strip().startswith(str(tree / "src")):
+        print(f"{workdir.name}: bellmeter is not imported from {tree / 'src'}: {where.stdout}{where.stderr}")
+        return False
+    for name, argv in COMMANDS:
+        done = subprocess.run(
+            [sys.executable, "-m", "bellmeter.cli", *argv, "--out", name],
+            cwd=workdir, env=env, capture_output=True, text=True,
+        )
+        if done.returncode:
+            print(f"{workdir.name}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}", end="")
+            return False
+    return True
+
+
+def same(base: Path, head: Path) -> bool:
+    if base.name.endswith(".meta.json"):
+        sidecars = [json.loads(path.read_text(encoding="utf-8")) for path in (base, head)]
+        for sidecar in sidecars:
+            sidecar.pop("timestamp", None)
+        # as text, so that -0.0 and 0.0 or two NaNs do not compare as Python floats do
+        return json.dumps(sidecars[0], sort_keys=True) == json.dumps(sidecars[1], sort_keys=True)
+    return base.read_bytes() == head.read_bytes()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. the parent commit")
+    parser.add_argument("--differs", nargs="+", default=[], choices=OUTPUTS, metavar="NAME",
+                        help="an output expected to differ; one of: " + ", ".join(OUTPUTS))
+    args = parser.parse_args(argv)
+    try:
+        commit = git("rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}").strip()
+    except subprocess.CalledProcessError:
+        parser.error(f"{args.rev!r} names no commit")
+    tmp = Path(tempfile.mkdtemp(prefix="same-output-"))
+    tree = tmp / "tree"
+    try:
+        git("worktree", "add", "--detach", str(tree), commit)
+        if not (run_commands(tree, tmp / "base") and run_commands(ROOT, tmp / "head")):
+            return 1
+        status = 0
+        for name in OUTPUTS:
+            equal = same(tmp / "base" / name, tmp / "head" / name)
+            expected = name not in args.differs
+            word = ("same" if equal else "differs") + ("" if equal == expected else " (unexpected)")
+            print(f"{word:22}{name}")
+            status |= equal != expected
+        print(f"{len(OUTPUTS)} outputs compared against {commit[:12]}: {'as expected' if not status else 'FAILED'}")
+        return status
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
