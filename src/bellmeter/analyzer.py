@@ -38,9 +38,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import ge, gt, le, lt
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,9 +69,9 @@ _PSI_PLUS_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _PSI_MINUS_PAIRS = (frozenset({"D1", "D2"}), frozenset({"D3", "D4"}))
 
 
-def check_field_types(instance) -> None:
-    """ValueError unless each "float" field of a dataclass is a finite number and each "int"
-    field an integer; a bool is neither (the types are the strings of postponed annotations)."""
+def check_fields(instance) -> None:
+    """ValueError unless each "float", "int" or "bool" field of a dataclass is a finite number, an integer or a bool
+    (a bool is neither number; the types are postponed annotations), and lies in its "bounds" (check_bounds)."""
     for f in fields(instance):
         value = getattr(instance, f.name)
         if f.type == "float" and (
@@ -79,6 +80,32 @@ def check_field_types(instance) -> None:
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        if "bounds" in f.metadata:
+            check_bounds(type(instance), f.name, value)
+
+
+@functools.cache
+def _bounds(owner: type, name: str) -> tuple[str, Callable, Callable]:
+    """The "bounds" text of field `name` of dataclass `owner`, such as "(0, 1]", and its endpoint tests."""
+    text = next(f.metadata["bounds"] for f in fields(owner) if f.name == name)
+    low, high = map(float, text[1:-1].split(","))
+    above_low = functools.partial(le if text[0] == "[" else lt, low)
+    return text, above_low, functools.partial(ge if text[-1] == "]" else gt, high)
+
+
+def check_bounds(owner: type, name: str, values):
+    """`values`, a number or a float array, unless one lies outside the "bounds" of field `name` of
+    dataclass `owner`: then ValueError naming the first such value (NaN lies outside)."""
+    text, above_low, below_high = _bounds(owner, name)
+    if isinstance(values, np.ndarray):
+        outside = values[~(above_low(values) & below_high(values))].tolist()
+    else:  # in plain Python, where an int beyond the float range compares exactly
+        outside = [] if above_low(values) and below_high(values) else [values]
+    if outside:
+        raise ValueError(f"{name} must lie in {text}, got {outside[0]}")
+    return values
 
 
 class Outcome(enum.IntEnum):
@@ -110,22 +137,14 @@ class AnalyzerConfig:
     component of input port 2.
     """
 
-    transmittance_h: float = 0.5
-    transmittance_v: float = 0.5
-    mode_overlap: float = 1.0
+    transmittance_h: float = field(default=0.5, metadata={"bounds": "(0, 1)"})
+    transmittance_v: float = field(default=0.5, metadata={"bounds": "(0, 1)"})
+    mode_overlap: float = field(default=1.0, metadata={"bounds": "[0, 1]"})
     geometric_phase: bool = True
     detector_map: tuple[str, str, str, str] = DEFAULT_DETECTOR_MAP
 
     def __post_init__(self):
-        check_field_types(self)
-        for name in ("transmittance_h", "transmittance_v"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"beamsplitter {name} must lie in (0, 1), got {value!r}")
-        if not 0.0 <= self.mode_overlap <= 1.0:
-            raise ValueError(f"mode_overlap must lie in [0, 1], got {self.mode_overlap!r}")
-        if not isinstance(self.geometric_phase, bool):
-            raise ValueError(f"geometric_phase must be true or false, got {self.geometric_phase!r}")
+        check_fields(self)
         if not isinstance(self.detector_map, (tuple, list)) or sorted(
             self.detector_map, key=str
         ) != sorted(DETECTORS):
@@ -246,10 +265,8 @@ def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = comple
 
 
 def _overlap_column(mode_overlap, n: int) -> np.ndarray:
-    """The mode overlaps as an (n, 1) or (1, 1) array in [0, 1]; ValueError otherwise."""
-    overlap = np.asarray(mode_overlap, dtype=float).reshape(-1, 1)
-    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
-        raise ValueError(f"mode overlap must lie in [0, 1], got {mode_overlap}")
+    """The mode overlaps as an (n, 1) or (1, 1) array, each in AnalyzerConfig.mode_overlap's bounds."""
+    overlap = check_bounds(AnalyzerConfig, "mode_overlap", np.asarray(mode_overlap, dtype=float)).reshape(-1, 1)
     if len(overlap) not in (1, n):
         raise ValueError(f"expected 1 or {n} mode overlaps, got {len(overlap)}")
     return overlap

@@ -55,22 +55,18 @@ _COORD_COLUMNS = [
 ]
 
 
-def _parse_float_list(text: str) -> np.ndarray:
+def _parse_float_list(text: str, flag: str = "list") -> np.ndarray:
     """Parse a comma list of numbers into a float64 array; each number x has the bits of the range x:x:1."""
-    values = [float(part) for part in text.split(",") if part.strip() != ""]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"list values must be finite, got {text!r}")
+    values = [_grid_number(part, flag, text) for part in text.split(",") if part.strip() != ""]
     return _round_9(np.array(values, dtype=float) + 0.0)  # x + 0.0 is a range's start + 0 * step: -0 is 0.0
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str, flag: str = "range") -> np.ndarray:
     """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number x is x:x:1."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
-    values = [float(p) for p in parts]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"range bounds and step must be finite, got {text!r}")
+    values = [_grid_number(p, flag, text) for p in parts]
     if len(values) == 1:
         values += [values[0], 1.0]
     start, stop, step = values
@@ -87,6 +83,16 @@ def _parse_range(text: str) -> np.ndarray:
     if np.any(points[:-1] >= points[1:]):
         raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
     return points
+
+
+def _grid_number(item: str, flag: str, text: str) -> float:
+    """`item` of the grid flag value `text` as a float; ValueError naming the three unless it is a finite number."""
+    try:
+        if math.isfinite(value := float(item)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} {text!r}: item {item!r} is not a finite number")
 
 
 def _round_9(values: np.ndarray) -> np.ndarray:
@@ -151,7 +157,7 @@ def build_discriminate(args: argparse.Namespace) -> _Built:
     from .polarization import discriminator_sums_are_finite
 
     config = _load_config(args)
-    epsilons, thetas = _parse_float_list(args.epsilon), _parse_range(args.theta_range)
+    epsilons, thetas = _parse_float_list(args.epsilon, "--epsilon"), _parse_range(args.theta_range, "--theta-range")
     if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
         raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
     if not discriminator_sums_are_finite(epsilons, thetas):
@@ -166,16 +172,18 @@ def build_discriminate(args: argparse.Namespace) -> _Built:
 
 
 def build_multimeter(args: argparse.Namespace) -> _Built:
+    from .experiment import check_eta
     from .multimeter import multimeter_blocks
 
     config = _load_config(args)
+    eta = round(float(check_eta(args.eta)) + 0.0, 9)  # a bare grid number, rounded once it is in bounds
     keys = {
         "task": "multimeter",
         "pairs_per_point": args.pairs,
-        "eta": args.eta,
+        "eta": eta,
         **_simulation_keys(config),
     }
-    blocks = multimeter_blocks(_parse_range(args.phi_range), args.eta, config)
+    blocks = multimeter_blocks(_parse_range(args.phi_range, "--phi-range"), eta, config)
     return sweep_header(MultimeterPoint), blocks, keys, lambda: ""
 
 
@@ -183,7 +191,8 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
     from .experiment import hom_scan_blocks
 
     config = _load_config(args)
-    positions = _parse_range(args.range) if args.positions is None else _parse_float_list(args.positions)
+    positions = (_parse_range(args.range, "--range") if args.positions is None
+                 else _parse_float_list(args.positions, "--positions"))
     keys = _simulation_keys(config)
     blocks = hom_scan_blocks(positions, config, keys)
 

@@ -239,7 +239,7 @@ class MultimeterPoint:
     """
 
     phi: float = field(metadata={"grid": True})
-    eta: float = field(metadata={"grid": True})
+    eta: float = field(metadata={"grid": True, "bounds": "[0, 1]"})
     pi_theory: float
     fidelity_theory: float
     p_inconclusive: float = field(metadata={"column": "pi_estimated"})

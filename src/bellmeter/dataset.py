@@ -146,7 +146,8 @@ def write_table(
     anything fails, the temporary files are removed and the previous files
     stay as they were.  With `path` None the TSV goes to stdout, through an
     unnamed temporary file that is copied out once every block is written,
-    and there is no sidecar.  Returns the number of rows.
+    and there is no sidecar.  A `path` named like a sidecar, '<file>.meta.json',
+    raises ValueError before anything is written.  Returns the number of rows.
     """
     if path is None:
         import shutil
@@ -158,6 +159,8 @@ def write_table(
             shutil.copyfileobj(out, sys.stdout)
         sys.stdout.flush()
         return rows
+    if path.name.endswith(".meta.json"):  # it would replace the sidecar of the dataset it names
+        raise ValueError(f"{path}: an output name must not end in .meta.json, the name of a sidecar")
     stamp = {"columns": list(columns), "timestamp": datetime.now(timezone.utc).isoformat()}
 
     def sidecar(indent: int | None = 2) -> str:

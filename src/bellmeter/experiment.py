@@ -44,7 +44,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import polarization as pol
-from .analyzer import AnalyzerConfig, check_field_types, stokes_outcome_probs
+from .analyzer import AnalyzerConfig, check_bounds, check_fields, stokes_outcome_probs
+from .counts import MultimeterPoint
 from .errors import SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
@@ -90,32 +91,21 @@ class ExperimentConfig:
     measurement period for every wave plate).
     """
 
-    pair_rate: float = 100_000.0
-    period: float = 1.0
-    repetitions: int = 10
-    detector_efficiency: float = 0.5
-    dark_count_rate: float = 100.0
-    coincidence_window: float = 10e-9
-    dip_sigma: float = 35.0
+    pair_rate: float = field(default=100_000.0, metadata={"bounds": "[0, inf)"})
+    period: float = field(default=1.0, metadata={"bounds": "(0, inf)"})
+    repetitions: int = field(default=10, metadata={"bounds": "[1, inf)"})
+    detector_efficiency: float = field(default=0.5, metadata={"bounds": "(0, 1]"})  # at 0 every count is 0
+    dark_count_rate: float = field(default=100.0, metadata={"bounds": "[0, inf)"})
+    coincidence_window: float = field(default=10e-9, metadata={"bounds": "[0, inf)"})
+    dip_sigma: float = field(default=35.0, metadata={"bounds": "[1e-100, 1e100]"})  # so sigma^2 is a normal float
     shoulder_position: float = 150.0
-    angle_jitter: float = 1.0
-    seed: int = 12345
+    # a plate's period; far beyond, the draw's range overflows
+    angle_jitter: float = field(default=1.0, metadata={"bounds": "[0, 180]"})
+    seed: int = field(default=12345, metadata={"bounds": "[0, inf)"})
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.pair_rate < 0 or self.period <= 0 or self.repetitions < 1:
-            raise ValueError("pair_rate must be >= 0, period > 0, repetitions >= 1")
-        if not 0.0 < self.detector_efficiency <= 1.0:  # at 0 every count of a sweep is 0
-            raise ValueError(f"detector_efficiency must lie in (0, 1], got {self.detector_efficiency}")
-        if self.dark_count_rate < 0 or self.coincidence_window < 0:
-            raise ValueError("dark_count_rate and coincidence_window must be >= 0")
-        if not 1e-100 <= self.dip_sigma <= 1e100:  # so that sigma^2 is a normal float
-            raise ValueError(f"dip_sigma must lie in [1e-100, 1e100] um, got {self.dip_sigma}")
-        if not 0.0 <= self.angle_jitter <= 180.0:  # a plate's period; far beyond, the draw's range overflows
-            raise ValueError(f"angle_jitter must lie in [0, 180] degrees, got {self.angle_jitter}")
+        check_fields(self)
         try:
             worst_mean = self.pair_rate * self.period * self.repetitions + _accidentals(self)
         except OverflowError:  # a repetitions integer beyond the float range, or a dark rate squared beyond it
@@ -189,12 +179,8 @@ def _accidentals(config: ExperimentConfig) -> float:
 
 
 def check_eta(eta: float | np.ndarray) -> np.ndarray:
-    """`eta` as a float array; ValueError naming its first value outside [0, 1] (NaN is outside)."""
-    etas = np.asarray(eta, dtype=float)
-    outside = etas[~((0.0 <= etas) & (etas <= 1.0))]
-    if outside.size:
-        raise ValueError(f"eta must lie in [0, 1], got {float(outside[0])}")
-    return etas
+    """`eta` as a float array; ValueError naming its first value outside the bounds of MultimeterPoint.eta."""
+    return check_bounds(MultimeterPoint, "eta", np.asarray(eta, dtype=float))
 
 
 def _poisson_means(

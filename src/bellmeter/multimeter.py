@@ -127,8 +127,8 @@ def multimeter_blocks(
     inconclusive outcomes, so the shoulder normalization stays that of the
     raw measurement.  The fidelity estimate is 1 - the wrong-class rate of
     the conclusive events, and the counts are drawn at config.pair_rate.
-    Estimates the counts leave undefined are NaN.  An eta outside [0, 1]
-    raises ValueError on the call.
+    Estimates the counts leave undefined are NaN.  An eta outside the bounds
+    of MultimeterPoint.eta raises ValueError on the call.
     """
     check_eta(eta)
     pi_theory = theory_PI(eta)

@@ -18,7 +18,7 @@ from bellmeter.analyzer import (
     pattern_probs_batch,
     stokes_outcome_probs,
 )
-from bellmeter.analyzer import _stokes_terms
+from bellmeter.analyzer import _overlap_column, _stokes_terms
 from bellmeter.polarization import (
     PolarizationState,
     PrepRecipe,
@@ -73,6 +73,30 @@ def test_analyzer_config_validation():
         AnalyzerConfig(mode_overlap=1.5)
     with pytest.raises(ValueError):
         AnalyzerConfig(detector_map=("D1", "D1", "D2", "D3"))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("transmittance_h", True, "transmittance_h must be a finite number, got True"),
+        ("transmittance_v", float("nan"), "transmittance_v must be a finite number, got nan"),
+        ("geometric_phase", 1, "geometric_phase must be true or false, got 1"),
+        ("transmittance_h", 1, "transmittance_h must lie in (0, 1), got 1"),
+        ("mode_overlap", -0.5, "mode_overlap must lie in [0, 1], got -0.5"),
+    ],
+)
+def test_analyzer_config_names_a_field_of_the_wrong_type_or_outside_its_bounds(field, value, message):
+    with pytest.raises(ValueError) as raised:
+        AnalyzerConfig(**{field: value})
+    assert str(raised.value) == message
+
+
+def test_mode_overlap_arrays_are_held_to_the_config_field_bounds():
+    assert _overlap_column(np.array([0.0, 1.0]), 2).tolist() == [[0.0], [1.0]]
+    for bad in (float(np.nextafter(0.0, -1.0)), float(np.nextafter(1.0, 2.0)), float("nan")):
+        with pytest.raises(ValueError) as raised:
+            stokes_outcome_probs(np.tile([1.0, 0.0, 0.0], (3, 1)), np.tile([0.0, 1.0, 0.0], (3, 1)), IDEAL, [0.5, bad, 2.0])
+        assert str(raised.value) == f"mode_overlap must lie in [0, 1], got {bad}"
 
 
 def test_bell_state_routing_with_geometric_phase():

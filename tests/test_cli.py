@@ -416,9 +416,23 @@ def test_a_list_value_is_written_rounded(tmp_path, argv, first_cell):
     assert out.read_text().splitlines()[1].split("\t")[0] == first_cell
 
 
-def test_a_list_item_is_no_range(tmp_path, capsys):
-    assert main(["discriminate", "--epsilon", "0:90:45", "--out", str(tmp_path / "x.tsv")]) == 1
-    assert capsys.readouterr().err.startswith("error: could not convert string to float: '0:90:45'")
+@pytest.mark.parametrize(
+    "argv, item",
+    [
+        (["discriminate", "--epsilon", "0:90:45"], "0:90:45"),  # a list item is no range
+        (["hom-scan", "--positions", "1,a,2"], "a"),
+        (["discriminate", "--theta-range", "0:90:x"], "x"),
+        (["multimeter", "--phi-range=0:90:x"], "x"),
+        (["hom-scan", "--range", "0:inf:1"], "inf"),
+    ],
+    ids=["epsilon", "positions", "theta-range", "phi-range", "range"],
+)
+def test_a_grid_item_that_is_no_finite_number_is_named_with_its_flag(tmp_path, capsys, argv, item):
+    out = tmp_path / "x.tsv"
+    assert main(argv + ["--pairs", "1000", "--out", str(out)]) == 1
+    flag, text = argv[1].split("=") if "=" in argv[1] else argv[1:]
+    assert capsys.readouterr().err == f"error: {flag} {text!r}: item {item!r} is not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -444,6 +458,39 @@ def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["multimeter", "--eta", "1.5", "--out", str(tmp_path / "y.tsv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("text, written", [("-0", "0.0"), ("0.1234567891234", "0.123456789"), ("1", "1.0")])
+def test_eta_is_rounded_as_a_bare_grid_number(tmp_path, text, written):
+    out = tmp_path / "m.tsv"
+    assert main(["multimeter", "--ideal", f"--eta={text}", "--phi-range", "0", "--pairs", "1000", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split("\t"), row.split("\t")))
+    assert (cells["eta"], cells["pi_theory"]) == (written, repr(float(written) / 2.0))
+    assert json.dumps(read_sidecar(out)["eta"]) == written
+
+
+@pytest.mark.parametrize("eta", ["-1e-10", "1.0000000001"])
+def test_eta_is_checked_before_it_is_rounded(tmp_path, capsys, eta):
+    # rounded first, each would pass as 0.0 or 1.0
+    assert main(["multimeter", f"--eta={eta}", "--pairs", "100", "--out", str(tmp_path / "m.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: eta must lie in [0, 1], got {float(eta)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["multimeter", "analyze"])
+def test_an_output_named_like_a_sidecar_is_refused(tmp_path, capsys, command):
+    # it replaced the sidecar of the dataset it names with TSV text, and exited 0
+    data = tmp_path / "q.tsv"
+    assert main(["multimeter", "--phi-range=-90:90:45", "--pairs", "1000", "--out", str(data)]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    target = sidecar_path(data)
+    argv = ["multimeter", "--pairs", "1000"] if command == "multimeter" else ["analyze", str(data)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(target)]) == 1
+    message = f"{target}: an output name must not end in .meta.json, the name of a sidecar"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("eta", ["nan", "inf"])
@@ -581,7 +628,7 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
     [
         ([], SchemaViolationError, "a config must be a JSON object, got list"),
         ({"x": 1}, SchemaViolationError, "unknown config key 'x'"),
-        ({"seed": -1}, ValueError, "seed must be a nonnegative integer, got -1"),
+        ({"seed": -1}, ValueError, "seed must lie in [0, inf), got -1"),
         # at efficiency 0 the sweep wrote a table of zero counts and exited 0
         ({"detector_efficiency": 0}, ValueError, "detector_efficiency must lie in (0, 1], got 0"),
     ],

@@ -1,6 +1,9 @@
+import json
 import math
+import re
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, fields, replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -15,7 +18,7 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     stokes_outcome_probs,
 )
-from bellmeter.counts import CountRecord, count_table, estimate_table
+from bellmeter.counts import CountRecord, MultimeterPoint, count_table, estimate_table
 from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
@@ -24,6 +27,7 @@ from bellmeter.experiment import (
     _accidentals,
     _fit_visibility,
     _poisson_means,
+    check_eta,
     config_from_dict,
     config_to_dict,
     hom_scan,
@@ -491,6 +495,61 @@ def test_config_rejects_bad_values():
         with pytest.raises(ValueError, match="angle_jitter must lie in"):
             ExperimentConfig(angle_jitter=jitter)
     assert ExperimentConfig(angle_jitter=180.0).angle_jitter == 180.0
+
+
+# every field with "bounds" metadata, as (dataclass, field)
+BOUNDED = [
+    (owner, f) for owner in (ExperimentConfig, AnalyzerConfig, MultimeterPoint) for f in fields(owner)
+    if "bounds" in f.metadata
+]
+
+
+def bound_probes(f):
+    """(value, inside) at each finite endpoint of the bounds of field `f` and one step out and in from it."""
+    text = f.metadata["bounds"]
+    low, high = (float(end) for end in text[1:-1].split(","))
+    probes = []
+    for end, closed, out in ((low, text[0] == "[", -math.inf), (high, text[-1] == "]", math.inf)):
+        if math.isinf(end):
+            continue
+        if f.type == "int":  # the next integers; a float there fails as no integer
+            step = 1 if out > 0 else -1
+            probes += [(int(end), closed), (int(end) + step, False), (int(end) - step, True)]
+        else:
+            probes += [(end, closed), (float(np.nextafter(end, out)), False), (float(np.nextafter(end, -out)), True)]
+    return probes
+
+
+def bound_checks(owner, name, value, inside):
+    """The ways `value` is checked as field `name` of `owner`: a config built with it, or for eta
+    check_eta on it alone and in an array after a valid value (and before a NaN when it lies outside)."""
+    if owner is MultimeterPoint:
+        return [lambda: check_eta(value), lambda: check_eta(np.array([0.5, value] + ([] if inside else [np.nan])))]
+    return [lambda: owner(**{name: value})]
+
+
+@pytest.mark.parametrize("owner, f", BOUNDED, ids=[f"{owner.__name__}.{f.name}" for owner, f in BOUNDED])
+def test_each_bound_passes_its_closed_endpoints_and_names_what_lies_outside(owner, f):
+    probes = bound_probes(f)
+    assert probes, "a bound with no finite endpoint is a type check"
+    for value, inside in probes:
+        for check in bound_checks(owner, f.name, value, inside):
+            if inside:
+                check()
+                continue
+            with pytest.raises(ValueError) as raised:
+                check()
+            assert str(raised.value) == f"{f.name} must lie in {f.metadata['bounds']}, got {value}", value
+
+
+def test_the_readme_states_each_bound_of_the_metadata_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`(\w+)`\s+must\s+lie\s+in\s+([\[(][^\])]*[\])])", readme)
+    assert sorted((name, " ".join(bounds.split())) for name, bounds in stated) == sorted(
+        (f.name, f.metadata["bounds"]) for _, f in BOUNDED
+    )
+    config_json = readme.split("## Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(config_json) == json.loads(json.dumps(asdict(ExperimentConfig())))
 
 
 @pytest.mark.parametrize("sigma", [1e-100, 1e100])
