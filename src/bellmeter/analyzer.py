@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from operator import ge, gt, le, lt
@@ -74,8 +75,8 @@ def check_fields(instance) -> None:
     (a bool is neither number; the types are postponed annotations), and lies in its "bounds" (check_bounds)."""
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if f.type == "float" and (
-            not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value)
+        if f.type == "float" and (  # compared, not math.isfinite, which overflows on an int beyond the float range
+            not isinstance(value, Real) or isinstance(value, bool) or not abs(value) <= sys.float_info.max
         ):
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if f.type == "int" and (not isinstance(value, Integral) or isinstance(value, bool)):

@@ -12,13 +12,14 @@ sidecar after the last, so a key may depend on the rows (`hom-scan`'s fit).
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import math
 import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -307,5 +308,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Exit the process with main()'s code: the entry of `bellmeter` and `python -m bellmeter.cli`.
+
+    Once main() returns, its dataset is in place, and of the interpreter's
+    shutdown only its first steps remain to be done: the atexit handlers and
+    the flush of stdout and stderr.  The rest, which frees every module and
+    object (about 40 ms on a 2-vCPU Xeon once the sweep modules are loaded),
+    os._exit skips, as multiprocessing ends its forked children.  A flush that fails, as into a
+    closed pipe, falls back to sys.exit, whose shutdown reports it as before.
+    SystemExit (a usage error, --help) and any other exception of main()
+    propagate unchanged.  Callers that stay in the process call main(argv).
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process was started with that descriptor closed
+                stream.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

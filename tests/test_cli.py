@@ -24,6 +24,11 @@ ESTIMATE_HEADER = [
 ]
 
 
+# the environment of a child interpreter, which imports the bellmeter under test
+SRC = str(Path(bellmeter.__file__).resolve().parents[1])
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+
+
 def read_sidecar(path):
     return json.loads(sidecar_path(path).read_text())
 
@@ -121,10 +126,8 @@ def test_hom_scan_at_a_tiny_period_warns_of_no_overflow(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"period": 1e-300}))
     argv = ["hom-scan", "--config", str(cfg_path), "--out", str(tmp_path / "hom.tsv")]
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "bellmeter.cli", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", "-m", "bellmeter.cli", *argv], env=CLI_ENV, capture_output=True, text=True
     )
     assert done.returncode == 0 and done.stderr == ""
     assert read_sidecar(tmp_path / "hom.tsv")["fitted_visibility"] == pytest.approx(1.0, abs=0.02)
@@ -137,9 +140,7 @@ def test_hom_scan_runs_without_scipy(tmp_path):
         f"code = main(['hom-scan', '--seed', '1', '--out', {str(out)!r}]); "
         "sys.exit(3 if 'scipy' in sys.modules else code)"
     )
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=CLI_ENV, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert out.is_file()
 
@@ -184,10 +185,8 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, loaded):
     counts, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
     write_columns(counts, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     script = f"import sys; {code}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellmeter'))"
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", script, str(counts), str(out)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, str(counts), str(out)], env=CLI_ENV, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == repr(sorted(loaded))
@@ -631,8 +630,11 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
         ({"seed": -1}, ValueError, "seed must lie in [0, inf), got -1"),
         # at efficiency 0 the sweep wrote a table of zero counts and exited 0
         ({"detector_efficiency": 0}, ValueError, "detector_efficiency must lie in (0, 1], got 0"),
+        # a JSON integer beyond the float range overflowed math.isfinite into a traceback
+        ({"pair_rate": 10**400}, ValueError, f"pair_rate must be a finite number, got {10**400}"),
+        ({"analyzer": {"mode_overlap": 10**400}}, ValueError, f"mode_overlap must be a finite number, got {10**400}"),
     ],
-    ids=["list", "unknown-key", "negative-seed", "zero-efficiency"],
+    ids=["list", "unknown-key", "negative-seed", "zero-efficiency", "huge-pair-rate", "huge-mode-overlap"],
 )
 def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
     cfg_path = tmp_path / "config.json"
@@ -702,12 +704,10 @@ def test_every_command_names_the_encoding_of_its_files(tmp_path):
         ["analyze", data],
     ]
     script = "import json, sys; from bellmeter.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script,
          json.dumps(runs)],
-        env=env, capture_output=True, text=True,
+        env=CLI_ENV, capture_output=True, text=True,
     )
     assert done.returncode == 0 and done.stderr == ""
     # four summary lines, then the TSV of `analyze` without --out
@@ -807,11 +807,9 @@ def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
     # pipe buffer, so the writer is still writing when the reader closes its end
     counts = tmp_path / "counts.tsv"
     write_columns(counts, COUNT_HEADER, [np.full(20_000, c) for c in [400, 0, 0, 380, 300, 200, 150, 350]])
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with subprocess.Popen(
         [sys.executable, "-m", "bellmeter.cli", "analyze", str(counts)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=CLI_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     ) as analyze:
         first = analyze.stdout.readline()
         analyze.stdout.close()
@@ -819,6 +817,87 @@ def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
         assert analyze.wait(timeout=60) == 1
     assert first == "\t".join(ESTIMATE_HEADER) + "\n"
     assert err == ""
+
+
+# The process entry, cli.run, ends the process with os._exit once main() returns.  Its
+# children run with block-buffered stdout, as without PYTHONUNBUFFERED, so output that
+# run() failed to flush would be lost.
+BUFFERED_ENV = {name: value for name, value in CLI_ENV.items() if name != "PYTHONUNBUFFERED"}
+
+
+def run_entry(args, cwd, **kwargs):
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=BUFFERED_ENV, capture_output=True, timeout=120, **kwargs
+    )
+
+
+def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch):
+    argv = ["multimeter", "--eta", "0.5", "--phi-range=-90:90:30", "--pairs", "1000", "--seed", "3", "--out", "m.tsv"]
+    child, here = tmp_path / "child", tmp_path / "here"
+    child.mkdir()
+    here.mkdir()
+    done = run_entry(["-m", "bellmeter.cli", *argv], child, text=True)
+    monkeypatch.chdir(here)
+    assert main(argv) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    assert done.stdout == "wrote 7 rows to m.tsv\n"
+    assert (child / "m.tsv").read_bytes() == (here / "m.tsv").read_bytes()
+    sidecars = [read_sidecar(where / "m.tsv") for where in (child, here)]
+    for sidecar in sidecars:
+        del sidecar["timestamp"]
+    assert sidecars[0] == sidecars[1]
+
+
+def test_the_tsv_on_a_stdout_pipe_equals_the_out_file(tmp_path):
+    counts, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
+    write_columns(counts, COUNT_HEADER, [np.arange(20_000) % (c + 1) for c in [400, 0, 0, 380, 300, 200, 150, 350]])
+    done = run_entry(["-m", "bellmeter.cli", "analyze", str(counts)], tmp_path)
+    assert main(["analyze", str(counts), "--out", str(out)]) == 0
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
+    assert len(done.stdout.splitlines()) == 20_001
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["multimeter", "--eta", "2", "--out", "x.tsv"], 1, "error: eta must lie in [0, 1], got 2.0\n"),
+        (["discriminate", "--config", "huge.json", "--out", "x.tsv"], 1,
+         f"error: huge.json: pair_rate must be a finite number, got {10**400}\n"),
+        (["multimeter", "--bogus"], 2, "bellmeter: error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["bad-eta", "huge-pair-rate", "usage"],
+)
+def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, code, stderr):
+    (tmp_path / "huge.json").write_text(json.dumps({"pair_rate": 10**400}))
+    done = run_entry(["-m", "bellmeter.cli", *argv], tmp_path, text=True)
+    assert (done.returncode, done.stdout) == (code, "")
+    # bad input gets one error line; a usage error gets argparse's usage and then its error line
+    assert done.stderr.endswith(stderr) and done.stderr.startswith("error: " if code == 1 else "usage: ")
+    assert len(done.stderr.splitlines()) == 1 or code == 2
+    assert not (tmp_path / "x.tsv").exists()
+
+
+def test_the_process_entry_runs_the_atexit_handlers(tmp_path):
+    script = (
+        "import atexit, sys; from bellmeter.cli import run; "
+        "atexit.register(print, 'atexit handler ran'); "
+        "sys.argv[1:] = ['multimeter', '--phi-range=0', '--pairs', '1000', '--out', 'm.tsv']; run()"
+    )
+    done = run_entry(["-c", script], tmp_path, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "wrote 1 rows to m.tsv\natexit handler ran\n", "")
+
+
+def test_main_returns_its_code_and_leaves_the_process_running(tmp_path):
+    script = (
+        "from bellmeter.cli import main; "
+        "print([main(['multimeter', '--phi-range=0', '--pairs', '1000', '--out', 'm.tsv']), "
+        "main(['multimeter', '--eta', '2', '--out', 'x.tsv'])])"
+    )
+    done = run_entry(["-c", script], tmp_path, text=True)
+    assert done.returncode == 0
+    assert done.stdout == "wrote 1 rows to m.tsv\n[0, 1]\n"
+    assert done.stderr == "error: eta must lie in [0, 1], got 2.0\n"
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
@@ -1235,11 +1314,9 @@ print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 
 
 def peak_rss_mib(argv):
-    src = str(Path(bellmeter.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-S", "-c", PEAK_RSS_HELPER, sys.executable, "-m", "bellmeter.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=CLI_ENV, capture_output=True, text=True, timeout=300,
     )
     peak_kib, code = map(int, done.stdout.split()[-2:])
     assert code == 0, done.stderr

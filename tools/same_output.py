@@ -7,10 +7,13 @@ which is removed at exit; nothing is written into the repository.  One fixed
 command list runs as `python -m bellmeter.cli` in <tmp>/base/ with
 PYTHONPATH=<rev's tree>/src and in <tmp>/head/ with PYTHONPATH=<this
 tree>/src.  Every path a command names is relative, so `argv` and `input`
-match on both sides.  Each TSV is compared byte for byte and each JSON
-sidecar with its `timestamp` dropped, one line per output.  The exit code is
-1 if an output differs that no --differs names, if a named output matches,
-or if a command fails; 0 otherwise, and 2 if <rev> names no commit.
+match on both sides, and stdout is block-buffered on both.  Each TSV is
+compared byte for byte, each JSON sidecar with its `timestamp` dropped, and
+each command's exit code, stdout and stderr together (as `<name>.console`),
+one line each; one `analyze` without --out is compared by its console alone,
+whose stdout is its TSV.  The exit code is 1 if an output differs that no
+--differs names, if a named output matches, or if a command fails; 0
+otherwise, and 2 if <rev> names no commit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ COMMANDS = [
 COMMANDS += [
     (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
 ]
-OUTPUTS = [path for name, _ in COMMANDS for path in (name, f"{name}.meta.json")]
+# (name, argv) of commands without --out, which print their TSV and are compared by their console
+STREAMED = [("analyzed-stdout-multimeter-ideal", ["analyze", "multimeter-ideal.tsv"])]
+OUTPUTS = [path for name, _ in COMMANDS for path in (name, f"{name}.meta.json", f"{name}.console")]
+OUTPUTS += [f"{name}.console" for name, _ in STREAMED]
 
 
 def git(*args: str) -> str:
@@ -55,10 +61,12 @@ def git(*args: str) -> str:
 
 
 def run_commands(tree: Path, workdir: Path) -> bool:
-    """Run COMMANDS in `workdir` on the package in `tree`; False, after printing why, if one fails."""
+    """Run COMMANDS and STREAMED in `workdir` on the package in `tree`, keeping each one's exit code,
+    stdout and stderr as <name>.console; False, after printing why, if one fails."""
     workdir.mkdir()
     (workdir / "realistic.json").write_text(json.dumps(REALISTIC), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, so that output lost at exit shows
     where = subprocess.run(
         [sys.executable, "-c", "import bellmeter; print(bellmeter.__file__)"],
         cwd=workdir, env=env, capture_output=True, text=True,
@@ -66,14 +74,16 @@ def run_commands(tree: Path, workdir: Path) -> bool:
     if not where.stdout.strip().startswith(str(tree / "src")):
         print(f"{workdir.name}: bellmeter is not imported from {tree / 'src'}: {where.stdout}{where.stderr}")
         return False
-    for name, argv in COMMANDS:
+    for name, argv in [(name, [*argv, "--out", name]) for name, argv in COMMANDS] + STREAMED:
         done = subprocess.run(
-            [sys.executable, "-m", "bellmeter.cli", *argv, "--out", name],
+            [sys.executable, "-m", "bellmeter.cli", *argv],
             cwd=workdir, env=env, capture_output=True, text=True,
         )
         if done.returncode:
             print(f"{workdir.name}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}", end="")
             return False
+        console = {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
+        (workdir / f"{name}.console").write_text(json.dumps(console), encoding="utf-8")
     return True
 
 
