@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import functools
 import math
 import os
@@ -189,7 +190,7 @@ def build_multimeter(args: argparse.Namespace) -> _Built:
 
 
 def build_hom_scan(args: argparse.Namespace) -> _Built:
-    from .experiment import hom_scan_blocks
+    from .experiment import HomScanResult, hom_scan_blocks
 
     config = _load_config(args)
     positions = (_parse_range(args.range, "--range") if args.positions is None
@@ -201,7 +202,9 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
         vis = keys["fitted_visibility"]
         return f" (fitted visibility {'n/a' if vis is None else f'{vis:.4f}'})"
 
-    return ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"], blocks, keys, summary
+    # the columns are the result's array fields, those before its two fit results
+    columns = [f.metadata.get("column", f.name) for f in fields(HomScanResult)[:-2]]
+    return columns, blocks, keys, summary
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:
@@ -235,20 +238,38 @@ def run_command(args: argparse.Namespace) -> int:
     giving the summary suffix once every block is written.  Each block is
     written before the next one is made (dataset.write_table), so a failing
     command leaves no output.  An empty --out (`analyze` without one, or
-    `--out=`) writes the TSV to stdout.
+    `--out=`) writes the TSV to stdout; with --out, stdout gets the summary
+    line.  Either goes through _to_stdout.
     """
     columns, blocks, keys, summary = args.build(args)
     keys.update(command=args.command, argv=args.argv)
+    if not args.out:
+        return _to_stdout(lambda: write_table(None, columns, blocks, keys))
+    rows = write_table(Path(args.out), columns, blocks, keys)
+    return _to_stdout(lambda: print(f"wrote {rows} rows to {args.out}{summary()}"))
+
+
+def _to_stdout(write: Callable[[], object]) -> int:
+    """Call `write`, which writes the command's output to stdout, and flush stdout; the exit code.
+
+    One rule for a stdout that cannot take the output, for every command:
+    a pipe whose reader has gone (`| head`) gives exit code 1 quietly; any
+    other OSError, as of a full device or of a stdout closed when the
+    process started, is raised for main() to print as one error line.
+    Either way the text stdout could not take is dropped, as in Python's
+    signal docs, by pointing its descriptor at devnull, so no later flush
+    (run()'s) fails on it.
+    """
+    if sys.stdout is None:  # the process was started with its stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
-        rows = write_table(Path(args.out) if args.out else None, columns, blocks, keys)
-    except BrokenPipeError:
-        # the reader closed the pipe (`| head`); the pattern of Python's
-        # signal docs: stdout goes to devnull, so the interpreter's last
-        # flush cannot fail again, and the command exits quietly
+        write()
+        sys.stdout.flush()
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    if args.out:
-        print(f"wrote {rows} rows to {args.out}{summary()}")
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        raise
     return 0
 
 
@@ -311,23 +332,20 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Exit the process with main()'s code: the entry of `bellmeter` and `python -m bellmeter.cli`.
 
-    Once main() returns, its dataset is in place, and of the interpreter's
-    shutdown only its first steps remain to be done: the atexit handlers and
-    the flush of stdout and stderr.  The rest, which frees every module and
-    object (about 40 ms on a 2-vCPU Xeon once the sweep modules are loaded),
-    os._exit skips, as multiprocessing ends its forked children.  A flush that fails, as into a
-    closed pipe, falls back to sys.exit, whose shutdown reports it as before.
-    SystemExit (a usage error, --help) and any other exception of main()
-    propagate unchanged.  Callers that stay in the process call main(argv).
+    Once main() returns, its dataset is in place and its output flushed
+    (_to_stdout), and of the interpreter's shutdown only its first steps
+    remain to be done: the atexit handlers and the flush of what they wrote.
+    The rest, which frees every module and object (about 40 ms on a 2-vCPU
+    Xeon once the sweep modules are loaded), os._exit skips, as
+    multiprocessing ends its forked children.  SystemExit (a usage error,
+    --help) and any other exception of main() propagate unchanged.  Callers
+    that stay in the process call main(argv).
     """
     code = main()
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the process was started with that descriptor closed
-                stream.flush()
-    except Exception:
-        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process was started with that descriptor closed
+            stream.flush()
     os._exit(code)
 
 

@@ -146,8 +146,9 @@ def write_table(
     anything fails, the temporary files are removed and the previous files
     stay as they were.  With `path` None the TSV goes to stdout, through an
     unnamed temporary file that is copied out once every block is written,
-    and there is no sidecar.  A `path` named like a sidecar, '<file>.meta.json',
-    raises ValueError before anything is written.  Returns the number of rows.
+    and there is no sidecar; the caller flushes stdout.  A `path` named like
+    a sidecar, '<file>.meta.json', raises ValueError before anything is
+    written.  Returns the number of rows.
     """
     if path is None:
         import shutil
@@ -157,7 +158,6 @@ def write_table(
             rows = _write_tsv(out, columns, blocks)
             out.seek(0)
             shutil.copyfileobj(out, sys.stdout)
-        sys.stdout.flush()
         return rows
     if path.name.endswith(".meta.json"):  # it would replace the sidecar of the dataset it names
         raise ValueError(f"{path}: an output name must not end in .meta.json, the name of a sidecar")

@@ -348,9 +348,13 @@ def sweep_blocks(
 
 @dataclass
 class HomScanResult:
-    """Coincidence rates (counts/s) of the four input/class combinations vs mirror position."""
+    """Coincidence rates (counts/s) of the four input/class combinations vs mirror position.
 
-    positions: np.ndarray
+    The array fields are the columns of a `hom-scan` dataset, named by
+    "column" metadata where they have it.
+    """
+
+    positions: np.ndarray = field(metadata={"column": "position"})
     rate_pp: np.ndarray
     rate_mp: np.ndarray
     rate_pm: np.ndarray

@@ -205,11 +205,30 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert meta["argv"] == argv + ["--out", str(second)]
 
 
-def test_dataset_reproducible_byte_for_byte(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--ideal", "--epsilon", "12", "--theta-range", "20:60:20", "--pairs", "5000", "--seed", "99",
+         "--out", "a.tsv"],
+        ["multimeter", "--ideal", "--phi-range=-90:90:30", "--pairs", "1000", "--seed", "7", "--out", "a.tsv"],
+        ["hom-scan", "--range=-50:50:25", "--pairs", "1000", "--seed", "7", "--out", "a.tsv"],
+        ["analyze", "raw.tsv", "--out", "a.tsv"],
+        ["analyze", "raw.tsv"],
+    ],
+    ids=["discriminate", "multimeter", "hom-scan", "analyze", "analyze-stdout"],
+)
+def test_dataset_reproducible_byte_for_byte(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["discriminate", "--theta-range", "0:90:45", "--pairs", "1000", "--seed", "7", "--out", "raw.tsv"]) == 0
+    capsys.readouterr()
+    if "--out" not in argv:  # the TSV on stdout, without a sidecar to replay
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first and first.startswith("epsilon\ttheta\tp_succ\t")
+        return
     out = tmp_path / "a.tsv"
-    args = ["discriminate", "--ideal", "--epsilon", "12", "--theta-range", "20:60:20",
-            "--pairs", "5000", "--seed", "99", "--out", str(out)]
-    assert main(args) == 0
+    assert main(argv) == 0
     first_bytes = out.read_bytes()
     first_meta = read_sidecar(out)
     assert main(first_meta["argv"]) == 0  # replay the recorded command
@@ -406,8 +425,15 @@ def test_a_list_number_has_the_bits_of_the_bare_number(text):
     [
         (["discriminate", "--epsilon", "0.1234567891234", "--theta-range", "0"], "0.123456789"),
         (["hom-scan", "--positions=-0,1,2,3"], "0.0"),
+        # far grids, which run without a RuntimeWarning (pytest turns each into an error):
+        # mirror positions whose squares overflow in the dip fit,
+        (["hom-scan", "--positions", "1e200,2e200,3e200,4e200"], "1e+200"),
+        # 1,001 points across 2^52 / 1e9, where the grid's rounding hands over to round(),
+        (["multimeter", "--phi-range=4503599.6:4503599.7:0.0001"], "4503599.6"),
+        # and 10,001 axis angles up to 1e308
+        (["discriminate", "--ideal", "--epsilon", "0", "--theta-range=0:1e308:1e304"], "0.0"),
     ],
-    ids=["epsilon", "negative-zero-position"],
+    ids=["epsilon", "negative-zero-position", "far-positions", "far-phi", "far-theta"],
 )
 def test_a_list_value_is_written_rounded(tmp_path, argv, first_cell):
     out = tmp_path / "x.tsv"
@@ -633,8 +659,14 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
         # a JSON integer beyond the float range overflowed math.isfinite into a traceback
         ({"pair_rate": 10**400}, ValueError, f"pair_rate must be a finite number, got {10**400}"),
         ({"analyzer": {"mode_overlap": 10**400}}, ValueError, f"mode_overlap must be a finite number, got {10**400}"),
+        ({"dip_sigma": 1e200}, ValueError, "dip_sigma must lie in [1e-100, 1e100], got 1e+200"),
+        ({"angle_jitter": 1e308}, ValueError, "angle_jitter must lie in [0, 180], got 1e+308"),
+        ({"analyzer": {"transmittance_h": 1}}, ValueError, "transmittance_h must lie in (0, 1), got 1"),
     ],
-    ids=["list", "unknown-key", "negative-seed", "zero-efficiency", "huge-pair-rate", "huge-mode-overlap"],
+    ids=[
+        "list", "unknown-key", "negative-seed", "zero-efficiency", "huge-pair-rate", "huge-mode-overlap",
+        "wide-dip", "huge-jitter", "open-splitter",
+    ],
 )
 def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
     cfg_path = tmp_path / "config.json"
@@ -724,17 +756,17 @@ def test_config_that_is_not_an_object_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, argv",
+    "config, argv, expected",
     [
         # an efficiency whose square underflows wrote 12 rows of zero counts and exited 0
-        ({"detector_efficiency": 1e-150}, ["discriminate", "--theta-range", "0:90:45"]),
-        ({"detector_efficiency": 1e-200}, ["discriminate", "--theta-range", "0:90:45"]),
+        ({"detector_efficiency": 1e-150}, ["discriminate", "--theta-range", "0:90:45"], 0.002),
+        ({"detector_efficiency": 1e-200}, ["discriminate", "--theta-range", "0:90:45"], 0.002),
         # at the default config one pair expects at most 0.25 + 0.002 coincidences
-        (None, ["multimeter", "--pairs", "1"]),
+        (None, ["multimeter", "--pairs", "1"], 0.252),
     ],
     ids=["efficiency-1e-150", "efficiency-1e-200", "one-pair"],
 )
-def test_a_sweep_that_can_expect_no_coincidence_fails(tmp_path, capsys, config, argv):
+def test_a_sweep_that_can_expect_no_coincidence_fails(tmp_path, capsys, config, argv, expected):
     out = tmp_path / "x.tsv"
     if config is not None:
         cfg_path = tmp_path / "config.json"
@@ -743,6 +775,7 @@ def test_a_sweep_that_can_expect_no_coincidence_fails(tmp_path, capsys, config, 
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: detector_efficiency^2 * pairs + 2 * dark_count_rate^2") and "at least 1" in err
+    assert err.endswith(f", so that an input setting can expect a coincidence, got {expected}\n")
     assert len(err.splitlines()) == 1
     assert not out.exists()
     assert main(argv + ["--ideal", "--pairs", "1", "--out", str(out)]) == 0  # efficiency 1, one pair
@@ -754,13 +787,14 @@ def test_a_sweep_that_can_expect_no_coincidence_fails(tmp_path, capsys, config, 
         ["multimeter", "--phi-range=0:0:1", "--pairs", "0"],
         ["discriminate", "--epsilon", "0", "--theta-range", "0:0:1", "--pairs", "-100"],
         ["hom-scan", "--pairs", "0"],
+        ["multimeter", "--phi-range=0:0:1", "--pairs", "nan"],
     ],
 )
 def test_non_positive_pairs_exit_nonzero_without_dataset(tmp_path, capsys, argv):
     out = tmp_path / "zero.tsv"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "pairs per point" in err
+    assert err.startswith("error:") and "pairs per point" in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -858,23 +892,49 @@ def test_the_tsv_on_a_stdout_pipe_equals_the_out_file(tmp_path):
     assert len(done.stdout.splitlines()) == 20_001
 
 
+# how a child's stdout is set up before the command runs in its place (os.execv)
+STDOUTS = {
+    "closed": "os.close(1)",
+    "full": "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
+    "closed-pipe": "read, write = os.pipe(); os.close(read); os.dup2(write, 1)",  # the reader has gone
+}
+ONE_POINT = ["multimeter", "--phi-range=0", "--pairs", "1000", "--out", "m.tsv"]
+
+
 @pytest.mark.parametrize(
-    "argv, code, stderr",
+    "argv, stdout, code, stderr",
     [
-        (["multimeter", "--eta", "2", "--out", "x.tsv"], 1, "error: eta must lie in [0, 1], got 2.0\n"),
-        (["discriminate", "--config", "huge.json", "--out", "x.tsv"], 1,
+        (["multimeter", "--eta", "2", "--out", "x.tsv"], None, 1, "error: eta must lie in [0, 1], got 2.0\n"),
+        (["discriminate", "--config", "huge.json", "--out", "x.tsv"], None, 1,
          f"error: huge.json: pair_rate must be a finite number, got {10**400}\n"),
-        (["multimeter", "--bogus"], 2, "bellmeter: error: unrecognized arguments: --bogus\n"),
+        (["multimeter", "--bogus"], None, 2, "bellmeter: error: unrecognized arguments: --bogus\n"),
+        # a stdout that cannot take the TSV or the summary line fails every command alike:
+        # one error line, or none once the reader of the pipe has gone
+        (["analyze", "counts.tsv"], "closed", 1, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+        (["analyze", "counts.tsv"], "full", 1, "error: [Errno 28] No space left on device\n"),
+        (ONE_POINT, "closed", 1, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+        (ONE_POINT, "full", 1, "error: [Errno 28] No space left on device\n"),
+        (ONE_POINT, "closed-pipe", 1, ""),
     ],
-    ids=["bad-eta", "huge-pair-rate", "usage"],
+    ids=[
+        "bad-eta", "huge-pair-rate", "usage", "analyze-closed-stdout", "analyze-full-stdout",
+        "summary-closed-stdout", "summary-full-stdout", "summary-closed-pipe",
+    ],
 )
-def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, code, stderr):
+def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, stdout, code, stderr):
     (tmp_path / "huge.json").write_text(json.dumps({"pair_rate": 10**400}))
-    done = run_entry(["-m", "bellmeter.cli", *argv], tmp_path, text=True)
+    # one row, so its analysis fits in stdout's buffer, where a failed write stays for a later flush to retry
+    write_columns(tmp_path / "counts.tsv", COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
+    args = ["-m", "bellmeter.cli", *argv]
+    if stdout is not None:
+        launch = f"import os, sys; {STDOUTS[stdout]}; os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+        args = ["-S", "-c", launch, *args]
+    done = run_entry(args, tmp_path, text=True)
     assert (done.returncode, done.stdout) == (code, "")
-    # bad input gets one error line; a usage error gets argparse's usage and then its error line
-    assert done.stderr.endswith(stderr) and done.stderr.startswith("error: " if code == 1 else "usage: ")
-    assert len(done.stderr.splitlines()) == 1 or code == 2
+    if code == 2:  # argparse's usage, then its error line
+        assert done.stderr.startswith("usage: ") and done.stderr.endswith(stderr)
+    else:
+        assert done.stderr == stderr
     assert not (tmp_path / "x.tsv").exists()
 
 
@@ -974,16 +1034,21 @@ ANALYZE_ROW = ["12.5", "13", "0", "0", "380", "300", "200", "150", "350"]
         ("c_pp", str(2**63), "c_pp must be a nonnegative integer below 2**63"),
         ("c_pp", "13.0", None),
         ("theta", "12", None),
+        # every count cell of every line as <n>.0, so each block goes through the int()/float() parse
+        ("every count", "{}.0", None),
     ],
 )
 def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, cell, error):
     # line 5000 lies in the second block of 4096 rows that are parsed together
     rows = [list(ANALYZE_ROW) for _ in range(4999)]
-    index = ["theta", *COUNT_HEADER].index(column)
-    if cell is None:
-        del rows[-1][index:]
+    if column == "every count":
+        rows = [row[:1] + [cell.format(count) for count in row[1:]] for row in rows]
     else:
-        rows[-1][index] = cell
+        index = ["theta", *COUNT_HEADER].index(column)
+        if cell is None:
+            del rows[-1][index:]
+        else:
+            rows[-1][index] = cell
     path = tmp_path / "counts.tsv"
     path.write_text("\n".join([ANALYZE_HEADER] + ["\t".join(row) for row in rows]) + "\n")
     code = main(["analyze", str(path)])
@@ -1001,6 +1066,8 @@ def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, 
     first, last = lines[1].split("\t"), lines[-1].split("\t")
     assert first[0] == "12.5" and last[0] == ("12" if column == "theta" else "12.5")
     assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
+    # each line is the analysis of the counts as integers, so the output is that of an all-integer file
+    assert first[1:] == [repr(v) for v in CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()]
 
 
 def test_analyze_prints_what_it_writes(tmp_path, capsys):
