@@ -192,16 +192,8 @@ def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float
     w/4 (1, z_k, z_l, z_k z_l); interference across the polarizations adds a
     quarter of its weight to E, as Re(d_H conj(d_V) conj(p_H) p_V) = E/4.
     Each coefficient is one math.fsum of its products, so one that cancels
-    is exactly 0.
-
-    A class whose constant and z_d z_p coefficients cancel (the Psi classes
-    of the default wiring) is written in difference form, using
-    1 - z_d z_p = Q- + E = Q+ - E for unit Stokes vectors, with
-    Q- = |n_d - n_p|^2 / 2 and Q+ = |n_d - n_p * _PARTNER|^2 / 2, the halved
-    squared distances of the data state from the program state and from its
-    negated-angle partner, taking the one whose E coefficient then cancels at
-    M = 1.  A state equal to the program, or to its negated-angle partner,
-    then gives exactly 0 in the class it cannot reach, not a rounding residue.
+    is exactly 0 and drops out of the terms.  The residue of a class that
+    cancels only in the sum of its terms is left to stokes_outcome_probs.
     """
     t = np.array([config.transmittance_h, config.transmittance_v])
     r = 1.0 - t
@@ -236,15 +228,7 @@ def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float
     classes = []
     for by_monomial in products.values():
         coef = {name: (math.fsum(dist), math.fsum(bos)) for name, (dist, bos) in by_monomial.items()}
-        terms = []
-        (c_d, c_b), (e_d, e_b) = coef["1"], coef["E"]
-        if (c_d, c_b) != (0.0, 0.0) and coef["zz"] == (-c_d, -c_b):
-            del coef["1"], coef["zz"]
-            side = 1.0 if e_d + e_b > 0.0 else -1.0  # Q+ or Q-
-            terms.append(("Q+" if side > 0 else "Q-", c_d, c_b))
-            coef["E"] = (e_d - side * c_d, e_b - side * c_b)
-        terms += [(name, d, b) for name, (d, b) in coef.items() if (d, b) != (0.0, 0.0)]
-        classes.append(tuple(terms))
+        classes.append(tuple((name, d, b) for name, (d, b) in coef.items() if (d, b) != (0.0, 0.0)))
     return tuple(classes)
 
 
@@ -320,9 +304,6 @@ def outcome_probs_batch(
     return _class_sums(pattern_probs_batch(amplitudes, config, mode_overlap), config)
 
 
-# a Stokes vector times this is that of the state whose plate angles are negated
-_PARTNER = np.array([1.0, -1.0, -1.0])
-
 # the monomials of _stokes_terms, from the unit Stokes vectors (z, x, y) of the two photons
 _MONOMIALS = {
     "1": lambda d, p: 1.0,
@@ -330,14 +311,13 @@ _MONOMIALS = {
     "z_p": lambda d, p: p[:, 0],
     "zz": lambda d, p: d[:, 0] * p[:, 0],
     "E": lambda d, p: d[:, 1] * p[:, 1] + d[:, 2] * p[:, 2],
-    "Q-": lambda d, p: _half_distance_sq(d, p),
-    "Q+": lambda d, p: _half_distance_sq(d, _PARTNER * p),
 }
 
-
-def _half_distance_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b|^2 / 2 per row of two (n, 3) arrays, column by column (a reduction is slower)."""
-    return 0.5 * ((a[:, 0] - b[:, 0]) ** 2 + (a[:, 1] - b[:, 1]) ** 2 + (a[:, 2] - b[:, 2]) ** 2)
+# class probabilities below a few ulps of 1 are rounding residue and count as 0: the
+# terms of an unreachable class sum to a residue of either sign (within +-2e-16), and
+# Generator.poisson takes a number from the stream for a residue mean but none for a
+# zero one, so a residue would shift every later draw of a seeded ideal run
+_PROB_FLOOR = 4 * np.finfo(float).eps
 
 
 def stokes_outcome_probs(
@@ -349,8 +329,9 @@ def stokes_outcome_probs(
     shape (n, 3) each, as polarization.stokes_from_angles gives them, and
     mode_overlap is one value for the batch or one per state, shape (n,).
     Class c is evaluated as the sum of its few _stokes_terms in real arithmetic,
-    elementwise, so a row does not depend on the batch size.  Equals
-    outcome_probs_batch on the product amplitudes to rounding.
+    elementwise, so a row does not depend on the batch size, and a value
+    below _PROB_FLOOR is returned as exactly 0.  Equals outcome_probs_batch
+    on the product amplitudes to rounding.
     """
     d = _normalized(data, 3, "data Stokes vectors", float)
     p = _normalized(program, 3, "program Stokes vectors", float)
@@ -365,7 +346,7 @@ def stokes_outcome_probs(
         for name, dist, bos in group:
             total = total + (dist + bos * overlap if bos else dist) * values[name]
         out[:, c] = total
-    return out
+    return np.where(out < _PROB_FLOOR, 0.0, out)
 
 
 def classify(pattern: Sequence[str]) -> Outcome:

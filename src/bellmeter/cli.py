@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import errno
 import functools
 import math
@@ -250,27 +251,39 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def _to_stdout(write: Callable[[], object]) -> int:
-    """Call `write`, which writes the command's output to stdout, and flush stdout; the exit code.
+    """Call `write`, which writes the command's output to stdout, through _write_to; the exit code.
 
     One rule for a stdout that cannot take the output, for every command:
     a pipe whose reader has gone (`| head`) gives exit code 1 quietly; any
     other OSError, as of a full device or of a stdout closed when the
     process started, is raised for main() to print as one error line.
-    Either way the text stdout could not take is dropped, as in Python's
-    signal docs, by pointing its descriptor at devnull, so no later flush
-    (run()'s) fails on it.
     """
-    if sys.stdout is None:  # the process was started with its stdout closed
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    try:
+        _write_to("stdout", write)
+    except BrokenPipeError:
+        return 1
+    return 0
+
+
+def _write_to(name: str, write: Callable[[], object]) -> None:
+    """Call `write`, which writes to sys.<name> ("stdout" or "stderr"), and flush that stream.
+
+    An OSError of `write` or of the flush is raised, and so is EBADF for a
+    stream closed when the process started (None), before `write` runs.  The
+    text a stream could not take is dropped, as in Python's signal docs, by
+    pointing its descriptor at devnull, so no later flush (run()'s) fails on it.
+    """
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), f"<{name}>")
     try:
         write()
-        sys.stdout.flush()
-    except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return 1
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
         raise
-    return 0
 
 
 @functools.cache
@@ -325,7 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run_command(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a stderr that cannot take the line loses it; print(file=None) would write it to stdout
+        with contextlib.suppress(OSError):
+            _write_to("stderr", lambda: print(f"error: {exc}", file=sys.stderr))
         return 1
 
 

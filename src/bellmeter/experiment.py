@@ -51,9 +51,6 @@ from .errors import SchemaViolationError
 # tolerance on the sum of each period's class probabilities
 _PROB_SUM_TOL = 1e-9
 
-# class probabilities below a few ulps of 1 are rounding residue and count as 0
-_PROB_FLOOR = 4 * np.finfo(float).eps
-
 # bound on the worst-case Poisson mean of an input setting; numpy's
 # Generator.poisson rejects means above about 9.2e18
 _MAX_POISSON_MEAN = 1e18
@@ -194,8 +191,9 @@ def _poisson_means(
     one value or one per setting.  P is config.repetitions, or 1 when all
     periods of a setting carry one state.  All n * P periods go from plate
     angles to Stokes vectors to class probabilities in one real-arithmetic
-    pass; see simulate_counts for the means.  A class probability below
-    _PROB_FLOOR counts as 0.
+    pass; see simulate_counts for the means.  An unreachable class adds
+    exactly 0 (analyzer._PROB_FLOOR), so without accidentals its mean is 0,
+    for which Poisson takes no number from the stream.
     """
     etas = check_eta(eta).reshape(-1, 1)
     n, periods = angles.shape[:2]
@@ -206,11 +204,6 @@ def _poisson_means(
     bad = np.flatnonzero(~(np.abs(prob_sums - 1.0) <= _PROB_SUM_TOL))
     if len(bad):
         raise ValueError(f"analyzer class probabilities do not sum to 1: row {bad[0]} sums to {prob_sums[bad[0]]}")
-    # an ideally empty class comes out as 0 or as a residue, by the order of the
-    # analyzer's arithmetic; Generator.poisson takes a number from the stream for
-    # a residue mean but none for a zero one, so every residue is made exactly 0
-    probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
-
     totals = probs.reshape(n, periods, 3).sum(axis=1) * (config.repetitions / periods)
     detected = config.detector_efficiency**2 * config.pair_rate * config.period
     relabeled = (1.0 - etas) / 2.0 * totals[:, 2:]

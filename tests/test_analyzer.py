@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,11 @@ from bellmeter.analyzer import (
     pattern_probs_batch,
     stokes_outcome_probs,
 )
-from bellmeter.analyzer import _overlap_column, _stokes_terms
+from bellmeter.analyzer import _PROB_FLOOR, _overlap_column, _stokes_terms
 from bellmeter.polarization import (
     PolarizationState,
     PrepRecipe,
+    discriminator_angles,
     prepare_elliptical,
     prepare_from_recipe,
     stokes_from_angles,
@@ -405,16 +408,16 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
         (
             IDEAL,
             (
-                (("Q+", 0.25, 0.0), ("E", -0.25, 0.25)),
-                (("Q-", 0.25, 0.0), ("E", 0.25, -0.25)),
+                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, 0.25)),
+                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, -0.25)),
                 (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
             ),
         ),
         (
             AnalyzerConfig(transmittance_h=0.53, transmittance_v=0.48, mode_overlap=0.92),
             (
-                (("Q+", 0.2494, 0.0), ("E", -0.2494, 0.24934987467412129)),
-                (("Q-", 0.2506, 0.0), ("E", 0.2506, -0.24934987467412129)),
+                (("1", 0.2494, 0.0), ("zz", -0.2494, 0.0), ("E", 0.0, 0.24934987467412129)),
+                (("1", 0.2506, 0.0), ("zz", -0.2506, 0.0), ("E", 0.0, -0.24934987467412129)),
                 (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
             ),
         ),
@@ -423,8 +426,8 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
                 transmittance_h=0.55, geometric_phase=False, detector_map=("D1", "D3", "D4", "D2")
             ),
             (
-                (("Q+", 0.25, 0.0), ("E", -0.25, 0.248746859276655)),
-                (("Q-", 0.25, 0.0), ("E", 0.25, -0.248746859276655)),
+                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, 0.248746859276655)),
+                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, -0.248746859276655)),
                 (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
             ),
         ),
@@ -432,7 +435,8 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
     ids=["ideal", "realistic", "rewired-no-phase"],
 )
 def test_stokes_terms_are_pinned(cfg, want):
-    # the (monomial, K_dist, K_bos) terms per class, to the bit
+    # the (monomial, K_dist, K_bos) terms per class, to the bit; the ideal row is
+    # README's p+- = A+-(1 - z_d z_p) +- M B E with A+- = B = 1/4
     assert _stokes_terms(cfg) == want
 
 
@@ -457,20 +461,42 @@ def test_stokes_form_gives_exact_zeros_where_a_class_is_unreachable(qwp, hwp):
     assert probs[0, 1] == 0.0 and probs[1, 0] == 0.0
 
 
+def test_the_ideal_discriminator_point_gives_an_exact_zero():
+    # (epsilon, theta) = (0, 90): the plus input equals the program, whose Stokes vector carries
+    # an x component of 1.2e-16; the Psi+ residue of 7.5e-33 is returned as exactly 0
+    plus, _, program = stokes_from_angles(*discriminator_angles(0.0, 90.0).T)
+    assert stokes_outcome_probs(plus[None], program[None], IDEAL, 1.0).tolist() == [[0.0, 0.0, 1.0]]
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), cfg=any_analyzer, same=st.booleans())
+def test_stokes_form_values_are_zero_or_at_least_the_floor(seed, n, cfg, same):
+    # a residue of either sign is returned as 0; with `same`, the data photon equals the program,
+    # so one class is unreachable in every row
+    _, stokes, row_overlaps = random_product_inputs(seed, n)
+    program = stokes[:, 0] if same else stokes[:, 1]
+    probs = stokes_outcome_probs(stokes[:, 0], program, cfg, row_overlaps)
+    assert np.all((probs == 0.0) | (probs >= _PROB_FLOOR))
+
+
 def test_stokes_form_rejects_bad_input():
     h, v = np.array([[1.0, 0.0, 0.0]]), np.array([[-1.0, 0.0, 0.0]])
     assert np.array_equal(stokes_outcome_probs(h, v, IDEAL, 1.0), [[0.5, 0.5, 0.0]])
-    for data, program, overlap in (
-        (np.array([[1.0, 1.0, 0.0]]), v, 1.0),
-        (np.array([[np.nan, 0.0, 0.0]]), v, 1.0),
-        (h[0], v[0], 1.0),
-        (np.array([[1.0, 0.0]]), v, 1.0),
-        (np.vstack([h, h]), v, 1.0),
-        (h, v, 1.5),
-        (h, v, np.full(2, 0.5)),
+    overlap_count = re.escape("expected 1 or 1 mode overlaps, got 2")
+    for data, program, overlap, message in (
+        (np.array([[1.0, 1.0, 0.0]]), v, 1.0, None),
+        (np.array([[np.nan, 0.0, 0.0]]), v, 1.0, None),
+        (h[0], v[0], 1.0, None),
+        (np.array([[1.0, 0.0]]), v, 1.0, None),
+        (np.vstack([h, h]), v, 1.0, None),
+        (h, v, 1.5, None),
+        (h, v, np.full(2, 0.5), overlap_count),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             stokes_outcome_probs(data, program, IDEAL, overlap)
+    # the general path would broadcast two overlaps over one state into two rows
+    with pytest.raises(ValueError, match=overlap_count):
+        pattern_probs_batch(np.array([[1.0, 0.0, 0.0, 0.0]]), IDEAL, np.full(2, 0.5))
 
 
 def test_unnormalized_stokes_rows_are_named_on_one_line():

@@ -477,6 +477,14 @@ def test_range_whose_rounding_merges_points_exits_nonzero(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["0:90", "0:90:1:2"])
+def test_a_range_of_two_or_four_parts_is_named(tmp_path, capsys, text):
+    out = tmp_path / "x.tsv"
+    assert main(["discriminate", "--theta-range", text, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: expected 'start:stop:step', got {text!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):
     code = main(["discriminate", "--theta-range", "10:0:-5", "--out", str(tmp_path / "x.tsv")])
     assert code == 1
@@ -679,6 +687,13 @@ def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
     assert not out.exists()
+
+
+def test_analyze_names_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.tsv"
+    path.write_text("")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path} is empty\n")
 
 
 def test_analyze_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
@@ -892,17 +907,19 @@ def test_the_tsv_on_a_stdout_pipe_equals_the_out_file(tmp_path):
     assert len(done.stdout.splitlines()) == 20_001
 
 
-# how a child's stdout is set up before the command runs in its place (os.execv)
-STDOUTS = {
+# how a child's stdout or stderr is set up before the command runs in its place (os.execv)
+DESCRIPTORS = {
     "closed": "os.close(1)",
     "full": "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
     "closed-pipe": "read, write = os.pipe(); os.close(read); os.dup2(write, 1)",  # the reader has gone
+    "stderr-closed": "os.close(2)",
+    "stderr-full": "os.dup2(os.open('/dev/full', os.O_WRONLY), 2)",
 }
 ONE_POINT = ["multimeter", "--phi-range=0", "--pairs", "1000", "--out", "m.tsv"]
 
 
 @pytest.mark.parametrize(
-    "argv, stdout, code, stderr",
+    "argv, descriptor, code, stderr",
     [
         (["multimeter", "--eta", "2", "--out", "x.tsv"], None, 1, "error: eta must lie in [0, 1], got 2.0\n"),
         (["discriminate", "--config", "huge.json", "--out", "x.tsv"], None, 1,
@@ -915,19 +932,22 @@ ONE_POINT = ["multimeter", "--phi-range=0", "--pairs", "1000", "--out", "m.tsv"]
         (ONE_POINT, "closed", 1, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
         (ONE_POINT, "full", 1, "error: [Errno 28] No space left on device\n"),
         (ONE_POINT, "closed-pipe", 1, ""),
+        # a stderr that cannot take the error line loses it, and the code stays 1
+        (["multimeter", "--eta", "2", "--out", "x.tsv"], "stderr-full", 1, ""),
+        (["multimeter", "--eta", "2", "--out", "x.tsv"], "stderr-closed", 1, ""),
     ],
     ids=[
         "bad-eta", "huge-pair-rate", "usage", "analyze-closed-stdout", "analyze-full-stdout",
-        "summary-closed-stdout", "summary-full-stdout", "summary-closed-pipe",
+        "summary-closed-stdout", "summary-full-stdout", "summary-closed-pipe", "stderr-full", "stderr-closed",
     ],
 )
-def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, stdout, code, stderr):
+def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, descriptor, code, stderr):
     (tmp_path / "huge.json").write_text(json.dumps({"pair_rate": 10**400}))
     # one row, so its analysis fits in stdout's buffer, where a failed write stays for a later flush to retry
     write_columns(tmp_path / "counts.tsv", COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     args = ["-m", "bellmeter.cli", *argv]
-    if stdout is not None:
-        launch = f"import os, sys; {STDOUTS[stdout]}; os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    if descriptor is not None:
+        launch = f"import os, sys; {DESCRIPTORS[descriptor]}; os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
         args = ["-S", "-c", launch, *args]
     done = run_entry(args, tmp_path, text=True)
     assert (done.returncode, done.stdout) == (code, "")
@@ -936,6 +956,19 @@ def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, stdo
     else:
         assert done.stderr == stderr
     assert not (tmp_path / "x.tsv").exists()
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+def test_main_returns_1_when_stderr_cannot_take_the_error_line(tmp_path, capsys, monkeypatch, stderr):
+    # the line is dropped, not raised and not written to stdout (where print(file=None) writes)
+    with open("/dev/full", "w", buffering=1) as full:  # line-buffered, as a process's stderr is
+        monkeypatch.setattr(sys, "stderr", full if stderr == "full" else None)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        assert main(["multimeter", "--eta", "2", "--out", str(tmp_path / "x.tsv")]) == 1
+        assert len(os.listdir("/proc/self/fd")) == descriptors  # the one opened on devnull is closed
+        monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_process_entry_runs_the_atexit_handlers(tmp_path):

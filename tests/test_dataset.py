@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from unittest.mock import patch
 
@@ -74,6 +75,16 @@ def test_dataset_rejects_mismatched_shapes_and_duplicate_names(tmp_path):
     path.write_text("x\tn\tx\n1\t2\t3\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: column 'x' appears twice$"):
         TableReader(path)
+
+
+def test_a_write_takes_the_next_temporary_name_when_one_is_taken(tmp_path):
+    path = tmp_path / "x.tsv"
+    taken = tmp_path / f".x.tsv.{os.getpid()}-0.tmp"
+    taken.write_text("another writer's")
+    write_table(path, ["n"], [[np.array([1, 2])]], {})
+    assert path.read_text() == "n\n1\n2\n"
+    assert taken.read_text() == "another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "x.tsv", "x.tsv.meta.json"]
 
 
 def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):

@@ -14,6 +14,7 @@ from scipy.stats import chi2
 
 from bellmeter.analyzer import (
     AnalyzerConfig,
+    _PROB_FLOOR,
     distinguishable_outcome_probs,
     ideal_outcome_probs,
     stokes_outcome_probs,
@@ -23,7 +24,6 @@ from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViola
 from bellmeter.experiment import (
     ClassCounts,
     ExperimentConfig,
-    _PROB_FLOOR,
     _accidentals,
     _fit_visibility,
     _poisson_means,
@@ -961,22 +961,36 @@ def test_ideal_wrong_class_means_are_exactly_zero():
 
 @pytest.mark.parametrize("pairs", [5.0, 1e6])
 @pytest.mark.parametrize("make_config", [ExperimentConfig.ideal, ExperimentConfig.realistic])
-def test_the_flush_moves_only_means_below_floor_times_pairs(make_config, pairs):
+def test_the_flush_moves_only_means_below_floor_times_pairs(make_config, pairs, monkeypatch):
     # Poisson(m) and Poisson(0) differ in total variation by 1 - exp(-m) <= m,
-    # so the flush changes a count distribution by at most floor * pairs
+    # so the analyzer's flush changes a count distribution by at most floor * pairs
     cfg = with_pairs_per_point(make_config(), pairs)
     multimeter = [
         tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in range(-90, 91, 8)
     ]
+    kernel_outputs = []
+
+    def recording(*args):
+        kernel_outputs.append(stokes_outcome_probs(*args))
+        return kernel_outputs[-1]
+
+    monkeypatch.setattr("bellmeter.experiment.stokes_outcome_probs", recording)
     for settings_, eta in ((DEFAULT_DISCRIMINATOR_SETTINGS, 1.0), (multimeter, 0.5)):
+        kernel_outputs.clear()
         flushed = main_stage_means(settings_, cfg, eta)
-        with patch("bellmeter.experiment._PROB_FLOOR", -np.inf):
+        with patch("bellmeter.analyzer._PROB_FLOOR", -np.inf):
             raw = main_stage_means(settings_, cfg, eta)
         for before, after in zip(raw, flushed):
             moved = before != after
             assert np.all(np.abs(before - after)[moved] <= _PROB_FLOOR * pairs)
-            if cfg.dark_count_rate == 0.0:
+            if cfg.dark_count_rate == 0.0 and eta == 1.0:
                 assert np.all(before[moved] <= _PROB_FLOOR * pairs) and np.all(after[moved] == 0.0)
+        # at eta < 1 the relabelled inconclusive share is added after the flush, so a moved
+        # mean may be large; the flush acts in the kernel, on values below the floor alone
+        half = len(kernel_outputs) // 2
+        for floored, unfloored in zip(kernel_outputs[:half], kernel_outputs[half:]):
+            moved = floored != unfloored
+            assert np.all(unfloored[moved] < _PROB_FLOOR) and np.all(floored[moved] == 0.0)
 
 
 def counting_kernel(monkeypatch):

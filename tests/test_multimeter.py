@@ -12,6 +12,7 @@ from bellmeter.experiment import ExperimentConfig, _poisson_means, simulate_coun
 from bellmeter.multimeter import (
     effective_povm,
     fidelity_from_PI,
+    PovmElement,
     multimeter_blocks,
     povm_elements,
     reinterpret,
@@ -59,6 +60,20 @@ def test_povm_rejects_eta_out_of_range():
         povm_elements(-0.1)
     with pytest.raises(ValueError):
         povm_elements(1.1)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.eye(3), "expected a 4x4 matrix, got shape (3, 3)"),
+        (np.triu(np.ones((4, 4))), "POVM element is not Hermitian"),
+        (-np.eye(4), "POVM element is not positive semidefinite"),
+    ],
+    ids=["3x3", "not-hermitian", "not-psd"],
+)
+def test_povm_element_names_a_bad_matrix(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PovmElement(matrix)
 
 
 def test_theory_pi_endpoints_and_born_rule():

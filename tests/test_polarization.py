@@ -39,6 +39,11 @@ def test_state_normalization_enforced():
     assert abs(s.h - 0.6) < 1e-12 and abs(s.v - 0.8) < 1e-12
 
 
+def test_a_zero_jones_vector_is_refused():
+    with pytest.raises(ValueError, match="^cannot normalize a zero Jones vector$"):
+        PolarizationState.from_vector([0.0, 0.0])
+
+
 def test_hwp_at_zero_is_diag_1_minus1():
     m = waveplate_matrix(WavePlate(PlateKind.HALF, 0.0))
     assert np.allclose(m, np.diag([1.0, -1.0]), atol=1e-12)

@@ -33,10 +33,14 @@ ROOT = Path(__file__).resolve().parents[1]
 REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
 
 # (output, argv): every subcommand under the default, --ideal and realistic configs, then an
-# analyze of each sweep; discriminate-blocks spans several blocks of jittered periods
+# analyze of each sweep; discriminate-blocks spans several blocks of jittered periods, and
+# discriminate-zeros has ideal points whose unreachable class must give a mean of exactly 0
+# (a residue mean would take a number from the stream and shift every later draw)
 COMMANDS = [
     ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
     ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
+    ("discriminate-zeros.tsv", ["discriminate", "--ideal", "--epsilon", "0,12", "--theta-range", "0:90:2",
+                                "--pairs", "5", "--seed", "4"]),
     ("discriminate-blocks.tsv", ["discriminate", "--config", "realistic.json", "--epsilon", "0,30",
                                  "--theta-range=0:90:0.05", "--pairs", "5000", "--seed", "3"]),
     ("multimeter.tsv", ["multimeter", "--pairs", "2000", "--seed", "7"]),
