@@ -78,7 +78,7 @@ def _parse_range(text: str, flag: str = "range") -> np.ndarray:
     span = (stop - start) / step + 1e-9  # in float, so a huge span is inf, not an error
     if not span < _MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
-    count = math.floor(span) + 1
+    count = math.floor(max(span, -1.0)) + 1  # no point for a descending range, whose span may be -inf
     points = np.arange(count, dtype=float)
     points *= step
     points += start  # the bits of start + i * step in Python floats
@@ -191,7 +191,7 @@ def build_multimeter(args: argparse.Namespace) -> _Built:
 
 
 def build_hom_scan(args: argparse.Namespace) -> _Built:
-    from .experiment import HomScanResult, hom_scan_blocks
+    from .experiment import HOM_SCAN_COLUMNS, hom_scan_blocks
 
     config = _load_config(args)
     positions = (_parse_range(args.range, "--range") if args.positions is None
@@ -203,9 +203,7 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
         vis = keys["fitted_visibility"]
         return f" (fitted visibility {'n/a' if vis is None else f'{vis:.4f}'})"
 
-    # the columns are the result's array fields, those before its two fit results
-    columns = [f.metadata.get("column", f.name) for f in fields(HomScanResult)[:-2]]
-    return columns, blocks, keys, summary
+    return list(HOM_SCAN_COLUMNS), blocks, keys, summary
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:

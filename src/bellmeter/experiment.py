@@ -289,17 +289,19 @@ def _draw_block(
     return np.hstack([rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))])
 
 
-def _drawn_blocks(n: int, stages: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
+def _drawn_blocks(n: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
     """The one block loop over the points 0 .. n-1, in blocks of at most _MAX_STAGE_PERIODS analyzed
     periods per stage: stages_at(points), a slice, gives a head and the block's stages, whose
-    _draw_block counts come with the head; stage s draws from streams 2s, 2s + 1."""
-    # a jitter stream (2s) is drawn from only when angle_jitter > 0; it is spawned either way
-    drawn = [config.angle_jitter > 0.0, True] * stages
-    streams = np.random.SeedSequence(config.seed).spawn(2 * stages)
-    rngs = [np.random.default_rng(seq) if use else None for seq, use in zip(streams, drawn)]
+    _draw_block counts come with the head.  The first block's stages fix their number: stage s
+    draws from streams 2s, 2s + 1 of the 2 x stages spawned from config.seed then."""
+    rngs = None
     block = max(1, _MAX_STAGE_PERIODS // (config.repetitions if config.angle_jitter > 0.0 else 1))
     for start in range(0, n, block):
         head, block_stages = stages_at(slice(start, min(start + block, n)))
+        if rngs is None:  # a jitter stream (2s) is drawn from only when angle_jitter > 0; it is spawned either way
+            streams = np.random.SeedSequence(config.seed).spawn(2 * len(block_stages))
+            rngs = [np.random.default_rng(seq) if i % 2 or config.angle_jitter > 0.0 else None
+                    for i, seq in enumerate(streams)]
         yield head, _draw_block(block_stages, config, rngs)
 
 
@@ -336,18 +338,20 @@ def sweep_blocks(
         main = [(angles[:, [data, 2]], center, eta) for data in (0, 1)]
         return coordinates, main + [(diagonal, shoulder, 1.0) for diagonal in _DIAGONAL]
 
-    return _drawn_blocks(math.prod(shape), 4, stages, config)
+    return _drawn_blocks(math.prod(shape), stages, config)
+
+
+# the columns of a `hom-scan` dataset, in hom_scan_blocks order: the position, then the (Psi+, Psi-)
+# rates of each stage, the (45, 45) input's before the (-45, 45) input's; rate_mp and rate_pm, which
+# the dip fit reads, dip under the geometric phase (without it, rate_pp and rate_mm do)
+HOM_SCAN_COLUMNS = ("position", "rate_pp", "rate_mp", "rate_pm", "rate_mm")
 
 
 @dataclass
 class HomScanResult:
-    """Coincidence rates (counts/s) of the four input/class combinations vs mirror position.
+    """A mirror scan: its array fields hold the HOM_SCAN_COLUMNS in order, rates in counts/s."""
 
-    The array fields are the columns of a `hom-scan` dataset, named by
-    "column" metadata where they have it.
-    """
-
-    positions: np.ndarray = field(metadata={"column": "position"})
+    positions: np.ndarray
     rate_pp: np.ndarray
     rate_mp: np.ndarray
     rate_pm: np.ndarray
@@ -407,14 +411,12 @@ def _fit_visibility(positions: np.ndarray, rates: np.ndarray, sigma_guess: float
 
 
 def hom_scan_blocks(positions: Sequence[float], config: ExperimentConfig, fit: dict) -> Iterator[list[np.ndarray]]:
-    """The mirror scan block by block: [position, rate_pp, rate_mp, rate_pm, rate_mm] (counts/s).
+    """The mirror scan block by block: the HOM_SCAN_COLUMNS, rates in counts/s.
 
-    rate_pp and rate_mp are the classes of the (45, 45) input, rate_pm and
-    rate_mm of the (-45, 45) input; rate_mp and rate_pm dip.  Only the
-    positions and those two columns are kept, and after the last block `fit`
-    gets their Gaussian-dip visibilities (curve_visibilities, those that fit)
-    and the mean (fitted_visibility, None if neither fits), which estimates
-    the mode overlap.  Empty positions raise ValueError on the call.
+    Only the positions, rate_mp and rate_pm are kept, and after the last
+    block `fit` gets their Gaussian-dip visibilities (curve_visibilities,
+    those that fit) and the mean (fitted_visibility, None if neither fits),
+    which estimates the mode overlap.  Empty positions raise ValueError on the call.
     """
     pos = np.asarray(positions, dtype=float)
     if len(pos) == 0:
@@ -422,7 +424,7 @@ def hom_scan_blocks(positions: Sequence[float], config: ExperimentConfig, fit: d
     dips = np.empty((2, len(pos)))  # rate_mp and rate_pm
 
     def blocks() -> Iterator[list[np.ndarray]]:
-        drawn = _drawn_blocks(len(pos), 2, lambda points: (points, [(d, pos[points], 1.0) for d in _DIAGONAL]), config)
+        drawn = _drawn_blocks(len(pos), lambda points: (points, [(d, pos[points], 1.0) for d in _DIAGONAL]), config)
         for points, counts in drawn:
             rates = counts / (config.repetitions * config.period)
             dips[:, points] = rates[:, 1:3].T

@@ -1,8 +1,12 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +16,11 @@ from hypothesis import strategies as st
 
 import bellmeter
 from bellmeter.cli import _load_config, _parse_float_list, _parse_range, build_parser, main
-from bellmeter.counts import CountRecord
+from bellmeter.counts import CountRecord, MultimeterPoint
 from bellmeter.dataset import sidecar_path
 from bellmeter.errors import SchemaViolationError
+from bellmeter.experiment import ExperimentConfig, config_from_dict, hom_scan, with_pairs_per_point
+from test_experiment import BOUNDED, bound_probes
 from tsv_helpers import read_columns, write_columns
 
 
@@ -119,6 +125,30 @@ def test_hom_scan_command(tmp_path):
     positions = ds["position"].tolist()
     dip_idx = positions.index(0.0)
     assert ds["rate_mp"][dip_idx] < 0.02 * max(ds["rate_mp"])
+
+
+@pytest.mark.parametrize(
+    "geometric_phase, dipping, rising",
+    [(True, ["rate_mp", "rate_pm"], ["rate_pp", "rate_mm"]), (False, ["rate_pp", "rate_mm"], ["rate_mp", "rate_pm"])],
+)
+def test_hom_scan_columns_dip_and_rise_where_the_physics_puts_them(tmp_path, geometric_phase, dipping, rising):
+    # ideal inputs at full overlap: one class of each diagonal input empties and the other doubles,
+    # and the geometric phase decides which; at +-300 um (8.6 dip widths) the photons are distinguishable
+    config = {"detector_efficiency": 1.0, "dark_count_rate": 0.0, "angle_jitter": 0.0,
+              "analyzer": {"geometric_phase": geometric_phase}}
+    config_path, out = tmp_path / "config.json", tmp_path / "hom.tsv"
+    config_path.write_text(json.dumps(config))
+    argv = ["hom-scan", "--config", str(config_path), "--positions=-300,0,300", "--pairs", "100000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    written = read_columns(out)
+    assert list(written) == ["position", "rate_pp", "rate_mp", "rate_pm", "rate_mm"]
+    result = hom_scan([-300.0, 0.0, 300.0], with_pairs_per_point(config_from_dict(config), 100_000))
+    scanned = {"position": result.positions, **{name: getattr(result, name) for name in dipping + rising}}
+    for columns in (written, scanned):
+        assert columns["position"].tolist() == [-300.0, 0.0, 300.0]
+        for name in dipping + rising:
+            shoulder, center = min(columns[name][[0, 2]]), columns[name][1]
+            assert center < 0.01 * shoulder if name in dipping else center > 1.8 * shoulder, (name, columns[name])
 
 
 def test_hom_scan_at_a_tiny_period_warns_of_no_overflow(tmp_path):
@@ -327,6 +357,8 @@ def test_parse_range_builds_values_from_an_index():
     assert values[-1] == 10000.0
     assert _parse_range("0:1000:0.01")[70926] == 709.26
     assert _parse_range("-90:90:8").tolist() == [float(v) for v in range(-90, 91, 8)]
+    # a descending range has no point, also where its span is -inf
+    assert _parse_range("90:0:1").tolist() == _parse_range("0:-90:1e-320").tolist() == []
 
 
 def test_parse_range_holds_the_grid_as_one_array():
@@ -1449,3 +1481,138 @@ def test_hom_scan_memory_holds_only_the_fit_columns(tmp_path):
     for scan_range in ("-100:100:1", "-50000:50000:1"):  # 201 and 100,001 positions
         peaks.append(peak_rss_mib(["hom-scan", f"--range={scan_range}", "--out", str(tmp_path / "h.tsv")]))
     assert peaks[1] - peaks[0] < 8.0, peaks
+
+
+# the CLI contract under drawn input: one command runs with a config field drawn from its "bounds"
+# metadata, with a drawn grid flag value, or as `analyze` of a count table mutated from a real output
+CONTRACT_SWEEPS = {
+    "discriminate": ["discriminate", "--epsilon", "0,30", "--theta-range", "0:90:45", "--pairs", "1000"],
+    "multimeter": ["multimeter", "--phi-range=-90:90:90", "--pairs", "1000"],
+    "hom-scan": ["hom-scan", "--range=-100:100:100", "--pairs", "1000"],
+}
+# (command, flag, separator): the comma lists and start:stop:step ranges
+CONTRACT_GRIDS = [
+    ("discriminate", "--epsilon", ","), ("discriminate", "--theta-range", ":"), ("multimeter", "--phi-range", ":"),
+    ("hom-scan", "--positions", ","), ("hom-scan", "--range", ":"),
+]
+GRID_ITEMS = [
+    "0", "-0", "12.5", "45", "-90", "90", "0.1234567891234", "1e308", "-1e308", "1e-320", "nan", "inf", "x", "",
+]
+# cells that replace a count: whole numbers spelled otherwise (float text, a digit group, a sign, a
+# non-ASCII digit), which int() or float() reads, and cells that are no count
+COUNT_CELLS = ["13.0", "1_000", "+5", "13.7", "-3", "1e400", "nan", "abc", "", "٣"]
+HEADER_NAMES = ["c_pq", "theta", "epsilon", "c_pp", "x", ""]
+# the output pair that a failing command must leave as it was
+PREVIOUS = {"out.tsv": "previous\n", "out.tsv.meta.json": '{"previous": true}\n'}
+
+
+@st.composite
+def config_cases(draw):
+    """A sweep whose config sets one bounded field, or --eta, to a value drawn from its bounds: an edge
+    or one step from it, a drawn inside value, NaN or (config fields) a value of the wrong type."""
+    owner, f = draw(st.sampled_from(BOUNDED))
+    text = f.metadata["bounds"]
+    low, high = (float(end) for end in text[1:-1].split(","))
+    if f.type == "int":
+        inside = st.integers(int(low) + (text[0] == "("), None if math.isinf(high) else int(high) - (text[-1] == ")"))
+    else:
+        inside = st.floats(low, None if math.isinf(high) else high, exclude_min=text[0] == "(",
+                           exclude_max=text[-1] == ")" and not math.isinf(high), allow_nan=False, allow_infinity=False)
+    outside = [math.nan] + ([] if owner is MultimeterPoint else ["1", True, None, [1.0]])
+    value, valid = draw(st.one_of(
+        st.sampled_from(bound_probes(f)), inside.map(lambda v: (v, True)),
+        st.sampled_from([(v, False) for v in outside]),
+    ))
+    if owner is MultimeterPoint:  # eta is the multimeter's flag
+        return {}, CONTRACT_SWEEPS["multimeter"] + [f"--eta={value!r}"], None if valid else f.name
+    config = {f.name: value} if owner is ExperimentConfig else {"analyzer": {f.name: value}}
+    argv = CONTRACT_SWEEPS[draw(st.sampled_from(sorted(CONTRACT_SWEEPS)))] + ["--config", "config.json"]
+    return {"config.json": json.dumps(config)}, argv, None if valid else f.name
+
+
+@st.composite
+def grid_cases(draw):
+    """A sweep whose list or range flag is a drawn join of numbers, far numbers, NaN, inf and no numbers."""
+    command, flag, separator = draw(st.sampled_from(CONTRACT_GRIDS))
+    items = draw(st.lists(st.sampled_from(GRID_ITEMS), min_size=separator == ":", max_size=4))
+    return {}, CONTRACT_SWEEPS[command] + [f"{flag}={separator.join(items)}"], None
+
+
+# mutations of a real count table, (kind, line, column, cut length or new text); line and column are
+# taken modulo the table's (see mutated); truncate cuts the text at a drawn offset
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 9), st.integers(0, 15), st.integers(1, 6)),
+    st.tuples(st.just("cell"), st.integers(0, 9), st.integers(0, 15), st.sampled_from(COUNT_CELLS)),
+    st.tuples(st.just("duplicate"), st.integers(0, 9), st.just(0), st.just(None)),
+    st.tuples(st.just("rename"), st.just(0), st.integers(0, 15), st.sampled_from(HEADER_NAMES)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0), st.just(None)),
+)
+
+
+def mutated(text, mutations):
+    """`text`, a TSV of a header and data lines, with `mutations` applied in turn; the line a
+    mutation names is taken modulo the lines, the header and the empty one after the last line end
+    among them."""
+    for kind, line, column, arg in mutations:
+        lines = text.split("\n")
+        if kind == "truncate":
+            text = text[: line % (len(text) + 1)]
+            continue
+        line = 0 if kind == "rename" else line % len(lines)
+        cells = lines[line].split("\t")
+        column %= len(cells)
+        if kind == "cut":
+            cells[column] = cells[column][:-arg]
+        elif kind in ("cell", "rename"):
+            cells[column] = arg
+        lines[line : line + 1] = ["\t".join(cells)] * (2 if kind == "duplicate" else 1)
+        text = "\n".join(lines)
+    return text
+
+
+@functools.cache
+def real_count_table():
+    """The TSV of a small seeded `discriminate` sweep."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "counts.tsv"
+        assert main(["discriminate", "--epsilon", "0,12", "--theta-range", "0:90:45", "--pairs", "1000",
+                     "--seed", "7", "--out", str(path)]) == 0
+        return path.read_text(encoding="utf-8")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(
+    config_cases(), grid_cases(),
+    st.lists(MUTATIONS, min_size=1, max_size=2).map(lambda m: ({"mutations": m}, ["analyze", "counts.tsv"], None)),
+))
+def test_every_command_writes_a_consistent_dataset_or_fails_on_one_line(case):
+    # exit 0 with a strict-JSON sidecar whose columns are the TSV header, or exit 1 with one error line,
+    # no traceback and the previous output pair as it was; a value outside its bounds fails naming its field
+    files, argv, must_fail = case
+    if "mutations" in files:
+        files = {"counts.tsv": mutated(real_count_table(), files["mutations"])}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in {**files, **PREVIOUS}.items():
+            (tmp / name).write_text(text, encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in tmp.iterdir()}
+        argv = [str(tmp / arg) if arg in before else arg for arg in argv + ["--out", "out.tsv"]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            sidecar_text = (tmp / "out.tsv.meta.json").read_text(encoding="utf-8")
+            sidecar = json.loads(sidecar_text, parse_constant=reject_constant)
+            header = (tmp / "out.tsv").read_text(encoding="utf-8").split("\n", 1)[0]
+            assert sidecar["columns"] == header.split("\t"), argv
+        else:
+            assert code == 1 and out == "", (code, out, err)
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert {path.name: path.read_bytes() for path in tmp.iterdir()} == before
+        assert must_fail is None or (code == 1 and must_fail in err), (argv, err)

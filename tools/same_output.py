@@ -32,10 +32,20 @@ ROOT = Path(__file__).resolve().parents[1]
 # ExperimentConfig.realistic(): 92% mode overlap, a few percent of splitting imbalance
 REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
 
+# a count table whose counts are whole numbers written as float text, which numpy's int64
+# tokenizer rejects, so `analyze` reads its blocks by the per-cell rule (dataset._parse_cells)
+FLOAT_COUNTS = "theta\tc_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "".join(
+    "\t".join(row) + "\n" for row in (
+        ["0.0", "13.0", "1_000", "0", "250", "300", "200", "150.0", "350"],
+        ["45.5", "1_000", "13.0", "7", "0.0", "300", "2_00", "150", "350"],
+        ["90", "0.0", "0", "+5", "1e3", "0", "0.0", "0", "0"],
+    )
+)
+
 # (output, argv): every subcommand under the default, --ideal and realistic configs, then an
-# analyze of each sweep; discriminate-blocks spans several blocks of jittered periods, and
-# discriminate-zeros has ideal points whose unreachable class must give a mean of exactly 0
-# (a residue mean would take a number from the stream and shift every later draw)
+# analyze of each sweep and of FLOAT_COUNTS; discriminate-blocks spans several blocks of jittered
+# periods, and discriminate-zeros has ideal points whose unreachable class must give a mean of
+# exactly 0 (a residue mean would take a number from the stream and shift every later draw)
 COMMANDS = [
     ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
     ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
@@ -53,7 +63,7 @@ COMMANDS = [
 ]
 COMMANDS += [
     (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
-]
+] + [("analyzed-float-counts.tsv", ["analyze", "float-counts.tsv"])]
 # (name, argv) of commands without --out, which print their TSV and are compared by their console
 STREAMED = [("analyzed-stdout-multimeter-ideal", ["analyze", "multimeter-ideal.tsv"])]
 OUTPUTS = [path for name, _ in COMMANDS for path in (name, f"{name}.meta.json", f"{name}.console")]
@@ -69,6 +79,7 @@ def run_commands(tree: Path, workdir: Path) -> bool:
     stdout and stderr as <name>.console; False, after printing why, if one fails."""
     workdir.mkdir()
     (workdir / "realistic.json").write_text(json.dumps(REALISTIC), encoding="utf-8")
+    (workdir / "float-counts.tsv").write_text(FLOAT_COUNTS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, so that output lost at exit shows
     where = subprocess.run(
