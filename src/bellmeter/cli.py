@@ -4,9 +4,10 @@ Subcommands: `discriminate` (success-probability sweep), `multimeter`
 (inconclusive-rate sweep), `hom-scan` (mirror scan through the dip) and
 `analyze` (offline re-estimation from raw count columns).  Each has a
 builder that imports only the modules it runs (`analyze` loads no optics)
-and returns its columns, their blocks, sidecar keys and summary suffix to
-run_command, which writes each block before the next one is made and the
-sidecar after the last, so a key may depend on the rows (`hom-scan`'s fit).
+and returns its columns, the derived ones among them, their blocks, sidecar
+keys and summary suffix to run_command, which writes each block before the
+next one is made and the sidecar after the last, so a key may depend on the
+rows (`hom-scan`'s fit).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .counts import (
     MultimeterPoint,
     count_table,
     estimate_table,
+    sweep_derived,
     sweep_header,
 )
 from .dataset import TableReader, read_json, write_table
@@ -49,9 +51,10 @@ _ROUND_CHUNK = 2**14
 _ROUND_EXACT = 2.0**52 / 1e9
 _VELTKAMP = 2.0**27 + 1.0  # splits a float into two halves of at most 26 significant bits
 
-# what a builder returns: the dataset columns, their blocks, the command's
-# sidecar keys and a function giving the summary suffix once all is written
-_Built = tuple[list[str], Iterable, dict, Callable[[], str]]
+# what a builder returns: the dataset columns, the derived ones among them (written rounded, see
+# dataset.write_table), their blocks, the command's sidecar keys and a function giving the summary
+# suffix once all is written
+_Built = tuple[list[str], list[str], Iterable, dict, Callable[[], str]]
 
 _COORD_COLUMNS = [
     f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
@@ -59,13 +62,21 @@ _COORD_COLUMNS = [
 
 
 def _parse_float_list(text: str, flag: str = "list") -> np.ndarray:
-    """Parse a comma list of numbers into a float64 array; each number x has the bits of the range x:x:1."""
+    """Parse a comma list of numbers into a float64 array; each number x has the bits of the range x:x:1.
+
+    ValueError naming `flag` if the list holds no number.
+    """
     values = [_grid_number(part, flag, text) for part in text.split(",") if part.strip() != ""]
+    if not values:
+        raise ValueError(f"{flag} gives no points")
     return _round_9(np.array(values, dtype=float) + 0.0)  # x + 0.0 is a range's start + 0 * step: -0 is 0.0
 
 
 def _parse_range(text: str, flag: str = "range") -> np.ndarray:
-    """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number x is x:x:1."""
+    """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number x is x:x:1.
+
+    ValueError naming `flag` if the range has no point, as a descending one.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
@@ -79,6 +90,8 @@ def _parse_range(text: str, flag: str = "range") -> np.ndarray:
     if not span < _MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
     count = math.floor(max(span, -1.0)) + 1  # no point for a descending range, whose span may be -inf
+    if count == 0:
+        raise ValueError(f"{flag} gives no points")
     points = np.arange(count, dtype=float)
     points *= step
     points += start  # the bits of start + i * step in Python floats
@@ -171,7 +184,7 @@ def build_discriminate(args: argparse.Namespace) -> _Built:
         **_simulation_keys(config),
     }
     blocks = discriminator_blocks(epsilons, thetas, config)
-    return sweep_header(DiscriminationPoint), blocks, keys, lambda: ""
+    return sweep_header(DiscriminationPoint), sweep_derived(DiscriminationPoint), blocks, keys, lambda: ""
 
 
 def build_multimeter(args: argparse.Namespace) -> _Built:
@@ -187,11 +200,11 @@ def build_multimeter(args: argparse.Namespace) -> _Built:
         **_simulation_keys(config),
     }
     blocks = multimeter_blocks(_parse_range(args.phi_range, "--phi-range"), eta, config)
-    return sweep_header(MultimeterPoint), blocks, keys, lambda: ""
+    return sweep_header(MultimeterPoint), sweep_derived(MultimeterPoint), blocks, keys, lambda: ""
 
 
 def build_hom_scan(args: argparse.Namespace) -> _Built:
-    from .experiment import HOM_SCAN_COLUMNS, hom_scan_blocks
+    from .experiment import HOM_SCAN_COLUMNS, HOM_SCAN_DERIVED, hom_scan_blocks
 
     config = _load_config(args)
     positions = (_parse_range(args.range, "--range") if args.positions is None
@@ -203,7 +216,7 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
         vis = keys["fitted_visibility"]
         return f" (fitted visibility {'n/a' if vis is None else f'{vis:.4f}'})"
 
-    return list(HOM_SCAN_COLUMNS), blocks, keys, summary
+    return list(HOM_SCAN_COLUMNS), list(HOM_SCAN_DERIVED), blocks, keys, summary
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:
@@ -225,14 +238,16 @@ def build_analyze(args: argparse.Namespace) -> _Built:
     def summary() -> str:
         return f" (NaN rows: {', '.join(f'{name} {n}' for name, n in zip(Estimates._fields, nan_rows))})"
 
-    return coordinates + list(Estimates._fields), blocks(), {"input": str(args.input)}, summary
+    estimates = list(Estimates._fields)
+    return coordinates + estimates, estimates, blocks(), {"input": str(args.input)}, summary
 
 
 def run_command(args: argparse.Namespace) -> int:
     """Write the dataset of the subcommand's builder to --out, or its TSV to stdout.
 
-    A builder returns the dataset columns, an iterable of column blocks, its
-    command's sidecar keys (a dict it may fill while the blocks are made, so
+    A builder returns the dataset columns, the derived ones among them,
+    which are written rounded, an iterable of column blocks, its command's
+    sidecar keys (a dict it may fill while the blocks are made, so
     `command` and `argv` are added to it, not to a copy) and a function
     giving the summary suffix once every block is written.  Each block is
     written before the next one is made (dataset.write_table), so a failing
@@ -240,11 +255,11 @@ def run_command(args: argparse.Namespace) -> int:
     `--out=`) writes the TSV to stdout; with --out, stdout gets the summary
     line.  Either goes through _to_stdout.
     """
-    columns, blocks, keys, summary = args.build(args)
+    columns, derived, blocks, keys, summary = args.build(args)
     keys.update(command=args.command, argv=args.argv)
     if not args.out:
-        return _to_stdout(lambda: write_table(None, columns, blocks, keys))
-    rows = write_table(Path(args.out), columns, blocks, keys)
+        return _to_stdout(lambda: write_table(None, columns, blocks, keys, rounded=derived))
+    rows = write_table(Path(args.out), columns, blocks, keys, rounded=derived)
     return _to_stdout(lambda: print(f"wrote {rows} rows to {args.out}{summary()}"))
 
 

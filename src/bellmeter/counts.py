@@ -97,7 +97,8 @@ COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
 
 
 class Estimates(NamedTuple):
-    """The estimates of one CountRecord; the fields are the estimate columns of `analyze`."""
+    """The estimates of one CountRecord; the fields are the estimate columns of `analyze`, all derived
+    (written rounded, see dataset.write_table)."""
 
     p_succ: float
     p_succ_stderr: float
@@ -190,6 +191,12 @@ def sweep_header(point_type: type) -> list[str]:
     return [f.metadata.get("column", f.name) for f in fields(point_type)[:-1]] + list(COUNT_COLUMNS)
 
 
+def sweep_derived(point_type: type) -> list[str]:
+    """The derived columns of a sweep, written rounded (dataset.write_table): the sweep_header
+    columns of the fields of `point_type` before its last that carry no "grid" metadata."""
+    return [f.metadata.get("column", f.name) for f in fields(point_type)[:-1] if not f.metadata.get("grid")]
+
+
 def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> list[np.ndarray]:
     """One block of a sweep's columns, in sweep_header order.
 
@@ -215,7 +222,7 @@ class DiscriminationPoint:
 
     The fields before `counts` name the sweep's leading dataset columns
     (sweep_header); the grid coordinates, which `analyze` carries over,
-    carry "grid" metadata.
+    carry "grid" metadata, and the others are derived (sweep_derived).
     """
 
     epsilon: float = field(metadata={"grid": True})
@@ -235,7 +242,8 @@ class MultimeterPoint:
 
     The fields before `counts` name the sweep's leading dataset columns
     (sweep_header), by "column" metadata where they have it; the grid
-    coordinates, which `analyze` carries over, carry "grid" metadata.
+    coordinates, which `analyze` carries over, carry "grid" metadata, and
+    the others are derived (sweep_derived).
     """
 
     phi: float = field(metadata={"grid": True})

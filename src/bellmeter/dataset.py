@@ -15,10 +15,17 @@ ASCII digits within int64 (_int_columns); a block it does not take in full
 goes to the per-column int()/float() rule (_parse_cells), which decides the
 result.  Only then is each row split into all its cells; otherwise it is
 split only up to its last carried cell.  An int array is written with
-`str`, a float array with `repr` (a float column of one value, as the
-multimeter's `eta`, is formatted once), and cell text as it is, so a written
-block reads back with its dtype and bits.  The TSV and the sidecar replace
-the previous pair only once every block is written.
+`str` and cell text as it is.  A float array is written by one of two rules,
+which the writer's caller picks per column: `repr`, the shortest text that
+reads back to the same float, so the block reads back with its dtype and
+bits; or, for a column the caller names as rounded (the derived columns of
+the commands: estimates, theory values, rates), `format(v, ".13")`, which
+keeps ROUNDED_DIGITS = 13 significant digits (relative error at most 5e-13)
+and always holds a `.`, an exponent, `nan` or `inf`, so it reads back as
+float64, with NaN, infinities and signed zeros exact.  A float column of one
+value, as the multimeter's `eta`, is formatted once by its column's rule.
+The TSV and the sidecar replace the previous pair only once every block is
+written.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +53,9 @@ _BLOCK_ROWS = 4096
 _FORMAT_ROWS = 1024
 # ASCII characters that numpy's int64 tokenizer takes as whitespace and int() does not
 _NOT_INT_SPACE = "\x1c\x1d\x1e\x1f"
+# significant digits of a rounded float column; format(v, ".13") costs about 0.6x repr(v)
+ROUNDED_DIGITS = 13
+_ROUNDED_SPEC = f".{ROUNDED_DIGITS}"
 
 
 class TableReader:
@@ -130,13 +140,21 @@ class TableReader:
 
 
 def write_table(
-    path: Path | None, columns: Sequence[str], blocks: Iterable[Sequence], metadata: dict
+    path: Path | None,
+    columns: Sequence[str],
+    blocks: Iterable[Sequence],
+    metadata: dict,
+    rounded: Collection[str] = (),
 ) -> int:
     """Write the TSV of `columns` and `blocks` to `path` and the metadata sidecar next to it.
 
-    A block holds one entry per column, all of one length: an int or float
-    array (formatted with str and repr) or a list of cell text (written as
-    it is).  The sidecar gets `columns` and a timestamp besides `metadata`.
+    A block holds one entry per column, all of one length: an int array
+    (formatted with str), a float array or a list of cell text (written as
+    it is).  A float array of a column named in `rounded` is formatted with
+    format(v, ".13"), ROUNDED_DIGITS significant digits; one of any other
+    column with repr, so it reads back with its bits.  The sidecar gets
+    `columns`, `rounded` ({"digits": ROUNDED_DIGITS, "columns": the rounded
+    columns in column order}) and a timestamp besides `metadata`.
     It is checked to be strict JSON (unindented, by the C encoder) before
     anything is written, so metadata that is not raises ValueError and
     leaves nothing on disk, and it is serialized once every block is
@@ -150,18 +168,23 @@ def write_table(
     a sidecar, '<file>.meta.json', raises ValueError before anything is
     written.  Returns the number of rows.
     """
+    is_rounded = [name in rounded for name in columns]
     if path is None:
         import shutil
         import tempfile
 
         with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
-            rows = _write_tsv(out, columns, blocks)
+            rows = _write_tsv(out, columns, blocks, is_rounded)
             out.seek(0)
             shutil.copyfileobj(out, sys.stdout)
         return rows
     if path.name.endswith(".meta.json"):  # it would replace the sidecar of the dataset it names
         raise ValueError(f"{path}: an output name must not end in .meta.json, the name of a sidecar")
-    stamp = {"columns": list(columns), "timestamp": datetime.now(timezone.utc).isoformat()}
+    stamp = {
+        "columns": list(columns),
+        "rounded": {"digits": ROUNDED_DIGITS, "columns": list(itertools.compress(columns, is_rounded))},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
     def sidecar(indent: int | None = 2) -> str:
         try:
@@ -176,7 +199,7 @@ def write_table(
     temporaries: list[Path] = []
     try:
         with _open_beside(path, temporaries) as out:
-            rows = _write_tsv(out, columns, blocks)
+            rows = _write_tsv(out, columns, blocks, is_rounded)
         with _open_beside(sidecar_path(path), temporaries) as out:
             out.write(sidecar())
         for temporary, target in zip(temporaries, (path, sidecar_path(path))):
@@ -204,14 +227,15 @@ def read_json(path: Path):
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
-def _format_rows(block: Sequence) -> str:
+def _format_rows(block: Sequence, is_rounded: Sequence[bool]) -> str:
     """The TSV lines of a block of one or more rows, each with its line end."""
-    return "\n".join(map("\t".join, zip(*map(_cells, block)))) + "\n"
+    return "\n".join(map("\t".join, zip(*map(_cells, block, is_rounded)))) + "\n"
 
 
-def _cells(values) -> Iterable[str]:
-    """The cell text of one column of a block: a float64 array whose values all have
-    the bits of its first is that value's repr repeated, so it is formatted once."""
+def _cells(values, rounded: bool) -> Iterable[str]:
+    """The cell text of one column of a block: a list as it is, an int array by str, a float
+    array by format(v, ".13") if `rounded`, else by repr.  A float64 array whose values all
+    have the bits of its first is that value's text repeated, so it is formatted once."""
     if isinstance(values, list):
         return values
     if values.dtype.kind != "f":
@@ -219,15 +243,19 @@ def _cells(values) -> Iterable[str]:
     if values.dtype == np.float64 and len(values):
         bits = values.view(np.int64)
         if bits[0] == bits[-1] and (bits == bits[0]).all():
-            return itertools.repeat(repr(float(values[0])), len(values))
+            first = float(values[0])
+            return itertools.repeat(format(first, _ROUNDED_SPEC) if rounded else repr(first), len(values))
+    if rounded:
+        return map(format, values.tolist(), itertools.repeat(_ROUNDED_SPEC))
     return map(repr, values.tolist())
 
 
-def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence]) -> int:
+def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence], is_rounded: Sequence[bool]) -> int:
     """Write the TSV text of `columns` and `blocks` to `out`; the number of rows.
 
     A block is cut into pieces of at most _FORMAT_ROWS rows, which format
-    faster than longer ones and hold fewer cell strings at once.
+    faster than longer ones and hold fewer cell strings at once.  A column
+    whose `is_rounded` entry is true is formatted by the rounded rule (_cells).
     """
     out.write("\t".join(columns) + "\n")
     rows = 0
@@ -239,7 +267,7 @@ def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence]) -> int:
             )
         size = lengths.pop() if lengths else 0
         for start in range(0, size, _FORMAT_ROWS):
-            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block]))
+            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block], is_rounded))
         rows += size
         del block  # the next block is made while none of this one is alive
     return rows

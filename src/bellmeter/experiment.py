@@ -345,6 +345,8 @@ def sweep_blocks(
 # rates of each stage, the (45, 45) input's before the (-45, 45) input's; rate_mp and rate_pm, which
 # the dip fit reads, dip under the geometric phase (without it, rate_pp and rate_mm do)
 HOM_SCAN_COLUMNS = ("position", "rate_pp", "rate_mp", "rate_pm", "rate_mm")
+# the rates are derived columns, written rounded (dataset.write_table); the position is a coordinate
+HOM_SCAN_DERIVED = HOM_SCAN_COLUMNS[1:]
 
 
 @dataclass

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import bellmeter
 from bellmeter.cli import _load_config, _parse_float_list, _parse_range, build_parser, main
 from bellmeter.counts import CountRecord, MultimeterPoint
-from bellmeter.dataset import sidecar_path
+from bellmeter.dataset import TableReader, sidecar_path
 from bellmeter.errors import SchemaViolationError
 from bellmeter.experiment import ExperimentConfig, config_from_dict, hom_scan, with_pairs_per_point
 from test_experiment import BOUNDED, bound_probes
@@ -86,12 +86,24 @@ def test_discriminate_matches_theory(tmp_path):
     assert ds["error_rate"].tolist() == [0.0, 0.0]
 
 
-def test_empty_grid_writes_an_empty_dataset(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--epsilon="],
+        ["discriminate", "--theta-range=90:0:1"],
+        ["multimeter", "--phi-range=90:0:1"],
+        ["hom-scan", "--positions="],
+        # an empty --positions list is an empty scan, not the default --range
+        ["hom-scan", "--positions=,"],
+        ["hom-scan", "--range=0:-90:1e-320"],  # a descending range whose span is -inf
+    ],
+)
+def test_an_empty_grid_fails_naming_its_flag(tmp_path, capsys, argv):
+    # one rule for every command: a grid with no point fails, and nothing is written
     out = tmp_path / "empty.tsv"
-    assert main(["discriminate", "--ideal", "--epsilon=", "--pairs", "100", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote 0 rows to {out}\n"
-    ds = read_columns(out)
-    assert len(ds["c_pp"]) == 0 and list(ds)[-8:] == COUNT_HEADER
+    assert main([*argv, "--ideal", "--pairs", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {argv[-1].split('=')[0]} gives no points\n")
+    assert list(tmp_path.iterdir()) == []
 
 def test_multimeter_command(tmp_path):
     out = tmp_path / "multi.tsv"
@@ -358,7 +370,9 @@ def test_parse_range_builds_values_from_an_index():
     assert _parse_range("0:1000:0.01")[70926] == 709.26
     assert _parse_range("-90:90:8").tolist() == [float(v) for v in range(-90, 91, 8)]
     # a descending range has no point, also where its span is -inf
-    assert _parse_range("90:0:1").tolist() == _parse_range("0:-90:1e-320").tolist() == []
+    for text in ("90:0:1", "0:-90:1e-320"):
+        with pytest.raises(ValueError, match="^range gives no points$"):
+            _parse_range(text)
 
 
 def test_parse_range_holds_the_grid_as_one_array():
@@ -873,16 +887,6 @@ def test_non_finite_grid_values_exit_nonzero_without_dataset(tmp_path, capsys, a
     assert not out.exists()
 
 
-@pytest.mark.parametrize("positions", ["", ","])
-def test_empty_positions_exit_nonzero_without_dataset(tmp_path, capsys, positions):
-    # an empty --positions list is an empty scan, not the default --range
-    out = tmp_path / "empty.tsv"
-    assert main(["hom-scan", "--positions", positions, "--pairs", "100", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: positions must be nonempty\n"
-    assert not out.exists()
-
-
 def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
     # `bellmeter analyze counts.tsv | head -n 1`: the output is far larger than a
     # pipe buffer, so the writer is still writing when the reader closes its end
@@ -1132,7 +1136,7 @@ def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, 
     assert first[0] == "12.5" and last[0] == ("12" if column == "theta" else "12.5")
     assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
     # each line is the analysis of the counts as integers, so the output is that of an all-integer file
-    assert first[1:] == [repr(v) for v in CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()]
+    assert first[1:] == [format(v, ".13") for v in CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()]
 
 
 def test_analyze_prints_what_it_writes(tmp_path, capsys):
@@ -1223,26 +1227,33 @@ def test_discriminator_grid_at_the_largest_finite_sums_runs(tmp_path):
     assert read_columns(out)["epsilon"].tolist() == [1e308, -1e308]
 
 
-DISCRIMINATE_KEYS = {"argv", "columns", "command", "config", "pairs_per_point", "seed", "task", "timestamp"}
+DISCRIMINATE_KEYS = {
+    "argv", "columns", "command", "config", "pairs_per_point", "rounded", "seed", "task", "timestamp",
+}
 
 
 @pytest.mark.parametrize(
-    "argv, keys, summary",
+    "argv, keys, summary, rounded",
     [
         (["discriminate", "--epsilon", "0", "--theta-range", "0:90:45", "--seed", "3", "--pairs", "100"],
-         DISCRIMINATE_KEYS, "wrote 3 rows to {out}\n"),
+         DISCRIMINATE_KEYS, "wrote 3 rows to {out}\n",
+         ["p_theory", "p_optimal", "p_estimated", "p_stderr", "error_rate", "error_rate_stderr"]),
         (["multimeter", "--phi-range=-90:90:90", "--seed", "3", "--pairs", "100"],
-         DISCRIMINATE_KEYS | {"eta"}, "wrote 3 rows to {out}\n"),
+         DISCRIMINATE_KEYS | {"eta"}, "wrote 3 rows to {out}\n",
+         ["pi_theory", "fidelity_theory", "pi_estimated", "pi_stderr", "fidelity_estimated", "error_rate",
+          "error_rate_stderr"]),
         (["hom-scan", "--range=-50:50:25", "--seed", "3", "--pairs", "100"],
-         {"argv", "columns", "command", "config", "curve_visibilities", "fitted_visibility", "seed", "timestamp"},
-         "wrote 5 rows to {out} (fitted visibility {vis})\n"),
-        (["analyze", "{counts}"], {"argv", "columns", "command", "input", "timestamp"},
+         {"argv", "columns", "command", "config", "curve_visibilities", "fitted_visibility", "rounded", "seed",
+          "timestamp"},
+         "wrote 5 rows to {out} (fitted visibility {vis})\n", ["rate_pp", "rate_mp", "rate_pm", "rate_mm"]),
+        (["analyze", "{counts}"], {"argv", "columns", "command", "input", "rounded", "timestamp"},
          "wrote 1 rows to {out} (NaN rows: p_succ 0, p_succ_stderr 0, p_inconclusive 0, pi_stderr 0,"
-         " error_rate 0, error_rate_stderr 0)\n"),
+         " error_rate 0, error_rate_stderr 0)\n", ESTIMATE_HEADER),
     ],
     ids=["discriminate", "multimeter", "hom-scan", "analyze"],
 )
-def test_each_command_records_its_sidecar_keys_and_summary(tmp_path, capsys, argv, keys, summary):
+def test_each_command_records_its_sidecar_keys_and_summary(tmp_path, capsys, argv, keys, summary, rounded):
+    # `rounded` lists exactly the derived columns: every column but the coordinates and the counts
     counts, out = tmp_path / "counts.tsv", tmp_path / "out.tsv"
     write_columns(counts, COUNT_HEADER, [[c] for c in [400, 0, 0, 380, 300, 200, 150, 350]])
     argv = [arg.format(counts=counts) for arg in argv] + ["--out", str(out)]
@@ -1251,6 +1262,7 @@ def test_each_command_records_its_sidecar_keys_and_summary(tmp_path, capsys, arg
     assert set(meta) == keys
     assert meta["command"] == argv[0] and meta["argv"] == argv
     assert meta["columns"] == list(read_columns(out))
+    assert meta["rounded"] == {"digits": 13, "columns": rounded}
     vis = f"{meta['fitted_visibility']:.4f}" if "fitted_visibility" in meta else None
     assert capsys.readouterr().out == summary.format(out=out, vis=vis)
 
@@ -1341,12 +1353,15 @@ def test_cli_sweeps_build_no_per_point_objects(tmp_path, monkeypatch):
         (multi, run_multimeter_sweep([-90.0, -45.0, 0.0, 45.0, 90.0], 0.4, cfg, 50.0)),
     ]
     for path, points in sweeps:
-        ds = read_columns(path)
-        assert len(points) == len(ds["c_pp"]) and built[type(points[0])] == len(points)
+        header, *lines = path.read_text().splitlines()
+        rounded = read_sidecar(path)["rounded"]["columns"]
+        assert len(points) == len(lines) and built[type(points[0])] == len(points)
         leading = [f.name for f in fields(points[0])][:-1]
         rows = [[getattr(pt, name) for name in leading] + list(astuple(pt.counts)) for pt in points]
-        assert [repr(list(row)) for row in zip(*(values.tolist() for values in ds.values()))] == [
-            repr(row) for row in rows
+        # a derived cell is the point's value at 13 significant digits; a coordinate or a count is exact
+        assert [line.split("\t") for line in lines] == [
+            [format(v, ".13") if name in rounded else repr(v) for name, v in zip(header.split("\t"), row)]
+            for row in rows
         ]
     assert built[CountRecord] == 16 + 5
 
@@ -1393,7 +1408,8 @@ def test_analyze_reads_a_header_alone_and_a_last_line_without_line_end(tmp_path,
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith(f"wrote {rows} rows to {out} ")
     estimates = CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()
-    row = "\t".join([ANALYZE_ROW[0], *map(repr, estimates)]) + "\n"
+    row = "\t".join([ANALYZE_ROW[0], *(format(v, ".13") for v in estimates)]) + "\n"
+    assert row.split("\t")[1:3] == ["0.1965", "0.01305888586366"]  # repr: 0.01305888586365621
     assert out.read_text() == "theta\t" + "\t".join(ESTIMATE_HEADER) + "\n" + row * rows
 
 
@@ -1506,10 +1522,15 @@ HEADER_NAMES = ["c_pq", "theta", "epsilon", "c_pp", "x", ""]
 PREVIOUS = {"out.tsv": "previous\n", "out.tsv.meta.json": '{"previous": true}\n'}
 
 
+# a field that a config case leaves out, so it takes its default
+MISSING = object()
+
+
 @st.composite
 def config_cases(draw):
     """A sweep whose config sets one bounded field, or --eta, to a value drawn from its bounds: an edge
-    or one step from it, a drawn inside value, NaN or (config fields) a value of the wrong type."""
+    or one step from it, a drawn inside value, NaN or (config fields) a value of the wrong type; or
+    that leaves the field out."""
     owner, f = draw(st.sampled_from(BOUNDED))
     text = f.metadata["bounds"]
     low, high = (float(end) for end in text[1:-1].split(","))
@@ -1521,11 +1542,13 @@ def config_cases(draw):
     outside = [math.nan] + ([] if owner is MultimeterPoint else ["1", True, None, [1.0]])
     value, valid = draw(st.one_of(
         st.sampled_from(bound_probes(f)), inside.map(lambda v: (v, True)),
-        st.sampled_from([(v, False) for v in outside]),
+        st.sampled_from([(v, False) for v in outside]), st.just((MISSING, True)),
     ))
     if owner is MultimeterPoint:  # eta is the multimeter's flag
-        return {}, CONTRACT_SWEEPS["multimeter"] + [f"--eta={value!r}"], None if valid else f.name
-    config = {f.name: value} if owner is ExperimentConfig else {"analyzer": {f.name: value}}
+        flag = [] if value is MISSING else [f"--eta={value!r}"]
+        return {}, CONTRACT_SWEEPS["multimeter"] + flag, None if valid else f.name
+    config = {} if value is MISSING else {f.name: value}
+    config = config if owner is ExperimentConfig else {"analyzer": config}
     argv = CONTRACT_SWEEPS[draw(st.sampled_from(sorted(CONTRACT_SWEEPS)))] + ["--config", "config.json"]
     return {"config.json": json.dumps(config)}, argv, None if valid else f.name
 
@@ -1536,6 +1559,12 @@ def grid_cases(draw):
     command, flag, separator = draw(st.sampled_from(CONTRACT_GRIDS))
     items = draw(st.lists(st.sampled_from(GRID_ITEMS), min_size=separator == ":", max_size=4))
     return {}, CONTRACT_SWEEPS[command] + [f"{flag}={separator.join(items)}"], None
+
+
+# a sweep whose --config names a file that does not exist (a file name mapped to None is not written)
+MISSING_CONFIGS = st.sampled_from(sorted(CONTRACT_SWEEPS)).map(
+    lambda command: ({"missing.json": None}, CONTRACT_SWEEPS[command] + ["--config", "missing.json"], "missing.json")
+)
 
 
 # mutations of a real count table, (kind, line, column, cut length or new text); line and column are
@@ -1586,21 +1615,24 @@ def reject_constant(name):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=st.one_of(
-    config_cases(), grid_cases(),
+    config_cases(), grid_cases(), MISSING_CONFIGS,
     st.lists(MUTATIONS, min_size=1, max_size=2).map(lambda m: ({"mutations": m}, ["analyze", "counts.tsv"], None)),
 ))
 def test_every_command_writes_a_consistent_dataset_or_fails_on_one_line(case):
-    # exit 0 with a strict-JSON sidecar whose columns are the TSV header, or exit 1 with one error line,
-    # no traceback and the previous output pair as it was; a value outside its bounds fails naming its field
+    # exit 0 with a strict-JSON sidecar whose columns are the TSV header, at least one row (for `analyze`,
+    # one per data line it read) and a float in every cell of a rounded column, or exit 1 with one error
+    # line, no traceback and the previous output pair as it was; a value outside its bounds fails naming
+    # its field
     files, argv, must_fail = case
     if "mutations" in files:
         files = {"counts.tsv": mutated(real_count_table(), files["mutations"])}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in {**files, **PREVIOUS}.items():
-            (tmp / name).write_text(text, encoding="utf-8")
+            if text is not None:
+                (tmp / name).write_text(text, encoding="utf-8")
         before = {path.name: path.read_bytes() for path in tmp.iterdir()}
-        argv = [str(tmp / arg) if arg in before else arg for arg in argv + ["--out", "out.tsv"]]
+        argv = [str(tmp / arg) if arg in {**files, **before} else arg for arg in argv + ["--out", "out.tsv"]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1609,8 +1641,14 @@ def test_every_command_writes_a_consistent_dataset_or_fails_on_one_line(case):
             assert err == ""
             sidecar_text = (tmp / "out.tsv.meta.json").read_text(encoding="utf-8")
             sidecar = json.loads(sidecar_text, parse_constant=reject_constant)
-            header = (tmp / "out.tsv").read_text(encoding="utf-8").split("\n", 1)[0]
+            header, *lines = (tmp / "out.tsv").read_text(encoding="utf-8").split("\n")
             assert sidecar["columns"] == header.split("\t"), argv
+            if "counts.tsv" in files:
+                assert len(list(filter(None, lines))) == len(list(filter(None, files["counts.tsv"].split("\n")[1:])))
+            else:
+                assert list(filter(None, lines)), argv
+            rounded = TableReader(tmp / "out.tsv").blocks(sidecar["rounded"]["columns"])
+            assert all(values.dtype == np.float64 for block in rounded for values in block), argv
         else:
             assert code == 1 and out == "", (code, out, err)
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

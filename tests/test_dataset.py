@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import sys
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -297,6 +299,55 @@ def test_a_float_column_is_written_as_per_cell_repr(tmp_path, floats):
     write_table(path, ["x", "n", "y"], [[floats, ints, floats[::-1].copy()]], {})
     rows = zip(map(repr, floats.tolist()), map(str, ints.tolist()), map(repr, floats[::-1].tolist()))
     assert path.read_text() == "x\tn\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
+
+
+# a rounded column's values: signed zeros, subnormals, the largest float, NaN, infinities and any float
+ROUNDED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5e-323, 2.2250738585072014e-308, sys.float_info.max,
+                     -sys.float_info.max, math.nan, math.inf, -math.inf, 1.0000000000005, 9.9999999999995e22]),
+    st.floats(allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(ROUNDED_FLOATS, min_size=1, max_size=9))
+def test_a_rounded_cell_reads_back_as_float64_within_5e_13(tmp_path_factory, values):
+    # the cell is the value at 13 significant digits, so its decimal lies within 5e-13 relative of the
+    # value; read back, it is that decimal's nearest float64, which adds at most half an ulp
+    path = tmp_path_factory.mktemp("rounded") / "data.tsv"
+    write_table(path, ["x", "y"], [[np.array(values), np.array(values)]], {}, rounded=["x"])
+    assert TableReader(path).metadata["rounded"] == {"digits": 13, "columns": ["x"]}
+    (back,), = TableReader(path).blocks(["x"])
+    assert back.dtype == np.float64
+    cells = [line.split("\t")[0] for line in path.read_text().splitlines()[1:]]
+    for value, cell, read in zip(values, cells, back.tolist()):
+        assert cell == format(value, ".13")
+        if math.isnan(value):
+            assert math.isnan(read)
+        elif math.isinf(value) or value == 0.0:
+            assert math.copysign(1.0, read) == math.copysign(1.0, value) and read == value
+        else:
+            assert abs(Fraction(cell) - Fraction(value)) <= Fraction(5, 10**13) * abs(Fraction(value))
+            assert read == float(cell) and abs(read - value) <= 5e-13 * abs(value) + math.ulp(read) / 2
+
+
+@pytest.mark.parametrize(
+    "floats",
+    [
+        np.full(3000, 0.1),
+        np.array([0.0, -0.0, 0.0]),
+        np.full(5, math.nan),
+        np.full(4, 1 / 3),
+        np.concatenate([np.full(1024, 1 / 3), np.full(1023, 1 / 3), [0.75]]),  # constant in the first piece only
+    ],
+    ids=["constant", "signed-zeros", "nan", "constant-third", "second-piece"],
+)
+def test_a_rounded_float_column_is_written_as_per_cell_text(tmp_path, floats):
+    # a rounded column of one value is formatted once, with the text each cell would get
+    path = tmp_path / "data.tsv"
+    write_table(path, ["x", "y"], [[floats, floats[::-1].copy()]], {}, rounded=["x"])
+    rows = zip((format(v, ".13") for v in floats.tolist()), map(repr, floats[::-1].tolist()))
+    assert path.read_text() == "x\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
 
 
 def test_multimeter_points_keep_float_constant_columns():

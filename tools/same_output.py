@@ -11,9 +11,16 @@ match on both sides, and stdout is block-buffered on both.  Each TSV is
 compared byte for byte, each JSON sidecar with its `timestamp` dropped, and
 each command's exit code, stdout and stderr together (as `<name>.console`),
 one line each; one `analyze` without --out is compared by its console alone,
-whose stdout is its TSV.  The exit code is 1 if an output differs that no
---differs names, if a named output matches, or if a command fails; 0
-otherwise, and 2 if <rev> names no commit.
+whose stdout is its TSV.
+
+An output is expected to differ when --differs names it, or when DECLARED
+(tools/changed_outputs.txt, one output name per line) names it and that
+file's text in this tree differs from its text at <rev>.  So a commit that
+changes outputs on purpose lists them there, and a later commit that leaves
+the file as it is gets the full check again.  The exit code is 1 if an
+output differs that is not expected to, if an expected output matches, or
+if a command fails; 0 otherwise, and 2 if <rev> names no commit or DECLARED
+names no output.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DECLARED = Path("tools/changed_outputs.txt")
 
 # ExperimentConfig.realistic(): 92% mode overlap, a few percent of splitting imbalance
 REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
@@ -102,6 +110,20 @@ def run_commands(tree: Path, workdir: Path) -> bool:
     return True
 
 
+def declared(commit: str) -> list[str]:
+    """The output names in DECLARED, if its text in this tree differs from its text at `commit`, else
+    none; a file that is missing on either side reads as empty, and a line starting with # is a comment."""
+    path = ROOT / DECLARED
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    try:
+        before = git("show", f"{commit}:{DECLARED.as_posix()}")
+    except subprocess.CalledProcessError:
+        before = ""
+    if text == before:
+        return []
+    return [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+
 def same(base: Path, head: Path) -> bool:
     if base.name.endswith(".meta.json"):
         sidecars = [json.loads(path.read_text(encoding="utf-8")) for path in (base, head)]
@@ -122,6 +144,12 @@ def main(argv: list[str] | None = None) -> int:
         commit = git("rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}").strip()
     except subprocess.CalledProcessError:
         parser.error(f"{args.rev!r} names no commit")
+    listed = declared(commit)
+    if unknown := sorted(set(listed) - set(OUTPUTS)):
+        parser.error(f"{DECLARED} names no output {', '.join(unknown)}")
+    if listed:
+        print(f"{DECLARED} differs from its text at {commit[:12]}: {len(listed)} outputs expected to differ")
+    differs = set(args.differs) | set(listed)
     tmp = Path(tempfile.mkdtemp(prefix="same-output-"))
     tree = tmp / "tree"
     try:
@@ -131,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 0
         for name in OUTPUTS:
             equal = same(tmp / "base" / name, tmp / "head" / name)
-            expected = name not in args.differs
+            expected = name not in differs
             word = ("same" if equal else "differs") + ("" if equal == expected else " (unexpected)")
             print(f"{word:22}{name}")
             status |= equal != expected
