@@ -4,8 +4,8 @@ Subcommands: `discriminate` (success-probability sweep), `multimeter`
 (inconclusive-rate sweep), `hom-scan` (mirror scan through the dip) and
 `analyze` (offline re-estimation from raw count columns).  Each has a
 builder that imports only the modules it runs (`analyze` loads no optics)
-and returns its columns, the derived ones among them, their blocks, sidecar
-keys and summary suffix to run_command, which writes each block before the
+and returns its column records (counts.Column), their blocks, sidecar keys
+and summary suffix to run_command, which writes each block before the
 next one is made and the sidecar after the last, so a key may depend on the
 rows (`hom-scan`'s fit).
 """
@@ -20,7 +20,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
 
@@ -28,12 +28,12 @@ import numpy as np
 
 from .counts import (
     COUNT_COLUMNS,
+    Column,
     DiscriminationPoint,
     Estimates,
     MultimeterPoint,
     count_table,
     estimate_table,
-    sweep_derived,
     sweep_header,
 )
 from .dataset import TableReader, read_json, write_table
@@ -51,14 +51,15 @@ _ROUND_CHUNK = 2**14
 _ROUND_EXACT = 2.0**52 / 1e9
 _VELTKAMP = 2.0**27 + 1.0  # splits a float into two halves of at most 26 significant bits
 
-# what a builder returns: the dataset columns, the derived ones among them (written rounded, see
-# dataset.write_table), their blocks, the command's sidecar keys and a function giving the summary
-# suffix once all is written
-_Built = tuple[list[str], list[str], Iterable, dict, Callable[[], str]]
+# what a builder returns: the dataset columns, their blocks, the command's sidecar keys and a
+# function giving the summary suffix once all is written
+_Built = tuple[list[Column], Iterable, dict, Callable[[], str]]
 
+# the columns `analyze` carries over, as the text that was read: the sweeps' coordinates
 _COORD_COLUMNS = [
-    f.name for f in fields(DiscriminationPoint) + fields(MultimeterPoint) if f.metadata.get("grid")
+    c for c in sweep_header(DiscriminationPoint) + sweep_header(MultimeterPoint) if c.kind == "coordinate"
 ]
+_ESTIMATE_COLUMNS = [Column(name, "derived") for name in Estimates._fields]
 
 
 def _parse_float_list(text: str, flag: str = "list") -> np.ndarray:
@@ -184,7 +185,7 @@ def build_discriminate(args: argparse.Namespace) -> _Built:
         **_simulation_keys(config),
     }
     blocks = discriminator_blocks(epsilons, thetas, config)
-    return sweep_header(DiscriminationPoint), sweep_derived(DiscriminationPoint), blocks, keys, lambda: ""
+    return sweep_header(DiscriminationPoint), blocks, keys, lambda: ""
 
 
 def build_multimeter(args: argparse.Namespace) -> _Built:
@@ -200,11 +201,11 @@ def build_multimeter(args: argparse.Namespace) -> _Built:
         **_simulation_keys(config),
     }
     blocks = multimeter_blocks(_parse_range(args.phi_range, "--phi-range"), eta, config)
-    return sweep_header(MultimeterPoint), sweep_derived(MultimeterPoint), blocks, keys, lambda: ""
+    return sweep_header(MultimeterPoint), blocks, keys, lambda: ""
 
 
 def build_hom_scan(args: argparse.Namespace) -> _Built:
-    from .experiment import HOM_SCAN_COLUMNS, HOM_SCAN_DERIVED, hom_scan_blocks
+    from .experiment import HOM_SCAN_COLUMNS, hom_scan_blocks
 
     config = _load_config(args)
     positions = (_parse_range(args.range, "--range") if args.positions is None
@@ -216,7 +217,7 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
         vis = keys["fitted_visibility"]
         return f" (fitted visibility {'n/a' if vis is None else f'{vis:.4f}'})"
 
-    return list(HOM_SCAN_COLUMNS), list(HOM_SCAN_DERIVED), blocks, keys, summary
+    return list(HOM_SCAN_COLUMNS), blocks, keys, summary
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:
@@ -224,30 +225,32 @@ def build_analyze(args: argparse.Namespace) -> _Built:
     for column in COUNT_COLUMNS:
         if column not in table.columns:
             raise SchemaViolationError(f"{args.input}: input dataset is missing required column {column!r}")
-    coordinates = [c for c in _COORD_COLUMNS if c in table.columns]
+    coordinates = [c for c in _COORD_COLUMNS if c.name in table.columns]
     nan_rows = np.zeros(len(Estimates._fields), dtype=np.int64)
 
     def blocks() -> Iterator[list]:
-        # the coordinates are carried over as the text that was read
-        for block in table.blocks(COUNT_COLUMNS, coordinates):
+        read = False
+        for block in table.blocks(COUNT_COLUMNS, [c.name for c in coordinates]):
             counts, cells = block[: len(COUNT_COLUMNS)], block[len(COUNT_COLUMNS) :]
             estimates = estimate_table(count_table(dict(zip(COUNT_COLUMNS, counts))))
             nan_rows[:] += np.isnan(estimates).sum(axis=0)
+            read = True
             yield cells + list(estimates.T)
+        if not read:  # raised before the output is put in place, so none is written
+            raise ValueError(f"{args.input} holds no data row")
 
     def summary() -> str:
         return f" (NaN rows: {', '.join(f'{name} {n}' for name, n in zip(Estimates._fields, nan_rows))})"
 
-    estimates = list(Estimates._fields)
-    return coordinates + estimates, estimates, blocks(), {"input": str(args.input)}, summary
+    return coordinates + _ESTIMATE_COLUMNS, blocks(), {"input": str(args.input)}, summary
 
 
 def run_command(args: argparse.Namespace) -> int:
     """Write the dataset of the subcommand's builder to --out, or its TSV to stdout.
 
-    A builder returns the dataset columns, the derived ones among them,
-    which are written rounded, an iterable of column blocks, its command's
-    sidecar keys (a dict it may fill while the blocks are made, so
+    A builder returns the dataset columns (counts.Column records, whose
+    kinds set the text of their cells), an iterable of column blocks, its
+    command's sidecar keys (a dict it may fill while the blocks are made, so
     `command` and `argv` are added to it, not to a copy) and a function
     giving the summary suffix once every block is written.  Each block is
     written before the next one is made (dataset.write_table), so a failing
@@ -255,11 +258,11 @@ def run_command(args: argparse.Namespace) -> int:
     `--out=`) writes the TSV to stdout; with --out, stdout gets the summary
     line.  Either goes through _to_stdout.
     """
-    columns, derived, blocks, keys, summary = args.build(args)
+    columns, blocks, keys, summary = args.build(args)
     keys.update(command=args.command, argv=args.argv)
     if not args.out:
-        return _to_stdout(lambda: write_table(None, columns, blocks, keys, rounded=derived))
-    rows = write_table(Path(args.out), columns, blocks, keys, rounded=derived)
+        return _to_stdout(lambda: write_table(None, columns, blocks, keys))
+    rows = write_table(Path(args.out), columns, blocks, keys)
     return _to_stdout(lambda: print(f"wrote {rows} rows to {args.out}{summary()}"))
 
 

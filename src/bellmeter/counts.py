@@ -10,6 +10,11 @@ arrive as one (n, 3, 2) plate-angle array, its counts leave the draw as one
 (n, 8) int64 table, columns COUNT_COLUMNS, and sweep_columns puts them and
 the other arrays of the block in the order of the dataset columns
 (sweep_header); sweep_points builds point dataclasses from those blocks.
+
+Each dataset column is declared once, as a Column of its name and kind:
+"coordinate" (a grid point, which `analyze` carries over), "count" or
+"derived" (a theory value, estimate or rate).  The header, the sidecar and
+the writer's text rule (dataset.write_table) are read off these records.
 """
 
 from __future__ import annotations
@@ -96,9 +101,15 @@ class CountRecord:
 COUNT_COLUMNS = tuple(f.name for f in fields(CountRecord))
 
 
+class Column(NamedTuple):
+    """A dataset column: its name and kind, "coordinate", "count" or "derived" (see the module docstring)."""
+
+    name: str
+    kind: str
+
+
 class Estimates(NamedTuple):
-    """The estimates of one CountRecord; the fields are the estimate columns of `analyze`, all derived
-    (written rounded, see dataset.write_table)."""
+    """The estimates of one CountRecord; the fields are the estimate columns of `analyze`."""
 
     p_succ: float
     p_succ_stderr: float
@@ -183,18 +194,14 @@ def estimate_table(counts) -> np.ndarray:
     return out
 
 
-def sweep_header(point_type: type) -> list[str]:
+def sweep_header(point_type: type) -> list[Column]:
     """The dataset columns of a sweep: the fields of `point_type` before its last, then COUNT_COLUMNS.
 
-    A field is named by its "column" metadata where it has one.
+    A field is named by its "column" metadata and is of its "kind" metadata
+    where it has them; it is derived otherwise.
     """
-    return [f.metadata.get("column", f.name) for f in fields(point_type)[:-1]] + list(COUNT_COLUMNS)
-
-
-def sweep_derived(point_type: type) -> list[str]:
-    """The derived columns of a sweep, written rounded (dataset.write_table): the sweep_header
-    columns of the fields of `point_type` before its last that carry no "grid" metadata."""
-    return [f.metadata.get("column", f.name) for f in fields(point_type)[:-1] if not f.metadata.get("grid")]
+    return [Column(f.metadata.get("column", f.name), f.metadata.get("kind", "derived"))
+            for f in fields(point_type)[:-1]] + [Column(name, "count") for name in COUNT_COLUMNS]
 
 
 def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> list[np.ndarray]:
@@ -220,13 +227,12 @@ def sweep_points(point_type: type, blocks: Iterable[Sequence[np.ndarray]]) -> li
 class DiscriminationPoint:
     """One sweep point: theory, optimal benchmark and simulated estimates.
 
-    The fields before `counts` name the sweep's leading dataset columns
-    (sweep_header); the grid coordinates, which `analyze` carries over,
-    carry "grid" metadata, and the others are derived (sweep_derived).
+    The fields before `counts` are the sweep's leading dataset columns
+    (sweep_header): the grid coordinates, then derived values.
     """
 
-    epsilon: float = field(metadata={"grid": True})
-    theta: float = field(metadata={"grid": True})
+    epsilon: float = field(metadata={"kind": "coordinate"})
+    theta: float = field(metadata={"kind": "coordinate"})
     p_theory: float
     p_optimal: float
     p_estimated: float
@@ -240,14 +246,13 @@ class DiscriminationPoint:
 class MultimeterPoint:
     """One sweep point of the multimeter run: theory and simulated estimates.
 
-    The fields before `counts` name the sweep's leading dataset columns
-    (sweep_header), by "column" metadata where they have it; the grid
-    coordinates, which `analyze` carries over, carry "grid" metadata, and
-    the others are derived (sweep_derived).
+    The fields before `counts` are the sweep's leading dataset columns
+    (sweep_header): the grid coordinates, then derived values, two of them
+    renamed by "column" metadata.
     """
 
-    phi: float = field(metadata={"grid": True})
-    eta: float = field(metadata={"grid": True, "bounds": "[0, 1]"})
+    phi: float = field(metadata={"kind": "coordinate"})
+    eta: float = field(metadata={"kind": "coordinate", "bounds": "[0, 1]"})
     pi_theory: float
     fidelity_theory: float
     p_inconclusive: float = field(metadata={"column": "pi_estimated"})

@@ -14,18 +14,18 @@ first by numpy's C tokenizer, which takes optional whitespace, a sign and
 ASCII digits within int64 (_int_columns); a block it does not take in full
 goes to the per-column int()/float() rule (_parse_cells), which decides the
 result.  Only then is each row split into all its cells; otherwise it is
-split only up to its last carried cell.  An int array is written with
-`str` and cell text as it is.  A float array is written by one of two rules,
-which the writer's caller picks per column: `repr`, the shortest text that
-reads back to the same float, so the block reads back with its dtype and
-bits; or, for a column the caller names as rounded (the derived columns of
-the commands: estimates, theory values, rates), `format(v, ".13")`, which
-keeps ROUNDED_DIGITS = 13 significant digits (relative error at most 5e-13)
-and always holds a `.`, an exponent, `nan` or `inf`, so it reads back as
-float64, with NaN, infinities and signed zeros exact.  A float column of one
-value, as the multimeter's `eta`, is formatted once by its column's rule.
-The TSV and the sidecar replace the previous pair only once every block is
-written.
+split only up to its last carried cell.  The writer takes counts.Column
+records, and a cell's text follows its column's kind, not the block's
+dtype.  A value v of a derived column (estimates, theory values, rates),
+number or numeric text, is written as format(float(v), ".13"): it keeps
+ROUNDED_DIGITS = 13 significant digits (relative error at most 5e-13) and
+always holds a `.`, an exponent, `nan` or `inf`, so it reads back as
+float64, with NaN, infinities and signed zeros exact.  Any other column is
+written exactly, its cell text as it is and its numbers by `repr` (`str`
+for an int), so it reads back with its dtype and bits.  A float column of
+one value, as the multimeter's `eta`, is formatted once by its column's
+rule.  The TSV and the sidecar replace the previous pair only once every
+block is written.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .counts import Column
 from .errors import SchemaViolationError
 
 # lines per block that are read and parsed together; the cell strings of a
@@ -53,7 +54,7 @@ _BLOCK_ROWS = 4096
 _FORMAT_ROWS = 1024
 # ASCII characters that numpy's int64 tokenizer takes as whitespace and int() does not
 _NOT_INT_SPACE = "\x1c\x1d\x1e\x1f"
-# significant digits of a rounded float column; format(v, ".13") costs about 0.6x repr(v)
+# significant digits of a derived column; format(v, ".13") costs about 0.6x repr(v)
 ROUNDED_DIGITS = 13
 _ROUNDED_SPEC = f".{ROUNDED_DIGITS}"
 
@@ -139,22 +140,15 @@ class TableReader:
         return lines
 
 
-def write_table(
-    path: Path | None,
-    columns: Sequence[str],
-    blocks: Iterable[Sequence],
-    metadata: dict,
-    rounded: Collection[str] = (),
-) -> int:
+def write_table(path: Path | None, columns: Sequence[Column], blocks: Iterable[Sequence], metadata: dict) -> int:
     """Write the TSV of `columns` and `blocks` to `path` and the metadata sidecar next to it.
 
-    A block holds one entry per column, all of one length: an int array
-    (formatted with str), a float array or a list of cell text (written as
-    it is).  A float array of a column named in `rounded` is formatted with
-    format(v, ".13"), ROUNDED_DIGITS significant digits; one of any other
-    column with repr, so it reads back with its bits.  The sidecar gets
-    `columns`, `rounded` ({"digits": ROUNDED_DIGITS, "columns": the rounded
-    columns in column order}) and a timestamp besides `metadata`.
+    `columns` are counts.Column records, and a block holds one entry per
+    column, all of one length: a numeric array or a list of cell text,
+    written by its column's kind (see the module docstring).  The sidecar
+    gets `columns` (the names), `rounded` ({"digits": ROUNDED_DIGITS,
+    "columns": the derived columns in column order}) and a timestamp
+    besides `metadata`.
     It is checked to be strict JSON (unindented, by the C encoder) before
     anything is written, so metadata that is not raises ValueError and
     leaves nothing on disk, and it is serialized once every block is
@@ -168,21 +162,21 @@ def write_table(
     a sidecar, '<file>.meta.json', raises ValueError before anything is
     written.  Returns the number of rows.
     """
-    is_rounded = [name in rounded for name in columns]
+    names, derived = [c.name for c in columns], [c.kind == "derived" for c in columns]
     if path is None:
         import shutil
         import tempfile
 
         with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
-            rows = _write_tsv(out, columns, blocks, is_rounded)
+            rows = _write_tsv(out, names, blocks, derived)
             out.seek(0)
             shutil.copyfileobj(out, sys.stdout)
         return rows
     if path.name.endswith(".meta.json"):  # it would replace the sidecar of the dataset it names
         raise ValueError(f"{path}: an output name must not end in .meta.json, the name of a sidecar")
     stamp = {
-        "columns": list(columns),
-        "rounded": {"digits": ROUNDED_DIGITS, "columns": list(itertools.compress(columns, is_rounded))},
+        "columns": names,
+        "rounded": {"digits": ROUNDED_DIGITS, "columns": list(itertools.compress(names, derived))},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -199,7 +193,7 @@ def write_table(
     temporaries: list[Path] = []
     try:
         with _open_beside(path, temporaries) as out:
-            rows = _write_tsv(out, columns, blocks, is_rounded)
+            rows = _write_tsv(out, names, blocks, derived)
         with _open_beside(sidecar_path(path), temporaries) as out:
             out.write(sidecar())
         for temporary, target in zip(temporaries, (path, sidecar_path(path))):
@@ -227,47 +221,49 @@ def read_json(path: Path):
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
-def _format_rows(block: Sequence, is_rounded: Sequence[bool]) -> str:
+def _format_rows(block: Sequence, derived: Sequence[bool]) -> str:
     """The TSV lines of a block of one or more rows, each with its line end."""
-    return "\n".join(map("\t".join, zip(*map(_cells, block, is_rounded)))) + "\n"
+    return "\n".join(map("\t".join, zip(*map(_cells, block, derived)))) + "\n"
 
 
-def _cells(values, rounded: bool) -> Iterable[str]:
-    """The cell text of one column of a block: a list as it is, an int array by str, a float
-    array by format(v, ".13") if `rounded`, else by repr.  A float64 array whose values all
-    have the bits of its first is that value's text repeated, so it is formatted once."""
+def _cells(values, derived: bool) -> Iterable[str]:
+    """The cell text of one column of a block by its column's rule, decided once for the column: if
+    `derived`, each value v, a number or numeric text, as format(float(v), ".13"); else a list as it
+    is and each number by repr.  A float64 array whose values all have the bits of its first is that
+    value's text repeated, so it is formatted once."""
     if isinstance(values, list):
-        return values
-    if values.dtype.kind != "f":
-        return map(str, values.tolist())
+        if not derived:
+            return values
+        values = list(map(float, values))
+    values = np.asarray(values, dtype=np.float64 if derived else None)
     if values.dtype == np.float64 and len(values):
         bits = values.view(np.int64)
         if bits[0] == bits[-1] and (bits == bits[0]).all():
             first = float(values[0])
-            return itertools.repeat(format(first, _ROUNDED_SPEC) if rounded else repr(first), len(values))
-    if rounded:
+            return itertools.repeat(format(first, _ROUNDED_SPEC) if derived else repr(first), len(values))
+    if derived:
         return map(format, values.tolist(), itertools.repeat(_ROUNDED_SPEC))
     return map(repr, values.tolist())
 
 
-def _write_tsv(out, columns: Sequence[str], blocks: Iterable[Sequence], is_rounded: Sequence[bool]) -> int:
-    """Write the TSV text of `columns` and `blocks` to `out`; the number of rows.
+def _write_tsv(out, names: Sequence[str], blocks: Iterable[Sequence], derived: Sequence[bool]) -> int:
+    """Write the TSV text of the columns `names` and `blocks` to `out`; the number of rows.
 
     A block is cut into pieces of at most _FORMAT_ROWS rows, which format
     faster than longer ones and hold fewer cell strings at once.  A column
-    whose `is_rounded` entry is true is formatted by the rounded rule (_cells).
+    whose `derived` entry is true is formatted by the derived rule (_cells).
     """
-    out.write("\t".join(columns) + "\n")
+    out.write("\t".join(names) + "\n")
     rows = 0
     for block in blocks:
         lengths = set(map(len, block))
-        if len(block) != len(columns) or len(lengths) > 1:
+        if len(block) != len(names) or len(lengths) > 1:
             raise ValueError(
-                f"a block of {len(block)} columns of lengths {sorted(lengths)} for {len(columns)} names"
+                f"a block of {len(block)} columns of lengths {sorted(lengths)} for {len(names)} names"
             )
         size = lengths.pop() if lengths else 0
         for start in range(0, size, _FORMAT_ROWS):
-            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block], is_rounded))
+            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block], derived))
         rows += size
         del block  # the next block is made while none of this one is alive
     return rows

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import polarization as pol
 from .analyzer import AnalyzerConfig, check_bounds, check_fields, stokes_outcome_probs
-from .counts import MultimeterPoint
+from .counts import Column, MultimeterPoint
 from .errors import SchemaViolationError
 
 # tolerance on the sum of each period's class probabilities
@@ -344,9 +344,8 @@ def sweep_blocks(
 # the columns of a `hom-scan` dataset, in hom_scan_blocks order: the position, then the (Psi+, Psi-)
 # rates of each stage, the (45, 45) input's before the (-45, 45) input's; rate_mp and rate_pm, which
 # the dip fit reads, dip under the geometric phase (without it, rate_pp and rate_mm do)
-HOM_SCAN_COLUMNS = ("position", "rate_pp", "rate_mp", "rate_pm", "rate_mm")
-# the rates are derived columns, written rounded (dataset.write_table); the position is a coordinate
-HOM_SCAN_DERIVED = HOM_SCAN_COLUMNS[1:]
+HOM_SCAN_COLUMNS = (Column("position", "coordinate"),
+                    *(Column(name, "derived") for name in ("rate_pp", "rate_mp", "rate_pm", "rate_mm")))
 
 
 @dataclass

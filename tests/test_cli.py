@@ -1311,10 +1311,15 @@ def test_sweep_grid_at_the_limit_runs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("rows", [0, 3])
 def test_analyze_skips_a_block_of_blank_lines(tmp_path, capsys, monkeypatch, rows):
-    # with 3 rows per block, the blank lines after 3 rows make a block of their own
+    # with 3 rows per block, the blank lines after 3 rows make a block of their own; blank lines alone
+    # hold no data row, which fails with nothing written to stdout
     monkeypatch.setattr("bellmeter.dataset._BLOCK_ROWS", 3)
     path = tmp_path / "counts.tsv"
     path.write_text("\n".join([ANALYZE_HEADER] + ["\t".join(ANALYZE_ROW)] * rows) + "\n\n\n")
+    if not rows:
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} holds no data row\n")
+        return
     assert main(["analyze", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "theta\t" + "\t".join(ESTIMATE_HEADER) and len(lines) == 1 + rows
@@ -1403,8 +1408,14 @@ def test_output_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
     ids=["header", "header-without-line-end", "last-line-without-line-end", "last-line"],
 )
 def test_analyze_reads_a_header_alone_and_a_last_line_without_line_end(tmp_path, capsys, text, rows):
+    # a header alone holds no data row, which fails with no output pair written
     path, out = tmp_path / "counts.tsv", tmp_path / "est.tsv"
     path.write_text(text)
+    if not rows:
+        assert main(["analyze", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} holds no data row\n")
+        assert list(tmp_path.iterdir()) == [path]
+        return
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith(f"wrote {rows} rows to {out} ")
     estimates = CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()
@@ -1620,7 +1631,7 @@ def reject_constant(name):
 ))
 def test_every_command_writes_a_consistent_dataset_or_fails_on_one_line(case):
     # exit 0 with a strict-JSON sidecar whose columns are the TSV header, at least one row (for `analyze`,
-    # one per data line it read) and a float in every cell of a rounded column, or exit 1 with one error
+    # also one per data line it read) and a float in every cell of a rounded column, or exit 1 with one error
     # line, no traceback and the previous output pair as it was; a value outside its bounds fails naming
     # its field
     files, argv, must_fail = case
@@ -1643,10 +1654,9 @@ def test_every_command_writes_a_consistent_dataset_or_fails_on_one_line(case):
             sidecar = json.loads(sidecar_text, parse_constant=reject_constant)
             header, *lines = (tmp / "out.tsv").read_text(encoding="utf-8").split("\n")
             assert sidecar["columns"] == header.split("\t"), argv
+            assert list(filter(None, lines)), argv
             if "counts.tsv" in files:
                 assert len(list(filter(None, lines))) == len(list(filter(None, files["counts.tsv"].split("\n")[1:])))
-            else:
-                assert list(filter(None, lines)), argv
             rounded = TableReader(tmp / "out.tsv").blocks(sidecar["rounded"]["columns"])
             assert all(values.dtype == np.float64 for block in rounded for values in block), argv
         else:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellmeter.counts import Column
 from bellmeter.dataset import TableReader, _parse_cells, sidecar_path, write_table
 from bellmeter.errors import SchemaViolationError
 
@@ -19,6 +20,11 @@ FLOAT64 = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
     st.floats(allow_nan=False, allow_subnormal=True),
 )
+
+
+def records(names, derived=()):
+    """The Column records of `names`: derived if named in `derived`, else coordinates, written exactly."""
+    return [Column(name, "derived" if name in derived else "coordinate") for name in names]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -40,10 +46,10 @@ def test_dataset_roundtrip_keeps_dtype_and_bits(tmp_path_factory, data, kinds, n
     path, again = (tmp_path_factory.mktemp("roundtrip") / name for name in ("data.tsv", "again.tsv"))
     blocks = [[values[start : start + block_rows] for values in arrays] for start in range(0, n_rows, block_rows)]
     with patch("bellmeter.dataset._BLOCK_ROWS", block_rows):
-        assert write_table(path, columns, blocks, {"k": 1}) == n_rows
+        assert write_table(path, records(columns), blocks, {"k": 1}) == n_rows
         table = TableReader(path)
         back = list(table.blocks(columns))
-        write_table(again, columns, back, {})
+        write_table(again, records(columns), back, {})
     assert table.columns == columns and table.metadata["k"] == 1
     assert [len(block[0]) for block in back] == [len(block[0]) for block in blocks]
     for j, written in enumerate(arrays):
@@ -60,7 +66,7 @@ def test_dataset_column_is_float_when_one_cell_is_not_integer_text(tmp_path):
     path.write_text("x\tn\n12\t1\n13\t2\n12.5\t3\n")
     with patch("bellmeter.dataset._BLOCK_ROWS", 2):
         (x1, n1), (x2, n2) = blocks = list(TableReader(path).blocks(["x", "n"]))
-        write_table(tmp_path / "again.tsv", ["x", "n"], blocks, {})
+        write_table(tmp_path / "again.tsv", records(["x", "n"]), blocks, {})
     assert x1.dtype == np.int64 and x1.tolist() == [12, 13]
     assert x2.dtype == np.float64 and x2.tolist() == [12.5]
     assert n1.dtype == n2.dtype == np.int64 and n1.tolist() + n2.tolist() == [1, 2, 3]
@@ -70,9 +76,9 @@ def test_dataset_column_is_float_when_one_cell_is_not_integer_text(tmp_path):
 def test_dataset_rejects_mismatched_shapes_and_duplicate_names(tmp_path):
     path = tmp_path / "x.tsv"
     with pytest.raises(ValueError, match=r"a block of 2 columns of lengths \[1, 2\] for 2 names"):
-        write_table(path, ["x", "n"], [[np.array([1, 3]), np.array([2])]], {})
+        write_table(path, records(["x", "n"]), [[np.array([1, 3]), np.array([2])]], {})
     with pytest.raises(ValueError, match=r"a block of 1 columns of lengths \[2\] for 2 names"):
-        write_table(path, ["x", "n"], [[np.array([1, 3])]], {})
+        write_table(path, records(["x", "n"]), [[np.array([1, 3])]], {})
     assert list(tmp_path.iterdir()) == []
     path.write_text("x\tn\tx\n1\t2\t3\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: column 'x' appears twice$"):
@@ -83,7 +89,7 @@ def test_a_write_takes_the_next_temporary_name_when_one_is_taken(tmp_path):
     path = tmp_path / "x.tsv"
     taken = tmp_path / f".x.tsv.{os.getpid()}-0.tmp"
     taken.write_text("another writer's")
-    write_table(path, ["n"], [[np.array([1, 2])]], {})
+    write_table(path, records(["n"]), [[np.array([1, 2])]], {})
     assert path.read_text() == "n\n1\n2\n"
     assert taken.read_text() == "another writer's"
     assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "x.tsv", "x.tsv.meta.json"]
@@ -91,7 +97,7 @@ def test_a_write_takes_the_next_temporary_name_when_one_is_taken(tmp_path):
 
 def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):
     path = tmp_path / "x.tsv"
-    write_table(path, ["n"], [[np.array([1])]], {"k": 1})
+    write_table(path, records(["n"]), [[np.array([1])]], {"k": 1})
     assert TableReader(path).metadata["k"] == 1
     sidecar, name = sidecar_path(path), re.escape(str(sidecar_path(path)))
     sidecar.write_text("{bad")
@@ -296,7 +302,7 @@ def test_a_float_column_is_written_as_per_cell_repr(tmp_path, floats):
     # a float column of one value is formatted once; the text is that of each cell's repr
     path = tmp_path / "data.tsv"
     ints = np.full(len(floats), 7, dtype=np.int64)
-    write_table(path, ["x", "n", "y"], [[floats, ints, floats[::-1].copy()]], {})
+    write_table(path, records(["x", "n", "y"]), [[floats, ints, floats[::-1].copy()]], {})
     rows = zip(map(repr, floats.tolist()), map(str, ints.tolist()), map(repr, floats[::-1].tolist()))
     assert path.read_text() == "x\tn\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
 
@@ -315,7 +321,7 @@ def test_a_rounded_cell_reads_back_as_float64_within_5e_13(tmp_path_factory, val
     # the cell is the value at 13 significant digits, so its decimal lies within 5e-13 relative of the
     # value; read back, it is that decimal's nearest float64, which adds at most half an ulp
     path = tmp_path_factory.mktemp("rounded") / "data.tsv"
-    write_table(path, ["x", "y"], [[np.array(values), np.array(values)]], {}, rounded=["x"])
+    write_table(path, records(["x", "y"], derived=["x"]), [[np.array(values), np.array(values)]], {})
     assert TableReader(path).metadata["rounded"] == {"digits": 13, "columns": ["x"]}
     (back,), = TableReader(path).blocks(["x"])
     assert back.dtype == np.float64
@@ -339,14 +345,23 @@ def test_a_rounded_cell_reads_back_as_float64_within_5e_13(tmp_path_factory, val
         np.full(5, math.nan),
         np.full(4, 1 / 3),
         np.concatenate([np.full(1024, 1 / 3), np.full(1023, 1 / 3), [0.75]]),  # constant in the first piece only
+        # a derived column is rounded whatever the block holds: an int array or numeric cell text
+        np.array([3, 0, -7, 2**53 + 1, 2**63 - 1]),
+        np.full(6, 12345678901234567),
+        ["0.1", "-0", "13", "1_000", " 2.5e-3", "nan", "-inf", "1e400", "0.30000000000000004"],
+        ["7"] * 3,
     ],
-    ids=["constant", "signed-zeros", "nan", "constant-third", "second-piece"],
+    ids=["constant", "signed-zeros", "nan", "constant-third", "second-piece", "ints", "constant-ints", "text",
+         "constant-text"],
 )
 def test_a_rounded_float_column_is_written_as_per_cell_text(tmp_path, floats):
-    # a rounded column of one value is formatted once, with the text each cell would get
+    # a rounded column of one value is formatted once, with the text each cell would get, and every
+    # rounded column is listed under the sidecar's `rounded`
     path = tmp_path / "data.tsv"
-    write_table(path, ["x", "y"], [[floats, floats[::-1].copy()]], {}, rounded=["x"])
-    rows = zip((format(v, ".13") for v in floats.tolist()), map(repr, floats[::-1].tolist()))
+    exact = np.array([float(v) for v in floats])[::-1].copy()
+    write_table(path, records(["x", "y"], derived=["x"]), [[floats, exact]], {})
+    assert TableReader(path).metadata["rounded"] == {"digits": 13, "columns": ["x"]}
+    rows = zip((format(float(v), ".13") for v in list(floats)), map(repr, exact.tolist()))
     assert path.read_text() == "x\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bellmeter.counts import COUNT_COLUMNS, Column
 from bellmeter.dataset import TableReader, write_table
 
 
@@ -15,5 +16,7 @@ def read_columns(path):
 
 
 def write_columns(path, columns, data, metadata=None):
-    """Write the columns `data` (array-likes of one length) as one block, with the sidecar `metadata`."""
-    write_table(Path(path), columns, [[np.asarray(values) for values in data]], metadata or {})
+    """Write the columns `data` (array-likes of one length) as one block, with the sidecar `metadata`;
+    each is written exactly, a count column as a count and any other as a coordinate."""
+    records = [Column(name, "count" if name in COUNT_COLUMNS else "coordinate") for name in columns]
+    write_table(Path(path), records, [[np.asarray(values) for values in data]], metadata or {})
