@@ -5,8 +5,11 @@ same seed reproduces it byte for byte; volatile fields (the timestamp) live in
 the sidecar '<file>.meta.json'.
 
 Every table goes through one block reader (TableReader) and one block
-writer (write_table), so no more than _BLOCK_ROWS lines of text are held at
-once.  A block of a column is parsed as int64 when int() accepts every cell
+writer (write_table), so no more than one block of text is held at once:
+the reader reads _BLOCK_ROWS lines a block, and the writer formats each
+block whole, as its producer sized it.
+
+A block of a column is parsed as int64 when int() accepts every cell
 and int64 holds it, and as float64 otherwise, or kept as its cell text once
 every cell is checked to be a number, so one column may be int64 in one
 block and float64 in the next.  The parsed columns of a block are read
@@ -48,10 +51,6 @@ from .errors import SchemaViolationError
 # lines per block that are read and parsed together; the cell strings of a
 # whole table are never alive at once
 _BLOCK_ROWS = 4096
-# rows formatted together: 1024-row pieces formatted about 15% faster than
-# 4096-row ones (Python 3.11, numpy 2.4, 2-vCPU x86 host), and they hold a
-# quarter of the cell strings
-_FORMAT_ROWS = 1024
 # ASCII characters that numpy's int64 tokenizer takes as whitespace and int() does not
 _NOT_INT_SPACE = "\x1c\x1d\x1e\x1f"
 # significant digits of a derived column; format(v, ".13") costs about 0.6x repr(v)
@@ -249,9 +248,9 @@ def _cells(values, derived: bool) -> Iterable[str]:
 def _write_tsv(out, names: Sequence[str], blocks: Iterable[Sequence], derived: Sequence[bool]) -> int:
     """Write the TSV text of the columns `names` and `blocks` to `out`; the number of rows.
 
-    A block is cut into pieces of at most _FORMAT_ROWS rows, which format
-    faster than longer ones and hold fewer cell strings at once.  A column
-    whose `derived` entry is true is formatted by the derived rule (_cells).
+    Each block is formatted whole, as its producer sized it: _BLOCK_ROWS lines
+    from the reader, or at most experiment._MAX_STAGE_PERIODS sweep points.  A
+    column whose `derived` entry is true is formatted by the derived rule (_cells).
     """
     out.write("\t".join(names) + "\n")
     rows = 0
@@ -262,8 +261,8 @@ def _write_tsv(out, names: Sequence[str], blocks: Iterable[Sequence], derived: S
                 f"a block of {len(block)} columns of lengths {sorted(lengths)} for {len(names)} names"
             )
         size = lengths.pop() if lengths else 0
-        for start in range(0, size, _FORMAT_ROWS):
-            out.write(_format_rows([values[start : start + _FORMAT_ROWS] for values in block], derived))
+        if size:  # _format_rows of no rows is a lone line end
+            out.write(_format_rows(block, derived))
         rows += size
         del block  # the next block is made while none of this one is alive
     return rows

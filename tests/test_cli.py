@@ -1392,7 +1392,7 @@ def test_output_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
         return written
 
     expected = outputs(tmp_path / "default")
-    for constant in ("dataset._BLOCK_ROWS", "dataset._FORMAT_ROWS", "experiment._MAX_STAGE_PERIODS"):
+    for constant in ("dataset._BLOCK_ROWS", "experiment._MAX_STAGE_PERIODS"):
         monkeypatch.setattr(f"bellmeter.{constant}", block)
     assert outputs(tmp_path / "blocks") == expected
 

@@ -85,6 +85,13 @@ def test_dataset_rejects_mismatched_shapes_and_duplicate_names(tmp_path):
         TableReader(path)
 
 
+def test_a_zero_row_block_adds_no_line(tmp_path):
+    path = tmp_path / "x.tsv"
+    blocks = [[np.array([1, 2]), ["0.5", "1"]], [np.array([], dtype=np.int64), []], [np.array([3]), ["2"]]]
+    assert write_table(path, records(["n", "y"], derived=["y"]), blocks, {}) == 3
+    assert path.read_text() == "n\ty\n1\t0.5\n2\t1.0\n3\t2.0\n"
+
+
 def test_a_write_takes_the_next_temporary_name_when_one_is_taken(tmp_path):
     path = tmp_path / "x.tsv"
     taken = tmp_path / f".x.tsv.{os.getpid()}-0.tmp"

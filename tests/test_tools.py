@@ -1,4 +1,4 @@
-"""The repository tools: tools/same_output.py's reading of tools/changed_outputs.txt."""
+"""The repository tools: tools/same_output.py's reading of tools/changed_outputs.txt and its verdicts."""
 
 import importlib.util
 import os
@@ -11,14 +11,20 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
+def load_same_output():
+    """A fresh import of tools/same_output.py."""
+    spec = importlib.util.spec_from_file_location("same_output", TOOLS / "same_output.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def same_output(tmp_path, monkeypatch):
     """tools/same_output.py, its repository root moved to a new git repository at tmp_path."""
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
-    spec = importlib.util.spec_from_file_location("same_output", TOOLS / "same_output.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_same_output()
     monkeypatch.setattr(module, "ROOT", tmp_path)
     # commits need no user configuration, and none of the user's settings (signing, hooks) apply
     for role in ("AUTHOR", "COMMITTER"):
@@ -65,3 +71,25 @@ def test_a_declaration_missing_at_the_revision_reads_as_empty(same_output):
     assert same_output.declared(rev) == []  # empty here, missing there
     (same_output.ROOT / same_output.DECLARED).write_text(LISTED, encoding="utf-8")
     assert same_output.declared(rev) == ["discriminate.tsv", "hom-scan.tsv.meta.json"]
+
+
+SIDECAR = '{"columns": ["theta"], "eta": 0.0, "timestamp": "2024-01-01T00:00:00+00:00"}'
+
+
+@pytest.mark.parametrize(
+    "name, base, head, equal",
+    [
+        ("x.tsv.meta.json", SIDECAR, SIDECAR.replace("2024", "2025"), True),
+        ("x.tsv.meta.json", SIDECAR, SIDECAR.replace("0.0", "-0.0"), False),
+        ("x.tsv.meta.json", SIDECAR, '{"eta": 0.0, "timestamp": "", "columns": ["theta"]}', True),
+        ("x.tsv", "theta\n0.5\n", "theta\n0.5", False),
+    ],
+    ids=["timestamp", "signed-zero", "key-order", "line-end"],
+)
+def test_a_sidecar_is_compared_without_its_timestamp_and_a_tsv_byte_for_byte(tmp_path, name, base, head, equal):
+    paths = []
+    for side, text in (("base", base), ("head", head)):
+        (tmp_path / side).mkdir()
+        paths.append(tmp_path / side / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    assert load_same_output().same(*paths) is equal

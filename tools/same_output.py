@@ -1,6 +1,6 @@
 """Check that this tree writes the same seeded outputs as another git revision.
 
-    python tools/same_output.py <rev> [--differs NAME ...]
+    python tools/same_output.py <rev>
 
 <rev> is checked out with `git worktree add` into a temporary directory,
 which is removed at exit; nothing is written into the repository.  One fixed
@@ -13,14 +13,13 @@ each command's exit code, stdout and stderr together (as `<name>.console`),
 one line each; one `analyze` without --out is compared by its console alone,
 whose stdout is its TSV.
 
-An output is expected to differ when --differs names it, or when DECLARED
-(tools/changed_outputs.txt, one output name per line) names it and that
-file's text in this tree differs from its text at <rev>.  So a commit that
-changes outputs on purpose lists them there, and a later commit that leaves
-the file as it is gets the full check again.  The exit code is 1 if an
-output differs that is not expected to, if an expected output matches, or
-if a command fails; 0 otherwise, and 2 if <rev> names no commit or DECLARED
-names no output.
+An output is expected to differ when DECLARED (tools/changed_outputs.txt,
+one output name per line) names it and that file's text in this tree
+differs from its text at <rev>.  So a commit that changes outputs on purpose
+lists them there, and a later commit that leaves the file as it is gets the
+full check again.  The exit code is 1 if an output differs that is not
+expected to, if an expected output matches, or if a command fails; 0
+otherwise, and 2 if <rev> names no commit or DECLARED names no output.
 """
 
 from __future__ import annotations
@@ -137,8 +136,6 @@ def same(base: Path, head: Path) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. the parent commit")
-    parser.add_argument("--differs", nargs="+", default=[], choices=OUTPUTS, metavar="NAME",
-                        help="an output expected to differ; one of: " + ", ".join(OUTPUTS))
     args = parser.parse_args(argv)
     try:
         commit = git("rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}").strip()
@@ -149,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{DECLARED} names no output {', '.join(unknown)}")
     if listed:
         print(f"{DECLARED} differs from its text at {commit[:12]}: {len(listed)} outputs expected to differ")
-    differs = set(args.differs) | set(listed)
     tmp = Path(tempfile.mkdtemp(prefix="same-output-"))
     tree = tmp / "tree"
     try:
@@ -159,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 0
         for name in OUTPUTS:
             equal = same(tmp / "base" / name, tmp / "head" / name)
-            expected = name not in differs
+            expected = name not in listed
             word = ("same" if equal else "differs") + ("" if equal == expected else " (unexpected)")
             print(f"{word:22}{name}")
             status |= equal != expected
