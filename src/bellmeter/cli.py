@@ -34,6 +34,7 @@ from .counts import (
     MultimeterPoint,
     count_table,
     estimate_table,
+    first_bad_count,
     sweep_header,
 )
 from .dataset import TableReader, read_json, write_table
@@ -45,11 +46,8 @@ if TYPE_CHECKING:
 # most points a sweep grid may have, checked before the grid is built
 _MAX_GRID_POINTS = 10**6
 
-# _round_9 rounds a grid to 9 decimals in chunks of this many points, so its
-# temporaries stay small; at |v| >= _ROUND_EXACT, |v| * 1e9 may exceed 2^52
+# _round_9 rounds a grid to 9 decimals in chunks of this many points, so its temporaries stay small
 _ROUND_CHUNK = 2**14
-_ROUND_EXACT = 2.0**52 / 1e9
-_VELTKAMP = 2.0**27 + 1.0  # splits a float into two halves of at most 26 significant bits
 
 # what a builder returns: the dataset columns, their blocks, the command's sidecar keys and a
 # function giving the summary suffix once all is written
@@ -117,28 +115,24 @@ def _round_9(values: np.ndarray) -> np.ndarray:
 
     round(v, 9) is the float nearest to k / 1e9, where k is the exact
     |v| * 1e9 rounded to an integer, ties to even, with the sign of v.
-    Dekker's product splits that exact product into hi + lo (1e9 has 21
-    significant bits, so each half of Veltkamp's split times 1e9 is exact);
-    rint(hi) is k unless hi lies exactly halfway, where lo breaks the tie.
-    k / 1e9 is one correctly rounded division.  Values with |v| * 1e9 beyond
-    2^52, where k might not be a float, go through round() itself, but for
-    the integers beyond 2^52, which it keeps.
+    With hi = fl(|v| * 1e9), k is rint(hi) when 0.5 - |hi - rint(hi)| >
+    spacing(hi) / 2, and v becomes copysign(rint(hi) / 1e9, v), one
+    correctly rounded division:
+    - hi lies within half an ulp of the exact product, subnormal or not;
+    - hi - rint(hi) is exact, so where the test holds the product rounds as hi does;
+    - once hi has an ulp of 1 or more, the test fails, as on an overflow's NaN.
+    Every other value goes through round() itself, but for the integers
+    beyond 2^52, which it keeps.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond _ROUND_EXACT may overflow here
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge |v| * 1e9 overflows, and inf - inf is NaN
         for start in range(0, len(values), _ROUND_CHUNK):
             chunk = values[start : start + _ROUND_CHUNK]
             mag = np.abs(chunk)
             hi = mag * 1e9
-            split = mag * _VELTKAMP
-            head = split - (split - mag)
-            lo = (head * 1e9 - hi) + (mag - head) * 1e9
             k = np.rint(hi)
-            half = hi - k
-            k += (half == 0.5) & (lo > 0.0)
-            k -= (half == -0.5) & (lo < 0.0)
-            exact = mag < _ROUND_EXACT
-            np.copysign(np.divide(k, 1e9, out=k), chunk, out=chunk, where=exact)
-            rest = ~exact & ~(mag >= 2.0**52)  # a float of |v| >= 2^52 is an integer, which round() keeps
+            clear = 0.5 - np.abs(hi - k) > 0.5 * np.spacing(hi)  # clear of a tie
+            rest = ~clear & (mag < 2.0**52)  # a float of |v| >= 2^52 is an integer, which round() keeps
+            np.copysign(np.divide(k, 1e9, out=k), chunk, out=chunk, where=clear)
             if rest.any():
                 chunk[rest] = [round(v, 9) for v in chunk[rest].tolist()]
     return values
@@ -231,8 +225,13 @@ def build_analyze(args: argparse.Namespace) -> _Built:
     def blocks() -> Iterator[list]:
         read = False
         for block in table.blocks(COUNT_COLUMNS, [c.name for c in coordinates]):
-            counts, cells = block[: len(COUNT_COLUMNS)], block[len(COUNT_COLUMNS) :]
-            estimates = estimate_table(count_table(dict(zip(COUNT_COLUMNS, counts))))
+            counts, cells = dict(zip(COUNT_COLUMNS, block)), block[len(COUNT_COLUMNS) :]
+            try:
+                table_counts = count_table(counts)
+            except ValueError:  # named by its file, line and column, as the reader names a cell
+                cell = table.cell(*first_bad_count(counts))
+                raise ValueError(f"{cell} is not a nonnegative integer below 2**63") from None
+            estimates = estimate_table(table_counts)
             nan_rows[:] += np.isnan(estimates).sum(axis=0)
             read = True
             yield cells + list(estimates.T)

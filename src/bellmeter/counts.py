@@ -130,6 +130,11 @@ def _checked_count(name: str, value) -> int:
     return int(value)
 
 
+def _counts_ok(values: np.ndarray) -> np.ndarray:
+    """Where an int or float array holds an integer in [0, 2**63); NaN and infinities do not."""
+    return (values >= 0) & (values < _COUNT_LIMIT) & (np.trunc(values) == values)
+
+
 def count_table(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """The (n, 8) int64 table of the COUNT_COLUMNS entries of `columns`, int or float arrays.
 
@@ -141,11 +146,18 @@ def count_table(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     table = np.empty((len(columns[COUNT_COLUMNS[0]]), len(COUNT_COLUMNS)), dtype=np.int64)
     for j, name in enumerate(COUNT_COLUMNS):
         values = np.asarray(columns[name])
-        ok = (values >= 0) & (values < _COUNT_LIMIT) & (np.trunc(values) == values)
+        ok = _counts_ok(values)
         if not ok.all():
             _checked_count(name, values[~ok][0].item())
         table[:, j] = values
     return table
+
+
+def first_bad_count(columns: Mapping[str, np.ndarray]) -> tuple[int, str]:
+    """The row and column of the first value, row by row, that count_table rejects; call it once it has."""
+    bad = np.stack([~_counts_ok(np.asarray(columns[name])) for name in COUNT_COLUMNS], axis=1)
+    row, j = divmod(int(bad.argmax()), len(COUNT_COLUMNS))
+    return row, COUNT_COLUMNS[j]
 
 
 def _normalized_rates(c_plus, c_minus, s_plus, s_minus):

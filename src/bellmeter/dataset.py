@@ -125,7 +125,16 @@ class TableReader:
                 except ValueError:
                     _raise_first_bad_row(self.path, self.columns, lines, first_line, parsed + carried)
                     raise
+                self._block = (first_line, lines)
                 yield block
+
+    def cell(self, row: int, name: str) -> str:
+        """'<path>, line <n>, column <name>: <cell>', the cell of column `name` in data row `row`
+        (blank lines skipped) of the block that blocks() yielded last."""
+        first_line, lines = self._block
+        number, line = [(number, line) for number, line in enumerate(lines, first_line) if line][row]
+        text = line.split("\t")[self.columns.index(name)]
+        return f"{self.path}, line {number}, column {name!r}: {text!r}"
 
     def _lines(self, file, count: int) -> list[str]:
         """The next `count` lines of `file` (fewer at its end), without their line ends."""

@@ -404,12 +404,14 @@ def assert_grid_is_rounded_per_point(text):
 
 
 # where rounding to 9 decimals is hard: signed zeros, odd multiples of 2^-10 (whose
-# product with 1e9 is an exact .5 tie), other dyadic values, and both sides of
-# 2^52 / 1e9, beyond which |v| * 1e9 may not be rounded in floats
+# product with 1e9 is an exact .5 tie), other dyadic values, both sides of 2^51 / 1e9,
+# beyond which |v| * 1e9 has an ulp of 0.5, and of 2^52 / 1e9, beyond which |v| * 1e9
+# may not be rounded in floats
 GRID_STARTS = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.integers(-(2**20), 2**20).map(lambda j: (2 * j + 1) / 2**10),
     st.integers(-(2**40), 2**40).map(lambda k: k / 2**20),
+    st.floats(2251799.0, 2251800.5),
     st.floats(-4503600.5, -4503599.0),
     st.floats(4503599.0, 4503600.5),
     st.floats(-1e-8, 1e-8),
@@ -438,13 +440,17 @@ def test_grid_points_are_rounded_as_round_rounds_each(start, step, count):
         "0.0009765625:20:0.0009765625",  # 20,480 points, across the 16,384-point chunk edge, every other a tie
         "0:1e308:1e303",  # all but the first beyond 2^52 / 1e9
         "15745512.275806915:15745512.275806915:1",  # rint(fl(v * 1e9)) / 1e9 misses round(v, 9)
+        # fl(v * 1e9) lies in [2^51, 2^52) and is an exact .5, which rint takes to the wrong side
+        "2381481.8755806866:2381481.8755806866:1",
+        "2.4999999999999996e-09:2.4999999999999996e-09:1",  # the float neighbours of a tie
+        "2.5000000000000005e-09:2.5000000000000005e-09:1",
     ],
 )
 def test_hard_grid_points_are_rounded_as_round_rounds_each(text):
     assert_grid_is_rounded_per_point(text)
 
 
-@pytest.mark.parametrize("text", ["0.1234567891234", "5e-10", "-1e-10", "1e308", "7e307"])
+@pytest.mark.parametrize("text", ["0.1234567891234", "5e-10", "-1e-10", "1e308", "7e307", "5e-324", "-5e-324"])
 def test_a_bare_number_is_the_one_point_range(text):
     # rounded as round(v, 9) rounds it: 5e-10 becomes 1e-09 and -1e-10 becomes -0.0
     expected = np.array([round(float(text), 9)]).view(np.int64).tolist()
@@ -1096,11 +1102,11 @@ ANALYZE_ROW = ["12.5", "13", "0", "0", "380", "300", "200", "150", "350"]
     [
         ("c_pm", "abc", "line 5000, column 'c_pm': 'abc' is not a number"),
         ("sh_mm", None, "line 5000: 8 cells, but the header has 9"),
-        ("c_pp", "13.7", "c_pp must be a nonnegative integer"),
-        ("c_pp", "-1", "c_pp must be a nonnegative integer"),
-        ("c_pp", "nan", "c_pp must be a nonnegative integer"),
-        ("c_pp", "inf", "c_pp must be a nonnegative integer"),
-        ("c_pp", str(2**63), "c_pp must be a nonnegative integer below 2**63"),
+        ("c_pp", "13.7", "line 5000, column 'c_pp': '13.7' is not a nonnegative integer below 2**63"),
+        ("c_pp", "-1", "line 5000, column 'c_pp': '-1' is not a nonnegative integer below 2**63"),
+        ("c_pp", "nan", "line 5000, column 'c_pp': 'nan' is not a nonnegative integer below 2**63"),
+        ("c_pp", "inf", "line 5000, column 'c_pp': 'inf' is not a nonnegative integer below 2**63"),
+        ("c_pp", str(2**63), f"line 5000, column 'c_pp': '{2**63}' is not a nonnegative integer below 2**63"),
         ("c_pp", "13.0", None),
         ("theta", "12", None),
         # every count cell of every line as <n>.0, so each block goes through the int()/float() parse
@@ -1137,6 +1143,19 @@ def test_analyze_read_rules_hold_past_the_first_block(tmp_path, capsys, column, 
     assert last[1:] == first[1:] and len(set(lines[1:-1])) == 1
     # each line is the analysis of the counts as integers, so the output is that of an all-integer file
     assert first[1:] == [format(v, ".13") for v in CountRecord(*map(int, ANALYZE_ROW[1:])).estimates()]
+
+
+def test_analyze_names_the_first_bad_count_row_by_row(tmp_path, capsys):
+    # blank lines count as lines; of two bad counts, the one on the earlier line is named, whatever its column
+    rows = ["\t".join(ANALYZE_ROW)] * 5
+    rows[2] = "\t".join(ANALYZE_ROW[:-1] + ["2.5"])
+    rows[4] = "\t".join(["12.5", "-3"] + ANALYZE_ROW[2:])
+    path = tmp_path / "counts.tsv"
+    path.write_text("\n".join([ANALYZE_HEADER, "", rows[0], "", *rows[1:]]) + "\n")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}, line 6, column 'sh_mm': '2.5' is not a nonnegative integer below 2**63\n"
+    )
 
 
 def test_analyze_prints_what_it_writes(tmp_path, capsys):

@@ -301,9 +301,10 @@ def nan_with_payload(payload):
         np.array([math.nan, nan_with_payload(1), -math.nan]),
         np.array([1.5]),
         np.array([0.5, 0.75, 0.5]),  # its first and last value agree
-        np.concatenate([np.full(1024, 0.5), np.full(1023, 0.5), [0.75]]),  # constant in the first piece only
+        np.concatenate([np.full(1500, 0.5), [0.75], np.full(1500, 0.5)]),  # its ends agree, its middle not
     ],
-    ids=["constant", "signed-zeros", "negative-zeros", "nan", "nan-payloads", "one-row", "ends-agree", "second-piece"],
+    ids=["constant", "signed-zeros", "negative-zeros", "nan", "nan-payloads", "one-row", "ends-agree",
+         "ends-agree-long"],
 )
 def test_a_float_column_is_written_as_per_cell_repr(tmp_path, floats):
     # a float column of one value is formatted once; the text is that of each cell's repr
@@ -351,14 +352,14 @@ def test_a_rounded_cell_reads_back_as_float64_within_5e_13(tmp_path_factory, val
         np.array([0.0, -0.0, 0.0]),
         np.full(5, math.nan),
         np.full(4, 1 / 3),
-        np.concatenate([np.full(1024, 1 / 3), np.full(1023, 1 / 3), [0.75]]),  # constant in the first piece only
+        np.concatenate([np.full(1500, 1 / 3), [0.75], np.full(1500, 1 / 3)]),  # its ends agree, its middle not
         # a derived column is rounded whatever the block holds: an int array or numeric cell text
         np.array([3, 0, -7, 2**53 + 1, 2**63 - 1]),
         np.full(6, 12345678901234567),
         ["0.1", "-0", "13", "1_000", " 2.5e-3", "nan", "-inf", "1e400", "0.30000000000000004"],
         ["7"] * 3,
     ],
-    ids=["constant", "signed-zeros", "nan", "constant-third", "second-piece", "ints", "constant-ints", "text",
+    ids=["constant", "signed-zeros", "nan", "constant-third", "ends-agree-long", "ints", "constant-ints", "text",
          "constant-text"],
 )
 def test_a_rounded_float_column_is_written_as_per_cell_text(tmp_path, floats):

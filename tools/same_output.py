@@ -51,8 +51,10 @@ FLOAT_COUNTS = "theta\tc_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "
 
 # (output, argv): every subcommand under the default, --ideal and realistic configs, then an
 # analyze of each sweep and of FLOAT_COUNTS; discriminate-blocks spans several blocks of jittered
-# periods, and discriminate-zeros has ideal points whose unreachable class must give a mean of
-# exactly 0 (a residue mean would take a number from the stream and shift every later draw)
+# periods, discriminate-zeros has ideal points whose unreachable class must give a mean of
+# exactly 0 (a residue mean would take a number from the stream and shift every later draw), and
+# hom-scan-ties has mirror positions at multiples of 2^-10, every other one an exact .5 tie once
+# multiplied by 1e9, which the 9-decimal rounding of grid points must break as round() does
 COMMANDS = [
     ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
     ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
@@ -67,6 +69,7 @@ COMMANDS = [
     ("hom-scan.tsv", ["hom-scan", "--pairs", "2000", "--seed", "7"]),
     ("hom-scan-ideal.tsv", ["hom-scan", "--ideal", "--positions=-100,-50,-10,0,10,50,100", "--pairs", "2000"]),
     ("hom-scan-realistic.tsv", ["hom-scan", "--config", "realistic.json", "--range=-300:300:0.5", "--seed", "5"]),
+    ("hom-scan-ties.tsv", ["hom-scan", "--ideal", "--range=0.0009765625:0.02:0.0009765625", "--pairs", "2000"]),
 ]
 COMMANDS += [
     (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
