@@ -332,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("hom-scan", help="coincidence rates vs mirror position")
     add_common(p_hom)
-    p_hom.add_argument("--positions", default=None, help="comma list of mirror positions (um)")
-    p_hom.add_argument("--range", default="-200:200:10", help="position grid start:stop:step (um)")
+    grid = p_hom.add_mutually_exclusive_group()
+    grid.add_argument("--positions", default=None, help="comma list of mirror positions (um)")
+    grid.add_argument("--range", default="-200:200:10", help="position grid start:stop:step (um)")
     p_hom.add_argument("--out", default="hom_scan.tsv", help="output dataset path")
     p_hom.set_defaults(build=build_hom_scan)
 

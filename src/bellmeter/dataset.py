@@ -66,7 +66,8 @@ class TableReader:
     ValueError naming it; a sidecar that is no JSON raises ValueError, and
     one that holds no JSON object SchemaViolationError, each naming the
     sidecar.  Without a sidecar the metadata is empty.  A leading UTF-8
-    byte-order mark of either file is skipped.
+    byte-order mark of either file is skipped.  _rows maps the data rows of
+    the block read last to file lines, for every error that names a line.
     """
 
     def __init__(self, path: str | Path):
@@ -92,9 +93,10 @@ class TableReader:
         The lines are read from the open file, a block at a time, and blank
         lines are skipped.  A parse column comes as an int64 or float64
         array (see _parse_cells), a carry column as its list of cell text
-        once each cell is checked to be a number.  A row of the wrong width,
-        or a cell of these columns that is no number, raises ValueError
-        naming the file, the line and, for a cell, the column.
+        once each cell is checked to be a finite number.  A row of the wrong
+        width, or a cell of these columns that is no number (of a carry column,
+        no finite number), raises ValueError naming the file, the line (as
+        _rows maps it) and, for a cell, the column.
         """
         width = len(self.columns)
         parsed = [self.columns.index(name) for name in parse]
@@ -102,7 +104,8 @@ class TableReader:
         with open(self.path, encoding="utf-8-sig") as file:
             next_line = 1 + len(self._lines(file, 1))
             while lines := self._lines(file, _BLOCK_ROWS):
-                first_line, next_line = next_line, next_line + len(lines)
+                self._block = (next_line, lines)
+                next_line += len(lines)
                 rows = [line for line in lines if line]
                 if not rows:
                     continue
@@ -120,21 +123,39 @@ class TableReader:
                             splits = itertools.repeat(max(carried) + 1)
                             heads = list(map(str.split, rows, itertools.repeat("\t"), splits))
                             block += [list(map(operator.itemgetter(j), heads)) for j in carried]
-                    for text in block[len(parsed) :]:
-                        np.array(text, dtype=np.float64)  # ValueError unless each is a number
+                    # np.array raises ValueError itself on a carried cell that is no number
+                    if not np.isfinite(np.array(block[len(parsed) :], dtype=np.float64)).all():
+                        raise ValueError("a carried cell that is no finite number")
                 except ValueError:
-                    _raise_first_bad_row(self.path, self.columns, lines, first_line, parsed + carried)
+                    self._raise_first_bad_row(parsed, carried)
                     raise
-                self._block = (first_line, lines)
                 yield block
 
     def cell(self, row: int, name: str) -> str:
         """'<path>, line <n>, column <name>: <cell>', the cell of column `name` in data row `row`
-        (blank lines skipped) of the block that blocks() yielded last."""
+        of the block read last."""
+        number, cells = next(itertools.islice(self._rows(), row, None))
+        return f"{self.path}, line {number}, column {name!r}: {cells[self.columns.index(name)]!r}"
+
+    def _rows(self) -> Iterator[tuple[int, list[str]]]:
+        """(line number, cells) of each data row of the block read last, blank lines skipped."""
         first_line, lines = self._block
-        number, line = [(number, line) for number, line in enumerate(lines, first_line) if line][row]
-        text = line.split("\t")[self.columns.index(name)]
-        return f"{self.path}, line {number}, column {name!r}: {text!r}"
+        return ((number, line.split("\t")) for number, line in enumerate(lines, first_line) if line)
+
+    def _raise_first_bad_row(self, parsed: list[int], carried: list[int]) -> None:
+        """Raise ValueError naming the first row of the block read last that is too short or too
+        long, or holds a cell of the `parsed` columns that is no number or of the `carried`
+        columns that is no finite number."""
+        for row, (number, cells) in enumerate(self._rows()):
+            if len(cells) != len(self.columns):
+                raise ValueError(f"{self.path}, line {number}: {len(cells)} cells, but the header has {len(self.columns)}")
+            for j in sorted(parsed + carried):
+                try:
+                    finite = np.isfinite(float(cells[j]))
+                except ValueError:
+                    raise ValueError(f"{self.cell(row, self.columns[j])} is not a number") from None
+                if not finite and j in carried:
+                    raise ValueError(f"{self.cell(row, self.columns[j])} is not a finite number")
 
     def _lines(self, file, count: int) -> list[str]:
         """The next `count` lines of `file` (fewer at its end), without their line ends."""
@@ -325,26 +346,3 @@ def _parse_cells(cells: Sequence[str]) -> np.ndarray:
         return np.array(cells, dtype=np.int64)
     except (ValueError, OverflowError):
         return np.array(list(map(float, cells)))
-
-
-def _raise_first_bad_row(
-    path: Path, columns: list[str], lines: list[str], first_line: int, checked: list[int]
-) -> None:
-    """Raise ValueError naming the first of `lines` that is too short, too long or holds a
-    cell of the `checked` columns that is no number."""
-    checked = sorted(checked)
-    for number, line in enumerate(lines, start=first_line):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(columns):
-            raise ValueError(
-                f"{path}, line {number}: {len(cells)} cells, but the header has {len(columns)}"
-            )
-        for j in checked:
-            try:
-                float(cells[j])
-            except ValueError:
-                raise ValueError(
-                    f"{path}, line {number}, column {columns[j]!r}: {cells[j]!r} is not a number"
-                ) from None

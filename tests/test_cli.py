@@ -967,6 +967,8 @@ ONE_POINT = ["multimeter", "--phi-range=0", "--pairs", "1000", "--out", "m.tsv"]
         (["discriminate", "--config", "huge.json", "--out", "x.tsv"], None, 1,
          f"error: huge.json: pair_rate must be a finite number, got {10**400}\n"),
         (["multimeter", "--bogus"], None, 2, "bellmeter: error: unrecognized arguments: --bogus\n"),
+        (["hom-scan", "--positions=0,1,2,3,4", "--range=0:100:1", "--out", "x.tsv"], None, 2,
+         "bellmeter hom-scan: error: argument --range: not allowed with argument --positions\n"),
         # a stdout that cannot take the TSV or the summary line fails every command alike:
         # one error line, or none once the reader of the pipe has gone
         (["analyze", "counts.tsv"], "closed", 1, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
@@ -979,8 +981,9 @@ ONE_POINT = ["multimeter", "--phi-range=0", "--pairs", "1000", "--out", "m.tsv"]
         (["multimeter", "--eta", "2", "--out", "x.tsv"], "stderr-closed", 1, ""),
     ],
     ids=[
-        "bad-eta", "huge-pair-rate", "usage", "analyze-closed-stdout", "analyze-full-stdout",
-        "summary-closed-stdout", "summary-full-stdout", "summary-closed-pipe", "stderr-full", "stderr-closed",
+        "bad-eta", "huge-pair-rate", "usage", "positions-and-range", "analyze-closed-stdout",
+        "analyze-full-stdout", "summary-closed-stdout", "summary-full-stdout", "summary-closed-pipe",
+        "stderr-full", "stderr-closed",
     ],
 )
 def test_the_process_entry_exits_with_the_code_of_a_failure(tmp_path, argv, descriptor, code, stderr):
@@ -1109,6 +1112,9 @@ ANALYZE_ROW = ["12.5", "13", "0", "0", "380", "300", "200", "150", "350"]
         ("c_pp", str(2**63), f"line 5000, column 'c_pp': '{2**63}' is not a nonnegative integer below 2**63"),
         ("c_pp", "13.0", None),
         ("theta", "12", None),
+        ("theta", "nan", "line 5000, column 'theta': 'nan' is not a finite number"),
+        ("theta", "inf", "line 5000, column 'theta': 'inf' is not a finite number"),
+        ("theta", "1e400", "line 5000, column 'theta': '1e400' is not a finite number"),
         # every count cell of every line as <n>.0, so each block goes through the int()/float() parse
         ("every count", "{}.0", None),
     ],
@@ -1588,7 +1594,10 @@ def grid_cases(draw):
     """A sweep whose list or range flag is a drawn join of numbers, far numbers, NaN, inf and no numbers."""
     command, flag, separator = draw(st.sampled_from(CONTRACT_GRIDS))
     items = draw(st.lists(st.sampled_from(GRID_ITEMS), min_size=separator == ":", max_size=4))
-    return {}, CONTRACT_SWEEPS[command] + [f"{flag}={separator.join(items)}"], None
+    argv = CONTRACT_SWEEPS[command]
+    if flag == "--positions":  # --positions and --range exclude each other
+        argv = [arg for arg in argv if not arg.startswith("--range=")]
+    return {}, argv + [f"{flag}={separator.join(items)}"], None
 
 
 # a sweep whose --config names a file that does not exist (a file name mapped to None is not written)

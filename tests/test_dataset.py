@@ -188,7 +188,8 @@ def test_a_carried_cell_is_a_number_exactly_when_float_takes_it(cells):
 
 def per_cell_blocks(path, parse, carry, block_rows):
     """TableReader.blocks as each cell parsed on its own gives it: every row split in full,
-    a parse column as reference_parse gives it, and the first bad row of a block named."""
+    a parse column as reference_parse gives it, a carry column's cells held to be finite, and the
+    first bad row of a block named."""
     header, *lines = path.read_text(encoding="utf-8").split("\n")
     columns = header.split("\t")
     parsed, carried = [columns.index(name) for name in parse], [columns.index(name) for name in carry]
@@ -201,11 +202,13 @@ def per_cell_blocks(path, parse, carry, block_rows):
                 raise ValueError(f"{path}, line {number}: {len(cells)} cells, but the header has {len(columns)}")
             for j in sorted(parsed + carried):
                 try:
-                    float(cells[j])
+                    value = float(cells[j])
                 except ValueError:
                     raise ValueError(
                         f"{path}, line {number}, column {columns[j]!r}: {cells[j]!r} is not a number"
                     ) from None
+                if j in carried and not math.isfinite(value):
+                    raise ValueError(f"{path}, line {number}, column {columns[j]!r}: {cells[j]!r} is not a finite number")
         if rows:
             blocks.append(
                 [reference_parse([cells[j] for _, cells in rows]) for j in parsed]

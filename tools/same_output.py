@@ -40,12 +40,14 @@ DECLARED = Path("tools/changed_outputs.txt")
 REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
 
 # a count table whose counts are whole numbers written as float text, which numpy's int64
-# tokenizer rejects, so `analyze` reads its blocks by the per-cell rule (dataset._parse_cells)
+# tokenizer rejects, so `analyze` reads its blocks by the per-cell rule (dataset._parse_cells);
+# a blank line, which the reader skips but counts, follows its first row, and its second row
+# ends in \r\n, which the reader takes as a line end
 FLOAT_COUNTS = "theta\tc_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "".join(
-    "\t".join(row) + "\n" for row in (
-        ["0.0", "13.0", "1_000", "0", "250", "300", "200", "150.0", "350"],
-        ["45.5", "1_000", "13.0", "7", "0.0", "300", "2_00", "150", "350"],
-        ["90", "0.0", "0", "+5", "1e3", "0", "0.0", "0", "0"],
+    "\t".join(row) + end for row, end in (
+        (["0.0", "13.0", "1_000", "0", "250", "300", "200", "150.0", "350"], "\n\n"),
+        (["45.5", "1_000", "13.0", "7", "0.0", "300", "2_00", "150", "350"], "\r\n"),
+        (["90", "0.0", "0", "+5", "1e3", "0", "0.0", "0", "0"], "\n"),
     )
 )
 
