@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from operator import ge, gt, le, lt
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,11 +70,12 @@ _PSI_PLUS_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _PSI_MINUS_PAIRS = (frozenset({"D1", "D2"}), frozenset({"D3", "D4"}))
 
 
-def check_fields(instance) -> None:
-    """ValueError unless each "float", "int" or "bool" field of a dataclass is a finite number, an integer or a bool
-    (a bool is neither number; the types are postponed annotations), and lies in its "bounds" (check_bounds)."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
+def check_fields(cls: type, values: Mapping) -> None:
+    """ValueError unless, for each "float", "int" or "bool" field of dataclass `cls` that `values` names, its value
+    there is a finite number, an integer or a bool (a bool is neither number; the types are postponed annotations)
+    and lies in its "bounds" (check_bounds)."""
+    for f in (f for f in fields(cls) if f.name in values):
+        value = values[f.name]
         if f.type == "float" and (  # compared, not math.isfinite, which overflows on an int beyond the float range
             not isinstance(value, Real) or isinstance(value, bool) or not abs(value) <= sys.float_info.max
         ):
@@ -84,7 +85,7 @@ def check_fields(instance) -> None:
         if f.type == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if "bounds" in f.metadata:
-            check_bounds(type(instance), f.name, value)
+            check_bounds(cls, f.name, value)
 
 
 @functools.cache
@@ -145,7 +146,7 @@ class AnalyzerConfig:
     detector_map: tuple[str, str, str, str] = DEFAULT_DETECTOR_MAP
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(type(self), vars(self))
         if not isinstance(self.detector_map, (tuple, list)) or sorted(
             self.detector_map, key=str
         ) != sorted(DETECTORS):

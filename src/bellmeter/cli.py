@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn
 
@@ -139,21 +138,19 @@ def _round_9(values: np.ndarray) -> np.ndarray:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    from .experiment import ExperimentConfig, config_from_dict, with_pairs_per_point
+    """The config drawn at: --seed and each --config value checked by its field's rule, then --ideal and --seed
+    set and the joint rules run once at pair_rate 0 (config_from_dict; the worst-case mean only grows with the
+    rate), then the rate set from --pairs (with_pairs_per_point).  Only an error of the file's values names it."""
+    from .experiment import ExperimentConfig, check_fields, config_from_dict, with_pairs_per_point
 
-    if args.config:
-        path = Path(args.config)
-        data = read_json(path)
-        try:
-            config = config_from_dict(data)
-        except ValueError as exc:  # of the same type, naming the file as read_json does
-            raise type(exc)(f"{path}: {exc}") from None
-    else:
-        config = ExperimentConfig()
-    if args.ideal:
-        config = config.idealized()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    check_fields(ExperimentConfig, seed)  # before the merge, so that its error does not name the file
+    path = Path(args.config) if args.config else None
+    data = read_json(path) if path else {}
+    try:
+        config = config_from_dict(data, args.ideal, pair_rate=0.0, **seed)
+    except ValueError as exc:  # of the same type, naming the file as read_json does
+        raise type(exc)(f"{path}: {exc}") from None
     return with_pairs_per_point(config, args.pairs)
 
 

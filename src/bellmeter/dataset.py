@@ -65,7 +65,8 @@ class TableReader:
     that is not UTF-8 text or whose header names a column twice raises
     ValueError naming it; a sidecar that is no JSON raises ValueError, and
     one that holds no JSON object SchemaViolationError, each naming the
-    sidecar.  Without a sidecar the metadata is empty.  A leading UTF-8
+    sidecar, and so does one whose `columns` differ from the header, naming
+    both files.  Without a sidecar the metadata is empty.  A leading UTF-8
     byte-order mark of either file is skipped.  _rows maps the data rows of
     the block read last to file lines, for every error that names a line.
     """
@@ -86,6 +87,11 @@ class TableReader:
             self.metadata = read_json(sidecar)
             if not isinstance(self.metadata, dict):
                 raise SchemaViolationError(f"{sidecar} holds no JSON object")
+            if self.metadata.get("columns", self.columns) != self.columns:
+                raise SchemaViolationError(
+                    f"{self.path}: header {self.columns} differs from the columns {self.metadata['columns']}"
+                    f" that {sidecar} records"
+                )
 
     def blocks(self, parse: Sequence[str], carry: Sequence[str] = ()) -> Iterator[list]:
         """The columns `parse`, then `carry`, of each block of at most _BLOCK_ROWS lines.

@@ -69,6 +69,9 @@ _MAX_JITTERED_REPETITIONS = _MAX_STAGE_PERIODS
 # plus and minus inputs of epsilon 0, theta 45 are the (45, 45) and (-45, 45) ones
 _DIAGONAL = pol.discriminator_angles(0.0, 45.0)[[[0, 2], [1, 2]]]
 
+# the fields that idealized() and config_from_dict(ideal=True) set; both also keep only the analyzer's detector_map
+_SWITCHED_OFF = {"detector_efficiency": 1.0, "dark_count_rate": 0.0, "angle_jitter": 0.0}
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FIT_GRID = 64  # log-spaced dip widths the visibility fit tries before its golden-section search
 
@@ -102,7 +105,7 @@ class ExperimentConfig:
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(type(self), vars(self))
         try:
             worst_mean = self.pair_rate * self.period * self.repetitions + _accidentals(self)
         except OverflowError:  # a repetitions integer beyond the float range, or a dark rate squared beyond it
@@ -140,13 +143,7 @@ class ExperimentConfig:
 
     def idealized(self) -> "ExperimentConfig":
         """Copy of this config with every imperfection switched off."""
-        return replace(
-            self,
-            detector_efficiency=1.0,
-            dark_count_rate=0.0,
-            angle_jitter=0.0,
-            analyzer=AnalyzerConfig(detector_map=self.analyzer.detector_map),
-        )
+        return replace(self, **_SWITCHED_OFF, analyzer=AnalyzerConfig(detector_map=self.analyzer.detector_map))
 
 
 class ClassCounts(NamedTuple):
@@ -468,8 +465,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Parse a config mapping, rejecting unknown keys by name."""
+def config_from_dict(data: dict, ideal: bool = False, **flags) -> ExperimentConfig:
+    """The config of a mapping such as a config file's: unknown keys rejected by name, each value checked by its
+    field's rule, then the fields idealized() sets if `ideal`, then `flags`, and ExperimentConfig built once, so
+    the rules that join fields run only on the config put together, not on values that it replaces."""
     if not isinstance(data, dict):
         raise SchemaViolationError(f"a config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
@@ -485,4 +484,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         unknown = set(given) - {f.name for f in fields(cls)}
         if unknown:
             raise SchemaViolationError(f"unknown {label} key {sorted(unknown)[0]!r}")
-    return ExperimentConfig(analyzer=AnalyzerConfig(**analyzer_data), **data)
+    analyzer = AnalyzerConfig(**analyzer_data)
+    check_fields(ExperimentConfig, data)
+    if ideal:
+        data, analyzer = {**data, **_SWITCHED_OFF}, AnalyzerConfig(detector_map=analyzer.detector_map)
+    return ExperimentConfig(**{**data, **flags}, analyzer=analyzer)

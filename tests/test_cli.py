@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellmeter
+from bellmeter.analyzer import AnalyzerConfig
 from bellmeter.cli import _load_config, _parse_float_list, _parse_range, build_parser, main
 from bellmeter.counts import CountRecord, MultimeterPoint
 from bellmeter.dataset import TableReader, sidecar_path
@@ -698,6 +700,37 @@ def test_analyze_names_a_bad_sidecar(tmp_path, capsys, sidecar, message):
     assert err.startswith(f"error: {sidecar_path(path)} {message}") and len(err.splitlines()) == 1
 
 
+def test_analyze_refuses_a_header_that_is_not_the_columns_of_its_sidecar(tmp_path, capsys):
+    # a header with c_mp and c_pm swapped read each count as the other and exited 0
+    path, out = tmp_path / "m.tsv", tmp_path / "est.tsv"
+    assert main(["multimeter", "--phi-range=-90:90:90", "--pairs", "1000", "--out", str(path)]) == 0
+    header, rows = path.read_text().split("\n", 1)
+    columns = [{"c_mp": "c_pm", "c_pm": "c_mp"}.get(name, name) for name in header.split("\t")]
+    path.write_text("\t".join(columns) + "\n" + rows)
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    recorded = read_sidecar(path)["columns"]
+    assert recorded == header.split("\t")
+    assert capsys.readouterr() == (
+        "", f"error: {path}: header {columns} differs from the columns {recorded} that {sidecar_path(path)} records\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", ["without-columns", "none"])
+def test_analyze_of_a_table_whose_sidecar_records_no_columns_reads_its_header(tmp_path, sidecar):
+    path = tmp_path / "m.tsv"
+    assert main(["multimeter", "--phi-range=-90:90:90", "--pairs", "1000", "--out", str(path)]) == 0
+    assert main(["analyze", str(path), "--out", str(tmp_path / "with-columns.tsv")]) == 0
+    metadata = read_sidecar(path)
+    del metadata["columns"]
+    sidecar_path(path).write_text(json.dumps(metadata))
+    if sidecar == "none":
+        sidecar_path(path).unlink()
+    assert main(["analyze", str(path), "--out", str(tmp_path / "est.tsv")]) == 0
+    assert (tmp_path / "est.tsv").read_bytes() == (tmp_path / "with-columns.tsv").read_bytes()
+
+
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{bad")
@@ -739,6 +772,94 @@ def test_config_errors_name_the_file(tmp_path, capsys, content, error, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
     assert not out.exists()
+
+
+def run_with_config(tmp_path, config, argv, name):
+    """The exit code of `argv` with `config` as its --config file, both written as `name`, and the TSV it wrote."""
+    cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.tsv"
+    cfg_path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "config, flags, same_as",
+    [
+        # --pairs sets the rate, so the file's rate took part in the worst-case-mean rule alone and failed it
+        ({"pair_rate": 1e17, "repetitions": 100}, [], {"repetitions": 100}),
+        # --ideal sets angle_jitter to 0, where the jittered-repetitions rule does not hold
+        ({"repetitions": 5000}, ["--ideal"], {"repetitions": 5000, "angle_jitter": 0.0}),
+        # --ideal sets dark_count_rate to 0, so there are no accidentals to pass the worst-case mean
+        ({"dark_count_rate": 1e12, "coincidence_window": 1.0}, ["--ideal"], {"coincidence_window": 1.0}),
+    ],
+    ids=["replaced-pair-rate", "ideal-jitter", "ideal-dark-rate"],
+)
+def test_the_joint_rules_hold_the_config_drawn_at_not_replaced_file_values(tmp_path, capsys, config, flags, same_as):
+    argv = ["multimeter", "--phi-range=0"] + flags
+    code, tsv = run_with_config(tmp_path, config, argv, "config")
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert tsv == run_with_config(tmp_path, same_as, argv, "same-as")[1]
+
+
+@pytest.mark.parametrize(
+    "config, flags, names_file, message",
+    [
+        ({"seed": -1}, ["--seed", "5"], True, "seed must lie in [0, inf), got -1"),
+        # a bad file value fails by name although --ideal would replace it
+        ({"detector_efficiency": 0}, ["--ideal"], True, "detector_efficiency must lie in (0, 1], got 0"),
+        ({"analyzer": {"mode_overlap": 2}}, ["--ideal"], True, "mode_overlap must lie in [0, 1], got 2"),
+        ({"seed": 3}, ["--seed=-3"], False, "seed must lie in [0, inf), got -3"),
+        # the file's repetitions are fine alone; --pairs gives the rate that breaks the worst-case mean
+        ({"repetitions": 100}, ["--pairs", "1e19"], False,
+         "pair_rate * period * repetitions + 2 * dark_count_rate^2 * coincidence_window * period * repetitions"
+         " must stay below 1e+18, got 1e+19"),
+    ],
+    ids=["file-seed", "ideal-efficiency", "ideal-mode-overlap", "flag-seed", "flag-pairs"],
+)
+def test_a_config_error_names_the_file_only_when_a_file_value_causes_it(tmp_path, capsys, config, flags, names_file,
+                                                                         message):
+    code, tsv = run_with_config(tmp_path, config, ["multimeter", "--phi-range=0"] + flags, "config")
+    assert (code, tsv) == (1, None)
+    named = f"{tmp_path / 'config.json'}: " if names_file else ""
+    assert capsys.readouterr().err == f"error: {named}{message}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--ideal"], ["--seed", "6"], ["--ideal", "--seed", "6"]])
+def test_the_config_drawn_at_is_the_file_config_idealized_reseeded_and_rated(tmp_path, flags):
+    # where each step is a valid config, as here, the one merge equals building the file's config and
+    # then applying --ideal (which keeps the detector_map), --seed and --pairs to it in turn
+    data = {"seed": 11, "repetitions": 20, "analyzer": {"detector_map": ["D4", "D2", "D1", "D3"], "mode_overlap": 0.9}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    expected = config_from_dict(data)
+    expected = expected.idealized() if "--ideal" in flags else expected
+    expected = replace(expected, seed=6) if "--seed" in flags else expected
+    args = build_parser().parse_args(["hom-scan", "--config", str(cfg_path), "--pairs", "2000", *flags])
+    assert _load_config(args) == with_pairs_per_point(expected, 2000)
+
+
+# the config keys that a flag replaces, with that flag: pair_rate under --pairs, which every command has by
+# default, seed under --seed, and the fields --ideal switches off, of the analyzer all but detector_map
+REPLACED = [
+    (ExperimentConfig, "pair_rate", []),
+    (ExperimentConfig, "seed", ["--seed", "5"]),
+    *((ExperimentConfig, name, ["--ideal"]) for name in ("detector_efficiency", "dark_count_rate", "angle_jitter")),
+    *((AnalyzerConfig, f.name, ["--ideal"]) for f in fields(AnalyzerConfig) if f.name != "detector_map"),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_file_value_that_a_flag_replaces_leaves_the_output_as_it_is(data):
+    owner, name, flags = data.draw(st.sampled_from(REPLACED))
+    f = next(f for f in fields(owner) if f.name == name)
+    value = data.draw(st.booleans() if f.type == "bool" else inside_bounds(f))
+    config = {name: value} if owner is ExperimentConfig else {"analyzer": {name: value}}
+    argv = CONTRACT_SWEEPS[data.draw(st.sampled_from(sorted(CONTRACT_SWEEPS)))] + flags
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        code, tsv = run_with_config(Path(tmp), config, argv, "config")
+        assert code == 0, (config, argv)
+        assert tsv == run_with_config(Path(tmp), {}, argv, "without")[1], (config, argv)
 
 
 def test_analyze_names_an_empty_file(tmp_path, capsys):
@@ -1562,22 +1683,25 @@ PREVIOUS = {"out.tsv": "previous\n", "out.tsv.meta.json": '{"previous": true}\n'
 MISSING = object()
 
 
+def inside_bounds(f):
+    """The values that lie in the "bounds" of field `f`, integers for an "int" field."""
+    text = f.metadata["bounds"]
+    low, high = (float(end) for end in text[1:-1].split(","))
+    if f.type == "int":
+        return st.integers(int(low) + (text[0] == "("), None if math.isinf(high) else int(high) - (text[-1] == ")"))
+    return st.floats(low, None if math.isinf(high) else high, exclude_min=text[0] == "(",
+                     exclude_max=text[-1] == ")" and not math.isinf(high), allow_nan=False, allow_infinity=False)
+
+
 @st.composite
 def config_cases(draw):
     """A sweep whose config sets one bounded field, or --eta, to a value drawn from its bounds: an edge
     or one step from it, a drawn inside value, NaN or (config fields) a value of the wrong type; or
     that leaves the field out."""
     owner, f = draw(st.sampled_from(BOUNDED))
-    text = f.metadata["bounds"]
-    low, high = (float(end) for end in text[1:-1].split(","))
-    if f.type == "int":
-        inside = st.integers(int(low) + (text[0] == "("), None if math.isinf(high) else int(high) - (text[-1] == ")"))
-    else:
-        inside = st.floats(low, None if math.isinf(high) else high, exclude_min=text[0] == "(",
-                           exclude_max=text[-1] == ")" and not math.isinf(high), allow_nan=False, allow_infinity=False)
     outside = [math.nan] + ([] if owner is MultimeterPoint else ["1", True, None, [1.0]])
     value, valid = draw(st.one_of(
-        st.sampled_from(bound_probes(f)), inside.map(lambda v: (v, True)),
+        st.sampled_from(bound_probes(f)), inside_bounds(f).map(lambda v: (v, True)),
         st.sampled_from([(v, False) for v in outside]), st.just((MISSING, True)),
     ))
     if owner is MultimeterPoint:  # eta is the multimeter's flag

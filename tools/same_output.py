@@ -38,6 +38,9 @@ DECLARED = Path("tools/changed_outputs.txt")
 
 # ExperimentConfig.realistic(): 92% mode overlap, a few percent of splitting imbalance
 REALISTIC = {"analyzer": {"transmittance_h": 0.53, "transmittance_v": 0.48, "mode_overlap": 0.92}}
+# a config file that hom-scan-merged combines with --ideal and --seed: --seed replaces its seed and --ideal
+# its mode overlap, while its repetitions and its permuted detector_map stay
+MERGED = {"seed": 11, "repetitions": 20, "analyzer": {"detector_map": ["D4", "D2", "D1", "D3"], "mode_overlap": 0.9}}
 
 # a count table whose counts are whole numbers written as float text, which numpy's int64
 # tokenizer rejects, so `analyze` reads its blocks by the per-cell rule (dataset._parse_cells);
@@ -56,7 +59,8 @@ FLOAT_COUNTS = "theta\tc_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "
 # periods, discriminate-zeros has ideal points whose unreachable class must give a mean of
 # exactly 0 (a residue mean would take a number from the stream and shift every later draw), and
 # hom-scan-ties has mirror positions at multiples of 2^-10, every other one an exact .5 tie once
-# multiplied by 1e9, which the 9-decimal rounding of grid points must break as round() does
+# multiplied by 1e9, which the 9-decimal rounding of grid points must break as round() does, and
+# hom-scan-merged shows the order in which a config file, --ideal and --seed apply
 COMMANDS = [
     ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
     ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
@@ -72,6 +76,8 @@ COMMANDS = [
     ("hom-scan-ideal.tsv", ["hom-scan", "--ideal", "--positions=-100,-50,-10,0,10,50,100", "--pairs", "2000"]),
     ("hom-scan-realistic.tsv", ["hom-scan", "--config", "realistic.json", "--range=-300:300:0.5", "--seed", "5"]),
     ("hom-scan-ties.tsv", ["hom-scan", "--ideal", "--range=0.0009765625:0.02:0.0009765625", "--pairs", "2000"]),
+    ("hom-scan-merged.tsv", ["hom-scan", "--config", "merged.json", "--ideal", "--seed", "6",
+                             "--positions=-100,-50,-10,0,10,50,100", "--pairs", "2000"]),
 ]
 COMMANDS += [
     (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
@@ -91,6 +97,7 @@ def run_commands(tree: Path, workdir: Path) -> bool:
     stdout and stderr as <name>.console; False, after printing why, if one fails."""
     workdir.mkdir()
     (workdir / "realistic.json").write_text(json.dumps(REALISTIC), encoding="utf-8")
+    (workdir / "merged.json").write_text(json.dumps(MERGED), encoding="utf-8")
     (workdir / "float-counts.tsv").write_text(FLOAT_COUNTS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, so that output lost at exit shows
