@@ -31,7 +31,6 @@ from .counts import (
     DiscriminationPoint,
     Estimates,
     MultimeterPoint,
-    count_table,
     estimate_table,
     first_bad_count,
     sweep_header,
@@ -222,13 +221,11 @@ def build_analyze(args: argparse.Namespace) -> _Built:
     def blocks() -> Iterator[list]:
         read = False
         for block in table.blocks(COUNT_COLUMNS, [c.name for c in coordinates]):
-            counts, cells = dict(zip(COUNT_COLUMNS, block)), block[len(COUNT_COLUMNS) :]
-            try:
-                table_counts = count_table(counts)
-            except ValueError:  # named by its file, line and column, as the reader names a cell
-                cell = table.cell(*first_bad_count(counts))
-                raise ValueError(f"{cell} is not a nonnegative integer below 2**63") from None
-            estimates = estimate_table(table_counts)
+            counts, cells = block[: len(COUNT_COLUMNS)], block[len(COUNT_COLUMNS) :]
+            bad = first_bad_count(counts)
+            if bad is not None:  # named by its file, line and column, as the reader names a cell
+                raise ValueError(f"{table.cell(*bad)} is not a nonnegative integer below 2**63")
+            estimates = estimate_table(np.array(counts, dtype=np.float64).T)
             nan_rows[:] += np.isnan(estimates).sum(axis=0)
             read = True
             yield cells + list(estimates.T)
@@ -242,7 +239,7 @@ def build_analyze(args: argparse.Namespace) -> _Built:
 
 
 def run_command(args: argparse.Namespace) -> int:
-    """Write the dataset of the subcommand's builder to --out, or its TSV to stdout.
+    """Write the dataset of the subcommand's builder to --out, or its TSV to stdout; the exit code.
 
     A builder returns the dataset columns (counts.Column records, whose
     kinds set the text of their cells), an iterable of column blocks, its
@@ -252,24 +249,19 @@ def run_command(args: argparse.Namespace) -> int:
     written before the next one is made (dataset.write_table), so a failing
     command leaves no output.  An empty --out (`analyze` without one, or
     `--out=`) writes the TSV to stdout; with --out, stdout gets the summary
-    line.  Either goes through _to_stdout.
+    line once the file is in place.  Either goes through _write_to, with one
+    rule for a stdout that cannot take it, for every command: a pipe whose
+    reader has gone (`| head`) gives exit code 1 quietly; any other OSError,
+    as of a full device or of a stdout closed when the process started, is
+    raised for main() to print as one error line.
     """
     columns, blocks, keys, summary = args.build(args)
     keys.update(command=args.command, argv=args.argv)
-    if not args.out:
-        return _to_stdout(lambda: write_table(None, columns, blocks, keys))
-    rows = write_table(Path(args.out), columns, blocks, keys)
-    return _to_stdout(lambda: print(f"wrote {rows} rows to {args.out}{summary()}"))
-
-
-def _to_stdout(write: Callable[[], object]) -> int:
-    """Call `write`, which writes the command's output to stdout, through _write_to; the exit code.
-
-    One rule for a stdout that cannot take the output, for every command:
-    a pipe whose reader has gone (`| head`) gives exit code 1 quietly; any
-    other OSError, as of a full device or of a stdout closed when the
-    process started, is raised for main() to print as one error line.
-    """
+    if args.out:
+        rows = write_table(Path(args.out), columns, blocks, keys)
+        write = functools.partial(print, f"wrote {rows} rows to {args.out}{summary()}")
+    else:
+        write = functools.partial(write_table, None, columns, blocks, keys)
     try:
         _write_to("stdout", write)
     except BrokenPipeError:
@@ -361,7 +353,7 @@ def run() -> NoReturn:
     """Exit the process with main()'s code: the entry of `bellmeter` and `python -m bellmeter.cli`.
 
     Once main() returns, its dataset is in place and its output flushed
-    (_to_stdout), and of the interpreter's shutdown only its first steps
+    (run_command), and of the interpreter's shutdown only its first steps
     remain to be done: the atexit handlers and the flush of what they wrote.
     The rest, which frees every module and object (about 40 ms on a 2-vCPU
     Xeon once the sweep modules are loaded), os._exit skips, as

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,27 +135,16 @@ def _counts_ok(values: np.ndarray) -> np.ndarray:
     return (values >= 0) & (values < _COUNT_LIMIT) & (np.trunc(values) == values)
 
 
-def count_table(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The (n, 8) int64 table of the COUNT_COLUMNS entries of `columns`, int or float arrays.
+def first_bad_count(columns: Sequence[np.ndarray]) -> tuple[int, str] | None:
+    """The row and column of the first count, row by row, that a CountRecord rejects, or None.
 
-    Each column is checked in one pass: the first value that is not an
-    integer in [0, 2**63) (NaN and infinities included) raises ValueError
-    naming its column, as a CountRecord field would; an integral float such
-    as 13.0 is taken as its integer.
+    `columns` are the COUNT_COLUMNS arrays of a block in order, each int or
+    float; a count is an integer in [0, 2**63) (NaN and infinities are not),
+    and an integral float such as 13.0 is one.
     """
-    table = np.empty((len(columns[COUNT_COLUMNS[0]]), len(COUNT_COLUMNS)), dtype=np.int64)
-    for j, name in enumerate(COUNT_COLUMNS):
-        values = np.asarray(columns[name])
-        ok = _counts_ok(values)
-        if not ok.all():
-            _checked_count(name, values[~ok][0].item())
-        table[:, j] = values
-    return table
-
-
-def first_bad_count(columns: Mapping[str, np.ndarray]) -> tuple[int, str]:
-    """The row and column of the first value, row by row, that count_table rejects; call it once it has."""
-    bad = np.stack([~_counts_ok(np.asarray(columns[name])) for name in COUNT_COLUMNS], axis=1)
+    bad = np.stack([~_counts_ok(np.asarray(values)) for values in columns], axis=1)
+    if not bad.any():
+        return None
     row, j = divmod(int(bad.argmax()), len(COUNT_COLUMNS))
     return row, COUNT_COLUMNS[j]
 

@@ -184,10 +184,10 @@ def write_table(path: Path | None, columns: Sequence[Column], blocks: Iterable[S
     gets `columns` (the names), `rounded` ({"digits": ROUNDED_DIGITS,
     "columns": the derived columns in column order}) and a timestamp
     besides `metadata`.
-    It is checked to be strict JSON (unindented, by the C encoder) before
-    anything is written, so metadata that is not raises ValueError and
-    leaves nothing on disk, and it is serialized once every block is
-    written, with the keys added to `metadata` meanwhile.
+    It is serialized by one encoder before anything is written, so metadata
+    that is not strict JSON raises ValueError and leaves nothing on disk,
+    and again once every block is written, with the keys added to
+    `metadata` meanwhile.
     Both files are written to temporary files in the target directory, which
     are moved into place with os.replace once every block is written; if
     anything fails, the temporary files are removed and the previous files
@@ -215,15 +215,13 @@ def write_table(path: Path | None, columns: Sequence[Column], blocks: Iterable[S
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
-    def sidecar(indent: int | None = 2) -> str:
+    def sidecar() -> str:
         try:
-            return json.dumps({**metadata, **stamp}, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+            return json.dumps({**metadata, **stamp}, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
-            if indent is None:  # the C encoder's check; the indented encoder's message names the value
-                return sidecar()
             raise ValueError(f"metadata of {path} is not strict JSON: {exc}") from None
 
-    sidecar(indent=None)
+    sidecar()
     path.parent.mkdir(parents=True, exist_ok=True)
     temporaries: list[Path] = []
     try:

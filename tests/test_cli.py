@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellmeter
-from bellmeter.analyzer import AnalyzerConfig
+from bellmeter.analyzer import DETECTORS, AnalyzerConfig
 from bellmeter.cli import _load_config, _parse_float_list, _parse_range, build_parser, main
 from bellmeter.counts import CountRecord, MultimeterPoint
 from bellmeter.dataset import TableReader, sidecar_path
@@ -860,6 +860,49 @@ def test_a_file_value_that_a_flag_replaces_leaves_the_output_as_it_is(data):
         code, tsv = run_with_config(Path(tmp), config, argv, "config")
         assert code == 0, (config, argv)
         assert tsv == run_with_config(Path(tmp), {}, argv, "without")[1], (config, argv)
+
+
+# the keys of a drawn config file: each field with "bounds" metadata, each bool field and the detector_map
+FILE_FIELDS = [
+    (owner, f) for owner in (ExperimentConfig, AnalyzerConfig) for f in fields(owner)
+    if "bounds" in f.metadata or f.type == "bool" or f.name == "detector_map"
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_drawn_config_file_and_flags_load_as_the_file_config_idealized_reseeded_and_rated(data):
+    # where building the file's config and applying --ideal, --seed and --pairs to it in turn raises
+    # nothing, the one merge gives its result; where the merge raises, so does that chain
+    file = {}
+    for owner, f in data.draw(st.lists(st.sampled_from(FILE_FIELDS), unique=True)):
+        if f.name == "detector_map":
+            value = data.draw(st.permutations(DETECTORS))
+        else:
+            value = data.draw(st.booleans() if f.type == "bool" else inside_bounds(f))
+        (file if owner is ExperimentConfig else file.setdefault("analyzer", {}))[f.name] = value
+    ideal = data.draw(st.booleans())
+    seed = data.draw(st.one_of(st.none(), st.integers(-3, 2**64)))
+    pairs = data.draw(st.one_of(st.none(), st.floats(1e-3, 1e20)))
+    flags = (["--ideal"] if ideal else []) + ([] if seed is None else [f"--seed={seed}"])
+    flags += [] if pairs is None else [f"--pairs={pairs!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(file))
+        args = build_parser().parse_args(["hom-scan", "--config", str(cfg_path), *flags])
+        try:
+            chain = config_from_dict(file)
+            chain = chain.idealized() if ideal else chain
+            chain = chain if seed is None else replace(chain, seed=seed)
+            chain = with_pairs_per_point(chain, args.pairs)
+        except ValueError:
+            chain = None
+        try:
+            loaded = _load_config(args)
+        except ValueError:
+            assert chain is None, (file, flags)
+        else:
+            assert chain is None or loaded == chain, (file, flags)
 
 
 def test_analyze_names_an_empty_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 from collections import Counter
 from dataclasses import asdict, astuple, fields, replace
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import bellmeter
 from bellmeter.analyzer import (
     AnalyzerConfig,
     _PROB_FLOOR,
@@ -19,7 +22,7 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     stokes_outcome_probs,
 )
-from bellmeter.counts import CountRecord, MultimeterPoint, count_table, estimate_table
+from bellmeter.counts import COUNT_COLUMNS, CountRecord, MultimeterPoint, estimate_table, first_bad_count
 from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
@@ -429,19 +432,15 @@ def test_estimate_table_shapes():
 
 
 @pytest.mark.parametrize("bad", [-1, 13.7, math.nan, math.inf, 2**63, 1e300])
-def test_count_table_names_a_bad_count_like_a_count_record(bad):
+def test_first_bad_count_names_a_bad_count_like_a_count_record(bad):
     # a column is an int64 or float64 array, as TableReader.blocks parses it: [3, 2**63] is float64
-    columns = {name: [1, 2] for name in ("c_pp", "c_mp", "c_pm", "c_mm", "sh_pp", "sh_mp", "sh_pm")}
+    columns = [np.asarray([1, 2])] * (len(COUNT_COLUMNS) - 1)
     column = np.asarray([3, bad])
-    with pytest.raises(ValueError, match="sh_mm must be a nonnegative integer below 2\\*\\*63") as table:
-        count_table({**columns, "sh_mm": column})
-    with pytest.raises(ValueError) as record:
+    assert first_bad_count([*columns, column]) == (1, "sh_mm")
+    with pytest.raises(ValueError, match="sh_mm must be a nonnegative integer below 2\\*\\*63"):
         CountRecord(1, 1, 1, 1, 1, 1, 1, column[1].item())
-    assert str(record.value) == str(table.value)
-    table = count_table({**columns, "sh_mm": np.array([13.0, 0.0])})
-    assert table.dtype == np.int64 and table[:, 7].tolist() == [13, 0]
-    table = count_table({**columns, "sh_mm": np.array([0, 2**63 - 1])})
-    assert table.dtype == np.int64 and table[:, 7].tolist() == [0, 2**63 - 1]
+    assert first_bad_count([*columns, np.array([13.0, 0.0])]) is None
+    assert first_bad_count([*columns, np.array([0, 2**63 - 1])]) is None
 
 
 def test_jittered_repetitions_are_bounded_by_the_stage_block():
@@ -550,6 +549,17 @@ def test_the_readme_states_each_bound_of_the_metadata_once():
     )
     config_json = readme.split("## Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(config_json) == json.loads(json.dumps(asdict(ExperimentConfig())))
+
+
+def test_each_module_attribute_the_readme_names_exists():
+    # `<module>.<name>`, also as a call, where <module> is a module of the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {module.name for module in pkgutil.iter_modules(bellmeter.__path__)}
+    named = {ref for ref in re.findall(r"`(\w+)\.(\w+)(?:\([^`]*\))?`", readme) if ref[0] in modules}
+    assert named
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"bellmeter.{module}"), name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("sigma", [1e-100, 1e100])

@@ -1,4 +1,4 @@
-"""The repository tools: tools/same_output.py's reading of tools/changed_outputs.txt and its verdicts."""
+"""The repository tools: tools/same_output.py's reading of tools/changed_outputs.txt, its verdicts and its configs."""
 
 import importlib.util
 import os
@@ -7,6 +7,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from bellmeter.experiment import ExperimentConfig, config_from_dict
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -93,3 +95,12 @@ def test_a_sidecar_is_compared_without_its_timestamp_and_a_tsv_byte_for_byte(tmp
         paths.append(tmp_path / side / name)
         paths[-1].write_text(text, encoding="utf-8")
     assert load_same_output().same(*paths) is equal
+
+
+def test_the_configs_of_the_output_check_are_the_ones_its_comments_name():
+    module = load_same_output()
+    assert config_from_dict(module.REALISTIC) == ExperimentConfig.realistic()
+    # --ideal and --seed replace MERGED's mode overlap and seed, and keep the rest
+    merged = config_from_dict(module.MERGED, True, seed=6)
+    assert merged.repetitions == module.MERGED["repetitions"]
+    assert list(merged.analyzer.detector_map) == module.MERGED["analyzer"]["detector_map"]
