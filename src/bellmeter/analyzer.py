@@ -20,9 +20,9 @@ its output amplitudes as U psi U^T (pattern_probs_batch); the pattern
 probabilities are mixed by the mode overlap and summed per outcome class
 (outcome_probs_batch).  Two separately prepared photons take a real-arithmetic
 shortcut (stokes_outcome_probs): for a product input every class probability
-is a bilinear form in the photons' Stokes vectors n = (z, x, y), built from
-the monomials 1, z_d, z_p, z_d z_p and E = x_d x_p + y_d y_p with
-coefficients computed once per config (_stokes_terms).  With the default wiring
+is a bilinear form in the photons' Stokes vectors n = (z, x, y): a table,
+computed once per config (_stokes_terms), holds per class the coefficients
+of 1, z_d, z_p, z_d z_p and E = x_d x_p + y_d y_p.  With the default wiring
 
     p+- = A+-(1 - z_d z_p) +- M B (x_d x_p + y_d y_p),    p? = (1 + z_d z_p) / 2,
 
@@ -177,24 +177,26 @@ def bs_transform(config: AnalyzerConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float], ...], ...]:
-    """Per OutcomeProbs class, its nonzero (monomial, K_dist, K_bos) coefficient terms.
+def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[float, float], ...], ...]:
+    """The coefficient table of the Stokes form: one row per OutcomeProbs class, in its order, and per row
+    one (K_dist, K_bos) pair per monomial in the fixed order (1, z_d, z_p, z_d z_p, E).
 
     A class probability sums (K_dist + M K_bos) m over the monomials m = 1,
-    z_d, z_p, zz = z_d z_p and E = x_d x_p + y_d y_p of the photons' unit
-    Stokes vectors (z, x, y).  The photons reach mode k with intensities
-    data_in[k] and program_in[k] (T or R = 1 - T of its polarization) and
-    amplitudes whose product is w_k = U[k, pol] U[k, 2 + pol].  Pattern (k, l)
-    adds its distinguishable probability |x_k|^2 |y_l|^2 + |x_l|^2 |y_k|^2 to
-    K_dist and its interference 2 Re(x_k y_l conj(x_l y_k)) to K_bos (for
-    k = l, the pair's half-weighted sums).  As |H|^2 = (1 + z)/2 and
-    |V|^2 = (1 - z)/2, a product weight w of the data photon in a mode of
-    polarization sign z_k and the program photon in one of sign z_l adds
-    w/4 (1, z_k, z_l, z_k z_l); interference across the polarizations adds a
-    quarter of its weight to E, as Re(d_H conj(d_V) conj(p_H) p_V) = E/4.
-    Each coefficient is one math.fsum of its products, so one that cancels
-    is exactly 0 and drops out of the terms.  The residue of a class that
-    cancels only in the sum of its terms is left to stokes_outcome_probs.
+    z_d, z_p, z_d z_p and E = x_d x_p + y_d y_p of the photons' unit Stokes
+    vectors (z, x, y).  The photons reach mode k with intensities data_in[k]
+    and program_in[k] (T or R = 1 - T of its polarization) and amplitudes
+    whose product is w_k = U[k, pol] U[k, 2 + pol].  Pattern (k, l) adds its
+    distinguishable probability |x_k|^2 |y_l|^2 + |x_l|^2 |y_k|^2 to K_dist
+    (part 0) and its interference 2 Re(x_k y_l conj(x_l y_k)) to K_bos
+    (part 1; for k = l, the pair's half-weighted sums).  As |H|^2 = (1 + z)/2
+    and |V|^2 = (1 - z)/2, a product weight w of the data photon in a mode of
+    polarization sign z_d and the program photon in one of sign z_p adds
+    w/4 (1, z_d, z_p, z_d z_p) to the first four pairs; interference across
+    the polarizations adds a quarter of its weight to E's K_bos, as
+    Re(d_H conj(d_V) conj(p_H) p_V) = E/4.  Each coefficient is one math.fsum
+    of its products, so one that cancels is exactly 0; stokes_outcome_probs
+    skips an entry whose two coefficients are both 0, and floors the residue
+    of a class that cancels only in the sum of its entries.
     """
     t = np.array([config.transmittance_h, config.transmittance_v])
     r = 1.0 - t
@@ -206,31 +208,23 @@ def _stokes_terms(config: AnalyzerConfig) -> tuple[tuple[tuple[str, float, float
     split = t * r  # w_k^2 of a polarization; w_k w_l = sign_k sign_l sqrt(split_k split_l)
     z = (1.0, -1.0)  # of H and V
     # per class and monomial, the products its K_dist and K_bos coefficients sum
-    products = {c: {m: ([], []) for m in ("1", "z_d", "z_p", "zz", "E")} for c in _CLASSES}
-
-    def add(c, part, w, z_d, z_p):
-        for name, factor in (("1", 1.0), ("z_d", z_d), ("z_p", z_p), ("zz", z_d * z_p)):
-            products[c][name][part].append(w * (0.25 * factor))
-
+    products = [[([], []) for _ in range(5)] for _ in _CLASSES]
     for (k, l), c in zip(PATTERNS, pattern_outcomes(config)):
         z_k, z_l = z[pol[k]], z[pol[l]]
+        row = products[_CLASSES.index(c)]
         if k == l:
-            same = data_in[k] * program_in[k]
-            add(c, 0, same, z_k, z_k)
-            add(c, 1, same, z_k, z_k)
-            continue
-        add(c, 0, data_in[k] * program_in[l], z_k, z_l)
-        add(c, 0, data_in[l] * program_in[k], z_l, z_k)
-        mixing = 2.0 * sign[k] * sign[l] * np.sqrt(split[pol[k]] * split[pol[l]])
-        if pol[k] == pol[l]:
-            add(c, 1, mixing, z_k, z_k)
+            parts = [(part, data_in[k] * program_in[k], z_k, z_k) for part in (0, 1)]
         else:
-            products[c]["E"][1].append(mixing * 0.25)
-    classes = []
-    for by_monomial in products.values():
-        coef = {name: (math.fsum(dist), math.fsum(bos)) for name, (dist, bos) in by_monomial.items()}
-        classes.append(tuple((name, d, b) for name, (d, b) in coef.items() if (d, b) != (0.0, 0.0)))
-    return tuple(classes)
+            parts = [(0, data_in[k] * program_in[l], z_k, z_l), (0, data_in[l] * program_in[k], z_l, z_k)]
+            mixing = 2.0 * sign[k] * sign[l] * np.sqrt(split[pol[k]] * split[pol[l]])
+            if pol[k] == pol[l]:
+                parts.append((1, mixing, z_k, z_k))
+            else:
+                row[4][1].append(mixing * 0.25)
+        for part, w, z_d, z_p in parts:
+            for m, factor in enumerate((1.0, z_d, z_p, z_d * z_p)):
+                row[m][part].append(w * (0.25 * factor))
+    return tuple(tuple((math.fsum(dist), math.fsum(bos)) for dist, bos in row) for row in products)
 
 
 def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = complex) -> np.ndarray:
@@ -305,15 +299,6 @@ def outcome_probs_batch(
     return _class_sums(pattern_probs_batch(amplitudes, config, mode_overlap), config)
 
 
-# the monomials of _stokes_terms, from the unit Stokes vectors (z, x, y) of the two photons
-_MONOMIALS = {
-    "1": lambda d, p: 1.0,
-    "z_d": lambda d, p: d[:, 0],
-    "z_p": lambda d, p: p[:, 0],
-    "zz": lambda d, p: d[:, 0] * p[:, 0],
-    "E": lambda d, p: d[:, 1] * p[:, 1] + d[:, 2] * p[:, 2],
-}
-
 # class probabilities below a few ulps of 1 are rounding residue and count as 0: the
 # terms of an unreachable class sum to a residue of either sign (within +-2e-16), and
 # Generator.poisson takes a number from the stream for a residue mean but none for a
@@ -329,7 +314,9 @@ def stokes_outcome_probs(
     `data` and `program` hold the photons' unit Stokes vectors (z, x, y),
     shape (n, 3) each, as polarization.stokes_from_angles gives them, and
     mode_overlap is one value for the batch or one per state, shape (n,).
-    Class c is evaluated as the sum of its few _stokes_terms in real arithmetic,
+    The five monomials are formed once; class c is the sum, in the column
+    order of its row of _stokes_terms, of (K_dist + M K_bos) m over the
+    entries whose two coefficients are not both 0, in real arithmetic and
     elementwise, so a row does not depend on the batch size, and a value
     below _PROB_FLOOR is returned as exactly 0.  Equals outcome_probs_batch
     on the product amplitudes to rounding.
@@ -339,13 +326,14 @@ def stokes_outcome_probs(
     if len(d) != len(p):
         raise ValueError(f"got {len(d)} data and {len(p)} program Stokes vectors")
     overlap = _overlap_column(mode_overlap, len(d))[:, 0]
-    terms = _stokes_terms(config)
-    values = {name: _MONOMIALS[name](d, p) for name in {term[0] for group in terms for term in group}}
+    # the monomials of _stokes_terms' columns, in its order
+    monomials = (1.0, d[:, 0], p[:, 0], d[:, 0] * p[:, 0], d[:, 1] * p[:, 1] + d[:, 2] * p[:, 2])
     out = np.empty((len(d), 3))
-    for c, group in enumerate(terms):
+    for c, row in enumerate(_stokes_terms(config)):
         total = 0.0
-        for name, dist, bos in group:
-            total = total + (dist + bos * overlap if bos else dist) * values[name]
+        for monomial, (dist, bos) in zip(monomials, row):
+            if dist or bos:
+                total = total + (dist + bos * overlap if bos else dist) * monomial
         out[:, c] = total
     return np.where(out < _PROB_FLOOR, 0.0, out)
 

@@ -102,7 +102,10 @@ class TableReader:
         once each cell is checked to be a finite number.  A row of the wrong
         width, or a cell of these columns that is no number (of a carry column,
         no finite number), raises ValueError naming the file, the line (as
-        _rows maps it) and, for a cell, the column.
+        _rows maps it) and, for a cell, the column.  These rules hold for
+        every row of a block before the block is yielded, so a caller's own
+        rule on its values (analyze's count rule) names an earlier line of
+        the block only when no row of the block breaks one of them.
         """
         width = len(self.columns)
         parsed = [self.columns.index(name) for name in parse]

@@ -443,13 +443,20 @@ def hom_scan(positions: Sequence[float], config: ExperimentConfig) -> HomScanRes
 def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> ExperimentConfig:
     """Config whose expected pair count per input setting equals pairs_per_point.
 
-    ValueError when the count is not finite and above 0, or when no input
-    setting can expect one coincidence: detector_efficiency^2 * pairs plus
-    the dark accidentals of both conclusive classes bound every class mean.
+    ValueError when the count is not finite and above 0, when the rate
+    pairs / (period * repetitions) is not (either side may overflow), or when
+    no input setting can expect one coincidence: detector_efficiency^2 *
+    pairs plus the dark accidentals of both conclusive classes bound every
+    class mean.
     """
     if not 0.0 < pairs_per_point < math.inf:
         raise ValueError(f"pairs per point must be a finite number > 0, got {pairs_per_point!r}")
     rate = pairs_per_point / (config.period * config.repetitions)
+    if not 0.0 < rate < math.inf:
+        raise ValueError(
+            "pairs per point / (period * repetitions) must be a finite rate above 0,"
+            f" got {pairs_per_point!r} / ({config.period!r} * {config.repetitions!r})"
+        )
     config = replace(config, pair_rate=rate)
     most = config.detector_efficiency * config.detector_efficiency * pairs_per_point + _accidentals(config)
     if not most >= 1.0:

@@ -408,17 +408,17 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
         (
             IDEAL,
             (
-                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, 0.25)),
-                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, -0.25)),
-                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+                ((0.25, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.25, 0.0), (0.0, 0.25)),
+                ((0.25, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.25, 0.0), (0.0, -0.25)),
+                ((0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0)),
             ),
         ),
         (
             AnalyzerConfig(transmittance_h=0.53, transmittance_v=0.48, mode_overlap=0.92),
             (
-                (("1", 0.2494, 0.0), ("zz", -0.2494, 0.0), ("E", 0.0, 0.24934987467412129)),
-                (("1", 0.2506, 0.0), ("zz", -0.2506, 0.0), ("E", 0.0, -0.24934987467412129)),
-                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+                ((0.2494, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.2494, 0.0), (0.0, 0.24934987467412129)),
+                ((0.2506, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.2506, 0.0), (0.0, -0.24934987467412129)),
+                ((0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0)),
             ),
         ),
         (
@@ -426,18 +426,36 @@ def test_stokes_form_equals_the_general_path(seed, cfg):
                 transmittance_h=0.55, geometric_phase=False, detector_map=("D1", "D3", "D4", "D2")
             ),
             (
-                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, 0.248746859276655)),
-                (("1", 0.25, 0.0), ("zz", -0.25, 0.0), ("E", 0.0, -0.248746859276655)),
-                (("1", 0.5, 0.0), ("zz", 0.5, 0.0)),
+                ((0.25, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.25, 0.0), (0.0, 0.248746859276655)),
+                ((0.25, 0.0), (0.0, 0.0), (0.0, 0.0), (-0.25, 0.0), (0.0, -0.248746859276655)),
+                ((0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0)),
             ),
         ),
     ],
     ids=["ideal", "realistic", "rewired-no-phase"],
 )
 def test_stokes_terms_are_pinned(cfg, want):
-    # the (monomial, K_dist, K_bos) terms per class, to the bit; the ideal row is
-    # README's p+- = A+-(1 - z_d z_p) +- M B E with A+- = B = 1/4
+    # the (K_dist, K_bos) pairs per class and monomial (1, z_d, z_p, z_d z_p, E), to the bit; the
+    # ideal row is README's p+- = A+-(1 - z_d z_p) +- M B E with A+- = B = 1/4
     assert _stokes_terms(cfg) == want
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), cfg=any_analyzer, same=st.booleans())
+def test_skipping_zero_entries_changes_no_bit(seed, n, cfg, same):
+    # every entry of every row evaluated, zeros included, then the floor: the same bits as the kernel
+    _, stokes, row_overlaps = random_product_inputs(seed, n)
+    d, p = stokes[:, 0], stokes[:, 0] if same else stokes[:, 1]
+    monomials = (1.0, d[:, 0], p[:, 0], d[:, 0] * p[:, 0], d[:, 1] * p[:, 1] + d[:, 2] * p[:, 2])
+    want = np.empty((n, 3))
+    for c, row in enumerate(_stokes_terms(cfg)):
+        total = 0.0
+        for monomial, (dist, bos) in zip(monomials, row):
+            total = total + (dist + bos * row_overlaps) * monomial
+        want[:, c] = total
+    want = np.where(want < _PROB_FLOOR, 0.0, want)
+    got = stokes_outcome_probs(d, p, cfg, row_overlaps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @PROPERTY_SETTINGS

@@ -1040,6 +1040,27 @@ def test_huge_pairs_fail_before_sampling(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, pairs, shown",
+    [
+        ({"period": 1e-320}, [], "100000 / (1e-320 * 10)"),
+        ({"period": 1e-10}, ["--pairs", "1e300"], "1e+300 / (1e-10 * 10)"),
+        # period * repetitions overflows, and the rate of 0 would write a table of zero counts
+        ({"period": 1e308, "dark_count_rate": 0}, [], "100000 / (1e+308 * 10)"),
+    ],
+    ids=["tiny-period", "huge-pairs", "huge-period"],
+)
+def test_a_rate_that_overflows_is_named_by_its_inputs(tmp_path, capsys, config, pairs, shown):
+    # the quotient --pairs / (period * repetitions) is no finite rate above 0; the error names its three numbers,
+    # not pair_rate, which the user never set, and not the file, as a joint rule at the --pairs rate
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = tmp_path / "m.tsv"
+    assert main(["multimeter", "--config", str(tmp_path / "c.json"), "--phi-range=0", *pairs, "--out", str(out)]) == 1
+    want = f"error: pairs per point / (period * repetitions) must be a finite rate above 0, got {shown}\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["discriminate", "--epsilon", "nan"],
@@ -1326,6 +1347,24 @@ def test_analyze_names_the_first_bad_count_row_by_row(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: {path}, line 6, column 'sh_mm': '2.5' is not a nonnegative integer below 2**63\n"
     )
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        (["nan"] + ANALYZE_ROW[1:], "line 4, column 'theta': 'nan' is not a finite number"),
+        (ANALYZE_ROW[:-1], "line 4: 8 cells, but the header has 9"),
+    ],
+    ids=["coordinate-not-finite", "short-row"],
+)
+def test_analyze_checks_the_reader_rules_of_a_block_before_its_counts(tmp_path, capsys, later, message):
+    # within one block, row width, cells that are no number and coordinates that are not finite are checked on
+    # every row before any count is: a reader error on line 4 wins over the negative count on line 3
+    path = tmp_path / "counts.tsv"
+    bad_count = ["12.5", "-1"] + ANALYZE_ROW[2:]
+    path.write_text("\n".join([ANALYZE_HEADER, "\t".join(ANALYZE_ROW), "\t".join(bad_count), "\t".join(later)]) + "\n")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}, {message}\n")
 
 
 def test_analyze_prints_what_it_writes(tmp_path, capsys):
