@@ -211,6 +211,8 @@ def build_hom_scan(args: argparse.Namespace) -> _Built:
 
 
 def build_analyze(args: argparse.Namespace) -> _Built:
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+        raise ValueError(f"{args.out}: --out names the input {args.input}, which analyze would replace")
     table = TableReader(args.input)
     for column in COUNT_COLUMNS:
         if column not in table.columns:

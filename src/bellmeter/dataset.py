@@ -25,14 +25,17 @@ ROUNDED_DIGITS = 13 significant digits (relative error at most 5e-13) and
 always holds a `.`, an exponent, `nan` or `inf`, so it reads back as
 float64, with NaN, infinities and signed zeros exact.  Any other column is
 written exactly, its cell text as it is and its numbers by `repr` (`str`
-for an int), so it reads back with its dtype and bits.  A float column of
-one value, as the multimeter's `eta`, is formatted once by its column's
-rule.  The TSV and the sidecar replace the previous pair only once every
-block is written.
+for an int), so it reads back with its dtype and bits.  Each column's rule
+is decided once per block and gives one field of a row template, which one
+str.format call repeats over the block's rows (_format_rows); a float column
+of one value, as the multimeter's `eta`, is that value's text in the
+template, formatted once.  The TSV and the sidecar replace the previous pair
+only once every block is written.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import operator
@@ -56,6 +59,7 @@ _NOT_INT_SPACE = "\x1c\x1d\x1e\x1f"
 # significant digits of a derived column; format(v, ".13") costs about 0.6x repr(v)
 ROUNDED_DIGITS = 13
 _ROUNDED_SPEC = f".{ROUNDED_DIGITS}"
+_ROUNDED_FIELD = f"{{:{_ROUNDED_SPEC}}}"
 
 
 class TableReader:
@@ -73,15 +77,15 @@ class TableReader:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.metadata = {}
         with open(self.path, encoding="utf-8-sig") as file:
-            header = self._lines(file, 1)
+            header = self._lines(file, 1, 1)
         if not header:
             raise ValueError(f"{self.path} is empty")
         self.columns = header[0].split("\t")
         for j, name in enumerate(self.columns):
             if name in self.columns[:j]:
                 raise ValueError(f"{self.path}: column {name!r} appears twice")
-        self.metadata = {}
         sidecar = sidecar_path(self.path)
         if sidecar.exists():
             self.metadata = read_json(sidecar)
@@ -105,14 +109,16 @@ class TableReader:
         _rows maps it) and, for a cell, the column.  These rules hold for
         every row of a block before the block is yielded, so a caller's own
         rule on its values (analyze's count rule) names an earlier line of
-        the block only when no row of the block breaks one of them.
+        the block only when no row of the block breaks one of them.  When the
+        sidecar records `columns`, a last line without a line end raises
+        ValueError naming the file and that line as soon as its block is read.
         """
         width = len(self.columns)
         parsed = [self.columns.index(name) for name in parse]
         carried = [self.columns.index(name) for name in carry]
         with open(self.path, encoding="utf-8-sig") as file:
-            next_line = 1 + len(self._lines(file, 1))
-            while lines := self._lines(file, _BLOCK_ROWS):
+            next_line = 1 + len(self._lines(file, 1, 1))
+            while lines := self._lines(file, next_line, _BLOCK_ROWS):
                 self._block = (next_line, lines)
                 next_line += len(lines)
                 rows = [line for line in lines if line]
@@ -166,8 +172,10 @@ class TableReader:
                 if not finite and j in carried:
                     raise ValueError(f"{self.cell(row, self.columns[j])} is not a finite number")
 
-    def _lines(self, file, count: int) -> list[str]:
-        """The next `count` lines of `file` (fewer at its end), without their line ends."""
+    def _lines(self, file, first: int, count: int) -> list[str]:
+        """The next `count` lines of `file` (fewer at its end), without their line ends; `first` is
+        the number of the first.  A last line without a line end raises ValueError naming it when the
+        sidecar records `columns`: write_table ends every line it writes, so the file was cut short."""
         try:
             text = "".join(itertools.islice(file, count))
         except UnicodeDecodeError as exc:
@@ -175,6 +183,8 @@ class TableReader:
         lines = text.split("\n")
         if not lines[-1]:  # the text ends in a line end, or there is none
             lines.pop()
+        elif "columns" in self.metadata:
+            raise ValueError(f"{self.path}, line {first + len(lines) - 1} has no line end: the file is cut short")
         return lines
 
 
@@ -197,7 +207,8 @@ def write_table(path: Path | None, columns: Sequence[Column], blocks: Iterable[S
     stay as they were.  With `path` None the TSV goes to stdout, through an
     unnamed temporary file that is copied out once every block is written,
     and there is no sidecar; the caller flushes stdout.  A `path` named like
-    a sidecar, '<file>.meta.json', raises ValueError before anything is
+    a sidecar, '<file>.meta.json', raises ValueError, and one that names a
+    directory IsADirectoryError, before a block is drawn or anything is
     written.  Returns the number of rows.
     """
     names, derived = [c.name for c in columns], [c.kind == "derived" for c in columns]
@@ -212,6 +223,8 @@ def write_table(path: Path | None, columns: Sequence[Column], blocks: Iterable[S
         return rows
     if path.name.endswith(".meta.json"):  # it would replace the sidecar of the dataset it names
         raise ValueError(f"{path}: an output name must not end in .meta.json, the name of a sidecar")
+    if path.is_dir():  # checked before a block is drawn: no file can be put in its place
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     stamp = {
         "columns": names,
         "rounded": {"digits": ROUNDED_DIGITS, "columns": list(itertools.compress(names, derived))},
@@ -258,36 +271,42 @@ def read_json(path: Path):
 
 
 def _format_rows(block: Sequence, derived: Sequence[bool]) -> str:
-    """The TSV lines of a block of one or more rows, each with its line end."""
-    return "\n".join(map("\t".join, zip(*map(_cells, block, derived)))) + "\n"
+    """The TSV lines of a block of one or more rows, each with its line end, by one row template.
 
-
-def _cells(values, derived: bool) -> Iterable[str]:
-    """The cell text of one column of a block by its column's rule, decided once for the column: if
-    `derived`, each value v, a number or numeric text, as format(float(v), ".13"); else a list as it
-    is and each number by repr.  A float64 array whose values all have the bits of its first is that
-    value's text repeated, so it is formatted once."""
-    if isinstance(values, list):
-        if not derived:
-            return values
-        values = list(map(float, values))
-    values = np.asarray(values, dtype=np.float64 if derived else None)
-    if values.dtype == np.float64 and len(values):
-        bits = values.view(np.int64)
-        if bits[0] == bits[-1] and (bits == bits[0]).all():
+    Each column's rule is decided once and gives one field of the template:
+    if `derived`, `{:.13}` of each value v, a number or numeric text, as
+    float(v); else `{}` of a list, its cell text as it is, and `{!r}` of each
+    number.  A float64 array whose values all have the bits of its first is
+    that value's text in the template itself, formatted once; the text of a
+    number holds no brace, and cell text is never template text.
+    """
+    fields, arguments = [], []
+    for values, rounded in zip(block, derived):
+        if isinstance(values, list) and not rounded:
+            fields.append("{}")
+            arguments.append(values)
+            continue
+        if isinstance(values, list):
+            values = list(map(float, values))
+        values = np.asarray(values, dtype=np.float64 if rounded else None)
+        bits = values.view(np.int64) if values.dtype == np.float64 else None
+        if bits is not None and bits[0] == bits[-1] and (bits == bits[0]).all():
             first = float(values[0])
-            return itertools.repeat(format(first, _ROUNDED_SPEC) if derived else repr(first), len(values))
-    if derived:
-        return map(format, values.tolist(), itertools.repeat(_ROUNDED_SPEC))
-    return map(repr, values.tolist())
+            fields.append(format(first, _ROUNDED_SPEC) if rounded else repr(first))
+        else:
+            fields.append(_ROUNDED_FIELD if rounded else "{!r}")
+            arguments.append(values.tolist())
+    template = "\t".join(fields) + "\n"
+    return (template * len(block[0])).format(*itertools.chain.from_iterable(zip(*arguments)))
 
 
 def _write_tsv(out, names: Sequence[str], blocks: Iterable[Sequence], derived: Sequence[bool]) -> int:
     """Write the TSV text of the columns `names` and `blocks` to `out`; the number of rows.
 
     Each block is formatted whole, as its producer sized it: _BLOCK_ROWS lines
-    from the reader, or at most experiment._MAX_STAGE_PERIODS sweep points.  A
-    column whose `derived` entry is true is formatted by the derived rule (_cells).
+    from the reader, or at most experiment._MAX_STAGE_PERIODS sweep points, by
+    one row template (_format_rows).  A column whose `derived` entry is true is
+    formatted by the derived rule.
     """
     out.write("\t".join(names) + "\n")
     rows = 0

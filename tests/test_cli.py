@@ -591,14 +591,42 @@ def test_non_finite_eta_is_named_before_the_sidecar(tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-def test_an_out_that_is_a_directory_is_named(tmp_path, capsys):
-    target = tmp_path / "d"
-    target.mkdir()
-    assert main(["multimeter", "--pairs", "1000", "--out", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert err.rstrip().endswith(repr(str(target))) and ".tmp" not in err
-    assert sorted(path.name for path in tmp_path.rglob("*")) == ["d"]
+@pytest.mark.parametrize("out", ["d", ".", ".."])
+def test_an_out_that_is_a_directory_is_named(tmp_path, capsys, monkeypatch, out):
+    # it failed only once the whole sweep was drawn, or on `.` and `..` with no name of the path
+    import bellmeter.multimeter
+
+    drawn = []
+    sweep = bellmeter.multimeter.multimeter_blocks
+
+    def blocks(*args):
+        drawn.append(True)  # runs when the first block is asked for
+        yield from sweep(*args)
+
+    monkeypatch.setattr(bellmeter.multimeter, "multimeter_blocks", blocks)
+    work = tmp_path / "a" / "b"
+    (work / "d").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main(["multimeter", "--phi-range=-90:90:0.002", "--pairs", "1000", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {out!r}\n"
+    assert drawn == []
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == ["a", "a/b", "a/b/d"]
+
+
+@pytest.mark.parametrize("cut", [1, 2])
+def test_analyze_names_a_last_line_cut_short(tmp_path, capsys, cut):
+    # write_table ends every line, so a sidecar that records the columns tells a cut last line;
+    # cutting 2 bytes left a shorter last count that analyze read as a full row
+    raw, out = tmp_path / "raw.tsv", tmp_path / "est.tsv"
+    assert main(["multimeter", "--phi-range=-90:90:30", "--pairs", "1000", "--out", str(raw)]) == 0
+    raw.write_bytes(raw.read_bytes()[:-cut])
+    capsys.readouterr()
+    assert main(["analyze", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}, line 8 has no line end: the file is cut short\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["raw.tsv", "raw.tsv.meta.json"]
+    sidecar_path(raw).unlink()  # without the sidecar, a last line without a line end is read as a row
+    assert main(["analyze", str(raw), "--out", str(out)]) == 0
+    assert len(read_columns(out)["phi"]) == 7
 
 
 def test_unwritable_output_exits_nonzero(capsys):
@@ -1671,20 +1699,19 @@ def test_a_failing_analyze_leaves_the_previous_output_as_it_was(tmp_path, capsys
     assert capsys.readouterr().out == ""
 
 
-def test_analyze_in_place_equals_the_analysis_of_a_copy(tmp_path, monkeypatch):
-    # several blocks: the output replaces its input only once every block is written
-    monkeypatch.setattr("bellmeter.dataset._BLOCK_ROWS", 16)
-    raw, copy, analyzed = tmp_path / "raw.tsv", tmp_path / "copy.tsv", tmp_path / "analyzed.tsv"
-    argv = ["multimeter", "--ideal", "--eta", "0.5", "--phi-range=-90:90:1", "--pairs", "100", "--seed", "2"]
-    assert main(argv + ["--out", str(raw)]) == 0
-    copy.write_bytes(raw.read_bytes())
-    assert main(["analyze", str(copy), "--out", str(analyzed)]) == 0
-    assert main(["analyze", str(raw), "--out", str(raw)]) == 0
-    assert raw.read_bytes() == analyzed.read_bytes()
-    assert read_sidecar(raw)["input"] == str(raw)
-    assert sorted(file.name for file in tmp_path.iterdir()) == [
-        "analyzed.tsv", "analyzed.tsv.meta.json", "copy.tsv", "raw.tsv", "raw.tsv.meta.json",
-    ]
+@pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
+def test_analyze_into_its_own_input_is_refused(tmp_path, capsys, monkeypatch, spelling):
+    # it replaced the count table and its sidecar with the estimates, so a rerun lost the counts
+    monkeypatch.chdir(tmp_path)
+    assert main(["multimeter", "--phi-range=-90:90:45", "--pairs", "1000", "--out", "raw.tsv"]) == 0
+    out = {"same": "raw.tsv", "dotted": "./raw.tsv", "hard-link": "link.tsv"}[spelling]
+    if spelling == "hard-link":
+        os.link("raw.tsv", "link.tsv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["analyze", "raw.tsv", "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: --out names the input raw.tsv, which analyze would replace\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # Starts the command as a child of a small `python -S` process, by fork and exec,

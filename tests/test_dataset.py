@@ -319,15 +319,20 @@ def test_a_float_column_is_written_as_per_cell_repr(tmp_path, floats):
 
 
 # a rounded column's values: signed zeros, subnormals, the largest float, NaN, infinities and any float
+# values about which ".13" and "%.13g" disagree or come close to it: "%.13g" drops the ".0" of an
+# integral value and writes 1e12 <= |x| < 1e13 without an exponent
+PRINTF_EDGES = [1.0, 2.0**52, 999999999999.95, 1e12, 9999999999999.5, 1e13]
 ROUNDED_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -1.5e-323, 2.2250738585072014e-308, sys.float_info.max,
-                     -sys.float_info.max, math.nan, math.inf, -math.inf, 1.0000000000005, 9.9999999999995e22]),
+                     -sys.float_info.max, math.nan, math.inf, -math.inf, 1.0000000000005, 9.9999999999995e22,
+                     *PRINTF_EDGES]),
     st.floats(allow_subnormal=True),
 )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(ROUNDED_FLOATS, min_size=1, max_size=9))
+@example(values=PRINTF_EDGES)
 def test_a_rounded_cell_reads_back_as_float64_within_5e_13(tmp_path_factory, values):
     # the cell is the value at 13 significant digits, so its decimal lies within 5e-13 relative of the
     # value; read back, it is that decimal's nearest float64, which adds at most half an ulp
@@ -374,6 +379,16 @@ def test_a_rounded_float_column_is_written_as_per_cell_text(tmp_path, floats):
     assert TableReader(path).metadata["rounded"] == {"digits": 13, "columns": ["x"]}
     rows = zip((format(float(v), ".13") for v in list(floats)), map(repr, exact.tolist()))
     assert path.read_text() == "x\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
+
+
+def test_cell_text_with_braces_is_written_as_it_is(tmp_path):
+    # a block is written through one row template; cell text is an argument of it, never template
+    # text, even in a column of one cell text
+    path = tmp_path / "data.tsv"
+    text = ["{", "}", "{0}", "{{"]
+    block = [text, ["{}"] * 4, np.full(4, 0.5), np.full(4, 1 / 3)]
+    write_table(path, records(["t", "b", "c", "x"], derived=["x"]), [block], {})
+    assert path.read_text() == "t\tb\tc\tx\n" + "".join(f"{cell}\t{{}}\t0.5\t0.3333333333333\n" for cell in text)
 
 
 def test_multimeter_points_keep_float_constant_columns():

@@ -54,13 +54,28 @@ FLOAT_COUNTS = "theta\tc_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "
     )
 )
 
+# a count table with no coordinate columns, so `analyze` writes only derived columns: its first
+# block (dataset._BLOCK_ROWS = 4,096 rows) is one row repeated, so every column of that block is one
+# value and the writer's row template has no field; the rows after it give estimates of exactly 0.0
+# and 1.0, NaN estimates (no shoulder count, no conclusive count) and values and stderrs in
+# exponent form (shoulder sums of 9e7 and of 1, a wrong-class rate of 1e-15)
+EDGE_COUNTS = "c_pp\tc_mp\tc_pm\tc_mm\tsh_pp\tsh_mp\tsh_pm\tsh_mm\n" + "400\t0\t0\t380\t300\t200\t150\t350\n" * 4096
+EDGE_COUNTS += (
+    "0\t5\t5\t0\t300\t200\t150\t350\n"
+    "5\t0\t0\t5\t300\t200\t150\t350\n"
+    "1\t2\t3\t4\t0\t0\t0\t0\n"
+    "0\t0\t0\t0\t300\t200\t150\t350\n"
+    "1\t0\t0\t1\t90000000\t0\t90000000\t0\n"
+    "1000000000000000\t1\t0\t0\t1\t0\t1\t0\n"
+) * 20
+
 # (output, argv): every subcommand under the default, --ideal and realistic configs, then an
-# analyze of each sweep and of FLOAT_COUNTS; discriminate-blocks spans several blocks of jittered
-# periods, discriminate-zeros has ideal points whose unreachable class must give a mean of
-# exactly 0 (a residue mean would take a number from the stream and shift every later draw), and
-# hom-scan-ties has mirror positions at multiples of 2^-10, every other one an exact .5 tie once
-# multiplied by 1e9, which the 9-decimal rounding of grid points must break as round() does, and
-# hom-scan-merged shows the order in which a config file, --ideal and --seed apply
+# analyze of each sweep, of FLOAT_COUNTS and of EDGE_COUNTS; discriminate-blocks spans several
+# blocks of jittered periods, discriminate-zeros has ideal points whose unreachable class must give
+# a mean of exactly 0 (a residue mean would take a number from the stream and shift every later
+# draw), and hom-scan-ties has mirror positions at multiples of 2^-10, every other one an exact .5
+# tie once multiplied by 1e9, which the 9-decimal rounding of grid points must break as round()
+# does, and hom-scan-merged shows the order in which a config file, --ideal and --seed apply
 COMMANDS = [
     ("discriminate.tsv", ["discriminate", "--theta-range", "0:90:15", "--pairs", "2000", "--seed", "7"]),
     ("discriminate-ideal.tsv", ["discriminate", "--ideal", "--epsilon", "0,10,20.5", "--pairs", "2000", "--seed", "7"]),
@@ -81,7 +96,8 @@ COMMANDS = [
 ]
 COMMANDS += [
     (f"analyzed-{name}", ["analyze", name]) for name, argv in list(COMMANDS) if argv[0] != "hom-scan"
-] + [("analyzed-float-counts.tsv", ["analyze", "float-counts.tsv"])]
+] + [("analyzed-float-counts.tsv", ["analyze", "float-counts.tsv"]),
+      ("analyzed-edge-counts.tsv", ["analyze", "edge-counts.tsv"])]
 # (name, argv) of commands without --out, which print their TSV and are compared by their console
 STREAMED = [("analyzed-stdout-multimeter-ideal", ["analyze", "multimeter-ideal.tsv"])]
 OUTPUTS = [path for name, _ in COMMANDS for path in (name, f"{name}.meta.json", f"{name}.console")]
@@ -99,6 +115,7 @@ def run_commands(tree: Path, workdir: Path) -> bool:
     (workdir / "realistic.json").write_text(json.dumps(REALISTIC), encoding="utf-8")
     (workdir / "merged.json").write_text(json.dumps(MERGED), encoding="utf-8")
     (workdir / "float-counts.tsv").write_text(FLOAT_COUNTS, encoding="utf-8")
+    (workdir / "edge-counts.tsv").write_text(EDGE_COUNTS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, so that output lost at exit shows
     where = subprocess.run(
