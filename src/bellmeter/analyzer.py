@@ -46,6 +46,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .polarization import NORM_TOL
+
 if TYPE_CHECKING:
     from .twophoton import TwoPhotonState
 
@@ -63,8 +65,6 @@ PATTERNS: tuple[tuple[int, int], ...] = tuple(
 # factor mapping its entries to pattern probabilities (see pattern_probs_batch)
 _PATTERN_ROWS, _PATTERN_COLS = np.array(PATTERNS).T
 _PATTERN_WEIGHTS = np.where(_PATTERN_ROWS == _PATTERN_COLS, 0.5, 1.0)
-
-_NORM_TOL = 1e-9
 
 _PSI_PLUS_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _PSI_MINUS_PAIRS = (frozenset({"D1", "D2"}), frozenset({"D3", "D4"}))
@@ -237,7 +237,7 @@ def _normalized(vectors: np.ndarray, width: int, what: str, dtype: type = comple
     if v.ndim != 2 or v.shape[1] != width:
         raise ValueError(f"expected {what} of shape (n, {width}), got {v.shape}")
     norm_sq = np.einsum("ij,ij->i", v.conj() if dtype is complex else v, v).real
-    tol = _NORM_TOL if dtype is complex else 3.0 * _NORM_TOL
+    tol = NORM_TOL if dtype is complex else 3.0 * NORM_TOL
     bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= tol))
     if len(bad):
         raise ValueError(f"{what} are not normalized: row {bad[0]} has norm^2 {norm_sq[bad[0]]}")

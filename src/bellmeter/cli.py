@@ -61,12 +61,16 @@ _ESTIMATE_COLUMNS = [Column(name, "derived") for name in Estimates._fields]
 def _parse_float_list(text: str, flag: str = "list") -> np.ndarray:
     """Parse a comma list of numbers into a float64 array; each number x has the bits of the range x:x:1.
 
-    ValueError naming `flag` if the list holds no number.
+    ValueError naming `flag` if the list holds no number, or two distinct numbers that round to one point.
     """
     values = [_grid_number(part, flag, text) for part in text.split(",") if part.strip() != ""]
     if not values:
         raise ValueError(f"{flag} gives no points")
-    return _round_9(np.array(values, dtype=float) + 0.0)  # x + 0.0 is a range's start + 0 * step: -0 is 0.0
+    points = np.array(values, dtype=float) + 0.0  # x + 0.0 is a range's start + 0 * step: -0 is 0.0
+    distinct = len(set(points.tolist()))  # a literal repeat, as 0,0, stays two points
+    if len(set(_round_9(points).tolist())) < distinct:
+        raise ValueError(f"{flag} {text!r} has distinct items that are one point once rounded to 9 decimals")
+    return points
 
 
 def _parse_range(text: str, flag: str = "range") -> np.ndarray:
@@ -161,13 +165,13 @@ def _simulation_keys(config: ExperimentConfig) -> dict:
 
 def build_discriminate(args: argparse.Namespace) -> _Built:
     from .discriminator import discriminator_blocks
-    from .polarization import discriminator_sums_are_finite
 
     config = _load_config(args)
     epsilons, thetas = _parse_float_list(args.epsilon, "--epsilon"), _parse_range(args.theta_range, "--theta-range")
     if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
         raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
-    if not discriminator_sums_are_finite(epsilons, thetas):
+    # epsilon + theta, twice the HWP angle, is finite on the grid when it is at the grid's corners
+    if not all(math.isfinite(float(pick(epsilons)) + float(pick(thetas))) for pick in (np.min, np.max)):
         raise ValueError("--epsilon + --theta-range overflows the half-wave plate angle")
     keys = {
         "task": "discriminator",

@@ -16,8 +16,9 @@ block and float64 in the next.  The parsed columns of a block are read
 first by numpy's C tokenizer, which takes optional whitespace, a sign and
 ASCII digits within int64 (_int_columns); a block it does not take in full
 goes to the per-column int()/float() rule (_parse_cells), which decides the
-result.  Only then is each row split into all its cells; otherwise it is
-split only up to its last carried cell.  The writer takes counts.Column
+result; only then is each row split into all its cells.  The text of the
+carried cells comes, after either parse, from one split of each row up to
+its last carried cell.  The writer takes counts.Column
 records, and a cell's text follows its column's kind, not the block's
 dtype.  A value v of a derived column (estimates, theory values, rates),
 number or numeric text, is written as format(float(v), ".13"): it keeps
@@ -131,13 +132,12 @@ class TableReader:
                     if ints is None:
                         cells = "\t".join(rows).split("\t")
                         block = [_parse_cells(cells[j::width]) for j in parsed]
-                        block += [cells[j::width] for j in carried]
                     else:
                         block = list(ints.T)
-                        if carried:  # each row is split only up to its last carried cell
-                            splits = itertools.repeat(max(carried) + 1)
-                            heads = list(map(str.split, rows, itertools.repeat("\t"), splits))
-                            block += [list(map(operator.itemgetter(j), heads)) for j in carried]
+                    if carried:  # each row is split only up to its last carried cell
+                        splits = itertools.repeat(max(carried) + 1)
+                        heads = list(map(str.split, rows, itertools.repeat("\t"), splits))
+                        block += [list(map(operator.itemgetter(j), heads)) for j in carried]
                     # np.array raises ValueError itself on a carried cell that is no number
                     if not np.isfinite(np.array(block[len(parsed) :], dtype=np.float64)).all():
                         raise ValueError("a carried cell that is no finite number")
@@ -274,11 +274,12 @@ def _format_rows(block: Sequence, derived: Sequence[bool]) -> str:
     """The TSV lines of a block of one or more rows, each with its line end, by one row template.
 
     Each column's rule is decided once and gives one field of the template:
-    if `derived`, `{:.13}` of each value v, a number or numeric text, as
-    float(v); else `{}` of a list, its cell text as it is, and `{!r}` of each
-    number.  A float64 array whose values all have the bits of its first is
-    that value's text in the template itself, formatted once; the text of a
-    number holds no brace, and cell text is never template text.
+    if `derived`, `{:.13}` of each value v, a number or numeric text, as a
+    float64 (numpy converts text as float() does); else `{}` of a list, its
+    cell text as it is, and `{!r}` of each number.  A float64 array whose
+    values all have the bits of its first is that value's text in the
+    template itself, formatted once; the text of a number holds no brace,
+    and cell text is never template text.
     """
     fields, arguments = [], []
     for values, rounded in zip(block, derived):
@@ -286,8 +287,6 @@ def _format_rows(block: Sequence, derived: Sequence[bool]) -> str:
             fields.append("{}")
             arguments.append(values)
             continue
-        if isinstance(values, list):
-            values = list(map(float, values))
         values = np.asarray(values, dtype=np.float64 if rounded else None)
         bits = values.view(np.int64) if values.dtype == np.float64 else None
         if bits is not None and bits[0] == bits[-1] and (bits == bits[0]).all():
@@ -366,9 +365,10 @@ def _parse_cells(cells: Sequence[str]) -> np.ndarray:
     """The cells as int64 if int() accepts and int64 holds each, else as float64.
 
     numpy calls int() on each cell, so a cell is integer text exactly when
-    int() takes it.  ValueError if a cell is no number.
+    int() takes it, and converts text to float64 as float() does.  ValueError
+    if a cell is no number.
     """
     try:
         return np.array(cells, dtype=np.int64)
     except (ValueError, OverflowError):
-        return np.array(list(map(float, cells)))
+        return np.array(cells, dtype=np.float64)

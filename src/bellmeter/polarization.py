@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import cos, isfinite, radians, sin, sqrt
+from math import cos, radians, sin, sqrt
 
 import numpy as np
 
-_NORM_TOL = 1e-9
+# largest |norm^2 - 1| of a state taken as normalized, by this module, twophoton and analyzer
+NORM_TOL = 1e-9
 
 
 class PlateKind(enum.Enum):
@@ -36,7 +37,7 @@ class PolarizationState:
         object.__setattr__(self, "h", complex(self.h))
         object.__setattr__(self, "v", complex(self.v))
         norm_sq = abs(self.h) ** 2 + abs(self.v) ** 2
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"polarization state is not normalized: |h|^2+|v|^2 = {norm_sq}")
 
     @property
@@ -176,14 +177,6 @@ def discriminator_angles(epsilon_deg, theta_deg) -> np.ndarray:
     eps = np.asarray(epsilon_deg, dtype=float)
     plus = np.stack([eps, (eps + np.asarray(theta_deg, dtype=float)) / 2.0], axis=-1)
     return np.stack([plus, -plus, plus], axis=-2)  # sign -1 negates both angles, exactly
-
-
-def discriminator_sums_are_finite(epsilons_deg, thetas_deg) -> bool:
-    """Whether epsilon + theta, twice the HWP angle, is finite on the grid epsilons x thetas (checked at its corners)."""
-    eps, thetas = np.asarray(epsilons_deg, dtype=float), np.asarray(thetas_deg, dtype=float)
-    if not eps.size or not thetas.size:  # an empty grid has no sum
-        return True
-    return all(isfinite(float(pick(eps)) + float(pick(thetas))) for pick in (np.min, np.max))
 
 
 def multimeter_angles(phi_deg) -> np.ndarray:

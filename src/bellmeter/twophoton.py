@@ -11,9 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polarization import PolarizationState
-
-_NORM_TOL = 1e-9
+from .polarization import NORM_TOL, PolarizationState
 
 _SQ2 = np.sqrt(2.0)
 
@@ -40,7 +38,7 @@ class TwoPhotonState:
         if amps.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {amps.shape}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"two-photon state is not normalized: {norm_sq}")
         object.__setattr__(self, "amplitudes", amps)
 

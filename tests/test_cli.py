@@ -236,6 +236,16 @@ def test_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, loaded):
     assert done.stdout.splitlines()[-1] == repr(sorted(loaded))
 
 
+@pytest.mark.parametrize("sub", [[], ["discriminate"], ["multimeter"], ["hom-scan"], ["analyze"]],
+                         ids=["bellmeter", "discriminate", "multimeter", "hom-scan", "analyze"])
+def test_help_of_each_command_is_printed(capsys, sub):
+    # argparse %-formats every help string only when it prints the help
+    with pytest.raises(SystemExit) as done:
+        main([*sub, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bellmeter")
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert build_parser() is build_parser()
     first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
@@ -529,6 +539,39 @@ def test_range_whose_rounding_merges_points_exits_nonzero(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err == f"error: range {argv[-1]!r} repeats points once they are rounded to 9 decimals\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminate", "--epsilon", "1e-10,2e-10", "--theta-range", "0"],
+        ["discriminate", "--epsilon", "0,-1e-10,5", "--theta-range", "0"],  # 0.0 and -0.0 are one point
+        ["hom-scan", "--positions", "1,1.0000000001"],
+    ],
+    ids=["epsilon", "signed-zeros", "positions"],
+)
+def test_a_list_whose_rounding_merges_distinct_items_exits_nonzero(tmp_path, capsys, argv):
+    # a comma list is rounded to 9 decimals as a range is; distinct items may not become one point
+    out = tmp_path / "x.tsv"
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
+    flag, text = argv[1:3]
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {text!r} has distinct items that are one point once rounded to 9 decimals\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, column, values",
+    [
+        (["discriminate", "--epsilon", "0,0,-0,0.0", "--theta-range", "0"], "epsilon", [0.0] * 4),
+        (["hom-scan", "--positions=1,1"], "position", [1.0, 1.0]),
+    ],
+    ids=["epsilon", "positions"],
+)
+def test_a_list_that_repeats_an_item_writes_each_repeat(tmp_path, argv, column, values):
+    out = tmp_path / "x.tsv"
+    assert main(argv + ["--pairs", "100", "--out", str(out)]) == 0
+    assert read_columns(out)[column].tolist() == values
 
 
 @pytest.mark.parametrize("text", ["0:90", "0:90:1:2"])
@@ -1471,9 +1514,8 @@ def test_overflowing_discriminator_grid_fails_on_one_line(tmp_path, capsys, epsi
     out = tmp_path / "x.tsv"
     argv = ["discriminate", f"--epsilon={epsilon}", f"--theta-range={theta_range}", "--out", str(out)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --epsilon + --theta-range overflows") and len(err.splitlines()) == 1
-    assert not out.exists()
+    assert capsys.readouterr().err == "error: --epsilon + --theta-range overflows the half-wave plate angle\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_discriminator_grid_at_the_largest_finite_sums_runs(tmp_path):

@@ -381,6 +381,28 @@ def test_a_rounded_float_column_is_written_as_per_cell_text(tmp_path, floats):
     assert path.read_text() == "x\ty\n" + "".join("\t".join(row) + "\n" for row in rows)
 
 
+# numeric text as float() takes it: underscores, surrounding whitespace, signed zeros, NaN, overflow to
+# infinity, subnormals, non-ASCII digits and integers that float64 holds only rounded
+NUMERIC_TEXT = st.one_of(
+    st.sampled_from(["1_0", " 2 ", "-0", "nan", "1e400", "-1e400", "1e-320", "\u0661\u0662", str(2**53 + 1),
+                     str(-(2**64) - 1)]),
+    st.integers(-(2**80), 2**80).map(str),
+    st.floats(allow_subnormal=True).map(repr),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]), st.floats().map(str), st.sampled_from(["", "\n"])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(texts=st.lists(NUMERIC_TEXT, min_size=1, max_size=9))
+@example(texts=["1_0", " 2 ", "-0", "nan", "1e400", str(2**53 + 1)])
+@example(texts=[str(2**63 + 1)] * 3)
+def test_a_derived_column_of_numeric_text_is_written_as_the_floats_float_gives(tmp_path_factory, texts):
+    directory = tmp_path_factory.mktemp("text")
+    for name, values in (("text.tsv", texts), ("floats.tsv", np.array([float(t) for t in texts]))):
+        write_table(directory / name, records(["x"], derived=["x"]), [[values]], {})
+    assert (directory / "text.tsv").read_bytes() == (directory / "floats.tsv").read_bytes()
+
+
 def test_cell_text_with_braces_is_written_as_it_is(tmp_path):
     # a block is written through one row template; cell text is an argument of it, never template
     # text, even in a column of one cell text
