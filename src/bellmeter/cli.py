@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import dataclasses
 import errno
 import functools
 import math
@@ -76,20 +77,21 @@ def _parse_float_list(text: str, flag: str = "list") -> np.ndarray:
 def _parse_range(text: str, flag: str = "range") -> np.ndarray:
     """Parse 'start:stop:step' with an inclusive stop into a float64 array; a bare number x is x:x:1.
 
-    ValueError naming `flag` if the range has no point, as a descending one.
+    ValueError naming `flag` if the range has no point, as a descending one, and
+    `flag` and `text` as "<flag> '<text>': <reason>" if it is malformed or too fine.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise ValueError(f"expected 'start:stop:step', got {text!r}")
+        raise ValueError(f"{flag} {text!r}: expected 'start:stop:step'")
     values = [_grid_number(p, flag, text) for p in parts]
     if len(values) == 1:
         values += [values[0], 1.0]
     start, stop, step = values
     if step <= 0:
-        raise ValueError(f"range step must be positive, got {step}")
+        raise ValueError(f"{flag} {text!r}: step must be positive, got {step}")
     span = (stop - start) / step + 1e-9  # in float, so a huge span is inf, not an error
     if not span < _MAX_GRID_POINTS:
-        raise ValueError(f"range {text!r} has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
+        raise ValueError(f"{flag} {text!r}: more than {_MAX_GRID_POINTS} points")
     count = math.floor(max(span, -1.0)) + 1  # no point for a descending range, whose span may be -inf
     if count == 0:
         raise ValueError(f"{flag} gives no points")
@@ -98,7 +100,7 @@ def _parse_range(text: str, flag: str = "range") -> np.ndarray:
     points += start  # the bits of start + i * step in Python floats
     _round_9(points)
     if np.any(points[:-1] >= points[1:]):
-        raise ValueError(f"range {text!r} repeats points once they are rounded to 9 decimals")
+        raise ValueError(f"{flag} {text!r}: repeats points once they are rounded to 9 decimals")
     return points
 
 
@@ -158,9 +160,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _simulation_keys(config: ExperimentConfig) -> dict:
-    from .experiment import config_to_dict
-
-    return {"seed": config.seed, "config": config_to_dict(config)}
+    return {"seed": config.seed, "config": dataclasses.asdict(config)}
 
 
 def build_discriminate(args: argparse.Namespace) -> _Built:
@@ -169,7 +169,7 @@ def build_discriminate(args: argparse.Namespace) -> _Built:
     config = _load_config(args)
     epsilons, thetas = _parse_float_list(args.epsilon, "--epsilon"), _parse_range(args.theta_range, "--theta-range")
     if len(epsilons) * len(thetas) > _MAX_GRID_POINTS:
-        raise ValueError(f"the epsilon x theta grid has more than _MAX_GRID_POINTS = {_MAX_GRID_POINTS} points")
+        raise ValueError(f"the --epsilon x --theta-range grid has more than {_MAX_GRID_POINTS} points")
     # epsilon + theta, twice the HWP angle, is finite on the grid when it is at the grid's corners
     if not all(math.isfinite(float(pick(epsilons)) + float(pick(thetas))) for pick in (np.min, np.max)):
         raise ValueError("--epsilon + --theta-range overflows the half-wave plate angle")
@@ -363,11 +363,18 @@ def run() -> NoReturn:
     remain to be done: the atexit handlers and the flush of what they wrote.
     The rest, which frees every module and object (about 40 ms on a 2-vCPU
     Xeon once the sweep modules are loaded), os._exit skips, as
-    multiprocessing ends its forked children.  SystemExit (a usage error,
-    --help) and any other exception of main() propagate unchanged.  Callers
-    that stay in the process call main(argv).
+    multiprocessing ends its forked children.  A KeyboardInterrupt (Ctrl-C)
+    in main() is one `error: interrupted` line and code 130, once write_table
+    has removed its temporary files; SystemExit (a usage error, --help) and
+    any other exception of main() propagate unchanged.  Callers that stay in
+    the process call main(argv), which lets a KeyboardInterrupt propagate.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        with contextlib.suppress(OSError):
+            _write_to("stderr", lambda: print("error: interrupted", file=sys.stderr))
+        code = 130
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when the process was started with that descriptor closed

@@ -14,7 +14,9 @@ the other arrays of the block in the order of the dataset columns
 Each dataset column is declared once, as a Column of its name and kind:
 "coordinate" (a grid point, which `analyze` carries over), "count" or
 "derived" (a theory value, estimate or rate).  The header, the sidecar and
-the writer's text rule (dataset.write_table) are read off these records.
+the writer's text rule (dataset.write_table) are read off these records.  A
+sweep's estimate column is declared on its point field, whose "estimate"
+metadata names the Estimates column that fills it.
 """
 
 from __future__ import annotations
@@ -205,13 +207,17 @@ def sweep_header(point_type: type) -> list[Column]:
             for f in fields(point_type)[:-1]] + [Column(name, "count") for name in COUNT_COLUMNS]
 
 
-def sweep_columns(point_type: type, counts: np.ndarray, **values: np.ndarray) -> list[np.ndarray]:
+def sweep_columns(
+    point_type: type, counts: np.ndarray, estimates: Estimates, **values: np.ndarray
+) -> list[np.ndarray]:
     """One block of a sweep's columns, in sweep_header order.
 
-    Each field of `point_type` before its last is given in `values`; the
-    COUNT_COLUMNS of the (n, 8) `counts` follow.
+    A field of `point_type` before its last is the `estimates` column (an
+    array) that its "estimate" metadata names, or else is given in `values`;
+    the COUNT_COLUMNS of the (n, 8) `counts` follow.
     """
-    return [values[f.name] for f in fields(point_type)[:-1]] + list(counts.T)
+    return [getattr(estimates, f.metadata["estimate"]) if "estimate" in f.metadata else values[f.name]
+            for f in fields(point_type)[:-1]] + list(counts.T)
 
 
 def sweep_points(point_type: type, blocks: Iterable[Sequence[np.ndarray]]) -> list:
@@ -229,17 +235,18 @@ class DiscriminationPoint:
     """One sweep point: theory, optimal benchmark and simulated estimates.
 
     The fields before `counts` are the sweep's leading dataset columns
-    (sweep_header): the grid coordinates, then derived values.
+    (sweep_header): the grid coordinates, then derived values, the estimates
+    filled from the Estimates columns their "estimate" metadata names.
     """
 
     epsilon: float = field(metadata={"kind": "coordinate"})
     theta: float = field(metadata={"kind": "coordinate"})
     p_theory: float
     p_optimal: float
-    p_estimated: float
-    p_stderr: float
-    error_rate: float
-    error_rate_stderr: float
+    p_estimated: float = field(metadata={"estimate": "p_succ"})
+    p_stderr: float = field(metadata={"estimate": "p_succ_stderr"})
+    error_rate: float = field(metadata={"estimate": "error_rate"})
+    error_rate_stderr: float = field(metadata={"estimate": "error_rate_stderr"})
     counts: CountRecord
 
 
@@ -249,16 +256,17 @@ class MultimeterPoint:
 
     The fields before `counts` are the sweep's leading dataset columns
     (sweep_header): the grid coordinates, then derived values, two of them
-    renamed by "column" metadata.
+    renamed by "column" metadata, and the estimates but `fidelity` filled
+    from the Estimates columns their "estimate" metadata names.
     """
 
     phi: float = field(metadata={"kind": "coordinate"})
     eta: float = field(metadata={"kind": "coordinate", "bounds": "[0, 1]"})
     pi_theory: float
     fidelity_theory: float
-    p_inconclusive: float = field(metadata={"column": "pi_estimated"})
-    pi_stderr: float
+    p_inconclusive: float = field(metadata={"column": "pi_estimated", "estimate": "p_inconclusive"})
+    pi_stderr: float = field(metadata={"estimate": "pi_stderr"})
     fidelity: float = field(metadata={"column": "fidelity_estimated"})
-    error_rate: float
-    error_rate_stderr: float
+    error_rate: float = field(metadata={"estimate": "error_rate"})
+    error_rate_stderr: float = field(metadata={"estimate": "error_rate_stderr"})
     counts: CountRecord

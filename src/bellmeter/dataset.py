@@ -69,11 +69,12 @@ class TableReader:
     The header and the sidecar are read when the reader is made.  A file
     that is not UTF-8 text or whose header names a column twice raises
     ValueError naming it; a sidecar that is no JSON raises ValueError, and
-    one that holds no JSON object SchemaViolationError, each naming the
-    sidecar, and so does one whose `columns` differ from the header, naming
-    both files.  Without a sidecar the metadata is empty.  A leading UTF-8
-    byte-order mark of either file is skipped.  _rows maps the data rows of
-    the block read last to file lines, for every error that names a line.
+    one that holds no JSON object or repeats a key SchemaViolationError,
+    each naming the sidecar, and so does one whose `columns` differ from the
+    header, naming both files.  Without a sidecar the metadata is empty.  A
+    leading UTF-8 byte-order mark of either file is skipped.  _rows maps the
+    data rows of the block read last to file lines, for every error that
+    names a line.
     """
 
     def __init__(self, path: str | Path):
@@ -263,11 +264,24 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def read_json(path: Path):
-    """The JSON value in the file at `path`, past a byte-order mark; ValueError naming the file if it holds no JSON."""
+    """The JSON value in the file at `path`, past a byte-order mark; ValueError naming the file if it holds no
+    JSON, and SchemaViolationError naming the file and the key if an object at any depth repeats a key."""
     try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
+        return json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; SchemaViolationError naming its first repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaViolationError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _format_rows(block: Sequence, derived: Sequence[bool]) -> str:

@@ -59,12 +59,9 @@ def discriminator_blocks(
     recorded as NaN instead of aborting the sweep.
     """
     for (eps, theta), counts in sweep_blocks((epsilons, thetas), pol.discriminator_angles, config):
-        est = dict(zip(Estimates._fields, estimate_table(counts).T))
         yield sweep_columns(
-            DiscriminationPoint, counts, epsilon=eps, theta=theta,
+            DiscriminationPoint, counts, Estimates(*estimate_table(counts).T), epsilon=eps, theta=theta,
             p_theory=success_prob_theory(eps, theta), p_optimal=optimal_prob(eps, theta),
-            p_estimated=est["p_succ"], p_stderr=est["p_succ_stderr"],
-            error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
         )
 
 

@@ -38,7 +38,7 @@ stage drawn as a block of one point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -286,6 +286,15 @@ def _draw_block(
     return np.hstack([rngs[2 * s + 1].poisson(means[s * size : (s + 1) * size]) for s in range(len(stages))])
 
 
+def _finite_axis(values: Sequence[float], name: str) -> np.ndarray:
+    """`values` as a float array; ValueError naming `name` and the index of its first value that is not finite."""
+    axis = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(axis))
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] must be finite, got {axis[bad[0]]}")
+    return axis
+
+
 def _drawn_blocks(n: int, stages_at: Callable, config: ExperimentConfig) -> Iterator[tuple]:
     """The one block loop over the points 0 .. n-1, in blocks of at most _MAX_STAGE_PERIODS analyzed
     periods per stage: stages_at(points), a slice, gives a head and the block's stages, whose
@@ -321,10 +330,11 @@ def sweep_blocks(
     from its own two streams in point order, so the block size changes no
     draw and row i does not depend on the points after it.  `eta` relaxes
     the main runs only, so the shoulder normalization stays that of the raw
-    measurement.
+    measurement.  A value of an axis that is not finite raises ValueError
+    naming the axis and its index on the call.
     """
     # arrays, so that no grid list is kept alive through the sweep
-    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    axes = [_finite_axis(axis, f"axes[{k}]") for k, axis in enumerate(axes)]
     shape = tuple(len(axis) for axis in axes)
 
     def stages(points: slice) -> tuple[tuple[np.ndarray, ...], list]:
@@ -414,9 +424,10 @@ def hom_scan_blocks(positions: Sequence[float], config: ExperimentConfig, fit: d
     Only the positions, rate_mp and rate_pm are kept, and after the last
     block `fit` gets their Gaussian-dip visibilities (curve_visibilities,
     those that fit) and the mean (fitted_visibility, None if neither fits),
-    which estimates the mode overlap.  Empty positions raise ValueError on the call.
+    which estimates the mode overlap.  Empty positions, or one that is not
+    finite, raise ValueError on the call.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = _finite_axis(positions, "positions")
     if len(pos) == 0:
         raise ValueError("positions must be nonempty")
     dips = np.empty((2, len(pos)))  # rate_mp and rate_pm
@@ -465,11 +476,6 @@ def with_pairs_per_point(config: ExperimentConfig, pairs_per_point: float) -> Ex
             f" * repetitions must be at least 1, so that an input setting can expect a coincidence, got {most:g}"
         )
     return config
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """JSON-ready snapshot of an ExperimentConfig."""
-    return asdict(config)
 
 
 def config_from_dict(data: dict, ideal: bool = False, **flags) -> ExperimentConfig:

@@ -135,14 +135,11 @@ def multimeter_blocks(
     fidelity_theory = fidelity_from_PI(pi_theory)
 
     def columns(phi: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-        est = dict(zip(Estimates._fields, estimate_table(counts).T))
+        est = Estimates(*estimate_table(counts).T)
         return sweep_columns(
-            MultimeterPoint, counts, phi=phi, eta=np.full(len(phi), float(eta)),
-            pi_theory=np.full(len(phi), pi_theory),
-            fidelity_theory=np.full(len(phi), fidelity_theory),
-            p_inconclusive=est["p_inconclusive"], pi_stderr=est["pi_stderr"],
-            fidelity=1.0 - est["error_rate"],
-            error_rate=est["error_rate"], error_rate_stderr=est["error_rate_stderr"],
+            MultimeterPoint, counts, est, phi=phi, eta=np.full(len(phi), float(eta)),
+            pi_theory=np.full(len(phi), pi_theory), fidelity_theory=np.full(len(phi), fidelity_theory),
+            fidelity=1.0 - est.error_rate,
         )
 
     blocks = sweep_blocks((phis,), pol.multimeter_angles, config, eta)

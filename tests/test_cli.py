@@ -537,7 +537,7 @@ def test_range_whose_rounding_merges_points_exits_nonzero(tmp_path, capsys, argv
     out = tmp_path / "x.tsv"
     assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: range {argv[-1]!r} repeats points once they are rounded to 9 decimals\n"
+    assert err == f"error: {argv[-2]} {argv[-1]!r}: repeats points once they are rounded to 9 decimals\n"
     assert not out.exists()
 
 
@@ -578,14 +578,14 @@ def test_a_list_that_repeats_an_item_writes_each_repeat(tmp_path, argv, column, 
 def test_a_range_of_two_or_four_parts_is_named(tmp_path, capsys, text):
     out = tmp_path / "x.tsv"
     assert main(["discriminate", "--theta-range", text, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: expected 'start:stop:step', got {text!r}\n"
+    assert capsys.readouterr().err == f"error: --theta-range {text!r}: expected 'start:stop:step'\n"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_flag_values_exit_nonzero(tmp_path, capsys):
     code = main(["discriminate", "--theta-range", "10:0:-5", "--out", str(tmp_path / "x.tsv")])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --theta-range '10:0:-5': step must be positive, got -5.0\n"
     code = main(["multimeter", "--eta", "1.5", "--out", str(tmp_path / "y.tsv")])
     assert code == 1
 
@@ -800,6 +800,21 @@ def test_analyze_of_a_table_whose_sidecar_records_no_columns_reads_its_header(tm
         sidecar_path(path).unlink()
     assert main(["analyze", str(path), "--out", str(tmp_path / "est.tsv")]) == 0
     assert (tmp_path / "est.tsv").read_bytes() == (tmp_path / "with-columns.tsv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"seed": 1, "seed": 2}', "seed"), ('{"analyzer": {"mode_overlap": 0.9, "mode_overlap": 0.8}}', "mode_overlap")],
+    ids=["top-level", "analyzer"],
+)
+def test_config_that_repeats_a_key_names_the_file_and_the_key(tmp_path, capsys, text, key):
+    # json.loads keeps the last of two equal keys: the first config ran with seed 2 and exited 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "x.tsv"
+    assert main(["discriminate", "--config", str(cfg_path), "--pairs", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: duplicate key {key!r}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
@@ -1193,6 +1208,41 @@ def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch
     for sidecar in sidecars:
         del sidecar["timestamp"]
     assert sidecars[0] == sidecars[1]
+
+
+# runs the command of its arguments through run(), its second block of counts interrupted as by Ctrl-C
+INTERRUPT_SECOND_BLOCK = """
+import sys
+from bellmeter import cli, experiment
+draw, calls = experiment._draw_block, []
+def draw_until_the_second_block(*args):
+    calls.append(args)
+    if len(calls) == 2:
+        raise KeyboardInterrupt
+    return draw(*args)
+experiment._draw_block = draw_until_the_second_block
+cli.run()
+"""
+
+
+def test_an_interrupted_sweep_exits_130_and_keeps_the_previous_output(tmp_path, monkeypatch):
+    # 901 points of 10 jittered periods run in 3 blocks; an interrupt printed a traceback and died by SIGINT
+    argv = ["discriminate", "--epsilon", "0", "--theta-range", "0:90:0.1", "--pairs", "100", "--out", "d.tsv"]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    done = run_entry(["-c", INTERRUPT_SECOND_BLOCK, *argv], tmp_path, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (130, "", "error: interrupted\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    # in the process, main() lets the interrupt propagate
+    monkeypatch.setattr("bellmeter.experiment._draw_block", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_the_tsv_on_a_stdout_pipe_equals_the_out_file(tmp_path):
@@ -1594,7 +1644,9 @@ def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch,
     out = tmp_path / "grid.tsv"
     assert main(argv + ["--pairs", "100", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "_MAX_GRID_POINTS" in err and len(err.splitlines()) == 1
+    flag = next(arg.split("=")[0] for arg in reversed(argv) if arg.startswith("--"))
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert flag in err and f"more than {limit or 10**6} points" in err and "_MAX_GRID_POINTS" not in err
     assert not out.exists()
 
 

@@ -114,6 +114,9 @@ def test_dataset_read_names_a_sidecar_that_is_no_json_object(tmp_path):
         sidecar.write_text(value)
         with pytest.raises(SchemaViolationError, match=f"^{name} holds no JSON object$"):
             TableReader(path)
+    sidecar.write_text('{"columns": ["n"], "k": {"a": 1, "a": 1}}')
+    with pytest.raises(SchemaViolationError, match=f"^{name}: duplicate key 'a'$"):
+        TableReader(path)
 
 
 def reference_parse(cells):

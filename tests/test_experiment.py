@@ -22,7 +22,15 @@ from bellmeter.analyzer import (
     ideal_outcome_probs,
     stokes_outcome_probs,
 )
-from bellmeter.counts import COUNT_COLUMNS, CountRecord, MultimeterPoint, estimate_table, first_bad_count
+from bellmeter.counts import (
+    COUNT_COLUMNS,
+    CountRecord,
+    DiscriminationPoint,
+    Estimates,
+    MultimeterPoint,
+    estimate_table,
+    first_bad_count,
+)
 from bellmeter.errors import InvalidNormalizationError, NoDataError, SchemaViolationError
 from bellmeter.experiment import (
     ClassCounts,
@@ -32,7 +40,6 @@ from bellmeter.experiment import (
     _poisson_means,
     check_eta,
     config_from_dict,
-    config_to_dict,
     hom_scan,
     hom_scan_blocks,
     mode_overlap_at,
@@ -366,6 +373,12 @@ def test_count_record_estimates_are_nan_where_undefined():
         no_conclusive.wrong_class_rate()
 
 
+@pytest.mark.parametrize("point_type", [DiscriminationPoint, MultimeterPoint])
+def test_each_estimate_metadata_entry_names_an_estimates_column(point_type):
+    sources = [f.metadata["estimate"] for f in fields(point_type) if "estimate" in f.metadata]
+    assert len(sources) == 4 and set(sources) <= set(Estimates._fields)
+
+
 def scalar_estimates(counts):
     """The estimates of one count row from the scalar estimators, NaN where they raise."""
     rec = CountRecord(*counts)
@@ -458,7 +471,7 @@ def test_jittered_repetitions_are_bounded_by_the_stage_block():
 
 def test_config_roundtrip_and_schema_errors():
     cfg = ExperimentConfig.realistic(seed=7)
-    data = config_to_dict(cfg)
+    data = asdict(cfg)
     back = config_from_dict(data)
     assert back == cfg
     with pytest.raises(SchemaViolationError):
@@ -751,12 +764,20 @@ def test_sweep_rows_are_the_stage_draws_and_reproduce_by_prefix():
     assert [pt.counts for pt in disc] == [CountRecord(*row) for row in expected.tolist()]
     first_eps = run_discriminator_sweep([0.0], [10.0, 50.0], cfg, pairs_per_point=5_000)
     assert [pt.counts for pt in first_eps] == [pt.counts for pt in disc[:2]]
+    # the estimate columns are those estimate_table gives for the counts
+    estimates = estimate_table([astuple(pt.counts) for pt in disc])
+    got = [[pt.p_estimated, pt.p_stderr, pt.error_rate, pt.error_rate_stderr] for pt in disc]
+    np.testing.assert_array_equal(got, estimates[:, [0, 1, 4, 5]])
 
     phis = [-40.0, 0.0, 30.0]
     multi = run_multimeter_sweep(phis, 0.4, cfg, pairs_per_point=5_000)
     settings_ = [tuple(recipe_multimeter(phi, sign) for sign in (+1, -1, +1)) for phi in phis]
     expected = staged_reference(sweep_stages(settings_, point_cfg, eta=0.4), point_cfg)
     assert [pt.counts for pt in multi] == [CountRecord(*row) for row in expected.tolist()]
+    estimates = estimate_table(expected)
+    got = [[pt.p_inconclusive, pt.pi_stderr, pt.error_rate, pt.error_rate_stderr] for pt in multi]
+    np.testing.assert_array_equal(got, estimates[:, 2:])
+    np.testing.assert_array_equal([pt.fidelity for pt in multi], 1.0 - estimates[:, 4])
     for k in range(1, len(phis)):
         prefix = run_multimeter_sweep(phis[:k], 0.4, cfg, pairs_per_point=5_000)
         assert [pt.counts for pt in prefix] == [pt.counts for pt in multi[:k]]
@@ -1112,6 +1133,23 @@ def test_sweep_blocks_run_over_the_product_of_the_axes(jitter, block_periods):
 def test_an_empty_axis_yields_no_block(axes):
     angles_of = discriminator_angles if len(axes) == 2 else multimeter_angles
     assert list(sweep_blocks(axes, angles_of, ExperimentConfig())) == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg: sweep_blocks(([math.inf],), multimeter_angles, cfg), "axes[0][0] must be finite, got inf"),
+        (lambda cfg: sweep_blocks(([0.0], [45.0, math.nan]), discriminator_angles, cfg),
+         "axes[1][1] must be finite, got nan"),
+        (lambda cfg: hom_scan([math.nan, 0.0], cfg), "positions[0] must be finite, got nan"),
+        (lambda cfg: hom_scan_blocks([0.0, -math.inf], cfg, {}), "positions[1] must be finite, got -inf"),
+    ],
+    ids=["sweep-inf", "sweep-second-axis-nan", "hom-scan-nan", "hom-scan-blocks-inf"],
+)
+def test_a_value_of_an_axis_that_is_not_finite_is_named_on_the_call(call, message):
+    # a multimeter axis of inf warned in cos, and a NaN position failed as a mode overlap outside [0, 1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ExperimentConfig())
 
 
 @pytest.mark.parametrize("pairs", [0.0, -5.0, math.nan, math.inf])
